@@ -164,6 +164,44 @@ def both_sector_model(n=4):
     )
 
 
+def tables_model(a, d, f, n=2, kappa=None):
+    """Wrap raw tables; uniform weights, one analyzer table for both sectors."""
+    size1, size4 = a.shape[1], d.shape[1]
+    if kappa is None:
+        kappa = np.ones((size1, size4), dtype=np.int8)
+    return LhvModel(
+        family="two_source",
+        n=n,
+        a=a,
+        d=d,
+        kappa=kappa,
+        f_plus=f,
+        f_minus=f,
+        rho1=[Fraction(1, size1)] * size1,
+        rho4=[Fraction(1, size4)] * size4,
+    )
+
+
+def block_diagonal(a_signs, u=(1, 1), v=(1, 1), n=2):
+    """Two disjoint blocks: angles [0, m/2) with hidden 0, the rest with 1."""
+    m = 2 * n
+    half = m // 2
+    a_signs = np.asarray(a_signs, dtype=np.int8)
+    block_of = (np.arange(m) >= half).astype(int)
+    table_a = np.zeros((m, 2), dtype=np.int8)
+    table_d = np.zeros((m, 2), dtype=np.int8)
+    for k in range(m):
+        table_a[k, block_of[k]] = a_signs[k] * u[block_of[k]]
+        table_d[k, block_of[k]] = a_signs[k] * v[block_of[k]]
+    table_f = np.zeros((m, m, 2, 2), dtype=np.int8)
+    for k2 in range(m):
+        for k3 in range(m):
+            if block_of[k2] == block_of[k3]:
+                b = block_of[k2]
+                table_f[k2, k3, b, b] = a_signs[k2] * a_signs[k3] * u[b] * v[b]
+    return tables_model(table_a, table_d, table_f, n=n)
+
+
 def rebuild(model: LhvModel, **overrides) -> LhvModel:
     """Copy of a model with some tables replaced."""
     fields = dict(
