@@ -32,6 +32,7 @@ from .model import (
 )
 from .quantum import (
     BELL_OUTCOMES,
+    SECTOR_OUTCOMES,
     expectation_bell,
     prob_closed,
     sector_probability,
@@ -127,8 +128,6 @@ def _witness_lines(report: RobustnessReport) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-_SECTOR_BELLS = {1: ("phi_plus", "psi_minus"), -1: ("phi_minus", "psi_plus")}
-
 
 def _cmd_quantum(args) -> tuple[int, Report]:
     steps = args.phi
@@ -157,7 +156,7 @@ def _cmd_quantum(args) -> tuple[int, Report]:
             (f"sector_probability.{name}", _fmt(sector_probability(table, sector)))
         )
     for b, bell in enumerate(BELL_OUTCOMES):
-        if sectors != (1, -1) and bell not in _SECTOR_BELLS[sectors[0]]:
+        if sectors != (1, -1) and bell not in SECTOR_OUTCOMES[sectors[0]]:
             continue
         payload.append((f"E.{bell}", _fmt(expectation_bell(table, bell))))
     zeta_plus = correlation_index(*steps, 1, n)

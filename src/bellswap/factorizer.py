@@ -28,7 +28,7 @@ from .model import (
     realized_sectors,
     selected_analyzer,
 )
-from .robustness import RobustnessReport, is_robust
+from .robustness import RobustnessReport, _first_index, is_robust
 
 __all__ = [
     "FamilyError",
@@ -72,12 +72,17 @@ class ConsistencyWitness:
 
 @dataclass(frozen=True)
 class Component:
-    """One block of the support graph, listed by member indices."""
+    """One block of the support graph, listed by member indices.
+
+    ``constraints`` carries the block's parity constraints in build order,
+    so seeding a block never rebuilds them; it is not part of the identity.
+    """
 
     angles: tuple[int, ...]
     first_hidden: tuple[int, ...]
     last_hidden: tuple[int, ...]
     anchor: tuple[str, int]
+    constraints: tuple[_Constraint, ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -126,12 +131,6 @@ def _reject_single_source(model: LhvModel) -> None:
         )
 
 
-def _first_violation(bad: np.ndarray) -> tuple[int, ...] | None:
-    if not bad.any():
-        return None
-    return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
-
-
 # ---------------------------------------------------------------------------
 # consistency relations
 
@@ -156,7 +155,7 @@ def check_consistency(model: LhvModel, variants: bool = False) -> ConsistencyWit
         a[:, None, :, None] * a[None, :, :, None]
         * d[:, None, None, :] * d[None, :, None, :]
     )
-    where = _first_violation(cross == -1)
+    where = _first_index(cross == -1)
     if where is not None:
         keys = ("alpha", "beta", "lam1", "lam4")
         return ConsistencyWitness("cross_station_rectangle",
@@ -171,14 +170,14 @@ def check_consistency(model: LhvModel, variants: bool = False) -> ConsistencyWit
             table[:, None, :, None] * table[:, None, None, :]
             * table[None, :, :, None] * table[None, :, None, :]
         )
-        where = _first_violation(rect == -1)
+        where = _first_index(rect == -1)
         if where is not None:
             keys = ("alpha", "beta", lam_key, lam_key + "_alt")
             return ConsistencyWitness(name, dict(zip(keys, where)), -1)
 
     # analyzer table: symmetric in its two angle slots
     sym = f * f.transpose(1, 0, 2, 3)
-    where = _first_violation(sym == -1)
+    where = _first_index(sym == -1)
     if where is not None:
         keys = ("alpha", "beta", "lam1", "lam4")
         return ConsistencyWitness("analyzer_symmetry", dict(zip(keys, where)), -1)
@@ -188,7 +187,7 @@ def check_consistency(model: LhvModel, variants: bool = False) -> ConsistencyWit
     ft = f.transpose(1, 0, 2, 3)
 
     def quad(name, t1, t2, t3, t4):
-        where = _first_violation((t1 * t2 * t3 * t4) == -1)
+        where = _first_index((t1 * t2 * t3 * t4) == -1)
         if where is None:
             return None
         return ConsistencyWitness(name, dict(zip(eight_keys, where)), -1)
@@ -314,7 +313,7 @@ def _parity_reduce(vars_with_repeats) -> tuple[int, ...]:
 
 
 def _build_constraints(model: LhvModel) -> list[_Constraint]:
-    m, u_base, v_base = model.steps, model.steps, model.steps + model.size1
+    u_base, v_base, _ = _var_layout(model)
     f = selected_analyzer(model)
     out: list[_Constraint] = []
 
@@ -427,14 +426,18 @@ def build_components(model: LhvModel) -> tuple[Component, ...]:
     """
     _reject_single_source(model)
     m, u_end, v_end = _var_layout(model)
+    constraints = _build_constraints(model)
     uf = _UnionFind(v_end)
-    for constraint in _build_constraints(model):
-        first = constraint.vars[0] if constraint.vars else None
+    for constraint in constraints:
         for var in constraint.vars[1:]:
-            uf.union(first, var)
+            uf.union(constraint.vars[0], var)
     groups: dict[int, list[int]] = {}
     for var in range(v_end):
         groups.setdefault(uf.find(var), []).append(var)
+    owned: dict[int, list[_Constraint]] = {root: [] for root in groups}
+    for constraint in constraints:
+        if constraint.vars:
+            owned[uf.find(constraint.vars[0])].append(constraint)
     components = []
     for root in sorted(groups):
         members = groups[root]
@@ -446,16 +449,9 @@ def build_components(model: LhvModel) -> tuple[Component, ...]:
             first_hidden=first_hidden,
             last_hidden=last_hidden,
             anchor=_var_name(model, min(members)),
+            constraints=tuple(owned[root]),
         ))
     return tuple(components)
-
-
-def _component_vars(model: LhvModel, component: Component) -> set[int]:
-    m, u_base, v_base = model.steps, model.steps, model.steps + model.size1
-    out = set(component.angles)
-    out.update(u_base + i for i in component.first_hidden)
-    out.update(v_base + i for i in component.last_hidden)
-    return out
 
 
 def seed_component(model: LhvModel, component: Component) -> ComponentAssignment:
@@ -467,15 +463,16 @@ def seed_component(model: LhvModel, component: Component) -> ComponentAssignment
     A contradiction raises CounterexampleAlarm.
     """
     _reject_single_source(model)
-    members = _component_vars(model, component)
-    constraints = [c for c in _build_constraints(model)
-                   if c.vars and set(c.vars) <= members]
+    m, v_base, _ = _var_layout(model)  # first-hidden variables start at m
+    members = set(component.angles)
+    members.update(m + i for i in component.first_hidden)
+    members.update(v_base + i for i in component.last_hidden)
+    constraints = component.constraints
     assignment: dict[int, int] = {}
     trace: list[TraceStep] = []
 
     kind, index = component.anchor
-    m, u_base, v_base = model.steps, model.steps, model.steps + model.size1
-    anchor_var = {_A_VAR: index, _U_VAR: u_base + index, _V_VAR: v_base + index}[kind]
+    anchor_var = {_A_VAR: index, _U_VAR: m + index, _V_VAR: v_base + index}[kind]
     assignment[anchor_var] = 0
     trace.append(TraceStep(
         kind="seed",
@@ -537,8 +534,7 @@ def seed_component(model: LhvModel, component: Component) -> ComponentAssignment
         eliminated = _eliminate(model, constraints, assignment, leftovers, trace)
 
     a = {var: 1 - 2 * assignment[var] for var in members if var < m}
-    u = {var - u_base: 1 - 2 * assignment[var]
-         for var in members if u_base <= var < v_base}
+    u = {var - m: 1 - 2 * assignment[var] for var in members if m <= var < v_base}
     v = {var - v_base: 1 - 2 * assignment[var]
          for var in members if var >= v_base}
     return ComponentAssignment(
@@ -696,20 +692,18 @@ def _verify_products(model: LhvModel, fact: Factorization) -> None:
     a, u, v = fact.a, fact.u, fact.v
     want_a = a[:, None] * u[None, :]
     want_d = a[:, None] * v[None, :]
-    f = selected_analyzer(model)
     want_f = (a[:, None, None, None] * a[None, :, None, None]
               * u[None, None, :, None] * v[None, None, None, :])
     for name, table, want in (
         ("first station", model.a, want_a),
         ("last station", model.d, want_d),
-        ("analyzer", f, want_f),
+        ("analyzer", selected_analyzer(model), want_f),
     ):
-        bad = (table != 0) & (table != want)
-        if bad.any():
-            where = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        where = _first_index((table != 0) & (table != want))
+        if where is not None:
             raise CounterexampleAlarm(
-                f"{name} response at {tuple(int(i) for i in where)} is not"
-                " reproduced by the assembled signs"
+                f"{name} response at {where} is not reproduced by the"
+                " assembled signs"
             )
 
 

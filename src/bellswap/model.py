@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -59,10 +60,16 @@ def _require(condition: bool, path: str, message: str) -> None:
 
 
 def _sign_array(values, path: str, allow_zero: bool) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int8)
+    # a copy: the model owns its tables, so no caller alias can change them
+    arr = np.array(values, dtype=np.int8)
     allowed = {-1, 0, 1} if allow_zero else {-1, 1}
     present = set(np.unique(arr).tolist()) if arr.size else set()
     _require(present <= allowed, path, f"values must lie in {sorted(allowed)}")
+    return arr
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
     return arr
 
 
@@ -84,7 +91,9 @@ class LhvModel:
     """Immutable deterministic model over the pi/n angle grid.
 
     Angle arguments throughout are step indices in [0, 2n). Tables are int8
-    arrays with values in {-1, 0, +1}; ``kappa`` holds only signs.
+    arrays with values in {-1, 0, +1}; ``kappa`` holds only signs. The model
+    copies the tables it is given and makes them read-only, so the derived
+    views below are computed once per model, on first use, and stay valid.
     """
 
     family: str
@@ -141,7 +150,7 @@ class LhvModel:
             _require(table.shape == fshape, name.replace("f_", "F_") + "_sector",
                      f"expected shape {fshape}, got {table.shape}")
         for name in ("a", "d", "kappa", "f_plus", "f_minus"):
-            getattr(self, name).flags.writeable = False
+            _read_only(getattr(self, name))
 
     @property
     def steps(self) -> int:
@@ -155,6 +164,61 @@ class LhvModel:
     @property
     def size4(self) -> int:
         return len(self.rho4) if self.rho4 is not None else len(self.rho1)
+
+    @cached_property
+    def analyzer(self) -> np.ndarray:
+        """Analyzer table with each assignment's sector already selected by kappa.
+
+        Shape (2n, 2n, L1, L4) for two_source, (2n, 2n, L) for single_source.
+        Entries of the unused sector never appear.
+        """
+        return _read_only(np.where(self.kappa == 1, self.f_plus, self.f_minus))
+
+    @cached_property
+    def products(self) -> np.ndarray:
+        """All outcome products at once, int8.
+
+        Shape (2n, 2n, 2n, 2n, L1, L4) indexed by the four angle steps then
+        the hidden variables; single_source drops the last axis. Small grids
+        keep this comfortably in memory and every scan over it is exact.
+        """
+        f = self.analyzer
+        if self.family == SINGLE_SOURCE:
+            return _read_only(
+                self.a[:, None, None, None, :]
+                * f[None, :, :, None, :]
+                * self.d[None, None, None, :, :]
+            )
+        return _read_only(
+            self.a[:, None, None, None, :, None]
+            * f[None, :, :, None, :, :]
+            * self.d[None, None, None, :, None, :]
+        )
+
+    @cached_property
+    def weight_mask(self) -> np.ndarray:
+        """Boolean mask over hidden-variable assignments carrying positive weight."""
+        mask = np.array([w > 0 for w in self.rho1])
+        if self.rho4 is not None:
+            mask = mask[:, None] & np.array([w > 0 for w in self.rho4])[None, :]
+        return _read_only(mask)
+
+    @cached_property
+    def sectors(self) -> tuple[int, ...]:
+        """Sectors that carry positive hidden-variable weight, in (+1, -1) order."""
+        announced = self.kappa[self.weight_mask]
+        return tuple(s for s in (1, -1) if (announced == s).any())
+
+    @cached_property
+    def sector_events(self) -> dict[int, np.ndarray]:
+        """Weighted live events per sector, as booleans over (angles..., hidden).
+
+        An event is live where all three devices fire, weighted where its
+        assignment carries weight, and in the sector that kappa announces.
+        """
+        # trailing-axis broadcasting aligns both the weight and sector masks
+        live = (self.products != 0) & self.weight_mask
+        return {s: _read_only(live & (self.kappa == s)) for s in (1, -1)}
 
     def sector_table(self, sector: int) -> np.ndarray:
         if sector == 1:
@@ -294,57 +358,23 @@ def classical_expectation(
 
 
 def realized_sectors(model: LhvModel) -> tuple[int, ...]:
-    """Sectors that carry positive hidden-variable weight, in (+1, -1) order."""
-    seen = set()
-    for l1, l4, w in model.assignments():
-        if w == 0:
-            continue
-        if model.family == SINGLE_SOURCE:
-            seen.add(int(model.kappa[l1]))
-        else:
-            seen.add(int(model.kappa[l1, l4]))
-    return tuple(s for s in (1, -1) if s in seen)
+    """The model's cached :attr:`LhvModel.sectors`."""
+    return model.sectors
 
 
 def selected_analyzer(model: LhvModel) -> np.ndarray:
-    """Analyzer table with each assignment's sector already selected by kappa.
-
-    Shape (2n, 2n, L1, L4) for two_source, (2n, 2n, L) for single_source.
-    Entries of the unused sector never appear.
-    """
-    choose = model.kappa == 1
-    return np.where(choose, model.f_plus, model.f_minus)
+    """The model's cached, read-only :attr:`LhvModel.analyzer`."""
+    return model.analyzer
 
 
 def product_tensor(model: LhvModel) -> np.ndarray:
-    """All outcome products at once, int8.
-
-    Shape (2n, 2n, 2n, 2n, L1, L4) indexed by the four angle steps then the
-    hidden variables; single_source drops the last axis. Small grids keep
-    this comfortably in memory and every scan over it is exact.
-    """
-    f = selected_analyzer(model)
-    if model.family == SINGLE_SOURCE:
-        return (
-            model.a[:, None, None, None, :]
-            * f[None, :, :, None, :]
-            * model.d[None, None, None, :, :]
-        )
-    return (
-        model.a[:, None, None, None, :, None]
-        * f[None, :, :, None, :, :]
-        * model.d[None, None, None, :, None, :]
-    )
+    """The model's cached, read-only :attr:`LhvModel.products`."""
+    return model.products
 
 
 def positive_weight_mask(model: LhvModel) -> np.ndarray:
-    """Boolean mask over hidden-variable assignments carrying positive weight."""
-    first = np.array([w > 0 for w in model.rho1])
-    if model.family == SINGLE_SOURCE:
-        return first
-    assert model.rho4 is not None
-    last = np.array([w > 0 for w in model.rho4])
-    return first[:, None] & last[None, :]
+    """The model's cached, read-only :attr:`LhvModel.weight_mask`."""
+    return model.weight_mask
 
 
 # file format: one JSON document, tables as nested row-major lists,

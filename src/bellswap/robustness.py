@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import sign_table
-from .model import (
-    SINGLE_SOURCE,
-    LhvModel,
-    positive_weight_mask,
-    product_tensor,
-    realized_sectors,
-)
+from .model import SINGLE_SOURCE, LhvModel, product_tensor, realized_sectors
 
 __all__ = [
     "CorrelationWitness",
@@ -103,6 +97,7 @@ def required_tensor(model: LhvModel) -> np.ndarray:
 
 
 def _first_index(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True entry in row-major order, as Python ints."""
     if not mask.any():
         return None
     flat = int(np.argmax(mask))  # first True in row-major order
@@ -148,13 +143,10 @@ def check_counts_nonempty(
     By default only sectors the weight-carrying kappa map actually realizes
     are checked; ``require_both_sectors=True`` demands events in both.
     """
-    products = product_tensor(model)
-    weighted = positive_weight_mask(model)
     sectors = (1, -1) if require_both_sectors else realized_sectors(model)
     lam_axes = (-1,) if model.family == SINGLE_SOURCE else (-2, -1)
     for sector in sectors:
-        usable = (model.kappa == sector) & weighted
-        covered = ((products != 0) & usable).any(axis=lam_axes)
+        covered = model.sector_events[sector].any(axis=lam_axes)
         where = _first_index(~covered)
         if where is not None:
             return CountsWitness(phis=tuple(where), sector=sector)
@@ -163,16 +155,16 @@ def check_counts_nonempty(
 
 def check_relevance(model: LhvModel) -> RelevanceWitness | None:
     """First hidden variable participating in no event, or None."""
-    products = product_tensor(model)
+    fires = product_tensor(model) != 0
     if model.family == SINGLE_SOURCE:
-        active = (products != 0).any(axis=(0, 1, 2, 3))
+        active = fires.any(axis=(0, 1, 2, 3))
         idle = _first_index(~active)
         return None if idle is None else RelevanceWitness(side=1, index=idle[0])
-    active1 = (products != 0).any(axis=(0, 1, 2, 3, 5))
+    active1 = fires.any(axis=(0, 1, 2, 3, 5))
     idle = _first_index(~active1)
     if idle is not None:
         return RelevanceWitness(side=1, index=idle[0])
-    active4 = (products != 0).any(axis=(0, 1, 2, 3, 4))
+    active4 = fires.any(axis=(0, 1, 2, 3, 4))
     idle = _first_index(~active4)
     if idle is not None:
         return RelevanceWitness(side=4, index=idle[0])

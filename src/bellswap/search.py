@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angles import GridError, sign_table
+from .angles import GridError, classify_index, required_product, sign_table
 from .factorizer import factorize
 from .model import SINGLE_SOURCE, TWO_SOURCE, LhvModel
 from .robustness import RobustnessReport, is_robust
@@ -442,6 +442,7 @@ def _search_pair_double(space, budget, stop_after, keep_limit, started) -> Searc
     d_tuples = _side_tuples(len(classes), space.size4)
     d_idx = np.array(d_tuples, dtype=np.int32)
     full_mask = (1 << m) - 1
+    supp = pack.supp.tolist()
 
     kappa_patterns = []
     for code in range(1 << (space.size1 * space.size4)):
@@ -460,6 +461,9 @@ def _search_pair_double(space, budget, stop_after, keep_limit, started) -> Searc
         sector_cols4 = {
             s: [j for j in range(space.size4) if s in kappa[:, j]] for s in realized
         }
+        # a sector owns one or two first-station columns (size1 <= 2), so
+        # the first and the last of them cover its support union
+        first_last = [(cols[0], cols[-1]) for cols in sector_cols1.values()]
         # bulk prune on the second station: every realized sector must be
         # able to reach each of its angles
         d_keep = np.ones(len(d_tuples), dtype=bool)
@@ -495,8 +499,7 @@ def _search_pair_double(space, budget, stop_after, keep_limit, started) -> Searc
             block += 1
             # mirror prune on the first station
             if any(
-                _union(int(pack.supp[a_cols[i]]) for i in sector_cols1[s]) != full_mask
-                for s in realized
+                (supp[a_cols[i]] | supp[a_cols[j]]) != full_mask for i, j in first_last
             ):
                 continue
             cover = {key: np.zeros(len(rows), dtype=np.uint64) for key in
@@ -550,13 +553,6 @@ def _search_pair_double(space, budget, stop_after, keep_limit, started) -> Searc
     return result
 
 
-def _union(masks) -> int:
-    out = 0
-    for mask in masks:
-        out |= mask
-    return out
-
-
 def search_two_source(
     space: SearchSpace,
     budget_seconds: float | None = None,
@@ -590,15 +586,6 @@ def search_two_source(
 # ---------------------------------------------------------------------------
 # single-source: shift-covariant lattice with sign propagation
 
-def _required_index(c: int, n: int) -> int:
-    reduced = c % n
-    if reduced == 0:
-        return 1
-    if n % 2 == 0 and reduced == n // 2:
-        return -1
-    return 0
-
-
 def _propagate_signs(sa: list[int], sd: list[int], n: int):
     """Solve the shift-reduced sign system by propagation with branching.
 
@@ -612,7 +599,7 @@ def _propagate_signs(sa: list[int], sd: list[int], n: int):
         for dd in sd:
             for r in (0, 1):
                 for t in range(m):
-                    req = _required_index(a - dd - r + t, n)
+                    req = required_product(classify_index(a - dd - r + t, n))
                     if req:
                         equations.append((a, dd, (t, r), req))
     station: dict[int, int] = {sa[0]: 1}
@@ -650,31 +637,26 @@ def _propagate_signs(sa: list[int], sd: list[int], n: int):
 
     def solve() -> bool:
         snapshot = (dict(station), dict(partner), dict(analyzer))
+
+        def restore() -> None:
+            for table, saved in zip((station, partner, analyzer), snapshot):
+                table.clear()
+                table.update(saved)
+
         if not propagate():
-            station.clear(); station.update(snapshot[0])
-            partner.clear(); partner.update(snapshot[1])
-            analyzer.clear(); analyzer.update(snapshot[2])
+            restore()
             return False
-        for a, dd, cell, _ in equations:
-            if a not in station:
+        # branch on the first unknown station sign, then partner sign, in
+        # equation order
+        for a, dd, _, _ in equations:
+            for table, var in ((station, a), (partner, dd)):
+                if var in table:
+                    continue
                 for guess in (1, -1):
-                    station[a] = guess
+                    table[var] = guess
                     if solve():
                         return True
-                    station.clear(); station.update(snapshot[0])
-                    partner.clear(); partner.update(snapshot[1])
-                    analyzer.clear(); analyzer.update(snapshot[2])
-                    if not propagate():
-                        raise RuntimeError("propagation diverged after restore")
-                return False
-            if dd not in partner:
-                for guess in (1, -1):
-                    partner[dd] = guess
-                    if solve():
-                        return True
-                    station.clear(); station.update(snapshot[0])
-                    partner.clear(); partner.update(snapshot[1])
-                    analyzer.clear(); analyzer.update(snapshot[2])
+                    restore()
                     if not propagate():
                         raise RuntimeError("propagation diverged after restore")
                 return False

@@ -35,7 +35,7 @@ from .model import (
     realized_sectors,
 )
 from .quantum import expectation_singlet
-from .robustness import RobustnessReport
+from .robustness import RobustnessReport, _first_index
 
 __all__ = [
     "ProductRule",
@@ -67,19 +67,17 @@ def _require_two_source(model: LhvModel) -> None:
         raise FamilyError("the derivation applies to two-source models only")
 
 
-def _sector_events(model: LhvModel, sector: int) -> np.ndarray:
-    """Boolean tensor over (angles..., lam1, lam4) of weighted live events."""
+def _event_signs(model: LhvModel, sector: int):
+    """Tuples with a weighted +1 event, with a weighted -1 event, and both as
+    one table: the classical expectation, 0 where no event defines it."""
     products = product_tensor(model)
-    # trailing-axis broadcasting aligns both the weight and sector masks
-    return (products != 0) & positive_weight_mask(model) & (model.kappa == sector)
-
-
-def _first_event(events: np.ndarray, phis: tuple[int, ...]) -> tuple[int, int] | None:
-    cell = events[phis]
-    if not cell.any():
-        return None
-    l1, l4 = np.unravel_index(int(np.argmax(cell)), cell.shape)
-    return int(l1), int(l4)
+    events = model.sector_events[sector]
+    has_pos = ((products == 1) & events).any(axis=(-2, -1))
+    has_neg = ((products == -1) & events).any(axis=(-2, -1))
+    table = np.zeros(has_pos.shape, dtype=np.int8)
+    table[has_pos] = 1
+    table[has_neg] = -1
+    return has_pos, has_neg, table
 
 
 def _midpoint_tuple(alpha: int, beta: int, gamma: int, sector: int):
@@ -121,30 +119,28 @@ def derive_product_rule(fact: Factorization, model: LhvModel) -> ProductRule:
     events_map: dict = {}
     a = fact.a
     for sector in sectors:
-        events = _sector_events(model, sector)
+        events = model.sector_events[sector]
         plus = np.argwhere(sign_table(model.n, sector) == 1)
-        has_event = events.any(axis=(-2, -1))
-        for t in plus:
-            phis = tuple(int(x) for x in t)
-            if not has_event[phis]:
-                raise CounterexampleAlarm(
-                    f"correlated tuple {phis} in sector {sector:+d} has no"
-                    " weighted event although the counts check passed"
-                )
-        products = a[plus[:, 0]] * a[plus[:, 1]] * a[plus[:, 2]] * a[plus[:, 3]]
-        bad = np.flatnonzero(products != 1)
+        at_plus = tuple(plus.T)
+        silent = ~events.any(axis=(-2, -1))[at_plus]
+        if silent.any():
+            phis = tuple(plus[np.argmax(silent)].tolist())
+            raise CounterexampleAlarm(
+                f"correlated tuple {phis} in sector {sector:+d} has no"
+                " weighted event although the counts check passed"
+            )
+        bad = np.flatnonzero(a[plus].prod(axis=1) != 1)
         if len(bad):
-            phis = tuple(int(x) for x in plus[bad[0]])
+            phis = tuple(plus[bad[0]].tolist())
             raise CounterexampleAlarm(
                 f"angle signs at correlated tuple {phis} in sector"
                 f" {sector:+d} multiply to -1"
             )
-        first = np.argmax(events.reshape(events.shape[:4] + (-1,)), axis=-1)
-        width = events.shape[-1]
-        for t in plus:
-            phis = tuple(int(x) for x in t)
-            flat = int(first[phis])
-            events_map[(sector,) + phis] = (flat // width, flat % width)
+        # first weighted event per tuple, row-major over (lam1, lam4)
+        first = np.argmax(events.reshape(events.shape[:4] + (-1,)), axis=-1)[at_plus]
+        l1, l4 = np.divmod(first, events.shape[-1])
+        keys = np.column_stack([np.full(len(plus), sector), plus]).tolist()
+        events_map.update(zip(map(tuple, keys), zip(l1.tolist(), l4.tolist())))
         verified[sector] = len(plus)
     return ProductRule(sectors=sectors, verified=verified, events=events_map)
 
@@ -308,8 +304,7 @@ def check_minus_clash(
             f"grid resolution {model.n} hosts no anticorrelated tuple;"
             " the contradiction needs one"
         )
-    a = fact.a
-    products = a[minus[:, 0]] * a[minus[:, 1]] * a[minus[:, 2]] * a[minus[:, 3]]
+    products = fact.a[minus].prod(axis=1)
     bad = np.flatnonzero(products != -1)
     if len(bad) == 0:
         raise GridError(
@@ -317,8 +312,8 @@ def check_minus_clash(
             " contradiction: every anticorrelated tuple is satisfied by the"
             " alternating sign assignment"
         )
-    phis = tuple(int(x) for x in minus[bad[0]])
-    event = _first_event(_sector_events(model, sector), phis)
+    phis = tuple(minus[bad[0]].tolist())
+    event = _first_index(model.sector_events[sector][phis])
     if event is None:
         raise CounterexampleAlarm(
             f"anticorrelated tuple {phis} in sector {sector:+d} has no"
@@ -361,7 +356,6 @@ def predict_E_class(fact: Factorization, model: LhvModel) -> EClassReport:
     m = model.steps
     n = model.n
     sectors = realized_sectors(model)
-    products = product_tensor(model)
     idx = np.arange(m)
     by_index = np.array([
         expectation_singlet(RationalAngle(c, n)) for c in range(m)
@@ -375,17 +369,12 @@ def predict_E_class(fact: Factorization, model: LhvModel) -> EClassReport:
     for sector in sectors:
         c = (idx[:, None, None, None] - idx[None, :, None, None]
              + sector * (idx[None, None, :, None] - idx[None, None, None, :])) % m
-        events = _sector_events(model, sector)
-        has_pos = ((products == 1) & events).any(axis=(-2, -1))
-        has_neg = ((products == -1) & events).any(axis=(-2, -1))
+        has_pos, has_neg, table = _event_signs(model, sector)
         if (has_pos & has_neg).any():
             raise CounterexampleAlarm(
                 "a tuple mixes event products +1 and -1, impossible for a"
                 " factorized model"
             )
-        table = np.zeros((m,) * 4, dtype=np.int8)
-        table[has_pos] = 1
-        table[has_neg] = -1
         mask = has_pos | has_neg
         defined[sector] = mask
         e_class[sector] = table
@@ -507,12 +496,7 @@ def replay(trace: DerivationTrace, model: LhvModel) -> bool:
         raise ValueError("the recorded clash does not actually clash")
 
     for sector in trace.expectation.sectors:
-        events = _sector_events(model, sector)
-        has_pos = ((products == 1) & events).any(axis=(-2, -1))
-        has_neg = ((products == -1) & events).any(axis=(-2, -1))
-        want = np.zeros_like(trace.expectation.e_class[sector])
-        want[has_pos] = 1
-        want[has_neg] = -1
+        _, _, want = _event_signs(model, sector)
         if not np.array_equal(want, trace.expectation.e_class[sector]):
             raise ValueError("an expectation table does not replay")
     return True

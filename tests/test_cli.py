@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from bellswap.cli import run
@@ -57,8 +59,11 @@ class TestQuantum:
     def test_quiet_works_after_the_subcommand_too(self, capsys):
         before = invoke(capsys, "--quiet", "quantum", "--phi", "2,1,1,2")
         after = invoke(capsys, "quantum", "--phi", "2,1,1,2", "--quiet")
-        assert after == before
+        # exit code and stdout must match; stderr holds only the run time
+        assert after[:2] == before[:2]
         assert after[0] == 0
+        for _, _, err in (before, after):
+            assert re.fullmatch(r"elapsed: \d+\.\d+s\n", err)
 
 
 class TestCheck:

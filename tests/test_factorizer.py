@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bellswap import factorizer
 from bellswap.factorizer import (
     ConsistencyWitness,
     CounterexampleAlarm,
@@ -19,6 +20,7 @@ from bellswap.factorizer import (
     seed_component,
 )
 from bellswap.model import LhvModel, selected_analyzer
+from bellswap.robustness import RobustnessReport
 
 from helpers import (
     block_diagonal,
@@ -398,6 +400,24 @@ class TestMergeComponents:
 
 
 class TestFactorize:
+    def test_constraints_built_once_per_factorize(self, monkeypatch):
+        # waive the gate so the two-block fixture reaches seed and merge
+        monkeypatch.setattr(
+            factorizer, "is_robust",
+            lambda model, minus_row: RobustnessReport(None, None, None),
+        )
+        calls = []
+        build = factorizer._build_constraints
+        monkeypatch.setattr(
+            factorizer, "_build_constraints",
+            lambda model: calls.append(model) or build(model),
+        )
+        model = block_diagonal([1, 1, -1, -1], u=(1, -1), v=(-1, 1))
+        result = factorize(model)
+        assert result.status == "ok"
+        assert len(result.factorization.components) == 2
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("seed", range(12))
     def test_round_trip_full_detection(self, seed):
         rng = np.random.default_rng(200 + seed)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -19,8 +20,11 @@ from bellswap.model import (
     load,
     loads,
     outcome_product,
+    positive_weight_mask,
+    product_tensor,
     realized_sectors,
     save,
+    selected_analyzer,
 )
 
 
@@ -142,6 +146,48 @@ class TestValidation:
         m = constant_two_source()
         with pytest.raises(ValueError):
             m.a[0, 0] = 0
+
+    def test_model_owns_its_tables(self):
+        source = constant_two_source()
+        base = np.ones((4, 3), dtype=np.int8)
+        view = base[:, :2]
+        model = dataclasses.replace(source, a=view)
+        before = product_tensor(model).copy()
+        base[0, 0] *= -1
+        assert view.flags.writeable and base.flags.writeable
+        assert np.array_equal(model.a, source.a)
+        assert np.array_equal(product_tensor(model), before)
+        assert np.array_equal(product_tensor(model), product_tensor(source))
+
+
+class TestDerivedViews:
+    @pytest.mark.parametrize("build", [constant_two_source, constant_single_source])
+    def test_cached_and_read_only(self, build):
+        model = build()
+        for view in (selected_analyzer, product_tensor, positive_weight_mask):
+            assert view(model) is view(model)
+            assert not view(model).flags.writeable
+        for sector, events in model.sector_events.items():
+            assert not events.flags.writeable
+            assert np.array_equal(
+                events,
+                (product_tensor(model) != 0)
+                & positive_weight_mask(model)
+                & (model.kappa == sector),
+            )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sectors_match_the_weighted_assignments(self, seed):
+        model = random_two_source(seed, l1=3, l4=2)
+        rng = random.Random(seed)
+        rho1 = [Fraction(0)] * 3
+        rho1[rng.randrange(3)] = Fraction(1)
+        sparse = dataclasses.replace(model, rho1=rho1)
+        for m in (model, sparse):
+            seen = {
+                int(m.kappa[l1, l4]) for l1, l4, w in m.assignments() if w > 0
+            }
+            assert realized_sectors(m) == tuple(s for s in (1, -1) if s in seen)
 
 
 class TestDerivedDetectionFlags:

@@ -313,6 +313,20 @@ class TestPredictEClass:
 
 
 class TestRun:
+    def test_product_tensor_built_once_per_model(self, monkeypatch):
+        prop = vars(LhvModel)["products"]
+        builds = []
+        build = prop.func
+        monkeypatch.setattr(
+            prop, "func", lambda model: builds.append(model) or build(model)
+        )
+        model = compose_two_source()
+        result = verdict.run(model)
+        assert result.kind == "inconsistent"
+        assert verdict.replay(result.trace, model)
+        assert product_tensor(model) is product_tensor(model)
+        assert len(builds) == 1
+
     def test_inconsistent_on_robust_factorizable_model(self):
         model = compose_two_source()
         result = verdict.run(model)
