@@ -55,6 +55,7 @@ from .search import (
     search_two_source,
 )
 from .verdict import (
+    ReplayError,
     Verdict,
     predict_E_class,
     replay,
@@ -96,6 +97,7 @@ __all__ = [
     "predict_E_class",
     "prob_closed",
     "replay",
+    "ReplayError",
     "resolve",
     "run_verdict",
     "save",

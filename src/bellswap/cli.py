@@ -4,7 +4,8 @@ Every subcommand prints one report to standard output: ``key: value`` lines
 in a stable order, so identical inputs always produce identical bytes.
 Timing goes to standard error only. Exit status is 0 for success (including
 the expected inconsistency verdict), 1 for model-level failures such as a
-robustness check rejecting its input, and 2 for usage or schema errors.
+robustness check rejecting its input or a derivation trace that does not
+replay, and 2 for usage or schema errors.
 """
 
 from __future__ import annotations
@@ -40,7 +41,12 @@ from .quantum import (
 )
 from .robustness import RobustnessReport, is_robust
 from .search import SearchSpace, search_single_source, search_two_source
-from .verdict import replay, run as run_verdict, single_source_contradiction
+from .verdict import (
+    ReplayError,
+    replay,
+    run as run_verdict,
+    single_source_contradiction,
+)
 from .zoo import (
     ZooError,
     all_delta_one,
@@ -579,6 +585,9 @@ def run(argv=None) -> int:
     started = time.perf_counter()
     try:
         code, report = args.handler(args)
+    except ReplayError as exc:  # an internal failure, not a usage error
+        print(f"error: replay failed: {exc}", file=sys.stderr)
+        return 1
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -593,3 +602,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -16,8 +16,11 @@ always yields the same factorization and the same trace.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,20 +138,59 @@ def _reject_single_source(model: LhvModel) -> None:
 # consistency relations
 
 
+# The 8-index relations, as einsum operand subscripts over the indices
+# alpha beta gamma delta = a b c d and lam1 lam1_alt lam4 lam4_alt = p q r s.
+# A four-letter operand is the analyzer table, a three-letter one its
+# equal-angle diagonal.
+_EIGHT = "abcdpqrs"
+_EIGHT_KEYS = ("alpha", "beta", "gamma", "delta",
+               "lam1", "lam1_alt", "lam4", "lam4_alt")
+_QUADS = (
+    ("analyzer_triple", "abpr,acps,bcqr,dqs"),  # one cell through three others
+    ("analyzer_pair_shift", "abpr,acps,dbqr,dcqs"),  # pairs sharing a shifted angle
+    ("analyzer_diagonal", "cpr,dqs,abpr,abqs"),  # diagonals against a repeated cell
+)
+_TRIPLE_VARIANTS = (  # the triple with its primed hidden values moved
+    ("analyzer_triple_alt1", "abpr,acqr,bcps,dqs"),
+    ("analyzer_triple_alt2", "abpr,acps,bcqs,dqr"),
+    ("analyzer_triple_alt3", "abpr,acqs,bcpr,dqs"),
+)
+
+
+def _contract(operands: str, output: str, full, diag, optimize=False):
+    """One relation's einsum over the analyzer table and its diagonal."""
+    tables = [full if len(op) == 4 else diag for op in operands.split(",")]
+    return np.einsum(f"{operands}->{output}", *tables, optimize=optimize)
+
+
+@functools.lru_cache(maxsize=None)
+def _contraction_path(operands: str, shape: tuple[int, ...]) -> tuple:
+    """Order of one relation's full contraction, chosen once per shape."""
+    f = np.zeros(shape, dtype=np.int64)
+    tables = [f if len(op) == 4 else f[0] for op in operands.split(",")]
+    return tuple(np.einsum_path(f"{operands}->", *tables, optimize="optimal")[0])
+
+
 def check_consistency(model: LhvModel, variants: bool = False) -> ConsistencyWitness | None:
     """Exhaustively scan the product relations; None means all hold.
 
     Every relation multiplies table entries whose hidden-variable and angle
     indices each appear an even number of times, so the product must be +1
     unless some factor is 0 (which makes the instance vacuous). The scan
-    simply looks for product -1. ``variants`` additionally checks the three
-    alternative placements of the primed hidden variables in the triple
-    relation.
+    looks for product -1 and reports the first such instance in row-major
+    order. The 4-index relations (across stations, within a station, the
+    analyzer's symmetry) are scanned as full tensors. Each 8-index analyzer
+    relation is counted, then located: since every factor is -1, 0 or +1,
+    its number of -1 instances is (sum |t1 t2 t3 t4| - sum t1 t2 t3 t4)/2,
+    and both sums are int64 einsum contractions (order chosen once per
+    table shape) that never build the 8-index tensor. Only a relation with
+    a nonzero count is materialized, to find its first -1. ``variants``
+    additionally checks the three alternative placements of the primed
+    hidden variables in the triple relation.
     """
     _reject_single_source(model)
     a, d = model.a, model.d
     f = selected_analyzer(model)
-    fdiag = np.einsum("iikl->ikl", f)
 
     # two angles, one hidden value per side, across both stations
     cross = (
@@ -182,73 +224,17 @@ def check_consistency(model: LhvModel, variants: bool = False) -> ConsistencyWit
         keys = ("alpha", "beta", "lam1", "lam4")
         return ConsistencyWitness("analyzer_symmetry", dict(zip(keys, where)), -1)
 
-    eight_keys = ("alpha", "beta", "gamma", "delta",
-                  "lam1", "lam1_alt", "lam4", "lam4_alt")
-    ft = f.transpose(1, 0, 2, 3)
-
-    def quad(name, t1, t2, t3, t4):
-        where = _first_index((t1 * t2 * t3 * t4) == -1)
-        if where is None:
-            return None
-        return ConsistencyWitness(name, dict(zip(eight_keys, where)), -1)
-
-    # one cell expressed through three others
-    witness = quad(
-        "analyzer_triple",
-        f[:, :, None, None, :, None, :, None],
-        f[:, None, :, None, :, None, None, :],
-        f[None, :, :, None, None, :, :, None],
-        fdiag[None, None, None, :, None, :, None, :],
-    )
-    if witness is not None:
-        return witness
-
-    # two pairs sharing a shifted angle
-    witness = quad(
-        "analyzer_pair_shift",
-        f[:, :, None, None, :, None, :, None],
-        f[:, None, :, None, :, None, None, :],
-        ft[None, :, None, :, None, :, :, None],
-        ft[None, None, :, :, None, :, None, :],
-    )
-    if witness is not None:
-        return witness
-
-    # equal-angle diagonal cells against one repeated off-diagonal cell
-    witness = quad(
-        "analyzer_diagonal",
-        fdiag[None, None, :, None, :, None, :, None],
-        fdiag[None, None, None, :, None, :, None, :],
-        f[:, :, None, None, :, None, :, None],
-        f[:, :, None, None, None, :, None, :],
-    )
-    if witness is not None:
-        return witness
-
-    if variants:
-        for tag, t2, t3, t4 in (
-            (
-                "analyzer_triple_alt1",
-                f[:, None, :, None, None, :, :, None],
-                f[None, :, :, None, :, None, None, :],
-                fdiag[None, None, None, :, None, :, None, :],
-            ),
-            (
-                "analyzer_triple_alt2",
-                f[:, None, :, None, :, None, None, :],
-                f[None, :, :, None, None, :, None, :],
-                fdiag[None, None, None, :, None, :, :, None],
-            ),
-            (
-                "analyzer_triple_alt3",
-                f[:, None, :, None, None, :, None, :],
-                f[None, :, :, None, :, None, :, None],
-                fdiag[None, None, None, :, None, :, None, :],
-            ),
-        ):
-            witness = quad(tag, f[:, :, None, None, :, None, :, None], t2, t3, t4)
-            if witness is not None:
-                return witness
+    # 8-index relations: count the -1 instances, locate only a nonzero count
+    fdiag = np.einsum("iikl->ikl", f)
+    signed = (f.astype(np.int64), fdiag.astype(np.int64))
+    unsigned = (np.abs(signed[0]), np.abs(signed[1]))
+    for name, operands in _QUADS + (_TRIPLE_VARIANTS if variants else ()):
+        path = _contraction_path(operands, f.shape)
+        if (_contract(operands, "", *unsigned, optimize=path)
+                == _contract(operands, "", *signed, optimize=path)):
+            continue
+        where = _first_index(_contract(operands, _EIGHT, f, fdiag) == -1)
+        return ConsistencyWitness(name, dict(zip(_EIGHT_KEYS, where)), -1)
     return None
 
 
@@ -283,12 +269,29 @@ def find_dangling_support(model: LhvModel) -> dict | None:
 _A_VAR, _U_VAR, _V_VAR = "a", "u", "v"
 
 
-@dataclass
-class _Constraint:
-    vars: tuple[int, ...]  # parity-reduced variable ids
+class _Constraint(NamedTuple):
+    vars: tuple[int, ...]  # parity-reduced variable ids, ascending
     bit: int  # 0 for +1, 1 for -1
     kind: str
-    where: str
+    cell: tuple[int, ...]  # the table indices ``where`` cites
+
+    @property
+    def where(self) -> str:
+        return _WHERE[self.kind].format(*self.cell)
+
+
+_RECTANGLE = "rectangle through angles ({0},{1}) and hidden ({2},{3})"
+_WHERE = {
+    "first_station_cell": "first station angle {0}, hidden {1}",
+    "last_station_cell": "last station angle {0}, hidden {1}",
+    "analyzer_cell": "analyzer angles ({0},{1}), hidden ({2},{3})",
+    "first_station_bridge":
+        "analyzer ({0},{1}) with last station {1} over hidden ({2},{3})",
+    "last_station_bridge":
+        "analyzer ({1},{0}) with first station {1} over hidden ({2},{3})",
+    "first_station_fill": _RECTANGLE,
+    "last_station_fill": _RECTANGLE,
+}
 
 
 def _var_layout(model: LhvModel):
@@ -305,96 +308,86 @@ def _var_name(model: LhvModel, var: int) -> tuple[str, int]:
     return (_V_VAR, var - u_end)
 
 
-def _parity_reduce(vars_with_repeats) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
-    for v in vars_with_repeats:
-        seen[v] = seen.get(v, 0) ^ 1
-    return tuple(sorted(v for v, parity in seen.items() if parity))
+def _pair_constraints(kind, angle, hidden_var, sign, cell) -> list[_Constraint]:
+    """Constraints on one angle sign times one hidden sign, in array order."""
+    bits = (sign < 0).astype(np.int8).tolist()
+    return list(map(_Constraint, zip(angle.tolist(), hidden_var.tolist()),
+                    bits, repeat(kind), zip(*(c.tolist() for c in cell))))
+
+
+def _first_partner(partner: np.ndarray, silent: np.ndarray):
+    """Silent cells with a nonzero partner, and the first partner of each.
+
+    ``partner[i, j]`` lists the candidate partners of cell (i, j) in
+    row-major order; returns the silent cells that have one, in row-major
+    order, with the flat position and value of the first.
+    """
+    live = partner != 0
+    i, j = np.nonzero(silent & live.any(axis=2))
+    pos = live[i, j].argmax(axis=1)
+    return i, j, pos, partner[i, j, pos]
 
 
 def _build_constraints(model: LhvModel) -> list[_Constraint]:
     u_base, v_base, _ = _var_layout(model)
+    a, d = model.a, model.d
     f = selected_analyzer(model)
-    out: list[_Constraint] = []
+    m, size1, size4 = model.steps, model.size1, model.size4
 
-    for k, l1 in np.argwhere(model.a != 0):
-        out.append(_Constraint(
-            vars=_parity_reduce((k, u_base + l1)),
-            bit=int(model.a[k, l1] < 0),
-            kind="first_station_cell",
-            where=f"first station angle {k}, hidden {l1}",
-        ))
-    for k, l4 in np.argwhere(model.d != 0):
-        out.append(_Constraint(
-            vars=_parity_reduce((k, v_base + l4)),
-            bit=int(model.d[k, l4] < 0),
-            kind="last_station_cell",
-            where=f"last station angle {k}, hidden {l4}",
-        ))
-    for k2, k3, l1, l4 in np.argwhere(f != 0):
-        out.append(_Constraint(
-            vars=_parity_reduce((k2, k3, u_base + l1, v_base + l4)),
-            bit=int(f[k2, k3, l1, l4] < 0),
-            kind="analyzer_cell",
-            where=f"analyzer angles ({k2},{k3}), hidden ({l1},{l4})",
-        ))
+    out = []
+    for kind, table, base in (
+        ("first_station_cell", a, u_base),
+        ("last_station_cell", d, v_base),
+    ):
+        k, lam = np.nonzero(table)
+        out += _pair_constraints(kind, k, base + lam, table[k, lam], (k, lam))
+    # an analyzer cell's two angle signs cancel when the angles coincide
+    cell = np.nonzero(f)
+    k2, k3, l1, l4 = cell
+    lo, hi = np.minimum(k2, k3).tolist(), np.maximum(k2, k3).tolist()
+    us, vs = (u_base + l1).tolist(), (v_base + l4).tolist()
+    out += map(
+        _Constraint,
+        [(x, y, u, v) if x != y else (u, v) for x, y, u, v in zip(lo, hi, us, vs)],
+        (f[cell] < 0).astype(np.int8).tolist(),
+        repeat("analyzer_cell"),
+        zip(*(c.tolist() for c in cell)),
+    )
 
     # bridges: a silent station entry whose sign is still pinned by an
-    # analyzer cell together with the other station
-    for k, l1 in np.argwhere(model.a == 0):
-        partner = f[k, :, l1, :] * model.d  # (angle, lam4) products
-        hit = np.argwhere(partner != 0)
-        if len(hit):
-            beta, l4 = hit[0]
-            out.append(_Constraint(
-                vars=_parity_reduce((k, u_base + l1)),
-                bit=int(partner[beta, l4] < 0),
-                kind="first_station_bridge",
-                where=(f"analyzer ({k},{beta}) with last station {beta}"
-                       f" over hidden ({l1},{l4})"),
-            ))
-    for k, l4 in np.argwhere(model.d == 0):
-        partner = f[:, k, :, l4] * model.a  # (angle, lam1) products
-        hit = np.argwhere(partner != 0)
-        if len(hit):
-            beta, l1 = hit[0]
-            out.append(_Constraint(
-                vars=_parity_reduce((k, v_base + l4)),
-                bit=int(partner[beta, l1] < 0),
-                kind="last_station_bridge",
-                where=(f"analyzer ({beta},{k}) with first station {beta}"
-                       f" over hidden ({l1},{l4})"),
-            ))
+    # analyzer cell together with the other station; partners of a silent
+    # first-station (k, l1) are f[k, beta, l1, l4] * d[beta, l4] over
+    # (beta, l4), of a silent last-station (k, l4) f[beta, k, l1, l4] *
+    # a[beta, l1] over (beta, l1)
+    k, l1, pos, sign = _first_partner(
+        (f.transpose(0, 2, 1, 3) * d).reshape(m, size1, -1), a == 0
+    )
+    beta, l4 = np.divmod(pos, size4)
+    out += _pair_constraints("first_station_bridge", k, u_base + l1, sign,
+                             (k, beta, l1, l4))
+    k, l4, pos, sign = _first_partner(
+        (f.transpose(1, 3, 0, 2) * a).reshape(m, size4, -1), d == 0
+    )
+    beta, l1 = np.divmod(pos, size1)
+    out += _pair_constraints("last_station_bridge", k, v_base + l4, sign,
+                             (k, beta, l1, l4))
 
-    # rectangle fills: three live cells of a station rectangle pin the fourth
+    # rectangle fills: three live cells of a station rectangle pin the fourth;
+    # the partners of a silent (beta, lam_alt) are the (alpha, lam) with
+    # alpha live at lam and lam_alt and beta live at lam (so alpha != beta
+    # and lam != lam_alt)
     for table, base, kind in (
-        (model.a, u_base, "first_station_fill"),
-        (model.d, v_base, "last_station_fill"),
+        (a, u_base, "first_station_fill"),
+        (d, v_base, "last_station_fill"),
     ):
-        silent = np.argwhere(table == 0)
-        for beta, lam_alt in silent:
-            live = (table[:, :] != 0)
-            cand = live & live[beta, :][None, :] & live[:, lam_alt][:, None]
-            # cand[alpha, lam]: alpha row live at both columns, beta live at lam
-            hit = np.argwhere(cand)
-            picked = None
-            for alpha, lam in hit:
-                if alpha != beta and lam != lam_alt:
-                    picked = (alpha, lam)
-                    break
-            if picked is None:
-                continue
-            alpha, lam = picked
-            prod = int(table[alpha, lam]) * int(table[beta, lam]) * int(
-                table[alpha, lam_alt]
-            )
-            out.append(_Constraint(
-                vars=_parity_reduce((beta, base + lam_alt)),
-                bit=int(prod < 0),
-                kind=kind,
-                where=(f"rectangle through angles ({alpha},{beta})"
-                       f" and hidden ({lam},{lam_alt})"),
-            ))
+        live = table != 0
+        size = table.shape[1]
+        partner = live[None, None] & live[:, None, None, :] & live.T[None, :, :, None]
+        beta, lam_alt, pos, _ = _first_partner(partner.reshape(m, size, -1), ~live)
+        alpha, lam = np.divmod(pos, size)
+        sign = table[alpha, lam] * table[beta, lam] * table[alpha, lam_alt]
+        out += _pair_constraints(kind, beta, base + lam_alt, sign,
+                                 (alpha, beta, lam, lam_alt))
     return out
 
 
@@ -402,54 +395,43 @@ def _build_constraints(model: LhvModel) -> list[_Constraint]:
 # components
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 def build_components(model: LhvModel) -> tuple[Component, ...]:
     """Partition angles and hidden values into non-interacting blocks.
 
     Every nonzero cell links all the indices it touches; blocks are returned
-    ordered by their smallest member, angles counted first.
+    ordered by their smallest member, angles counted first. The parity
+    constraints come from array kernels over each cell kind (built once,
+    their ``where`` text formatted only when a trace step or an alarm cites
+    it). Blocks are labelled on the distinct constraint var-sets: each
+    variable takes the smallest variable its block reaches, found by
+    squaring a boolean link matrix over the 2n + L1 + L4 variables.
     """
     _reject_single_source(model)
     m, u_end, v_end = _var_layout(model)
     constraints = _build_constraints(model)
-    uf = _UnionFind(v_end)
+    linked = np.eye(v_end, dtype=bool)
+    var_sets = {c.vars for c in constraints}
+    linked[[vs[0] for vs in var_sets for _ in vs],
+           [var for vs in var_sets for var in vs]] = True
+    linked |= linked.T
+    while True:
+        reach = linked @ linked
+        if np.array_equal(reach, linked):
+            break
+        linked = reach
+    label = linked.argmax(axis=1).tolist()  # smallest member of the block
+    owned: dict[int, list[_Constraint]] = {}
     for constraint in constraints:
-        for var in constraint.vars[1:]:
-            uf.union(constraint.vars[0], var)
-    groups: dict[int, list[int]] = {}
-    for var in range(v_end):
-        groups.setdefault(uf.find(var), []).append(var)
-    owned: dict[int, list[_Constraint]] = {root: [] for root in groups}
-    for constraint in constraints:
-        if constraint.vars:
-            owned[uf.find(constraint.vars[0])].append(constraint)
+        owned.setdefault(label[constraint.vars[0]], []).append(constraint)
     components = []
-    for root in sorted(groups):
-        members = groups[root]
-        angles = tuple(v for v in members if v < m)
-        first_hidden = tuple(v - m for v in members if m <= v < u_end)
-        last_hidden = tuple(v - u_end for v in members if v >= u_end)
+    for root in sorted(set(label)):
+        members = [var for var in range(v_end) if label[var] == root]
         components.append(Component(
-            angles=angles,
-            first_hidden=first_hidden,
-            last_hidden=last_hidden,
-            anchor=_var_name(model, min(members)),
-            constraints=tuple(owned[root]),
+            angles=tuple(v for v in members if v < m),
+            first_hidden=tuple(v - m for v in members if m <= v < u_end),
+            last_hidden=tuple(v - u_end for v in members if v >= u_end),
+            anchor=_var_name(model, root),
+            constraints=tuple(owned.get(root, ())),
         ))
     return tuple(components)
 
@@ -486,8 +468,7 @@ def seed_component(model: LhvModel, component: Component) -> ComponentAssignment
     for i, c in enumerate(constraints):
         for var in c.vars:
             by_var.setdefault(var, []).append(i)
-    unknown = [sum(1 for var in c.vars if var not in assignment)
-               for c in constraints]
+    unknown = [len(c.vars) - (anchor_var in c.vars) for c in constraints]
     queue = deque(i for i, count in enumerate(unknown) if count <= 1)
     seen_zero: set[int] = set()
 

@@ -53,6 +53,7 @@ __all__ = [
     "predict_E_class",
     "run",
     "replay",
+    "ReplayError",
     "SingleSourceCertificate",
     "single_source_contradiction",
 ]
@@ -458,13 +459,17 @@ def run(model: LhvModel) -> Verdict:
     return Verdict(kind="inconsistent", trace=trace)
 
 
+class ReplayError(ValueError):
+    """A recorded derivation step does not hold against the raw tables."""
+
+
 def replay(trace: DerivationTrace, model: LhvModel) -> bool:
     """Re-execute every recorded step against the raw tables alone.
 
     Checks that each cited event carries weight, announces the step's
     sector, and yields the claimed outcome product, and that the
     expectation tables recompute; no factorization is consulted. Raises
-    ValueError on the first mismatch.
+    ReplayError (a ValueError) on the first mismatch.
     """
     _require_two_source(model)
     products = product_tensor(model)
@@ -473,32 +478,32 @@ def replay(trace: DerivationTrace, model: LhvModel) -> bool:
     def event_product(phis, sector, event):
         l1, l4 = event
         if model.kappa[l1, l4] != sector:
-            raise ValueError(f"cited event {event} is not in sector {sector:+d}")
+            raise ReplayError(f"cited event {event} is not in sector {sector:+d}")
         if not weight_ok[l1, l4]:
-            raise ValueError(f"cited event {event} carries no weight")
+            raise ReplayError(f"cited event {event} carries no weight")
         value = int(products[phis + (l1, l4)])
         if value == 0:
-            raise ValueError(f"cited event {event} at {phis} is silent")
+            raise ReplayError(f"cited event {event} at {phis} is silent")
         return value
 
     for step in trace.constant.midpoint_steps + trace.constant.ratio_steps:
         if sign_table(model.n, step.sector)[step.phis] != 1:
-            raise ValueError(f"{step.phis} is not a correlated tuple")
+            raise ReplayError(f"{step.phis} is not a correlated tuple")
         if event_product(step.phis, step.sector, step.event) != 1:
-            raise ValueError(f"event product at {step.phis} is not +1")
+            raise ReplayError(f"event product at {step.phis} is not +1")
 
     clash = trace.clash
     if sign_table(model.n, clash.sector)[clash.phis] != -1:
-        raise ValueError(f"{clash.phis} is not an anticorrelated tuple")
+        raise ReplayError(f"{clash.phis} is not an anticorrelated tuple")
     if event_product(clash.phis, clash.sector, clash.event) != clash.derived:
-        raise ValueError("the clash event's product differs from the trace")
+        raise ReplayError("the clash event's product differs from the trace")
     if clash.derived == clash.required:
-        raise ValueError("the recorded clash does not actually clash")
+        raise ReplayError("the recorded clash does not actually clash")
 
     for sector in trace.expectation.sectors:
         _, _, want = _event_signs(model, sector)
         if not np.array_equal(want, trace.expectation.e_class[sector]):
-            raise ValueError("an expectation table does not replay")
+            raise ReplayError("an expectation table does not replay")
     return True
 
 

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from bellswap.model import LhvModel
+from bellswap.factorizer import ConsistencyWitness
+from bellswap.model import LhvModel, selected_analyzer
 
 
 def checkerboard(size1: int, size4: int) -> np.ndarray:
@@ -218,3 +219,180 @@ def rebuild(model: LhvModel, **overrides) -> LhvModel:
     )
     fields.update(overrides)
     return LhvModel(**fields)
+
+
+def _first_true(mask: np.ndarray):
+    if not mask.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape))
+
+
+def materialized_consistency(model: LhvModel, variants: bool = False):
+    """Oracle for ``check_consistency``: every relation as a full tensor.
+
+    The scan as it stood before the count-then-locate kernels: each relation
+    is built as one broadcast product over all of its indices and searched
+    for its first -1 in row-major order.
+    """
+    a, d = model.a, model.d
+    f = selected_analyzer(model)
+    fdiag = np.einsum("iikl->ikl", f)
+
+    cross = (
+        a[:, None, :, None] * a[None, :, :, None]
+        * d[:, None, None, :] * d[None, :, None, :]
+    )
+    where = _first_true(cross == -1)
+    if where is not None:
+        keys = ("alpha", "beta", "lam1", "lam4")
+        return ConsistencyWitness("cross_station_rectangle",
+                                  dict(zip(keys, where)), -1)
+
+    for name, table, lam_key in (
+        ("first_station_rectangle", a, "lam1"),
+        ("last_station_rectangle", d, "lam4"),
+    ):
+        rect = (
+            table[:, None, :, None] * table[:, None, None, :]
+            * table[None, :, :, None] * table[None, :, None, :]
+        )
+        where = _first_true(rect == -1)
+        if where is not None:
+            keys = ("alpha", "beta", lam_key, lam_key + "_alt")
+            return ConsistencyWitness(name, dict(zip(keys, where)), -1)
+
+    sym = f * f.transpose(1, 0, 2, 3)
+    where = _first_true(sym == -1)
+    if where is not None:
+        keys = ("alpha", "beta", "lam1", "lam4")
+        return ConsistencyWitness("analyzer_symmetry", dict(zip(keys, where)), -1)
+
+    eight_keys = ("alpha", "beta", "gamma", "delta",
+                  "lam1", "lam1_alt", "lam4", "lam4_alt")
+    ft = f.transpose(1, 0, 2, 3)
+    base = f[:, :, None, None, :, None, :, None]
+    quads = [
+        ("analyzer_triple", base,
+         f[:, None, :, None, :, None, None, :],
+         f[None, :, :, None, None, :, :, None],
+         fdiag[None, None, None, :, None, :, None, :]),
+        ("analyzer_pair_shift", base,
+         f[:, None, :, None, :, None, None, :],
+         ft[None, :, None, :, None, :, :, None],
+         ft[None, None, :, :, None, :, None, :]),
+        ("analyzer_diagonal",
+         fdiag[None, None, :, None, :, None, :, None],
+         fdiag[None, None, None, :, None, :, None, :],
+         base,
+         f[:, :, None, None, None, :, None, :]),
+    ]
+    if variants:
+        quads += [
+            ("analyzer_triple_alt1", base,
+             f[:, None, :, None, None, :, :, None],
+             f[None, :, :, None, :, None, None, :],
+             fdiag[None, None, None, :, None, :, None, :]),
+            ("analyzer_triple_alt2", base,
+             f[:, None, :, None, :, None, None, :],
+             f[None, :, :, None, None, :, None, :],
+             fdiag[None, None, None, :, None, :, :, None]),
+            ("analyzer_triple_alt3", base,
+             f[:, None, :, None, None, :, None, :],
+             f[None, :, :, None, :, None, :, None],
+             fdiag[None, None, None, :, None, :, None, :]),
+        ]
+    for name, t1, t2, t3, t4 in quads:
+        where = _first_true((t1 * t2 * t3 * t4) == -1)
+        if where is not None:
+            return ConsistencyWitness(name, dict(zip(eight_keys, where)), -1)
+    return None
+
+
+def loop_constraints(model: LhvModel):
+    """Oracle for the factorizer's parity constraints: the per-cell loops.
+
+    Returns ``(vars, bit, kind, where)`` per constraint, in build order, as
+    the constraint build produced them before it became array kernels.
+    """
+    m, size1 = model.steps, model.size1
+    u_base, v_base = m, m + size1
+    a, d = model.a, model.d
+    f = selected_analyzer(model)
+    out = []
+
+    def add(raw_vars, negative, kind, where):
+        parity = {}
+        for var in raw_vars:
+            parity[int(var)] = parity.get(int(var), 0) ^ 1
+        reduced = tuple(sorted(var for var, odd in parity.items() if odd))
+        out.append((reduced, int(negative), kind, where))
+
+    for k, l1 in np.argwhere(a != 0):
+        add((k, u_base + l1), a[k, l1] < 0, "first_station_cell",
+            f"first station angle {k}, hidden {l1}")
+    for k, l4 in np.argwhere(d != 0):
+        add((k, v_base + l4), d[k, l4] < 0, "last_station_cell",
+            f"last station angle {k}, hidden {l4}")
+    for k2, k3, l1, l4 in np.argwhere(f != 0):
+        add((k2, k3, u_base + l1, v_base + l4), f[k2, k3, l1, l4] < 0,
+            "analyzer_cell", f"analyzer angles ({k2},{k3}), hidden ({l1},{l4})")
+    for k, l1 in np.argwhere(a == 0):
+        partner = f[k, :, l1, :] * d
+        hit = np.argwhere(partner != 0)
+        if len(hit):
+            beta, l4 = hit[0]
+            add((k, u_base + l1), partner[beta, l4] < 0, "first_station_bridge",
+                f"analyzer ({k},{beta}) with last station {beta}"
+                f" over hidden ({l1},{l4})")
+    for k, l4 in np.argwhere(d == 0):
+        partner = f[:, k, :, l4] * a
+        hit = np.argwhere(partner != 0)
+        if len(hit):
+            beta, l1 = hit[0]
+            add((k, v_base + l4), partner[beta, l1] < 0, "last_station_bridge",
+                f"analyzer ({beta},{k}) with first station {beta}"
+                f" over hidden ({l1},{l4})")
+    for table, base, kind in (
+        (a, u_base, "first_station_fill"),
+        (d, v_base, "last_station_fill"),
+    ):
+        live = table != 0
+        for beta, lam_alt in np.argwhere(table == 0):
+            cand = live & live[beta, :][None, :] & live[:, lam_alt][:, None]
+            picked = [(alpha, lam) for alpha, lam in np.argwhere(cand)
+                      if alpha != beta and lam != lam_alt]
+            if picked:
+                alpha, lam = picked[0]
+                prod = (int(table[alpha, lam]) * int(table[beta, lam])
+                        * int(table[alpha, lam_alt]))
+                add((beta, base + lam_alt), prod < 0, kind,
+                    f"rectangle through angles ({alpha},{beta})"
+                    f" and hidden ({lam},{lam_alt})")
+    return out
+
+
+def union_find_blocks(model: LhvModel, constraints):
+    """Oracle for the block split: union-find over ``loop_constraints``.
+
+    Returns ``(members, anchor var, owned where-texts)`` per block, ordered
+    by smallest member.
+    """
+    total = model.steps + model.size1 + model.size4
+    parent = list(range(total))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for reduced, _, _, _ in constraints:
+        for var in reduced[1:]:
+            rx, ry = find(reduced[0]), find(var)
+            parent[max(rx, ry)] = min(rx, ry)
+    blocks = {}
+    for var in range(total):
+        blocks.setdefault(find(var), []).append(var)
+    owned = {root: [] for root in blocks}
+    for reduced, _, kind, where in constraints:
+        owned[find(reduced[0])].append(f"{kind}: {where}")
+    return [(tuple(blocks[root]), root, owned[root]) for root in sorted(blocks)]

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bellswap
+from bellswap import cli
 from bellswap.cli import run
+from bellswap.verdict import ReplayError
 
 
 def invoke(capsys, *argv):
@@ -150,6 +157,20 @@ class TestVerdict:
         assert code == 1
         assert payload_value(out, "kind") == "not_robust"
 
+    def test_replay_mismatch_is_a_model_failure(self, capsys, monkeypatch):
+        def mismatch(trace, model):
+            raise ReplayError("the recorded clash does not actually clash")
+
+        monkeypatch.setattr(cli, "replay", mismatch)
+        code, out, err = invoke(
+            capsys, "verdict", "--model", "zoo:synthetic_factorizable:seed=1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: replay failed: the recorded clash does not actually clash\n"
+        )
+
 
 class TestSearch:
     def test_minimal_two_source_space_is_certified_empty(self, capsys):
@@ -263,6 +284,20 @@ class TestSelftest:
         assert code == 0
         checks = [line for line in out.splitlines() if line.startswith("check.")]
         assert checks and all(line.endswith("pass") for line in checks)
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["bellswap", "bellswap.cli"])
+    def test_python_m_runs_the_command_line(self, module):
+        src = str(Path(bellswap.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run(
+            [sys.executable, "-m", module, "selftest"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0
+        assert "summary: 9/9 checks passed" in done.stdout.splitlines()
 
 
 DETERMINISTIC_RUNS = [

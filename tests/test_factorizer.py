@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellswap import factorizer
 from bellswap.factorizer import (
@@ -26,8 +27,11 @@ from helpers import (
     block_diagonal,
     checkerboard,
     compose_two_source,
+    loop_constraints,
+    materialized_consistency,
     rebuild,
     tables_model,
+    union_find_blocks,
 )
 
 
@@ -52,6 +56,74 @@ def random_compose(seed, n=2, size1=2, size4=3, density=1.0):
         delta_d=random_mask(rng, (2 * n, size4), density),
         delta_f=random_mask(rng, (2 * n, 2 * n, size1, size4), density),
     )
+
+
+def cells_model(a_cells, d_cells, f_cells, size1=2, size4=2, n=2):
+    """Model whose three tables hold exactly the listed nonzero cells."""
+    m = 2 * n
+    a = np.zeros((m, size1), dtype=np.int8)
+    d = np.zeros((m, size4), dtype=np.int8)
+    f = np.zeros((m, m, size1, size4), dtype=np.int8)
+    for table, cells in ((a, a_cells), (d, d_cells), (f, f_cells)):
+        for index, sign in cells.items():
+            table[index] = sign
+    return tables_model(a, d, f, n=n)
+
+
+@st.composite
+def ternary_models(draw):
+    """Sparse ternary tables at n=2 or 4 with 1-3 hidden values per source.
+
+    Half the draws start from a factorized model (every relation holds)
+    and plant sign flips in it; the other half are plain random tables.
+    Silencing a station lets the scan reach the analyzer relations, and
+    mirroring signs (a flip applied to both cells of an angle pair) lets it
+    get past the symmetry check.
+    """
+    n = draw(st.sampled_from([2, 4]))
+    size1 = draw(st.integers(1, 3))
+    size4 = draw(st.integers(1, 3))
+    density = draw(st.floats(0.05, 1.0))
+    factorized = draw(st.booleans())
+    flips = draw(st.integers(0, 3))
+    silent_a, silent_d = draw(st.booleans()), draw(st.booleans())
+    mirror = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = 2 * n
+
+    def mask(shape):
+        return (rng.random(shape) < density).astype(np.int8)
+
+    def signs(shape):
+        return rng.choice(np.array([-1, 1], dtype=np.int8), size=shape)
+
+    if factorized:
+        gen_a, u, v = signs(m), signs(size1), signs(size4)
+        a = gen_a[:, None] * u[None, :] * mask((m, size1))
+        d = gen_a[:, None] * v[None, :] * mask((m, size4))
+        f = (gen_a[:, None, None, None] * gen_a[None, :, None, None]
+             * u[None, None, :, None] * v[None, None, None, :]
+             * mask((m, m, size1, size4)))
+    else:
+        a = signs((m, size1)) * mask((m, size1))
+        d = signs((m, size4)) * mask((m, size4))
+        f = signs((m, m, size1, size4)) * mask((m, m, size1, size4))
+    f = f.astype(np.int8)
+    if mirror:
+        upper = np.triu(np.ones((m, m), dtype=bool))[:, :, None, None]
+        mirrored = f.transpose(1, 0, 2, 3)
+        f = np.where(upper | (mirrored == 0), f, np.abs(f) * mirrored)
+    live = np.argwhere(f != 0)
+    for row in rng.permutation(len(live))[:flips]:
+        k2, k3, l1, l4 = live[row]
+        f[k2, k3, l1, l4] *= -1
+        if mirror and k2 != k3:
+            f[k3, k2, l1, l4] *= -1
+    if silent_a:
+        a = np.zeros_like(a)
+    if silent_d:
+        d = np.zeros_like(d)
+    return tables_model(a.astype(np.int8), d.astype(np.int8), f, n=n)
 
 
 def single_source_fixture():
@@ -138,6 +210,62 @@ class TestCheckConsistency:
         witness = check_consistency(broken)
         assert witness is not None
         assert witness.relation.startswith("analyzer")
+
+
+    # minimal fixtures (silent stations, four analyzer cells) whose first
+    # failing relation is the named one; witness indices as the
+    # materialized scan reports them
+    @pytest.mark.parametrize("relation, cells, indices", [
+        ("analyzer_pair_shift",
+         {(0, 1, 0, 0): -1, (0, 1, 1, 0): 1, (0, 2, 0, 1): -1, (0, 2, 1, 1): -1},
+         (0, 1, 2, 0, 0, 1, 0, 1)),
+        ("analyzer_diagonal",
+         {(2, 0, 0, 1): 1, (2, 0, 1, 0): -1, (3, 3, 0, 1): 1, (3, 3, 1, 0): 1},
+         (2, 0, 3, 3, 0, 1, 1, 0)),
+        ("analyzer_triple_alt1",
+         {(1, 2, 1, 1): -1, (1, 3, 0, 1): 1, (2, 2, 0, 1): -1, (2, 3, 1, 1): -1},
+         (1, 2, 3, 2, 1, 0, 1, 1)),
+        ("analyzer_triple_alt2",
+         {(0, 2, 1, 0): 1, (0, 3, 1, 1): -1, (2, 3, 0, 1): -1, (3, 3, 0, 0): -1},
+         (0, 2, 3, 3, 1, 0, 0, 1)),
+        ("analyzer_triple_alt3",
+         {(0, 3, 0, 0): 1, (1, 1, 1, 1): -1, (2, 0, 0, 0): -1, (2, 3, 1, 1): -1},
+         (2, 0, 3, 1, 0, 1, 0, 1)),
+    ])
+    def test_relation_fixture_witness(self, relation, cells, indices):
+        model = cells_model({}, {}, cells)
+        keys = ("alpha", "beta", "gamma", "delta",
+                "lam1", "lam1_alt", "lam4", "lam4_alt")
+        witness = ConsistencyWitness(relation, dict(zip(keys, indices)), -1)
+        assert check_consistency(model, variants=True) == witness
+        if relation.startswith("analyzer_triple_alt"):
+            assert check_consistency(model) is None
+        else:
+            assert check_consistency(model) == witness
+
+    def test_only_a_relation_with_a_minus_one_is_materialized(self, monkeypatch):
+        outputs = []
+        contract = factorizer._contract
+
+        def spy(operands, output, *tables, **options):
+            outputs.append(output)
+            return contract(operands, output, *tables, **options)
+
+        monkeypatch.setattr(factorizer, "_contract", spy)
+        assert check_consistency(random_compose(3), variants=True) is None
+        assert len(outputs) == 12 and not any(outputs)  # two sums per relation
+        outputs.clear()
+        cells = {(0, 1, 0, 0): -1, (0, 1, 1, 0): 1, (0, 2, 0, 1): -1, (0, 2, 1, 1): -1}
+        model = cells_model({}, {}, cells)
+        assert check_consistency(model).relation == "analyzer_pair_shift"
+        assert [len(output) for output in outputs] == [0, 0, 0, 0, 8]
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=ternary_models(), variants=st.booleans())
+    def test_witness_matches_materialized_scan(self, model, variants):
+        assert check_consistency(model, variants) == materialized_consistency(
+            model, variants
+        )
 
 
 class TestDanglingSupport:
@@ -241,6 +369,23 @@ class TestBuildComponents:
                 stack.extend(edges[node] - seen)
         assert len(build_components(model)) == count
 
+    @settings(max_examples=150, deadline=None)
+    @given(model=ternary_models())
+    def test_matches_loop_and_union_find_oracles(self, model):
+        constraints = loop_constraints(model)
+        built = factorizer._build_constraints(model)
+        assert [(c.vars, c.bit, c.kind, c.where) for c in built] == constraints
+        m, size1 = model.steps, model.size1
+        got = []
+        for comp in build_components(model):
+            members = (comp.angles + tuple(m + i for i in comp.first_hidden)
+                       + tuple(m + size1 + j for j in comp.last_hidden))
+            kind, index = comp.anchor
+            anchor = index + {"a": 0, "u": m, "v": m + size1}[kind]
+            got.append((members, anchor,
+                        [f"{c.kind}: {c.where}" for c in comp.constraints]))
+        assert got == union_find_blocks(model, constraints)
+
     def test_rejects_single_source(self):
         with pytest.raises(FamilyError):
             build_components(single_source_fixture())
@@ -338,6 +483,86 @@ class TestSeedComponent:
         assert asg.trace[0].target == component.anchor
         assert all(step.kind in {"seed", "unit", "elimination"}
                    for step in asg.trace)
+
+
+class TestAlarmTexts:
+    """CounterexampleAlarm messages, pinned word for word."""
+
+    def first_alarm(self, model):
+        with pytest.raises(CounterexampleAlarm) as caught:
+            for component in build_components(model):
+                seed_component(model, component)
+        return str(caught.value)
+
+    def test_seed_conflict_text(self):
+        model = tables_model(np.ones((4, 1), dtype=np.int8),
+                             np.ones((4, 1), dtype=np.int8),
+                             -np.ones((4, 4, 1, 1), dtype=np.int8))
+        assert self.first_alarm(model) == (
+            "conflicting sign chain at analyzer_cell (analyzer angles (0,0),"
+            " hidden (0,0)): the cell disagrees with the values already forced"
+        )
+
+    @pytest.mark.parametrize("a_cells, d_cells, f_cells, where", [
+        ({(0, 0): 1, (0, 1): 1, (1, 0): -1, (1, 1): 1,
+          (2, 0): 1, (2, 1): 1, (3, 0): -1, (3, 1): 1},
+         {(1, 0): -1, (2, 1): -1},
+         {(0, 2, 0, 1): -1, (0, 3, 0, 0): 1, (1, 1, 0, 0): -1},
+         "first_station_cell (first station angle 1, hidden 1)"),
+        ({},
+         {(0, 0): 1, (0, 1): 1, (1, 0): -1, (1, 1): -1,
+          (2, 0): -1, (2, 1): 1, (3, 0): -1, (3, 1): 1},
+         {},
+         "last_station_cell (last station angle 2, hidden 1)"),
+        ({(3, 0): -1},
+         {(0, 0): -1, (1, 1): -1, (2, 1): -1, (3, 1): 1},
+         {(0, 1, 1, 0): 1, (0, 2, 0, 0): -1, (0, 3, 0, 1): -1, (1, 1, 1, 0): 1,
+          (2, 0, 0, 1): -1, (2, 0, 1, 1): -1, (2, 3, 0, 1): -1, (3, 2, 1, 0): 1},
+         "first_station_bridge (analyzer (2,3) with last station 3"
+         " over hidden (0,1))"),
+        ({(1, 0): -1, (1, 1): -1},
+         {(0, 0): 1, (2, 0): -1},
+         {(0, 2, 1, 0): -1, (1, 2, 0, 1): -1, (2, 0, 1, 0): -1, (2, 2, 1, 1): 1,
+          (2, 3, 1, 0): 1, (3, 0, 0, 0): -1, (3, 0, 0, 1): -1, (3, 1, 0, 1): 1,
+          (3, 1, 1, 1): -1},
+         "last_station_bridge (analyzer (1,2) with first station 1"
+         " over hidden (0,1))"),
+        ({(0, 0): -1, (1, 0): -1, (1, 1): -1, (2, 0): 1, (3, 0): 1},
+         {(0, 0): 1, (0, 1): 1, (1, 1): -1, (3, 0): 1, (3, 1): 1},
+         {(0, 1, 1, 1): -1, (2, 0, 0, 0): 1, (3, 3, 0, 0): -1},
+         "first_station_fill (rectangle through angles (1,0) and hidden (0,1))"),
+        ({(1, 0): -1, (1, 1): -1},
+         {(0, 1): -1, (1, 0): 1, (1, 1): 1, (2, 0): -1, (3, 0): -1, (3, 1): 1},
+         {(0, 2, 0, 1): -1, (1, 0, 1, 0): -1, (1, 3, 1, 1): 1, (2, 3, 1, 1): 1,
+          (3, 3, 1, 0): 1},
+         "last_station_fill (rectangle through angles (1,0) and hidden (1,0))"),
+    ])
+    def test_seed_conflict_text_per_kind(self, a_cells, d_cells, f_cells, where):
+        model = cells_model(a_cells, d_cells, f_cells)
+        assert self.first_alarm(model) == (
+            f"conflicting sign chain at {where}:"
+            " the cell disagrees with the values already forced"
+        )
+
+    def test_elimination_conflict_text(self):
+        # two cells over the same four signs demand opposite parities; no
+        # single unknown is ever isolated, so elimination finds the clash
+        model = cells_model({}, {}, {(0, 1, 0, 0): 1, (1, 0, 0, 0): -1},
+                            size1=1, size4=1)
+        assert self.first_alarm(model) == (
+            "sign subsystem is unsatisfiable after elimination"
+        )
+
+    def test_merge_conflict_text(self):
+        model = block_diagonal([1, 1, 1, -1])
+        components = build_components(model)
+        assignments = tuple(seed_component(model, c) for c in components)
+        with pytest.raises(CounterexampleAlarm) as caught:
+            merge_components(model, assignments)
+        assert str(caught.value) == (
+            "block sign cannot satisfy all correlated tuples that mix it with"
+            " aligned blocks (block 1)"
+        )
 
 
 class TestMergeComponents:

@@ -414,6 +414,16 @@ class TestReplay:
         with pytest.raises(ValueError, match="differs from the trace"):
             verdict.replay(forged, model)
 
+    def test_mismatch_is_a_replay_error(self):
+        model = compose_two_source()
+        trace = verdict.run(model).trace
+        forged = dataclasses.replace(
+            trace, clash=dataclasses.replace(trace.clash, derived=-1)
+        )
+        with pytest.raises(verdict.ReplayError, match="differs from the trace"):
+            verdict.replay(forged, model)
+        assert issubclass(verdict.ReplayError, ValueError)
+
     def test_detects_wrong_tuple_class(self):
         model = compose_two_source()
         trace = verdict.run(model).trace
