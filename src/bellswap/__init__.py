@@ -13,14 +13,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .angles import (
-    CorrelationClass,
-    GridError,
-    RationalAngle,
-    classify,
-    correlation_angle,
-    midpoint,
-)
+from .angles import GridError, RationalAngle
 from .factorizer import (
     CounterexampleAlarm,
     FactorizeResult,
@@ -65,7 +58,6 @@ from .verdict import (
 from .zoo import ZooError, by_uri, catalog, resolve
 
 __all__ = [
-    "CorrelationClass",
     "CounterexampleAlarm",
     "FactorizeResult",
     "FamilyError",
@@ -82,8 +74,6 @@ __all__ = [
     "catalog",
     "check_consistency",
     "classical_expectation",
-    "classify",
-    "correlation_angle",
     "dumps",
     "event_count",
     "expectation_bell",
@@ -92,7 +82,6 @@ __all__ = [
     "is_robust",
     "load",
     "loads",
-    "midpoint",
     "oracle_count",
     "predict_E_class",
     "prob_closed",

@@ -1,51 +1,34 @@
 """Exact analysis angles on the uniform grid {k*pi/n}.
 
 All angles in the experiment live on a finite grid so that every derived
-quantity stays exact: an angle is an integer number of grid steps together
-with the grid resolution, and arithmetic never touches floating point.
-The grid with resolution n contains the 2n angles 0, pi/n, ..., (2n-1)pi/n.
+quantity stays exact. The grid with resolution n contains the 2n angles
+0, pi/n, ..., (2n-1)pi/n; library code works with their integer step
+indices, and :class:`RationalAngle` names one grid angle by its steps and
+resolution, compared by exact value. The correlation law reads off the step
+index: :func:`required_sign` gives the outcome product it demands at one
+angle, :func:`sign_table` the demands over every angle tuple at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "GridError",
-    "CorrelationClass",
     "RationalAngle",
-    "classify",
-    "classify_index",
-    "correlation_angle",
     "correlation_index",
-    "midpoint",
-    "required_product",
+    "required_sign",
     "sign_table",
 ]
 
 
 class GridError(ValueError):
-    """An operation would leave the angle grid, or mixes incompatible grids."""
-
-
-class CorrelationClass(Enum):
-    """Where a correlation angle sits relative to the perfect-correlation law.
-
-    PLUS: the angle is 0 mod pi, outcomes must multiply to +1.
-    MINUS: the angle is pi/2 mod pi, outcomes must multiply to -1.
-    NEITHER: no constraint.
-    """
-
-    PLUS = "plus"
-    MINUS = "minus"
-    NEITHER = "neither"
+    """A grid resolution is invalid or not supported by the operation."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,84 +61,22 @@ class RationalAngle:
     def __hash__(self) -> int:
         return hash(self.turns)
 
-    def _match(self, other: RationalAngle) -> RationalAngle:
-        if other.denominator != self.denominator:
-            raise GridError(
-                f"mixed grids pi/{self.denominator} and pi/{other.denominator};"
-                " rescale explicitly first"
-            )
-        return other
-
-    def __add__(self, other: RationalAngle) -> RationalAngle:
-        return RationalAngle(self.steps + self._match(other).steps, self.denominator)
-
-    def __sub__(self, other: RationalAngle) -> RationalAngle:
-        return RationalAngle(self.steps - self._match(other).steps, self.denominator)
-
-    def __neg__(self) -> RationalAngle:
-        return RationalAngle(-self.steps, self.denominator)
-
-    def rescaled(self, denominator: int) -> RationalAngle:
-        """The same angle expressed on the pi/denominator grid."""
-        scaled = self.steps * denominator
-        if scaled % self.denominator:
-            raise GridError(
-                f"{self.steps}*pi/{self.denominator} does not exist"
-                f" on the pi/{denominator} grid"
-            )
-        return RationalAngle(scaled // self.denominator, denominator)
-
     def __repr__(self) -> str:
         return f"RationalAngle({self.steps}, {self.denominator})"
 
 
-def midpoint(first: RationalAngle, second: RationalAngle) -> RationalAngle | None:
-    """Half-way angle on the same grid, or None when it falls between grid points.
+def required_sign(k: int, n: int) -> int:
+    """Outcome product the correlation law demands at the grid angle k*pi/n.
 
-    A circle has two midpoints; the one returned is (first+second)/2. Callers
-    that only ever square the sign at the midpoint never see the difference.
+    +1 where the angle is 0 mod pi, -1 where it is pi/2 mod pi, and 0 where
+    the law is silent. Only the angle mod pi matters.
     """
-    first._match(second)
-    total = first.steps + second.steps
-    if total % 2:
-        return None
-    return RationalAngle(total // 2, first.denominator)
-
-
-def classify(angle: RationalAngle) -> CorrelationClass:
-    return classify_index(angle.steps, angle.denominator)
-
-
-def classify_index(k: int, n: int) -> CorrelationClass:
-    """Classify the grid angle k*pi/n. The class only depends on the angle mod pi."""
     k = k % n
     if k == 0:
-        return CorrelationClass.PLUS
-    if 2 * k == n:
-        return CorrelationClass.MINUS
-    return CorrelationClass.NEITHER
-
-
-def required_product(cls: CorrelationClass) -> int:
-    """Outcome product a perfectly correlated model must yield, 0 when unconstrained."""
-    if cls is CorrelationClass.PLUS:
         return 1
-    if cls is CorrelationClass.MINUS:
+    if 2 * k == n:
         return -1
     return 0
-
-
-def correlation_angle(phis: Sequence[RationalAngle], sector: int) -> RationalAngle:
-    """Signed combination of the four analysis angles for one swap sector.
-
-    Sector +1 pairs the first and third stations with the same sign:
-    phi1 - phi2 + phi3 - phi4. Sector -1 flips the second difference.
-    """
-    if sector not in (1, -1):
-        raise ValueError(f"sector must be +1 or -1, got {sector}")
-    p1, p2, p3, p4 = phis
-    tail = (p3 - p4) if sector == 1 else (p4 - p3)
-    return (p1 - p2) + tail
 
 
 def correlation_index(k1: int, k2: int, k3: int, k4: int, sector: int, n: int) -> int:

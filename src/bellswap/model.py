@@ -31,9 +31,6 @@ import numpy as np
 __all__ = [
     "ModelFormatError",
     "LhvModel",
-    "EventOutcome",
-    "outcome_product",
-    "event",
     "event_count",
     "classical_expectation",
     "realized_sectors",
@@ -57,6 +54,11 @@ class ModelFormatError(ValueError):
 def _require(condition: bool, path: str, message: str) -> None:
     if not condition:
         raise ModelFormatError(f"{path}: {message}")
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _sign_array(values, path: str, allow_zero: bool) -> np.ndarray:
@@ -110,9 +112,9 @@ class LhvModel:
     def __post_init__(self) -> None:
         _require(self.family in (TWO_SOURCE, SINGLE_SOURCE), "family",
                  f"unknown family {self.family!r}")
-        _require(isinstance(self.n, int) and self.n >= 1, "n",
+        _require(_is_int(self.n) and self.n >= 1, "n",
                  "grid resolution must be a positive integer")
-        _require(isinstance(self.n0, int) and self.n0 >= 0, "n0",
+        _require(_is_int(self.n0) and self.n0 >= 0, "n0",
                  "nominal count must be a nonnegative integer")
         m = 2 * self.n
         for name in ("a", "d", "kappa", "f_plus", "f_minus"):
@@ -227,17 +229,6 @@ class LhvModel:
             return self.f_minus
         raise ValueError(f"sector must be +1 or -1, got {sector}")
 
-    def weight(self, l1: int, l4: int | None = None) -> Fraction:
-        """Joint weight of a hidden-variable assignment.
-
-        Always the product of the marginals for two_source; the shared
-        weight for single_source, where l4 is ignored.
-        """
-        if self.family == SINGLE_SOURCE:
-            return self.rho1[l1]
-        assert self.rho4 is not None
-        return self.rho1[l1] * self.rho4[l4]
-
     def assignments(self) -> Iterator[tuple[int, int | None, Fraction]]:
         """All hidden-variable assignments with their weights."""
         if self.family == SINGLE_SOURCE:
@@ -250,63 +241,16 @@ class LhvModel:
                     yield l1, l4, w1 * w4
 
 
-@dataclass(frozen=True)
-class EventOutcome:
-    """Product outcome of one assignment at one angle tuple.
-
-    ``product`` multiplies the three device responses; the sector flags say
-    which announcement the event counts toward. A zero product belongs to
-    neither sector.
-    """
-
-    product: int
-    in_plus_sector: bool
-    in_minus_sector: bool
-
-    def __post_init__(self) -> None:
-        if self.in_plus_sector or self.in_minus_sector:
-            assert self.product != 0
-            assert not (self.in_plus_sector and self.in_minus_sector)
-
-
 def _lookup(model: LhvModel, phis: Sequence[int], l1: int, l4: int | None):
     """Raw factors (first response, analyzer response, last response, sector)."""
     p1, p2, p3, p4 = phis
     if model.family == SINGLE_SOURCE:
-        if l4 is not None and l4 != l1:
-            raise IndexError("single_source models share one hidden variable")
         sector = int(model.kappa[l1])
         f = int(model.sector_table(sector)[p2, p3, l1])
         return int(model.a[p1, l1]), f, int(model.d[p4, l1]), sector
-    if l4 is None:
-        raise IndexError("two_source models need both hidden variables")
     sector = int(model.kappa[l1, l4])
     f = int(model.sector_table(sector)[p2, p3, l1, l4])
     return int(model.a[p1, l1]), f, int(model.d[p4, l4]), sector
-
-
-def outcome_product(
-    model: LhvModel, phis: Sequence[int], l1: int, l4: int | None = None
-) -> int:
-    """Threefold product of the responses at one hidden-variable assignment.
-
-    Zero whenever any device stays silent, regardless of the angle tuple's
-    correlation class.
-    """
-    first, analyzer, last, _ = _lookup(model, phis, l1, l4)
-    return first * analyzer * last
-
-
-def event(
-    model: LhvModel, phis: Sequence[int], l1: int, l4: int | None = None
-) -> EventOutcome:
-    first, analyzer, last, sector = _lookup(model, phis, l1, l4)
-    product = first * analyzer * last
-    return EventOutcome(
-        product=product,
-        in_plus_sector=product != 0 and sector == 1,
-        in_minus_sector=product != 0 and sector == -1,
-    )
 
 
 def event_count(model: LhvModel, phis: Sequence[int], sector: int) -> Fraction:
@@ -319,9 +263,8 @@ def event_count(model: LhvModel, phis: Sequence[int], sector: int) -> Fraction:
         raise ValueError(f"sector must be +1 or -1, got {sector}")
     total = Fraction(0)
     for l1, l4, w in model.assignments():
-        out = event(model, phis, l1, l4)
-        hit = out.in_plus_sector if sector == 1 else out.in_minus_sector
-        if hit:
+        first, analyzer, last, found = _lookup(model, phis, l1, l4)
+        if found == sector and first * analyzer * last:
             total += w
     return Fraction(model.n0, 2) * total
 
@@ -428,8 +371,10 @@ def loads(text: str) -> LhvModel:
             continue
         _require(isinstance(doc[field], list), field, "must be a list")
         declared = doc[size_field]
+        _require(_is_int(declared), size_field,
+                 f"declared size must be an integer, got {declared!r}")
         _require(
-            isinstance(declared, int) and declared == len(doc[field]),
+            declared == len(doc[field]),
             size_field,
             f"declared size {declared!r} does not match {field} length"
             f" {len(doc[field])}",
@@ -437,7 +382,7 @@ def loads(text: str) -> LhvModel:
     try:
         model = LhvModel(
             family=family,
-            n=doc["n"] if isinstance(doc["n"], int) else doc["n"],
+            n=doc["n"],
             a=doc["A"],
             d=doc["D"],
             kappa=doc["kappa"],

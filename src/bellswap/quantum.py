@@ -30,7 +30,6 @@ __all__ = [
     "expectation_singlet",
     "expectation_bell",
     "sector_probability",
-    "expected_counts",
 ]
 
 BELL_OUTCOMES = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
@@ -167,12 +166,3 @@ def sector_probability(table: np.ndarray, sector: int) -> float:
     idx = [BELL_OUTCOMES.index(name) for name in SECTOR_OUTCOMES[sector]]
     return table[..., idx].sum(axis=(-3, -2, -1))
 
-
-def expected_counts(n0: float, analyzer_efficiency: float = 1.0) -> dict[int, float]:
-    """Expected fourfold counts per sector out of n0 source emissions.
-
-    Each sector collects half of the analyzed events, so both entries equal
-    n0 * analyzer_efficiency / 2.
-    """
-    per_sector = 0.5 * analyzer_efficiency * n0
-    return {1: per_sector, -1: per_sector}

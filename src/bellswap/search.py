@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angles import GridError, classify_index, required_product, sign_table
+from .angles import GridError, required_sign, sign_table
 from .factorizer import factorize
 from .model import SINGLE_SOURCE, TWO_SOURCE, LhvModel
 from .robustness import RobustnessReport, is_robust
@@ -78,7 +78,6 @@ class SearchSpace:
     size1: int = 1
     size4: int = 1
     value_domain: str = "ternary"
-    gauge_fixed: bool = True
     cursor: int = 0
 
     def __post_init__(self) -> None:
@@ -231,16 +230,12 @@ def _record_survivor(result: SearchResult, model: LhvModel, keep_limit: int) -> 
 # ---------------------------------------------------------------------------
 # two-source, one hidden value per side: direct sign enumeration
 
-def _sign_columns(m: int, gauge_fixed: bool) -> np.ndarray:
-    """All +-1 columns of length m, first entry pinned to +1 under gauge."""
-    free = m - 1 if gauge_fixed else m
+def _sign_columns(m: int) -> np.ndarray:
+    """All +-1 columns of length m with the first entry pinned to +1 (the gauge)."""
+    free = m - 1
     bits = (np.arange(1 << free)[:, None] >> np.arange(free)[None, :]) & 1
     cols = 1 - 2 * bits.astype(np.int8)
-    if gauge_fixed:
-        cols = np.concatenate(
-            [np.ones((cols.shape[0], 1), dtype=np.int8), cols], axis=1
-        )
-    return cols
+    return np.concatenate([np.ones((cols.shape[0], 1), dtype=np.int8), cols], axis=1)
 
 
 def _search_pair_single(space, budget, stop_after, keep_limit, started) -> SearchResult:
@@ -257,7 +252,7 @@ def _search_pair_single(space, budget, stop_after, keep_limit, started) -> Searc
     n = space.denominator
     m = 2 * n
     result = SearchResult(family=TWO_SOURCE)
-    cols = _sign_columns(m, space.gauge_fixed)
+    cols = _sign_columns(m)
     count = cols.shape[0]
     block = 0
     for sector in (1, -1):
@@ -301,15 +296,13 @@ def _search_pair_single(space, budget, stop_after, keep_limit, started) -> Searc
 # ---------------------------------------------------------------------------
 # two-source, two hidden values per side: twisted-constancy classes
 
-def _column_classes(
-    m: int, value_domain: str, gauge_fixed: bool
-) -> list[tuple[int, int, int, int]]:
+def _column_classes(m: int, value_domain: str) -> list[tuple[int, int, int, int]]:
     """Canonical twisted-constant columns as (even_mask, odd_mask, sig_e, sig_o).
 
     Masks index the even and odd angle subsets; signs are the constants of
-    the twisted restrictions. Under gauge fixing the per-column sign flip
-    is quotiented by pinning the first nonempty side to +1. Ordered by
-    descending support size, largest columns first.
+    the twisted restrictions. The per-column sign flip is quotiented by
+    pinning the first nonempty side to +1. Ordered by descending support
+    size, largest columns first.
     """
     classes = []
     for even_mask in range(16):
@@ -318,18 +311,11 @@ def _column_classes(
                 continue  # an empty column can never be relevant
             if value_domain == "signs" and (even_mask != 15 or odd_mask != 15):
                 continue
-            if not gauge_fixed:
-                sig_es = (1, -1) if even_mask else (1,)
-                sig_os = (1, -1) if odd_mask else (1,)
-            elif even_mask:
-                sig_es = (1,)
-                sig_os = (1, -1) if odd_mask else (1,)
-            else:
-                sig_es = (1,)
-                sig_os = (1,)
-            for sig_e in sig_es:
-                for sig_o in sig_os:
-                    classes.append((even_mask, odd_mask, sig_e, sig_o))
+            # the first nonempty side is pinned to +1, so only an odd side
+            # behind a nonempty even side carries a free sign
+            sig_os = (1, -1) if even_mask and odd_mask else (1,)
+            for sig_o in sig_os:
+                classes.append((even_mask, odd_mask, 1, sig_o))
 
     def size(cls):
         return bin(cls[0]).count("1") + bin(cls[1]).count("1")
@@ -436,7 +422,7 @@ def _search_pair_double(space, budget, stop_after, keep_limit, started) -> Searc
         )
     m = 2 * n
     result = SearchResult(family=TWO_SOURCE)
-    classes = _column_classes(m, space.value_domain, space.gauge_fixed)
+    classes = _column_classes(m, space.value_domain)
     pack = _ClassPack(classes)
     a_tuples = _side_tuples(len(classes), space.size1)
     d_tuples = _side_tuples(len(classes), space.size4)
@@ -599,7 +585,7 @@ def _propagate_signs(sa: list[int], sd: list[int], n: int):
         for dd in sd:
             for r in (0, 1):
                 for t in range(m):
-                    req = required_product(classify_index(a - dd - r + t, n))
+                    req = required_sign(a - dd - r + t, n)
                     if req:
                         equations.append((a, dd, (t, r), req))
     station: dict[int, int] = {sa[0]: 1}

@@ -1,4 +1,4 @@
-"""Grid angle arithmetic and correlation classes."""
+"""Grid angles and the signs the correlation law demands on them."""
 
 from __future__ import annotations
 
@@ -8,15 +8,10 @@ import numpy as np
 import pytest
 
 from bellswap.angles import (
-    CorrelationClass,
     GridError,
     RationalAngle,
-    classify,
-    classify_index,
-    correlation_angle,
     correlation_index,
-    midpoint,
-    required_product,
+    required_sign,
     sign_table,
 )
 
@@ -41,50 +36,21 @@ def test_value_equality_across_grids():
     assert RationalAngle(3, 4) != "3/4"
 
 
-def test_arithmetic_stays_on_grid():
-    a = RationalAngle(3, 4)
-    b = RationalAngle(7, 4)
-    assert (a + b).steps == 2
-    assert (a - b).steps == 4
-    assert (-a).steps == 5
-
-
-def test_mixed_grid_arithmetic_rejected():
-    with pytest.raises(GridError):
-        RationalAngle(1, 2) + RationalAngle(1, 4)
-
-
-def test_rescaled():
-    assert RationalAngle(1, 2).rescaled(4) == RationalAngle(2, 4)
-    assert RationalAngle(1, 2).rescaled(4).denominator == 4
-    with pytest.raises(GridError):
-        RationalAngle(1, 4).rescaled(2)
-
-
 def test_radians_and_turns():
     a = RationalAngle(3, 4)
     assert math.isclose(a.radians, 3 * math.pi / 4)
     assert a.turns == 0.75
 
 
-def test_midpoint_parity():
-    assert midpoint(RationalAngle(1, 4), RationalAngle(3, 4)) == RationalAngle(2, 4)
-    assert midpoint(RationalAngle(0, 4), RationalAngle(1, 4)) is None
-    # wraps: steps 7 and 1 average to 4, the opposite midpoint of 0
-    assert midpoint(RationalAngle(7, 4), RationalAngle(1, 4)) == RationalAngle(4, 4)
-    with pytest.raises(GridError):
-        midpoint(RationalAngle(0, 2), RationalAngle(0, 4))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
 def test_classify_matches_cosine(n):
-    # PLUS iff cos^2 is 1, MINUS iff cos^2 is 0, within float tolerance
+    # +1 iff cos^2 is 1, -1 iff cos^2 is 0, within float tolerance
     for k in range(2 * n):
-        c = classify(RationalAngle(k, n))
+        sign = required_sign(k, n)
         cos2 = math.cos(math.pi * k / n) ** 2
-        if c is CorrelationClass.PLUS:
+        if sign == 1:
             assert math.isclose(cos2, 1.0, abs_tol=1e-12)
-        elif c is CorrelationClass.MINUS:
+        elif sign == -1:
             assert math.isclose(cos2, 0.0, abs_tol=1e-12)
         else:
             assert 1e-12 < cos2 < 1 - 1e-12
@@ -92,31 +58,21 @@ def test_classify_matches_cosine(n):
 
 def test_odd_grid_has_no_minus():
     for n in (1, 3, 5, 7):
-        assert all(
-            classify_index(k, n) is not CorrelationClass.MINUS for k in range(2 * n)
-        )
+        assert all(required_sign(k, n) != -1 for k in range(2 * n))
 
 
-def test_required_product():
-    assert required_product(CorrelationClass.PLUS) == 1
-    assert required_product(CorrelationClass.MINUS) == -1
-    assert required_product(CorrelationClass.NEITHER) == 0
+def test_required_sign():
+    # on the pi/4 grid: 0 and pi demand +1, pi/2 and 3pi/2 demand -1
+    assert [required_sign(k, 4) for k in range(8)] == [1, 0, -1, 0, 1, 0, -1, 0]
+    assert required_sign(-2, 4) == required_sign(6, 4) == -1
+    assert [required_sign(k, 1) for k in range(2)] == [1, 1]
 
 
 @pytest.mark.parametrize("sector", [1, -1])
-def test_correlation_angle_formula(sector):
+def test_correlation_index_formula(sector):
     n = 4
-    phis = [RationalAngle(k, n) for k in (3, 1, 6, 2)]
-    z = correlation_angle(phis, sector)
     expected = (3 - 1 + sector * (6 - 2)) % (2 * n)
-    assert z.steps == expected
     assert correlation_index(3, 1, 6, 2, sector, n) == expected
-
-
-def test_correlation_angle_rejects_bad_sector():
-    phis = [RationalAngle(0, 4)] * 4
-    with pytest.raises(ValueError):
-        correlation_angle(phis, 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -130,7 +86,7 @@ def test_sign_table_matches_pointwise(n, sector):
             for k3 in range(m):
                 for k4 in range(m):
                     z = correlation_index(k1, k2, k3, k4, sector, n)
-                    want = required_product(classify_index(z, n))
+                    want = required_sign(z, n)
                     assert table[k1, k2, k3, k4] == want
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -14,6 +15,7 @@ import bellswap
 from bellswap import cli
 from bellswap.cli import run
 from bellswap.verdict import ReplayError
+from bellswap.zoo import all_delta_one
 
 
 def invoke(capsys, *argv):
@@ -101,6 +103,17 @@ class TestCheck:
         assert code == 2
         assert not out
         assert "error:" in err
+
+    @pytest.mark.parametrize("field", ["n", "n0", "lambda1", "lambda4"])
+    def test_boolean_size_field_is_a_usage_error(self, capsys, tmp_path, field):
+        doc = json.loads(bellswap.dumps(all_delta_one(n=1, size1=1, size4=1)))
+        doc[field] = True
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--model", str(path))
+        assert code == 2
+        assert not out
+        assert f"{field}:" in err
 
 
 class TestFactorize:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellswap import factorizer
 from bellswap.factorizer import (
@@ -452,6 +453,37 @@ class TestSeedComponent:
         asg = seed_component(model, comp)
         assert asg.a[0] * asg.a[1] * asg.u[0] * asg.v[0] == -1
         assert asg.eliminated > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=ternary_models())
+    # propagation completes the analyzer cell at angles (0,0) and finds it
+    # violated; the cell at (1,2) would leave two signs to elimination
+    @example(model=cells_model({(0, 0): 1}, {(0, 0): 1},
+                               {(0, 0, 0, 0): -1, (1, 2, 0, 0): 1},
+                               size1=1, size4=1))
+    def test_elimination_starts_from_checked_cells(self, model):
+        """Every cell whose signs are all known when elimination starts holds.
+
+        Unit propagation checks each cell once it is complete, so elimination
+        never meets a violated fully assigned cell and need not look for one.
+        """
+        original = factorizer._eliminate
+
+        def checked(model, constraints, assignment, leftovers, trace):
+            for c in constraints:
+                if all(var in assignment for var in c.vars):
+                    parity = c.bit
+                    for var in c.vars:
+                        parity ^= assignment[var]
+                    assert parity == 0, f"{c.kind} ({c.where})"
+            return original(model, constraints, assignment, leftovers, trace)
+
+        with mock.patch.object(factorizer, "_eliminate", checked):
+            for component in build_components(model):
+                try:
+                    seed_component(model, component)
+                except CounterexampleAlarm:
+                    pass
 
     def test_counterfactual_cell_assigned(self):
         # the silent first-station cell still gets the generator's product

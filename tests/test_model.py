@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -10,16 +11,13 @@ import numpy as np
 import pytest
 
 from bellswap.model import (
-    EventOutcome,
     LhvModel,
     ModelFormatError,
     classical_expectation,
     dumps,
-    event,
     event_count,
     load,
     loads,
-    outcome_product,
     positive_weight_mask,
     product_tensor,
     realized_sectors,
@@ -142,6 +140,12 @@ class TestValidation:
                 rho1=s.rho1, rho4=s.rho1, n0=s.n0,
             )
 
+    @pytest.mark.parametrize("field", ["n", "n0"])
+    def test_boolean_is_not_an_integer(self, field):
+        m = constant_two_source(n=1, l1=1, l4=1, n0=1)
+        with pytest.raises(ModelFormatError, match=f"^{field}:"):
+            dataclasses.replace(m, **{field: True})
+
     def test_tables_are_frozen(self):
         m = constant_two_source()
         with pytest.raises(ValueError):
@@ -204,37 +208,38 @@ class TestDerivedDetectionFlags:
 
 
 class TestEvaluation:
-    def test_outcome_product_signs(self):
+    # model.products[phis + hidden] is the threefold outcome product
+    def test_product_signs(self):
         m = constant_two_source(a=1, d=1, f=-1)
-        assert outcome_product(m, (0, 0, 0, 0), 0, 0) == -1
+        assert m.products[0, 0, 0, 0, 0, 0] == -1
 
-    def test_outcome_product_absorbing_zero(self):
+    def test_product_absorbing_zero(self):
         m = constant_two_source(a=0)
-        assert outcome_product(m, (1, 2, 3, 0), 0, 1) == 0
+        assert m.products[1, 2, 3, 0, 0, 1] == 0
 
     def test_constant_factorizable_product(self):
         m = constant_two_source(a=1, d=1, f=1)
         for phis in [(0, 0, 0, 0), (1, 2, 3, 0), (3, 3, 1, 2)]:
-            assert outcome_product(m, phis, 1, 1) == 1
+            assert m.products[phis + (1, 1)] == 1
 
     def test_two_source_requires_both_indices(self):
-        with pytest.raises(IndexError):
-            outcome_product(constant_two_source(), (0, 0, 0, 0), 0)
+        m = constant_two_source(l1=2, l4=3)
+        assert m.products.shape == (4, 4, 4, 4, 2, 3)
 
     def test_single_source_shares_index(self):
         s = constant_single_source(f=-1)
-        assert outcome_product(s, (0, 1, 2, 3), 2) == -1
-        with pytest.raises(IndexError):
-            outcome_product(s, (0, 1, 2, 3), 0, 1)
+        assert s.products.shape == (4, 4, 4, 4, 3)
+        assert s.products[0, 1, 2, 3, 2] == -1
 
     def test_event_sector_flags(self):
         m = constant_two_source(kappa=-1)
-        out = event(m, (0, 0, 0, 0), 0, 0)
-        assert out == EventOutcome(product=1, in_plus_sector=False,
-                                   in_minus_sector=True)
-        silent = event(constant_two_source(a=0), (0, 0, 0, 0), 0, 0)
-        assert silent.product == 0
-        assert not silent.in_plus_sector and not silent.in_minus_sector
+        assert m.products[0, 0, 0, 0, 0, 0] == 1
+        assert m.sector_events[-1][0, 0, 0, 0, 0, 0]
+        assert not m.sector_events[1][0, 0, 0, 0, 0, 0]
+        silent = constant_two_source(a=0)
+        assert silent.products[0, 0, 0, 0, 0, 0] == 0
+        assert not silent.sector_events[1].any()
+        assert not silent.sector_events[-1].any()
 
 
 class TestCounts:
@@ -396,6 +401,14 @@ class TestFileFormat:
         broken = text.replace('"lambda4": null', '"lambda4": 3')
         with pytest.raises(ModelFormatError, match="lambda4"):
             loads(broken)
+
+    @pytest.mark.parametrize("field", ["n", "n0", "lambda1", "lambda4"])
+    def test_boolean_is_not_an_integer(self, field):
+        # JSON true would otherwise pass as the integer 1
+        doc = json.loads(dumps(constant_two_source(n=1, l1=1, l4=1, n0=1)))
+        doc[field] = True
+        with pytest.raises(ModelFormatError, match=f"^{field}:"):
+            loads(json.dumps(doc))
 
     def test_bad_weight_string(self):
         text = dumps(constant_two_source())

@@ -14,7 +14,6 @@ from bellswap.quantum import (
     closed_grid,
     expectation_bell,
     expectation_singlet,
-    expected_counts,
     prob_closed,
     sector_probability,
     simulate,
@@ -75,7 +74,7 @@ def test_perfect_correlation_values_at_zero():
     assert table[0, 1, phi_plus] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_correlation_angle_only_dependence():
+def test_only_angle_differences_matter():
     # shifting the first pair of angles together leaves the table unchanged
     base = simulate((0.1, 0.7, 0.2, 1.5))
     shifted = simulate((0.1 + 0.9, 0.7 + 0.9, 0.2, 1.5))
@@ -115,13 +114,6 @@ def test_expectation_singlet_accepts_rational():
 def test_sector_probability_half(sector):
     table = simulate((0.3, 1.1, -0.4, 2.0))
     assert math.isclose(sector_probability(table, sector), 0.5, abs_tol=1e-12)
-
-
-def test_expected_counts_split():
-    counts = expected_counts(1000.0)
-    assert counts == {1: 500.0, -1: 500.0}
-    counts = expected_counts(1000.0, analyzer_efficiency=0.5)
-    assert counts[1] == counts[-1] == 250.0
 
 
 def test_sector_outcomes_partition_bell_basis():

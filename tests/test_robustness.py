@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from helpers import compose_two_source, rebuild
 
-from bellswap.angles import CorrelationClass, classify_index, correlation_index
+from bellswap.angles import correlation_index, required_sign
 from bellswap.model import LhvModel, product_tensor, realized_sectors
 from bellswap.robustness import (
     CorrelationWitness,
@@ -155,13 +155,7 @@ class TestRequiredTensor:
                 for l4 in range(2):
                     sector = int(full_model.kappa[l1, l4])
                     z = correlation_index(*k, sector, n)
-                    cls = classify_index(z, n)
-                    want = {
-                        CorrelationClass.PLUS: 1,
-                        CorrelationClass.MINUS: -1,
-                        CorrelationClass.NEITHER: 0,
-                    }[cls]
-                    assert req[k + (l1, l4)] == want
+                    assert req[k + (l1, l4)] == required_sign(z, n)
 
 
 class TestIsRobust:

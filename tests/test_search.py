@@ -141,13 +141,19 @@ class TestForcedAnalyzer:
 
 class TestTwistedClasses:
     def test_class_count_matches_the_gauge_quotient(self):
-        assert len(_column_classes(8, "ternary", True)) == 480
-        assert len(_column_classes(8, "ternary", False)) == 960
-        assert len(_column_classes(8, "signs", True)) == 2
-        assert len(_column_classes(8, "signs", False)) == 4
+        # flipping a column's sign negates the constant of each nonempty
+        # side; the classes hold exactly one of every flip pair
+        for domain, count in (("ternary", 480), ("signs", 2)):
+            classes = _column_classes(8, domain)
+            flipped = {
+                (e, o, -s_e if e else s_e, -s_o if o else s_o)
+                for e, o, s_e, s_o in classes
+            }
+            assert len(classes) == len(set(classes)) == count
+            assert not flipped & set(classes)
 
     def test_columns_realize_their_class_data(self):
-        classes = _column_classes(8, "ternary", True)
+        classes = _column_classes(8, "ternary")
         seen = set()
         for cls in classes:
             col = _class_column(cls, 8)
@@ -166,7 +172,7 @@ class TestTwistedClasses:
     def test_family_fate_predicts_robustness(self, seed):
         """The vectorized class predicate against the robustness module."""
         rng = np.random.default_rng(seed)
-        classes = _column_classes(8, "ternary", True)
+        classes = _column_classes(8, "ternary")
         picks = rng.integers(0, len(classes), size=4)
         a_cls = [classes[i] for i in picks[:2]]
         d_cls = [classes[i] for i in picks[2:]]

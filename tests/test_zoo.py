@@ -15,7 +15,6 @@ from bellswap.model import (
     dumps,
     event_count,
     loads,
-    outcome_product,
     realized_sectors,
     save,
     selected_analyzer,
@@ -76,7 +75,7 @@ class TestAllDeltaOne:
 
     def test_all_products_are_plus_one(self):
         model = all_delta_one()
-        assert outcome_product(model, (3, 1, 4, 2), 1, 0) == 1
+        assert model.products[3, 1, 4, 2, 1, 0] == 1
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ZooError):
@@ -222,7 +221,7 @@ class TestSingleSourceShift:
         assert witness.phis == (0, 0, 0, 2)
         assert (witness.expected, witness.found) == (-1, 1)
         # an independent correlated tuple where the product comes out wrong
-        assert outcome_product(model, (3, 4, 5, 4), 0) == -1
+        assert model.products[3, 4, 5, 4, 0] == -1
 
     def test_counts_and_relevance_hold(self):
         report = is_robust(single_source_shift())
