@@ -554,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="wall-clock budget in seconds")
     search.add_argument("--resume", type=int, default=0,
                         help="cursor from a previous partial run")
-    search.add_argument("--stop-after", type=int, default=None,
+    search.add_argument("--stop-after", type=_positive_int, default=None,
                         help="stop once this many robust models are counted")
     search.add_argument("--out", default=None,
                         help="write the first found model to this file")

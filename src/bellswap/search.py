@@ -35,6 +35,7 @@ Soundness rests on two facts proved here and property-tested in the suite:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -103,15 +104,24 @@ class SearchSpace:
 
 @dataclass
 class SearchResult:
-    """Outcome of one search run.
+    """Outcome of one search run; every family follows the same rules.
 
-    ``robust_count`` tallies every candidate that passed the search
-    predicate; ``robust_found`` stores the first ``keep_limit`` of them,
-    and each stored model has been re-verified by the robustness module
-    before being listed. ``consistent_found`` is the subset of the stored
-    models that also factorizes cleanly. ``certifying`` is True only when
-    the enumeration covered its whole space within budget and without
-    truncation, in which case ``robust_count == 0`` certifies emptiness.
+    ``models_examined`` tallies the candidates decided exactly and
+    ``robust_count`` those that passed the search predicate.
+    ``robust_found`` keeps the first ``keep_limit`` survivors in enumeration
+    order; each is re-verified by the robustness module before it is kept,
+    and a reject raises ``RuntimeError``. ``first_found`` and
+    ``first_report`` are the first kept model and its report.
+    ``consistent_found`` holds the kept models that also factorize cleanly;
+    it stays empty for single-source runs, which the factorizer refuses.
+
+    ``stop_after`` ends a run on a whole-block boundary: the tally includes
+    every survivor of the block that reached it, ``truncated`` is set and
+    ``cursor`` resumes at the next block. A spent budget ends a run before
+    its next block, with ``notes`` set and ``cursor`` at that block.
+    ``certifying`` is True only for a run that started at cursor 0 and
+    covered the whole space, in which case ``robust_count == 0`` certifies
+    emptiness; a resumed run never certifies, since it skipped blocks.
     """
 
     family: str
@@ -209,22 +219,56 @@ def _assemble_two_source(a: np.ndarray, d: np.ndarray, kappa: np.ndarray, n: int
     )
 
 
-def _record_survivor(result: SearchResult, model: LhvModel, keep_limit: int) -> None:
-    result.robust_count += 1
-    if len(result.robust_found) >= keep_limit:
-        return
-    report = is_robust(model)
-    if not report.is_robust:
-        raise RuntimeError(
-            "search engine accepted a model the robustness module rejects; "
-            "this is a bug in the enumeration, not a finding"
-        )
-    result.robust_found.append(model)
-    if result.first_found is None:
-        result.first_found = model
-        result.first_report = report
-    if factorize(model).status == "ok":
-        result.consistent_found.append(model)
+def _drive(space, blocks, budget, stop_after, keep_limit) -> SearchResult:
+    """Run one enumerator's block stream and keep all of the run's books.
+
+    ``blocks`` starts at ``space.cursor`` and yields ``(block, examined,
+    hits, build)`` for each block that reaches an exact check, in the
+    documented order; ``hits`` is a sequence of survivors and ``build(hit)``
+    assembles one of them into a model, valid until the next block is
+    drawn. The stream returns the number of blocks in the space.
+    """
+    if stop_after is not None and stop_after < 1:
+        raise ValueError("stop_after must be a positive integer")
+    if budget is not None and not (math.isfinite(budget) and budget >= 0):
+        raise ValueError("budget_seconds must be a finite nonnegative number")
+    started = time.monotonic()
+
+    def spent() -> float:
+        return time.monotonic() - started
+
+    result = SearchResult(family=space.family, cursor=space.cursor)
+    while not result.truncated:
+        if budget is not None and spent() > budget:
+            result.notes = "budget exhausted; partial result, not certifying"
+            break
+        try:
+            block, examined, hits, build = next(blocks)
+        except StopIteration as end:
+            result.cursor = end.value
+            result.completed = True
+            break
+        result.cursor = block + 1
+        result.models_examined += examined
+        result.robust_count += len(hits)
+        for hit in hits[: max(keep_limit - len(result.robust_found), 0)]:
+            model = build(hit)
+            report = is_robust(model)
+            if not report.is_robust:
+                raise RuntimeError(
+                    "search engine accepted a model the robustness module rejects; "
+                    "this is a bug in the enumeration, not a finding"
+                )
+            if not result.robust_found:
+                result.first_found, result.first_report = model, report
+            result.robust_found.append(model)
+            if space.family == TWO_SOURCE and factorize(model).status == "ok":
+                result.consistent_found.append(model)
+        if stop_after is not None and result.robust_count >= stop_after:
+            result.truncated = True
+    result.certifying = result.completed and space.cursor == 0
+    result.elapsed_seconds = spent()
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +282,7 @@ def _sign_columns(m: int) -> np.ndarray:
     return np.concatenate([np.ones((cols.shape[0], 1), dtype=np.int8), cols], axis=1)
 
 
-def _search_pair_single(space, budget, stop_after, keep_limit, started) -> SearchResult:
+def _pair_single_blocks(space):
     """Exhaustive scan at one hidden value per side.
 
     The counts check forces full support on every table (the lone
@@ -250,47 +294,28 @@ def _search_pair_single(space, budget, stop_after, keep_limit, started) -> Searc
     every hidden value relevant.
     """
     n = space.denominator
-    m = 2 * n
-    result = SearchResult(family=TWO_SOURCE)
-    cols = _sign_columns(m)
+    cols = _sign_columns(2 * n)
     count = cols.shape[0]
-    block = 0
-    for sector in (1, -1):
-        required = sign_table(n, sector)
-        for a_index in range(count):
-            if block < space.cursor:
-                block += 1
-                continue
-            if budget is not None and time.monotonic() - started > budget:
-                result.cursor = block
-                return result
-            a_col = cols[a_index]
+    sectors = (1, -1)
+    first, a_start = divmod(min(space.cursor, len(sectors) * count), count)
+    for s_index in range(first, len(sectors)):
+        kappa = np.full((1, 1), sectors[s_index], dtype=np.int8)
+        required = sign_table(n, sectors[s_index])
+        for a_index in range(a_start, count):
+            a_col = cols[a_index][:, None]
             # demands[x, k2, k3, y] for all candidate D columns at once
-            base = required * a_col[:, None, None, None]
+            base = required * a_col[:, :, None, None]
             scaled = base[None, :, :, :, :] * cols[:, None, None, None, :]
             has_plus = (scaled == 1).any(axis=(1, 4))
             has_minus = (scaled == -1).any(axis=(1, 4))
             clean = ~(has_plus & has_minus).any(axis=(1, 2))
-            result.models_examined += count
-            for d_index in np.nonzero(clean)[0]:
-                if len(result.robust_found) < keep_limit:
-                    a = a_col[:, None].copy()
-                    d = cols[d_index][:, None].copy()
-                    kappa = np.full((1, 1), sector, dtype=np.int8)
-                    _record_survivor(
-                        result, _assemble_two_source(a, d, kappa, n), keep_limit
-                    )
-                else:
-                    result.robust_count += 1
-                if stop_after is not None and result.robust_count >= stop_after:
-                    result.truncated = True
-                    result.cursor = block + 1
-                    return result
-            block += 1
-    result.cursor = block
-    result.completed = True
-    result.certifying = not result.truncated
-    return result
+
+            def build(d_index):
+                return _assemble_two_source(a_col, cols[d_index][:, None], kappa, n)
+
+            yield s_index * count + a_index, count, np.flatnonzero(clean), build
+        a_start = 0
+    return len(sectors) * count
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +380,9 @@ def _spread_mask(even_mask: int, odd_mask: int) -> int:
     return out
 
 
-def _side_tuples(count, size):
-    if size == 1:
-        return [(c,) for c in range(count)]
-    return [(c1, c2) for c1 in range(count) for c2 in range(count)]
+def _side_tuples(count, size) -> np.ndarray:
+    """Every tuple of ``size`` class indices, row-major, one per row."""
+    return np.stack(np.unravel_index(np.arange(count**size), (count,) * size), axis=1)
 
 
 class _ClassPack:
@@ -404,7 +428,7 @@ def _pair_not_dead(ea, oa, sea, soa, ed, od, sed, sod, sector, parity):
     return ~(block1 & block2 & ~couple)
 
 
-def _search_pair_double(space, budget, stop_after, keep_limit, started) -> SearchResult:
+def _pair_double_blocks(space):
     """Class-space scan for two hidden values on at least one side.
 
     Specific to the default pi/4 grid, where the correlation law is
@@ -415,31 +439,21 @@ def _search_pair_double(space, budget, stop_after, keep_limit, started) -> Searc
     ``models_examined`` tallies individually decided candidates only.
     """
     n = space.denominator
-    if n != 4:
-        raise GridError(
-            "the class-space search is built for the pi/4 grid; "
-            f"denominator {n} is not supported at this size"
-        )
     m = 2 * n
-    result = SearchResult(family=TWO_SOURCE)
     classes = _column_classes(m, space.value_domain)
     pack = _ClassPack(classes)
-    a_tuples = _side_tuples(len(classes), space.size1)
-    d_tuples = _side_tuples(len(classes), space.size4)
-    d_idx = np.array(d_tuples, dtype=np.int32)
+    a_idx = _side_tuples(len(classes), space.size1)
+    d_idx = _side_tuples(len(classes), space.size4)
     full_mask = (1 << m) - 1
-    supp = pack.supp.tolist()
+    patterns = 1 << (space.size1 * space.size4)
+    total = patterns * len(a_idx)
+    first, a_start = divmod(min(space.cursor, total), len(a_idx))
 
-    kappa_patterns = []
-    for code in range(1 << (space.size1 * space.size4)):
+    for code in range(first, patterns):
         bits = [(code >> k) & 1 for k in range(space.size1 * space.size4)]
         kappa = np.array(
             [1 - 2 * b for b in bits], dtype=np.int8
         ).reshape(space.size1, space.size4)
-        kappa_patterns.append(kappa)
-
-    block = 0
-    for kappa in kappa_patterns:
         realized = sorted({int(v) for v in kappa.ravel()}, reverse=True)
         sector_cols1 = {
             s: [i for i in range(space.size1) if s in kappa[i, :]] for s in realized
@@ -447,17 +461,21 @@ def _search_pair_double(space, budget, stop_after, keep_limit, started) -> Searc
         sector_cols4 = {
             s: [j for j in range(space.size4) if s in kappa[:, j]] for s in realized
         }
-        # a sector owns one or two first-station columns (size1 <= 2), so
-        # the first and the last of them cover its support union
-        first_last = [(cols[0], cols[-1]) for cols in sector_cols1.values()]
-        # bulk prune on the second station: every realized sector must be
-        # able to reach each of its angles
-        d_keep = np.ones(len(d_tuples), dtype=bool)
+        # bulk prune on both stations: every realized sector must be able to
+        # reach each of its angles; a sector owns one or two first-station
+        # columns (size1 <= 2), so the first and last cover its union
+        a_keep = np.ones(len(a_idx), dtype=bool)
+        a_keep[:a_start] = False
+        d_keep = np.ones(len(d_idx), dtype=bool)
         for s in realized:
-            union = np.zeros(len(d_tuples), dtype=np.uint16)
+            cols1 = sector_cols1[s]
+            a_union = pack.supp[a_idx[:, cols1[0]]] | pack.supp[a_idx[:, cols1[-1]]]
+            a_keep &= a_union == full_mask
+            union = np.zeros(len(d_idx), dtype=np.uint16)
             for j in sector_cols4[s]:
                 union |= pack.supp[d_idx[:, j]]
             d_keep &= union == full_mask
+        a_start = 0
         rows = np.nonzero(d_keep)[0]
         d_cols = [d_idx[rows, j] for j in range(space.size4)]
         d_supp64 = [pack.supp[col].astype(np.uint64) for col in d_cols]
@@ -475,19 +493,8 @@ def _search_pair_double(space, budget, stop_after, keep_limit, started) -> Searc
                             s, parity,
                         )
 
-        for a_cols in a_tuples:
-            if block < space.cursor:
-                block += 1
-                continue
-            if budget is not None and time.monotonic() - started > budget:
-                result.cursor = block
-                return result
-            block += 1
-            # mirror prune on the first station
-            if any(
-                (supp[a_cols[i]] | supp[a_cols[j]]) != full_mask for i, j in first_last
-            ):
-                continue
+        for a_pos in np.flatnonzero(a_keep).tolist():
+            a_cols = a_idx[a_pos].tolist()
             cover = {key: np.zeros(len(rows), dtype=np.uint64) for key in
                      ((s, parity) for s in realized for parity in (0, 1))}
             relevant1 = [np.zeros(len(rows), dtype=bool) for _ in range(space.size1)]
@@ -514,29 +521,16 @@ def _search_pair_double(space, budget, stop_after, keep_limit, started) -> Searc
                 keep &= alive
             for alive in relevant4:
                 keep &= alive
-            result.models_examined += len(rows)
-            hits = np.nonzero(keep)[0]
-            for position, hit in enumerate(hits):
-                if len(result.robust_found) >= keep_limit:
-                    result.robust_count += len(hits) - position
-                    break
-                a = np.stack(
-                    [_class_column(classes[c], m) for c in a_cols], axis=1
-                )
+
+            def build(hit):
+                a = np.stack([_class_column(classes[c], m) for c in a_cols], axis=1)
                 d = np.stack(
                     [_class_column(classes[c], m) for c in d_idx[rows[hit]]], axis=1
                 )
-                _record_survivor(
-                    result, _assemble_two_source(a, d, kappa.copy(), n), keep_limit
-                )
-            if stop_after is not None and result.robust_count >= stop_after:
-                result.truncated = True
-                result.cursor = block
-                return result
-    result.cursor = block
-    result.completed = True
-    result.certifying = not result.truncated
-    return result
+                return _assemble_two_source(a, d, kappa, n)
+
+            yield code * len(a_idx) + a_pos, len(rows), np.flatnonzero(keep), build
+    return total
 
 
 def search_two_source(
@@ -547,26 +541,28 @@ def search_two_source(
 ) -> SearchResult:
     """Enumerate two-source candidates and return the robust survivors.
 
-    ``robust_count`` tallies every survivor; the first ``keep_limit`` are
-    stored, and each stored model is re-verified by the robustness module
-    before being reported. ``stop_after`` ends the run once the tally
-    reaches that many (deterministically: enumeration order does not
-    depend on timing, and the tally always includes the whole block that
-    crossed the threshold); ``budget_seconds`` bounds wall time and, when
-    exceeded, yields a partial, non-certifying result whose cursor
-    resumes the scan.
+    The run follows the rules ``SearchResult`` states: the first
+    ``keep_limit`` survivors are kept and re-verified, ``stop_after`` ends
+    the run on a whole-block boundary once the tally reaches it (so the
+    result does not depend on timing), ``budget_seconds`` bounds wall time
+    and, when spent, yields a partial result whose cursor resumes the
+    scan, and only a whole run from cursor 0 is certifying.
+    ``consistent_found`` lists the kept models that factorize cleanly.
+    ``stop_after`` must be positive and ``budget_seconds`` finite and
+    nonnegative.
     """
     if space.family != TWO_SOURCE:
         raise ValueError("search_two_source requires a two_source space")
-    started = time.monotonic()
     if space.size1 == 1 and space.size4 == 1:
-        result = _search_pair_single(space, budget_seconds, stop_after, keep_limit, started)
+        blocks = _pair_single_blocks(space)
+    elif space.denominator == 4:
+        blocks = _pair_double_blocks(space)
     else:
-        result = _search_pair_double(space, budget_seconds, stop_after, keep_limit, started)
-    result.elapsed_seconds = time.monotonic() - started
-    if not result.completed and not result.truncated:
-        result.notes = "budget exhausted; partial result, not certifying"
-    return result
+        raise GridError(
+            "the class-space search is built for the pi/4 grid; "
+            f"denominator {space.denominator} is not supported at this size"
+        )
+    return _drive(space, blocks, budget_seconds, stop_after, keep_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +683,62 @@ def _assemble_single_source(sa, sd, station, partner, analyzer, n) -> LhvModel:
     )
 
 
+def _support_pairs(m: int, minimum: int, start: int = 0):
+    """Support-mask pairs from block ``start`` on, in the documented order.
+
+    Each mask covers at least ``minimum`` of the ``m`` angles; pairs come
+    by ascending total size, then first mask, then second mask, and are
+    generated one at a time rather than sorted up front.
+    """
+    by_size = [[] for _ in range(m + 1)]
+    for mask in range(1, 1 << m):
+        by_size[mask.bit_count()].append(mask)
+    block = 0
+    for total in range(2 * minimum, 2 * m + 1):
+        for ma in range(1, 1 << m):
+            size = ma.bit_count()
+            if size < minimum or not minimum <= total - size <= m:
+                continue
+            partners = by_size[total - size]
+            if block + len(partners) > start:
+                for md in partners[max(start - block, 0):]:
+                    yield ma, md
+            block += len(partners)
+
+
+def _single_source_blocks(space, efficiency_floor):
+    """One block per support pair; a hit is a model passing the search predicate.
+
+    Pairs that can put an event at every angle tuple go to the sign
+    propagation; a solution is assembled into a full model and survives
+    when it is robust and both stations fire at every angle at least at
+    the floor rate.
+    """
+    n = space.denominator
+    m = 2 * n
+    minimum = max(int(np.ceil(efficiency_floor * m - 1e-9)), 1)
+    total = sum(math.comb(m, k) for k in range(minimum, m + 1)) ** 2
+    start = min(space.cursor, total)
+    for block, (ma, md) in enumerate(_support_pairs(m, minimum, start), start):
+        sa = [x for x in range(m) if ma >> x & 1]
+        sd = [x for x in range(m) if md >> x & 1]
+        reachable = {
+            (a - dd - r) % m for a in sa for dd in sd for r in (0, 1)
+        }
+        solution = _propagate_signs(sa, sd, n) if len(reachable) == m else None
+        hits = ()
+        if solution is not None:
+            model = _assemble_single_source(sa, sd, *solution, n)
+            rate = min(
+                np.count_nonzero(table, axis=1).min() / table.shape[1]
+                for table in (model.a, model.d)
+            )
+            if rate >= efficiency_floor and is_robust(model).is_robust:
+                hits = (model,)
+        yield block, 1, hits, lambda model: model
+    return total
+
+
 def search_single_source(
     space: SearchSpace,
     efficiency_floor: float = 0.5,
@@ -700,76 +752,15 @@ def search_single_source(
     angle); the analyzer always fires. Support pairs are enumerated by
     ascending total size, kept when they can put an event at every angle
     tuple, and handed to the sign propagation; each solution is assembled
-    into a full model and re-verified before being reported.
+    into a full model and tested. The run follows the rules
+    ``SearchResult`` states (kept models re-verified, ``stop_after`` on a
+    whole block, certifying only from cursor 0); ``consistent_found``
+    stays empty. ``stop_after`` must be positive and ``budget_seconds``
+    finite and nonnegative.
     """
     if space.family != SINGLE_SOURCE:
         raise ValueError("search_single_source requires a single_source space")
     if not 0.0 <= efficiency_floor <= 1.0:
         raise ValueError("efficiency_floor must lie in [0, 1]")
-    started = time.monotonic()
-    n = space.denominator
-    m = 2 * n
-    result = SearchResult(family=SINGLE_SOURCE)
-    minimum = max(int(np.ceil(efficiency_floor * m - 1e-9)), 1)
-
-    masks = sorted(range(1, 1 << m), key=lambda v: (bin(v).count("1"), v))
-    pairs = [
-        (ma, md)
-        for ma in masks
-        if bin(ma).count("1") >= minimum
-        for md in masks
-        if bin(md).count("1") >= minimum
-    ]
-    pairs.sort(
-        key=lambda p: (bin(p[0]).count("1") + bin(p[1]).count("1"), p)
-    )
-    block = 0
-    for ma, md in pairs:
-        if block < space.cursor:
-            block += 1
-            continue
-        if budget_seconds is not None and time.monotonic() - started > budget_seconds:
-            result.cursor = block
-            result.notes = "budget exhausted; partial result, not certifying"
-            result.elapsed_seconds = time.monotonic() - started
-            return result
-        block += 1
-        sa = [x for x in range(m) if ma >> x & 1]
-        sd = [x for x in range(m) if md >> x & 1]
-        reachable = {
-            (a - dd - r) % m for a in sa for dd in sd for r in (0, 1)
-        }
-        result.models_examined += 1
-        if len(reachable) != m:
-            continue
-        solution = _propagate_signs(sa, sd, n)
-        if solution is None:
-            continue
-        model = _assemble_single_source(sa, sd, *solution, n)
-        report = is_robust(model)
-        rate_a = min(
-            float(np.count_nonzero(model.a[k, :])) / model.a.shape[1]
-            for k in range(m)
-        )
-        rate_d = min(
-            float(np.count_nonzero(model.d[k, :])) / model.d.shape[1]
-            for k in range(m)
-        )
-        if not report.is_robust or rate_a < efficiency_floor or rate_d < efficiency_floor:
-            continue
-        result.robust_count += 1
-        if len(result.robust_found) < keep_limit:
-            result.robust_found.append(model)
-        if result.first_found is None:
-            result.first_found = model
-            result.first_report = report
-        if stop_after is not None and result.robust_count >= stop_after:
-            result.truncated = True
-            result.cursor = block
-            result.elapsed_seconds = time.monotonic() - started
-            return result
-    result.cursor = block
-    result.completed = True
-    result.certifying = not result.truncated
-    result.elapsed_seconds = time.monotonic() - started
-    return result
+    blocks = _single_source_blocks(space, efficiency_floor)
+    return _drive(space, blocks, budget_seconds, stop_after, keep_limit)

@@ -240,6 +240,29 @@ class TestSearch:
         assert payload_value(out, "models_examined") == "0"
         assert payload_value(out, "completed") == "yes"
 
+    def test_resumed_run_certifies_nothing(self, capsys):
+        # the 16 robust models of this space all lie before block 1500
+        code, out, _ = invoke(
+            capsys, "search", "--family", "two_source", "--size1", "1",
+            "--size4", "2", "--resume", "1500",
+        )
+        assert code == 0
+        assert payload_value(out, "robust_count") == "0"
+        assert payload_value(out, "completed") == "yes"
+        assert payload_value(out, "certifying") == "no"
+        assert "complete enumeration" not in payload_value(out, "summary")
+
+    @pytest.mark.parametrize("family", ["two_source", "single_source"])
+    @pytest.mark.parametrize(
+        "limit", [("--stop-after", "0"), ("--stop-after", "-3"),
+                  ("--budget", "nan"), ("--budget", "inf"), ("--budget", "-1")],
+    )
+    def test_bad_search_limits_are_usage_errors(self, capsys, family, limit):
+        code, out, err = invoke(capsys, "search", "--family", family, *limit)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_oversized_space_is_a_usage_error(self, capsys):
         code, out, err = invoke(
             capsys, "search", "--family", "two_source", "--size1", "3"

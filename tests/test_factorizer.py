@@ -26,7 +26,6 @@ from bellswap.robustness import RobustnessReport
 
 from helpers import (
     block_diagonal,
-    checkerboard,
     compose_two_source,
     loop_constraints,
     materialized_consistency,

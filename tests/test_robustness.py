@@ -10,7 +10,7 @@ import pytest
 from helpers import compose_two_source, rebuild
 
 from bellswap.angles import correlation_index, required_sign
-from bellswap.model import LhvModel, product_tensor, realized_sectors
+from bellswap.model import product_tensor, realized_sectors
 from bellswap.robustness import (
     CorrelationWitness,
     CountsWitness,

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import functools
+import hashlib
+import itertools
+import tracemalloc
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ import pytest
 from bellswap.angles import GridError, sign_table
 from bellswap.factorizer import factorize
 from bellswap.model import SINGLE_SOURCE, TWO_SOURCE, LhvModel, dumps, event_count
-from bellswap.robustness import is_robust
+from bellswap.robustness import RobustnessReport, is_robust
 from bellswap.search import (
     SearchSpace,
     forced_analyzer,
@@ -24,6 +29,7 @@ from bellswap.search import (
     _column_classes,
     _pair_not_dead,
     _spread_mask,
+    _support_pairs,
 )
 from helpers import (
     both_sector_model,
@@ -37,6 +43,10 @@ def two_source_space(**kwargs):
     defaults = dict(family=TWO_SOURCE, denominator=4, size1=1, size4=1)
     defaults.update(kwargs)
     return SearchSpace(**defaults)
+
+
+def single_source_space(**kwargs):
+    return SearchSpace(family=SINGLE_SOURCE, denominator=4, size1=16, **kwargs)
 
 
 def assemble(a, d, kappa, n):
@@ -381,6 +391,177 @@ class TestClassSearch:
             assert is_robust(model).is_robust
 
 
+# ---------------------------------------------------------------------------
+# every SearchResult field (but elapsed_seconds) of a fixed set of runs
+
+@dataclass(frozen=True)
+class Pin:
+    examined: int
+    robust: int
+    cursor: int
+    flags: str  # the true ones among completed, certifying, truncated
+    kept: str = ""  # sha256(dumps(model))[:16] of each kept model, in order
+    consistent: tuple[int, ...] = ()  # keep-list positions of consistent_found
+
+
+# A name in place of a space resumes from that row's cursor.
+PINNED_RUNS = {
+    "1x1 n=1": (two_source_space(denominator=1), {}),
+    "1x1 n=2": (two_source_space(denominator=2), {}),
+    "1x1 n=4": (two_source_space(), {}),
+    "1x2": (two_source_space(size4=2), {}),
+    "1x2 stop_after=3": (two_source_space(size4=2), dict(stop_after=3)),
+    "1x2 resumed": ("1x2 stop_after=3", {}),
+    "2x1": (two_source_space(size1=2), {}),
+    "2x1 stop_after=3": (two_source_space(size1=2), dict(stop_after=3)),
+    "2x1 resumed": ("2x1 stop_after=3", {}),
+    "2x2 signs": (two_source_space(size1=2, size4=2, value_domain="signs"), {}),
+    "2x2 stop_after=1": (two_source_space(size1=2, size4=2), dict(stop_after=1)),
+    "1x1 resume past end": (two_source_space(cursor=1000), {}),
+    "single floor=0.0": (single_source_space(), dict(efficiency_floor=0.0)),
+    "single floor=0.5": (single_source_space(), dict(efficiency_floor=0.5)),
+    "single floor=1.0": (single_source_space(), dict(efficiency_floor=1.0)),
+}
+
+# Recorded before the search engine got its single driver. The one
+# deliberate change since: resumed rows no longer certify.
+PINS = {
+    '1x1 n=1': Pin(
+        8, 2, 4, 'completed certifying',
+        kept="""
+            c540b411e1f28deb e2e9b58bac073b01
+        """,
+        consistent=(0, 1),
+    ),
+    '1x1 n=2': Pin(
+        128, 2, 16, 'completed certifying',
+        kept="""
+            7d4e2dc073bd77be e91a1f16475f6ebb
+        """,
+        consistent=(0, 1),
+    ),
+    '1x1 n=4': Pin(
+        32768, 0, 256, 'completed certifying',
+    ),
+    '1x2': Pin(
+        102408, 16, 1920, 'completed certifying',
+        kept="""
+            d3978a09fb140fa3 74994cd0d1cb87cb 71c340392ef3daf6 5f5377491014ea79
+            70b2a634694cd53d f935a62be3b0d421 b94e53539b8847a2 9e2e6bc255949ac1
+            c7ee30c1b3bbcacc aa1146ba80f15a28 c791f71ba84fcbe5 8a1e6b08ff0abacc
+            24d2cc804b5b2347 079f976ff0520330 2b513af36eb3ee81 1897b5e098e34b63
+        """,
+    ),
+    '1x2 stop_after=3': Pin(
+        25598, 4, 1, 'truncated',
+        kept="""
+            d3978a09fb140fa3 74994cd0d1cb87cb 71c340392ef3daf6 5f5377491014ea79
+        """,
+    ),
+    '1x2 resumed': Pin(
+        76810, 12, 1920, 'completed',
+        kept="""
+            70b2a634694cd53d f935a62be3b0d421 b94e53539b8847a2 9e2e6bc255949ac1
+            c7ee30c1b3bbcacc aa1146ba80f15a28 c791f71ba84fcbe5 8a1e6b08ff0abacc
+            24d2cc804b5b2347 079f976ff0520330 2b513af36eb3ee81 1897b5e098e34b63
+        """,
+    ),
+    '2x1': Pin(
+        102408, 16, 921600, 'completed certifying',
+        kept="""
+            fdea5417ed4a20e3 78ef79ac2f6b6264 244304300f0ffe5f e6d4384acc4a875e
+            8a0153b362f31eb6 f6be0b1db7a32d91 f2bdf31fa5b0a0b5 5ed1fb6935f0efd7
+            92f39a4fb44a31bd 6e75842612501b38 bab15b5fc3a9c490 c5d55b7aa89ff7f5
+            aada918bad082bac b5bbf2776195c63a a015dadf4e5ddb74 5cab7970ac3b3809
+        """,
+    ),
+    '2x1 stop_after=3': Pin(
+        962, 4, 481, 'truncated',
+        kept="""
+            fdea5417ed4a20e3 78ef79ac2f6b6264 244304300f0ffe5f e6d4384acc4a875e
+        """,
+    ),
+    '2x1 resumed': Pin(
+        101446, 12, 921600, 'completed',
+        kept="""
+            8a0153b362f31eb6 f6be0b1db7a32d91 f2bdf31fa5b0a0b5 5ed1fb6935f0efd7
+            92f39a4fb44a31bd 6e75842612501b38 bab15b5fc3a9c490 c5d55b7aa89ff7f5
+            aada918bad082bac b5bbf2776195c63a a015dadf4e5ddb74 5cab7970ac3b3809
+        """,
+    ),
+    '2x2 signs': Pin(
+        256, 72, 64, 'completed certifying',
+        kept="""
+            cd5742d24a2b7b2d a0c1c92bd67c69e5 0f0e8fa01605d3da 04c4d56401c85531
+            6c3c1d297b407fa1 7f76826ac645ec39 c4d547d710c3d3dd d03184a536a67ffd
+            66d4871c177ae057 8c4fcb836343f596 c9735a6b3d45d12e 7fdc51f3d375b243
+            31dfe861f52ca791 d6411c38695a0fd7 e30ad5a1c53b135e 548a86b6458eee7d
+        """,
+    ),
+    '2x2 stop_after=1': Pin(
+        25598, 4, 1, 'truncated',
+        kept="""
+            cd5742d24a2b7b2d a0c1c92bd67c69e5 3bcbd0f3d001aa11 67858cdba4ebe592
+        """,
+    ),
+    '1x1 resume past end': Pin(
+        0, 0, 256, 'completed',
+    ),
+    'single floor=0.0': Pin(
+        715, 1, 715, 'truncated',
+        kept="""
+            62d607b79373eb26
+        """,
+    ),
+    'single floor=0.5': Pin(
+        21, 1, 21, 'truncated',
+        kept="""
+            295505bd1e713a80
+        """,
+    ),
+    'single floor=1.0': Pin(
+        1, 0, 1, 'completed certifying',
+    ),
+}
+
+
+@functools.cache
+def pinned_run(name):
+    space, kwargs = PINNED_RUNS[name]
+    if isinstance(space, str):
+        space = replace(PINNED_RUNS[space][0], cursor=pinned_run(space).cursor)
+    if space.family == SINGLE_SOURCE:
+        return search_single_source(space, **kwargs)
+    return search_two_source(space, **kwargs)
+
+
+def digest(model):
+    return hashlib.sha256(dumps(model).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", PINS)
+def test_pinned_search_results(name):
+    result = pinned_run(name)
+    pin = PINS[name]
+    family = SINGLE_SOURCE if name.startswith("single") else TWO_SOURCE
+    assert result.family == family
+    assert (result.models_examined, result.robust_count, result.cursor) == (
+        pin.examined, pin.robust, pin.cursor
+    )
+    flags = {"completed", "certifying", "truncated"}
+    assert {flag for flag in flags if getattr(result, flag)} == set(pin.flags.split())
+    assert result.notes == ""
+    kept = result.robust_found
+    assert [digest(model) for model in kept] == pin.kept.split()
+    assert result.first_found is (kept[0] if kept else None)
+    assert result.first_report == (RobustnessReport(None, None, None) if kept else None)
+    positions = [
+        next(i for i, model in enumerate(kept) if model is found)
+        for found in result.consistent_found
+    ]
+    assert tuple(positions) == pin.consistent
+
+
 class TestSingleSourceSearch:
     def test_half_floor_finds_a_witness(self):
         space = SearchSpace(family=SINGLE_SOURCE, denominator=4, size1=16)
@@ -478,3 +659,117 @@ class TestOracleCount:
     def test_rejects_bad_sector(self):
         with pytest.raises(ValueError):
             oracle_count(self.all_delta_one(), (0, 0, 0, 0), 0)
+
+
+# ---------------------------------------------------------------------------
+# the rules every enumerator shares through the one driver
+
+# (search, space, kwargs) per enumerator: sign scan, class scan, single source
+ENUMERATORS = {
+    "pair_single": (search_two_source, two_source_space(denominator=2), {}),
+    "pair_double": (search_two_source, two_source_space(size4=2), {}),
+    "single_source": (search_single_source, single_source_space(), {}),
+}
+
+
+class TestResumedRuns:
+    @pytest.mark.parametrize(
+        "search, space, kwargs, cursor",
+        [
+            (search_two_source, two_source_space(denominator=2), {}, 16),
+            # every one of the 16 robust models lies before block 1500
+            (search_two_source, two_source_space(size4=2), {}, 1500),
+            (search_single_source, single_source_space(), dict(efficiency_floor=1.0), 1),
+        ],
+        ids=list(ENUMERATORS),
+    )
+    def test_a_resumed_run_never_certifies(self, search, space, kwargs, cursor):
+        whole = search(space, **kwargs)
+        resumed = search(replace(space, cursor=cursor), **kwargs)
+        assert whole.certifying
+        assert resumed.completed and resumed.robust_count == 0
+        assert not resumed.certifying
+
+
+class TestSearchLimits:
+    @pytest.mark.parametrize("name", ENUMERATORS)
+    @pytest.mark.parametrize("stop_after", [0, -3])
+    def test_stop_after_must_be_positive(self, name, stop_after):
+        search, space, kwargs = ENUMERATORS[name]
+        with pytest.raises(ValueError, match="stop_after"):
+            search(space, stop_after=stop_after, **kwargs)
+
+    @pytest.mark.parametrize("name", ENUMERATORS)
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0])
+    def test_budget_must_be_finite_and_nonnegative(self, name, budget):
+        search, space, kwargs = ENUMERATORS[name]
+        with pytest.raises(ValueError, match="budget_seconds"):
+            search(space, budget_seconds=budget, **kwargs)
+
+    @pytest.mark.parametrize("name", ENUMERATORS)
+    def test_keep_limit_zero_keeps_nothing(self, name):
+        search, space, kwargs = ENUMERATORS[name]
+        result = search(space, keep_limit=0, **kwargs)
+        assert result.robust_count > 0
+        assert result.robust_found == [] and result.consistent_found == []
+        assert result.first_found is None and result.first_report is None
+
+
+def ticking_clock():
+    """A monotonic clock that advances one second per reading."""
+    return SimpleNamespace(monotonic=itertools.count().__next__)
+
+
+class TestBudget:
+    @pytest.mark.parametrize("name", ENUMERATORS)
+    def test_spent_budget_resumes_to_the_whole_run(self, name, monkeypatch):
+        search, space, kwargs = ENUMERATORS[name]
+        whole = search(space, **kwargs)
+        monkeypatch.setattr("bellswap.search.time", ticking_clock())
+        head = search(space, budget_seconds=2, **kwargs)
+        monkeypatch.undo()
+        assert not head.completed and not head.truncated and not head.certifying
+        assert head.notes == "budget exhausted; partial result, not certifying"
+        assert 0 < head.cursor < whole.cursor
+        tail = search(replace(space, cursor=head.cursor), **kwargs)
+        assert tail.completed == whole.completed
+        assert head.robust_count + tail.robust_count == whole.robust_count
+        assert head.models_examined + tail.models_examined == whole.models_examined
+
+    def test_spent_budget_at_n6_builds_no_pair_list(self, monkeypatch):
+        space = SearchSpace(family=SINGLE_SOURCE, denominator=6, size1=24)
+        monkeypatch.setattr("bellswap.search.time", ticking_clock())
+        tracemalloc.start()
+        try:
+            result = search_single_source(space, budget_seconds=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.cursor == 0 and result.models_examined == 0
+        assert not result.completed and not result.certifying
+        assert peak < 20 * 2**20
+
+
+def sorted_support_pairs(m, minimum):
+    """The eager ordering the single-source search once built up front."""
+    masks = sorted(range(1, 1 << m), key=lambda v: (bin(v).count("1"), v))
+    pairs = [
+        (ma, md)
+        for ma in masks
+        if bin(ma).count("1") >= minimum
+        for md in masks
+        if bin(md).count("1") >= minimum
+    ]
+    pairs.sort(key=lambda p: (bin(p[0]).count("1") + bin(p[1]).count("1"), p))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("floor", [0.0, 0.5, 1.0])
+def test_support_pairs_stream_in_the_sorted_order(n, floor):
+    m = 2 * n
+    minimum = max(int(np.ceil(floor * m - 1e-9)), 1)
+    expected = sorted_support_pairs(m, minimum)
+    assert list(_support_pairs(m, minimum)) == expected
+    for start in (1, len(expected) // 3, len(expected) - 1, len(expected)):
+        assert list(_support_pairs(m, minimum, start)) == expected[start:]

@@ -22,7 +22,6 @@ from bellswap.model import (
 from bellswap.robustness import (
     RelevanceWitness,
     check_perfect_correlations,
-    check_relevance,
     is_robust,
 )
 from bellswap.zoo import (
