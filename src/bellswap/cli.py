@@ -355,8 +355,14 @@ def _cmd_search(args) -> tuple[int, Report]:
             payload.append(("saved", args.out))
     if result.certifying and result.robust_count == 0:
         summary = "no robust model exists in this space (complete enumeration)"
+    elif result.completed and not result.certifying:
+        found = (
+            f"robust models found: {result.robust_count}"
+            if result.robust_count else "no robust model found"
+        )
+        summary = f"{found} from cursor {space.cursor} on (resumed run, not certifying)"
     elif result.robust_count:
-        qualifier = "complete" if result.completed else "partial"
+        qualifier = "complete" if result.certifying else "partial"
         summary = f"robust models found: {result.robust_count} ({qualifier} run)"
     else:
         summary = "no robust model found (enumeration incomplete)"

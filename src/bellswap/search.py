@@ -6,7 +6,7 @@ each candidate admits, and keeps the candidates the robustness module
 accepts. For single-source spaces it searches a shift-covariant family
 whose members are pinned down by unit propagation over sign equations.
 
-Soundness rests on two facts proved here and property-tested in the suite:
+Soundness rests on three facts proved here and property-tested in the suite:
 
 * Maximal analyzer. Given station tables and a sector map, the correlation
   law pins every analyzer cell to a single sign, forbids it (two demands
@@ -31,6 +31,18 @@ Soundness rests on two facts proved here and property-tested in the suite:
   and side constants, and replacing a non-constant side by a constant one
   of the same support never shrinks the alive set, so the enumeration may
   restrict to twisted-constant columns without missing any support shape.
+
+* Block keys (class space). Under a fixed sector map the exact check
+  reads a first-station column through its support and its kind only:
+  single-sided (no family it touches can die) or two-sided with side
+  constant product +1 or -1 (which picks the family fates). Byte r of a
+  sector's cover is the OR, over the columns whose support holds angle r,
+  of their alive partners' supports, so it depends on the tuple only
+  through which columns support r; the relevance flags depend on the
+  kinds alone. Tuples that agree on their kinds and on the set of these
+  per-angle patterns therefore keep the same second-station rows, and
+  each sector map decides one block per such key (at most 9 x 7 keys for
+  two hidden values).
 """
 
 from __future__ import annotations
@@ -381,8 +393,12 @@ def _spread_mask(even_mask: int, odd_mask: int) -> int:
 
 
 def _side_tuples(count, size) -> np.ndarray:
-    """Every tuple of ``size`` class indices, row-major, one per row."""
-    return np.stack(np.unravel_index(np.arange(count**size), (count,) * size), axis=1)
+    """Every tuple of ``size`` class indices, row-major, one per row.
+
+    Stored as int16 (there are 480 classes at most): the table is rebuilt
+    per search, and at 2x2 its int64 form was the largest allocation.
+    """
+    return np.indices((count,) * size, dtype=np.int16).reshape(size, -1).T
 
 
 class _ClassPack:
@@ -428,6 +444,30 @@ def _pair_not_dead(ea, oa, sea, soa, ed, od, sed, sod, sector, parity):
     return ~(block1 & block2 & ~couple)
 
 
+def _block_keys(pack, tuples: np.ndarray) -> np.ndarray:
+    """Decision key of each first-station tuple, one tuple per row.
+
+    The exact check reads a first-station column only through its kind
+    (single-sided, or two-sided with side-constant product +1 or -1) and,
+    at each angle, through which columns support that angle. A key packs
+    the kinds with the set of those per-angle patterns, so two tuples with
+    equal keys keep the same second-station rows under any sector map.
+    """
+    # kind 0 single-sided, 1 two-sided with pa = +1, 2 with pa = -1
+    kind = pack.two_sided * np.where(pack.pa == 1, 1, 2).astype(np.uint16)
+    kinds = np.zeros(len(tuples), dtype=np.uint16)
+    for col in tuples.T:
+        kinds = 3 * kinds + kind[col]
+    supp = [pack.supp[col] for col in tuples.T]
+    present = np.zeros(len(tuples), dtype=np.uint16)
+    for r in range(8):
+        pattern = np.zeros(len(tuples), dtype=np.uint16)
+        for i, col in enumerate(supp):
+            pattern |= (col >> r & 1) << i
+        present |= np.left_shift(1, pattern, dtype=np.uint16)
+    return kinds.astype(np.int64) << (1 << len(supp)) | present
+
+
 def _pair_double_blocks(space):
     """Class-space scan for two hidden values on at least one side.
 
@@ -437,6 +477,14 @@ def _pair_double_blocks(space):
     necessary conditions (each sector must reach every station angle on
     both sides); surviving rows get the exact family-fate evaluation, so
     ``models_examined`` tallies individually decided candidates only.
+
+    A candidate is decided by the family fates of its station pairs: for
+    each realized sector and parity, the alive (or free) pairs' support
+    rectangles must cover every angle pair, and every hidden value on both
+    sides must sit in some alive pair. That verdict depends on the
+    first-station tuple only through its block key, so each sector map
+    decides one block per key, on first meeting it, and every later block
+    with that key reuses the surviving rows.
     """
     n = space.denominator
     m = 2 * n
@@ -493,8 +541,7 @@ def _pair_double_blocks(space):
                             s, parity,
                         )
 
-        for a_pos in np.flatnonzero(a_keep).tolist():
-            a_cols = a_idx[a_pos].tolist()
+        def decide(a_cols):
             cover = {key: np.zeros(len(rows), dtype=np.uint64) for key in
                      ((s, parity) for s in realized for parity in (0, 1))}
             relevant1 = [np.zeros(len(rows), dtype=bool) for _ in range(space.size1)]
@@ -521,6 +568,18 @@ def _pair_double_blocks(space):
                 keep &= alive
             for alive in relevant4:
                 keep &= alive
+            hits = np.flatnonzero(keep)
+            hits.flags.writeable = False
+            return hits
+
+        positions = np.flatnonzero(a_keep)
+        keys = _block_keys(pack, a_idx[positions])
+        decided: dict[int, np.ndarray] = {}
+        for a_pos, key in zip(positions.tolist(), keys.tolist()):
+            a_cols = a_idx[a_pos].tolist()
+            hits = decided.get(key)
+            if hits is None:
+                hits = decided[key] = decide(a_cols)
 
             def build(hit):
                 a = np.stack([_class_column(classes[c], m) for c in a_cols], axis=1)
@@ -529,7 +588,7 @@ def _pair_double_blocks(space):
                 )
                 return _assemble_two_source(a, d, kappa, n)
 
-            yield code * len(a_idx) + a_pos, len(rows), np.flatnonzero(keep), build
+            yield code * len(a_idx) + a_pos, len(rows), hits, build
     return total
 
 

@@ -13,6 +13,15 @@ import numpy as np
 
 from bellswap.factorizer import ConsistencyWitness
 from bellswap.model import LhvModel, selected_analyzer
+from bellswap.search import (
+    FULL64,
+    _assemble_two_source,
+    _class_column,
+    _ClassPack,
+    _column_classes,
+    _pair_not_dead,
+    _side_tuples,
+)
 
 
 def checkerboard(size1: int, size4: int) -> np.ndarray:
@@ -396,3 +405,101 @@ def union_find_blocks(model: LhvModel, constraints):
     for reduced, _, kind, where in constraints:
         owned[find(reduced[0])].append(f"{kind}: {where}")
     return [(tuple(blocks[root]), root, owned[root]) for root in sorted(blocks)]
+
+
+def unmemoized_double_blocks(space):
+    """Oracle for the class-space stream: every block decided on its own.
+
+    The per-block loop the search ran before it decided blocks by their
+    first-station key; same ``(block, examined, hits, build)`` items and
+    the same return value.
+    """
+    n = space.denominator
+    m = 2 * n
+    classes = _column_classes(m, space.value_domain)
+    pack = _ClassPack(classes)
+    a_idx = _side_tuples(len(classes), space.size1)
+    d_idx = _side_tuples(len(classes), space.size4)
+    full_mask = (1 << m) - 1
+    patterns = 1 << (space.size1 * space.size4)
+    total = patterns * len(a_idx)
+    first, a_start = divmod(min(space.cursor, total), len(a_idx))
+
+    for code in range(first, patterns):
+        bits = [(code >> k) & 1 for k in range(space.size1 * space.size4)]
+        kappa = np.array(
+            [1 - 2 * b for b in bits], dtype=np.int8
+        ).reshape(space.size1, space.size4)
+        realized = sorted({int(v) for v in kappa.ravel()}, reverse=True)
+        sector_cols1 = {
+            s: [i for i in range(space.size1) if s in kappa[i, :]] for s in realized
+        }
+        sector_cols4 = {
+            s: [j for j in range(space.size4) if s in kappa[:, j]] for s in realized
+        }
+        a_keep = np.ones(len(a_idx), dtype=bool)
+        a_keep[:a_start] = False
+        d_keep = np.ones(len(d_idx), dtype=bool)
+        for s in realized:
+            cols1 = sector_cols1[s]
+            a_union = pack.supp[a_idx[:, cols1[0]]] | pack.supp[a_idx[:, cols1[-1]]]
+            a_keep &= a_union == full_mask
+            union = np.zeros(len(d_idx), dtype=np.uint16)
+            for j in sector_cols4[s]:
+                union |= pack.supp[d_idx[:, j]]
+            d_keep &= union == full_mask
+        a_start = 0
+        rows = np.nonzero(d_keep)[0]
+        d_cols = [d_idx[rows, j] for j in range(space.size4)]
+        d_supp64 = [pack.supp[col].astype(np.uint64) for col in d_cols]
+        trivial = np.ones(len(rows), dtype=bool)
+        ok_cache = {}
+        for j in range(space.size4):
+            col = d_cols[j]
+            for s in realized:
+                for parity in (0, 1):
+                    for pa in (1, -1):
+                        ok_cache[(j, s, parity, pa)] = _pair_not_dead(
+                            1, 1, 1, pa,
+                            pack.even[col], pack.odd[col],
+                            pack.sig_e[col], pack.sig_o[col],
+                            s, parity,
+                        )
+
+        for a_pos in np.flatnonzero(a_keep).tolist():
+            a_cols = a_idx[a_pos].tolist()
+            cover = {key: np.zeros(len(rows), dtype=np.uint64) for key in
+                     ((s, parity) for s in realized for parity in (0, 1))}
+            relevant1 = [np.zeros(len(rows), dtype=bool) for _ in range(space.size1)]
+            relevant4 = [np.zeros(len(rows), dtype=bool) for _ in range(space.size4)]
+            for i, ci in enumerate(a_cols):
+                factor = pack.factor[ci]
+                for j in range(space.size4):
+                    s = int(kappa[i, j])
+                    rect = d_supp64[j] * factor
+                    for parity in (0, 1):
+                        if pack.two_sided[ci]:
+                            ok = ok_cache[(j, s, parity, int(pack.pa[ci]))]
+                            cover[(s, parity)] |= np.where(ok, rect, np.uint64(0))
+                        else:
+                            ok = trivial
+                            cover[(s, parity)] |= rect
+                        relevant1[i] |= ok
+                        relevant4[j] |= ok
+            keep = np.ones(len(rows), dtype=bool)
+            for key in cover:
+                keep &= cover[key] == FULL64
+            for alive in relevant1:
+                keep &= alive
+            for alive in relevant4:
+                keep &= alive
+
+            def build(hit):
+                a = np.stack([_class_column(classes[c], m) for c in a_cols], axis=1)
+                d = np.stack(
+                    [_class_column(classes[c], m) for c in d_idx[rows[hit]]], axis=1
+                )
+                return _assemble_two_source(a, d, kappa, n)
+
+            yield code * len(a_idx) + a_pos, len(rows), np.flatnonzero(keep), build
+    return total

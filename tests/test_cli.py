@@ -252,6 +252,22 @@ class TestSearch:
         assert payload_value(out, "certifying") == "no"
         assert "complete enumeration" not in payload_value(out, "summary")
 
+    @pytest.mark.parametrize(
+        "resume, found",
+        [("1", "robust models found: 12"), ("1500", "no robust model found")],
+    )
+    def test_resumed_summary_says_resumed_not_complete(self, capsys, resume, found):
+        code, out, _ = invoke(
+            capsys, "search", "--family", "two_source", "--size1", "1",
+            "--size4", "2", "--resume", resume,
+        )
+        assert code == 0
+        assert payload_value(out, "completed") == "yes"
+        assert payload_value(out, "certifying") == "no"
+        assert payload_value(out, "summary") == (
+            f"{found} from cursor {resume} on (resumed run, not certifying)"
+        )
+
     @pytest.mark.parametrize("family", ["two_source", "single_source"])
     @pytest.mark.parametrize(
         "limit", [("--stop-after", "0"), ("--stop-after", "-3"),

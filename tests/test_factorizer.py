@@ -78,7 +78,10 @@ def ternary_models(draw):
     and plant sign flips in it; the other half are plain random tables.
     Silencing a station lets the scan reach the analyzer relations, and
     mirroring signs (a flip applied to both cells of an angle pair) lets it
-    get past the symmetry check.
+    get past the symmetry check. Half the draws mute two or three angles:
+    no station cell there and no analyzer cell joining a muted to a live
+    angle, so unit propagation settles the live angles and leaves the muted
+    ones to elimination, with the live cells already complete.
     """
     n = draw(st.sampled_from([2, 4]))
     size1 = draw(st.integers(1, 3))
@@ -88,6 +91,7 @@ def ternary_models(draw):
     flips = draw(st.integers(0, 3))
     silent_a, silent_d = draw(st.booleans()), draw(st.booleans())
     mirror = draw(st.booleans())
+    muted = draw(st.sampled_from([0, 0, 2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = 2 * n
 
@@ -109,6 +113,11 @@ def ternary_models(draw):
         d = signs((m, size4)) * mask((m, size4))
         f = signs((m, m, size1, size4)) * mask((m, m, size1, size4))
     f = f.astype(np.int8)
+    quiet = np.zeros(m, dtype=bool)
+    quiet[rng.permutation(m)[:muted]] = True
+    a[quiet] = 0
+    d[quiet] = 0
+    f[quiet[:, None] != quiet[None, :]] = 0
     if mirror:
         upper = np.triu(np.ones((m, m), dtype=bool))[:, :, None, None]
         mirrored = f.transpose(1, 0, 2, 3)

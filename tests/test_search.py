@@ -25,9 +25,13 @@ from bellswap.search import (
     search_two_source,
 )
 from bellswap.search import (
+    _block_keys,
     _class_column,
+    _ClassPack,
     _column_classes,
+    _pair_double_blocks,
     _pair_not_dead,
+    _side_tuples,
     _spread_mask,
     _support_pairs,
 )
@@ -36,6 +40,7 @@ from helpers import (
     demand_filled_analyzer,
     parity_split_model,
     rebuild,
+    unmemoized_double_blocks,
 )
 
 
@@ -196,6 +201,44 @@ class TestTwistedClasses:
         )
         assert predicted == is_robust(model).is_robust
 
+    def test_constant_replacement_never_loses_robustness(self):
+        """The other half of the reduction, on perturbed census survivors.
+
+        Flipping one sign on a side with two or more angles leaves that side
+        not twisted-constant. Whenever the raw maximal-analyzer candidate
+        is still robust, making the side constant again on the same support,
+        with either constant, must keep it robust.
+        """
+        space = two_source_space(size1=2, size4=2)
+        rng = np.random.default_rng(17)
+        survivors = []
+        # the sector maps that hold survivors; 0 and 15 hold nearly all
+        for cursor in (0, 115200, *(code * 230400 for code in (3, 5, 6, 9, 10, 12)),
+                       15 * 230400, 15 * 230400 + 115200):
+            _, _, hits, build = next(
+                item for item in _pair_double_blocks(replace(space, cursor=cursor))
+                if len(item[2])
+            )
+            survivors.append(build(hits[int(rng.integers(len(hits)))]))
+        tried = robust_raw = 0
+        while tried < 300:
+            model = survivors[int(rng.integers(len(survivors)))]
+            tables = [model.a.copy(), model.d.copy()]
+            station, col, parity = rng.integers(0, 2, size=3)
+            side = [x for x in range(parity, 8, 2) if tables[station][x, col]]
+            if len(side) < 2:
+                continue
+            tried += 1
+            tables[station][rng.choice(side), col] *= -1
+            if not is_robust(assemble(*tables, model.kappa, 4)).is_robust:
+                continue
+            robust_raw += 1
+            for constant in (1, -1):
+                for x in side:
+                    tables[station][x, col] = constant * (-1) ** (x // 2)
+                assert is_robust(assemble(*tables, model.kappa, 4)).is_robust
+        assert robust_raw > 0
+
     @pytest.mark.parametrize(
         "builder, robust",
         [
@@ -270,6 +313,96 @@ def class_predicate(a_cls, d_cls, kappa):
             if cover != full64:
                 return False
     return all(alive_a) and all(alive_d)
+
+
+class TestBlockKeys:
+    """A class-space block is decided once per first-station key and map."""
+
+    def test_equal_keys_get_equal_verdicts(self):
+        classes = _column_classes(8, "ternary")
+        pack = _ClassPack(classes)
+        rng = np.random.default_rng(3)
+        robust_groups = 0
+        for trial in range(16):
+            if trial % 2:
+                kappa = np.full((2, 2), rng.choice([1, -1]), dtype=np.int8)
+            else:
+                kappa = (1 - 2 * rng.integers(0, 2, size=(2, 2))).astype(np.int8)
+            # the 18 classes first in order reach at least seven angles;
+            # robust candidates are common among them, so a key that merged
+            # tuples with different verdicts would show here
+            d_cls = [classes[i] for i in rng.integers(0, 18, size=2)]
+            pool = np.concatenate(
+                [np.arange(18), rng.choice(np.arange(18, len(classes)), 6, replace=False)]
+            )
+            tuples = np.stack(np.meshgrid(pool, pool, indexing="ij"), axis=-1)
+            tuples = tuples.reshape(-1, 2)
+            verdicts = {}
+            for key, pair in zip(_block_keys(pack, tuples).tolist(), tuples.tolist()):
+                verdict = class_predicate([classes[c] for c in pair], d_cls, kappa)
+                verdicts.setdefault(key, set()).add(verdict)
+            assert all(len(seen) == 1 for seen in verdicts.values())
+            robust_groups += sum(seen == {True} for seen in verdicts.values())
+        assert robust_groups > 0
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            two_source_space(size4=2),
+            two_source_space(size1=2),
+            two_source_space(size1=2, size4=2, value_domain="signs"),
+        ],
+        ids=["1x2", "2x1", "2x2 signs"],
+    )
+    def test_stream_matches_the_unmemoized_oracle(self, space):
+        assert drain(_pair_double_blocks(space)) == drain(unmemoized_double_blocks(space))
+
+    def test_census_sample_matches_the_unmemoized_oracle(self):
+        """A stride sample of the 2x2 census, whole-run and resumed."""
+        space = two_source_space(size1=2, size4=2)
+        blocks, _ = drain(_pair_double_blocks(space), build=False)
+        assert len(blocks) == 161276
+        # block 25597 is the last of sector map 0: resuming there crosses a map
+        sample = blocks[::6451] + blocks[25597:25600]
+        classes = _column_classes(8, "ternary")
+        a_idx = _side_tuples(len(classes), 2)
+        pack = _ClassPack(classes)
+        block_numbers = np.array([item[0] for item in blocks])
+        reused = 0
+        for item in sample:
+            resumed = replace(space, cursor=item[0])
+            head, _ = drain(_pair_double_blocks(resumed), limit=3)
+            assert head[0][:3] == item[:3]
+            assert head == drain(unmemoized_double_blocks(resumed), limit=3)[0]
+            code, a_pos = divmod(item[0], len(a_idx))
+            earlier = block_numbers[
+                (block_numbers >= code * len(a_idx)) & (block_numbers < item[0])
+            ] % len(a_idx)
+            keys = _block_keys(pack, a_idx[np.append(earlier, a_pos)])
+            reused += bool(keys[-1] in keys[:-1])
+        # most sampled blocks had their key decided earlier in the whole
+        # run; a resume there decides it afresh, on a different block
+        assert reused >= len(sample) // 2
+
+
+def drain(blocks, limit=None, build=True):
+    """Items of a block stream as plain data, and the stream's end value.
+
+    Each item is ``(block, examined, hits)`` plus, with ``build``, the
+    encodings of the models built from the block's first and last hit.
+    A stream cut at ``limit`` items has end value None.
+    """
+    items = []
+    while len(items) != limit:
+        try:
+            block, examined, hits, make = next(blocks)
+        except StopIteration as end:
+            return items, end.value
+        item = (block, examined, hits.tolist())
+        if build and len(hits):
+            item += (dumps(make(hits[0])), dumps(make(hits[-1])))
+        items.append(item)
+    return items, None
 
 
 class TestPairSearch:
