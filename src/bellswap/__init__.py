@@ -24,6 +24,7 @@ from .factorizer import (
 from .model import (
     LhvModel,
     ModelFormatError,
+    SizeLimitError,
     classical_expectation,
     dumps,
     event_count,
@@ -68,6 +69,7 @@ __all__ = [
     "RobustnessReport",
     "SearchResult",
     "SearchSpace",
+    "SizeLimitError",
     "Verdict",
     "ZooError",
     "by_uri",

@@ -464,11 +464,20 @@ def seed_component(model: LhvModel, component: Component) -> ComponentAssignment
                " relative to it",
     ))
 
+    # per constraint, kept current as signs settle: how many of its vars
+    # are unknown, their sum (the missing var once one is left; the vars
+    # are distinct) and the parity of its bit with the values assigned
     by_var: dict[int, list[int]] = {}
+    unknown, missing_sum, parity = [], [], []
     for i, c in enumerate(constraints):
         for var in c.vars:
             by_var.setdefault(var, []).append(i)
-    unknown = [len(c.vars) - (anchor_var in c.vars) for c in constraints]
+        unknown.append(len(c.vars))
+        missing_sum.append(sum(c.vars))
+        parity.append(c.bit)
+    for j in by_var.get(anchor_var, ()):  # the anchor's value 0 keeps parity
+        unknown[j] -= 1
+        missing_sum[j] -= anchor_var
     queue = deque(i for i, count in enumerate(unknown) if count <= 1)
     seen_zero: set[int] = set()
 
@@ -482,32 +491,23 @@ def seed_component(model: LhvModel, component: Component) -> ComponentAssignment
         ))
         for j in by_var.get(var, ()):
             unknown[j] -= 1
+            missing_sum[j] -= var
+            parity[j] ^= value
             if unknown[j] <= 1:
                 queue.append(j)
 
     while queue:
         i = queue.popleft()
-        c = constraints[i]
-        missing = [var for var in c.vars if var not in assignment]
-        if not missing:
-            if i in seen_zero:
-                continue
+        if unknown[i]:  # one var left: the cell forces it
+            settle(missing_sum[i], parity[i], constraints[i])
+        elif i not in seen_zero:
             seen_zero.add(i)
-            parity = c.bit
-            for var in c.vars:
-                parity ^= assignment[var]
-            if parity:
+            if parity[i]:
+                c = constraints[i]
                 raise CounterexampleAlarm(
                     f"conflicting sign chain at {c.kind} ({c.where}):"
                     " the cell disagrees with the values already forced"
                 )
-            continue
-        if len(missing) == 1:
-            value = c.bit
-            for var in c.vars:
-                if var != missing[0]:
-                    value ^= assignment[var]
-            settle(missing[0], value, c)
 
     eliminated = 0
     leftovers = sorted(members - set(assignment))

@@ -30,6 +30,8 @@ import numpy as np
 
 __all__ = [
     "ModelFormatError",
+    "SizeLimitError",
+    "MAX_TABLE_BYTES",
     "LhvModel",
     "event_count",
     "classical_expectation",
@@ -47,8 +49,31 @@ TWO_SOURCE = "two_source"
 SINGLE_SOURCE = "single_source"
 
 
+# largest estimated allocation a model's derived tables (or the single-source
+# scan's signature tables) may take; larger inputs are refused up front
+MAX_TABLE_BYTES = 512 * 2**20
+
+# bytes per product-tensor entry: the int8 tensor itself plus the same-size
+# masks built over it (firing, two sector-event masks, required signs and
+# the robustness gate's scratch)
+_BYTES_PER_PRODUCT = 8
+
+
 class ModelFormatError(ValueError):
     """A model violates the file format or a structural invariant."""
+
+
+class SizeLimitError(ValueError):
+    """An input whose tables would exceed MAX_TABLE_BYTES; nothing was built."""
+
+
+def _refuse_oversize(what: str, estimate: int) -> None:
+    """Raise SizeLimitError, naming the estimate, when it exceeds the limit."""
+    if estimate > MAX_TABLE_BYTES:
+        raise SizeLimitError(
+            f"{what} would take an estimated {estimate / 2**20:,.0f} MiB,"
+            f" over the {MAX_TABLE_BYTES // 2**20} MiB limit"
+        )
 
 
 def _require(condition: bool, path: str, message: str) -> None:
@@ -167,6 +192,12 @@ class LhvModel:
     def size4(self) -> int:
         return len(self.rho4) if self.rho4 is not None else len(self.rho1)
 
+    @property
+    def tensor_bytes(self) -> int:
+        """Estimated bytes of the product tensor and the masks built over it."""
+        hidden = self.size1 * (self.size4 if self.family == TWO_SOURCE else 1)
+        return self.steps ** 4 * hidden * _BYTES_PER_PRODUCT
+
     @cached_property
     def analyzer(self) -> np.ndarray:
         """Analyzer table with each assignment's sector already selected by kappa.
@@ -182,20 +213,36 @@ class LhvModel:
 
         Shape (2n, 2n, 2n, 2n, L1, L4) indexed by the four angle steps then
         the hidden variables; single_source drops the last axis. Small grids
-        keep this comfortably in memory and every scan over it is exact.
+        keep this comfortably in memory and every scan over it is exact;
+        a model whose :attr:`tensor_bytes` exceed MAX_TABLE_BYTES raises
+        SizeLimitError before anything is allocated.
         """
-        f = self.analyzer
-        if self.family == SINGLE_SOURCE:
-            return _read_only(
-                self.a[:, None, None, None, :]
-                * f[None, :, :, None, :]
-                * self.d[None, None, None, :, :]
-            )
-        return _read_only(
-            self.a[:, None, None, None, :, None]
-            * f[None, :, :, None, :, :]
-            * self.d[None, None, None, :, None, :]
+        hidden = (f"{self.size1}x{self.size4}" if self.family == TWO_SOURCE
+                  else str(self.size1))
+        _refuse_oversize(
+            f"the product tensor of an n={self.n} model with {hidden} hidden"
+            " values",
+            self.tensor_bytes,
         )
+        f = self.analyzer
+        m, lam = self.steps, f.shape[2:]
+        if self.family == SINGLE_SOURCE:
+            a, d = self.a, self.d
+        else:
+            a, d = self.a[:, :, None], self.d[:, None, :]
+        # a * f over the first three angles, repeated along the fourth and
+        # multiplied by d there: both factors then run contiguously over
+        # (last angle, hidden), so numpy loops over long rows rather than
+        # the short hidden axes
+        head = (a[:, None, None] * f[None]).reshape(m**3, 1, -1)
+        out = np.repeat(head, m, axis=1)
+        out *= np.broadcast_to(d, (m,) + lam).reshape(1, m, -1)
+        return _read_only(out.reshape((m,) * 4 + lam))
+
+    @cached_property
+    def firing(self) -> np.ndarray:
+        """Where all three devices fire (``products != 0``), same shape, bool."""
+        return _read_only(self.products != 0)
 
     @cached_property
     def weight_mask(self) -> np.ndarray:
@@ -218,9 +265,11 @@ class LhvModel:
         An event is live where all three devices fire, weighted where its
         assignment carries weight, and in the sector that kappa announces.
         """
-        # trailing-axis broadcasting aligns both the weight and sector masks
-        live = (self.products != 0) & self.weight_mask
-        return {s: _read_only(live & (self.kappa == s)) for s in (1, -1)}
+        # trailing-axis broadcasting aligns the per-assignment mask
+        return {
+            s: _read_only(self.firing & (self.weight_mask & (self.kappa == s)))
+            for s in (1, -1)
+        }
 
     def sector_table(self, sector: int) -> np.ndarray:
         if sector == 1:

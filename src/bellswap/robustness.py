@@ -88,12 +88,32 @@ def required_tensor(model: LhvModel) -> np.ndarray:
     Every assignment is judged against the correlation angle of its own
     announcement sector. Zero entries mean the law is silent there.
     """
-    plus = sign_table(model.n, 1)
-    minus = sign_table(model.n, -1)
-    choose = model.kappa == 1
-    if model.family == SINGLE_SOURCE:
-        return np.where(choose, plus[..., None], minus[..., None])
-    return np.where(choose, plus[..., None, None], minus[..., None, None])
+    # index a (..., 2) stack of both sectors' tables by the kappa map: a
+    # gather, several times faster than np.where over int8
+    both = np.stack([sign_table(model.n, -1), sign_table(model.n, 1)], axis=-1)
+    return both[..., (model.kappa == 1).astype(np.intp)]
+
+
+def _hidden_words(mask: np.ndarray) -> np.ndarray:
+    """A two-source mask over (..., L1, L4) as one row of words per tuple.
+
+    Each angle tuple's L1*L4 hidden flags are one contiguous run of bytes,
+    read here as the widest machine words that divide it: ORs over those
+    words replace numpy's reductions over short axes, which are several
+    times slower.
+    """
+    width = mask.shape[-2] * mask.shape[-1]
+    word = next(w for w in (8, 4, 2, 1) if width % w == 0)
+    return np.ascontiguousarray(mask).reshape(-1, width).view(f"u{word}")
+
+
+def _any_hidden(mask: np.ndarray) -> np.ndarray:
+    """``mask.any(axis=(-2, -1))`` for a two-source mask over (..., L1, L4)."""
+    words = _hidden_words(mask)
+    hit = words[:, 0].copy()
+    for k in range(1, words.shape[1]):
+        hit |= words[:, k]
+    return (hit != 0).reshape(mask.shape[:-2])
 
 
 def _first_index(mask: np.ndarray) -> tuple[int, ...] | None:
@@ -115,7 +135,8 @@ def check_perfect_correlations(
     """
     products = product_tensor(model)
     required = required_tensor(model)
-    bad = (products != 0) & (required != 0) & (products != required)
+    # both nonzero and of opposite signs: the entries multiply to -1
+    bad = products * required == -1
     if not minus_row:
         bad &= required == 1
     where = _first_index(bad)
@@ -144,9 +165,12 @@ def check_counts_nonempty(
     are checked; ``require_both_sectors=True`` demands events in both.
     """
     sectors = (1, -1) if require_both_sectors else realized_sectors(model)
-    lam_axes = (-1,) if model.family == SINGLE_SOURCE else (-2, -1)
     for sector in sectors:
-        covered = model.sector_events[sector].any(axis=lam_axes)
+        events = model.sector_events[sector]
+        if model.family == SINGLE_SOURCE:
+            covered = events.any(axis=-1)
+        else:
+            covered = _any_hidden(events)
         where = _first_index(~covered)
         if where is not None:
             return CountsWitness(phis=tuple(where), sector=sector)
@@ -155,16 +179,18 @@ def check_counts_nonempty(
 
 def check_relevance(model: LhvModel) -> RelevanceWitness | None:
     """First hidden variable participating in no event, or None."""
-    fires = product_tensor(model) != 0
+    fires = model.firing
     if model.family == SINGLE_SOURCE:
         active = fires.any(axis=(0, 1, 2, 3))
         idle = _first_index(~active)
         return None if idle is None else RelevanceWitness(side=1, index=idle[0])
-    active1 = fires.any(axis=(0, 1, 2, 3, 5))
-    idle = _first_index(~active1)
+    # an OR over the angle tuples leaves the (L1, L4) firing pattern
+    pairs = np.bitwise_or.reduce(_hidden_words(fires), axis=0)
+    pairs = (pairs.view(np.uint8) != 0).reshape(model.size1, model.size4)
+    idle = _first_index(~pairs.any(axis=1))
     if idle is not None:
         return RelevanceWitness(side=1, index=idle[0])
-    active4 = fires.any(axis=(0, 1, 2, 3, 4))
+    active4 = pairs.any(axis=0)
     idle = _first_index(~active4)
     if idle is not None:
         return RelevanceWitness(side=4, index=idle[0])

@@ -16,7 +16,8 @@ assignment violates some perfect-correlation constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,12 +31,13 @@ from .factorizer import (
 from .model import (
     SINGLE_SOURCE,
     LhvModel,
+    _refuse_oversize,
     positive_weight_mask,
     product_tensor,
     realized_sectors,
 )
 from .quantum import expectation_singlet
-from .robustness import RobustnessReport, _first_index
+from .robustness import RobustnessReport, _any_hidden, _first_index
 
 __all__ = [
     "ProductRule",
@@ -71,14 +73,19 @@ def _require_two_source(model: LhvModel) -> None:
 def _event_signs(model: LhvModel, sector: int):
     """Tuples with a weighted +1 event, with a weighted -1 event, and both as
     one table: the classical expectation, 0 where no event defines it."""
-    products = product_tensor(model)
     events = model.sector_events[sector]
-    has_pos = ((products == 1) & events).any(axis=(-2, -1))
-    has_neg = ((products == -1) & events).any(axis=(-2, -1))
+    positive = (product_tensor(model) == 1) & events
+    has_pos = _any_hidden(positive)
+    has_neg = _any_hidden(positive ^ events)  # every event fires: +1 or -1
     table = np.zeros(has_pos.shape, dtype=np.int8)
     table[has_pos] = 1
     table[has_neg] = -1
     return has_pos, has_neg, table
+
+
+def _unravel(code, steps: int) -> tuple[int, int, int, int]:
+    """The four angle steps of a flat angle-tuple index, as Python ints."""
+    return tuple(int(i) for i in np.unravel_index(code, (steps,) * 4))
 
 
 def _midpoint_tuple(alpha: int, beta: int, gamma: int, sector: int):
@@ -105,45 +112,92 @@ class ProductRule:
 
     ``events`` maps (sector, *angle steps) to the first weighted event
     proving the tuple is actually constrained by the model's counts;
-    ``verified`` counts the tuples checked per sector.
+    ``verified`` counts the tuples checked per sector. The derivation keeps
+    those events as per-sector arrays and looks the tuples it cites up in
+    them; the ``events`` dict is built from the arrays on first read, so a
+    verdict that nobody inspects never builds it.
     """
 
     sectors: tuple[int, ...]
     verified: dict
-    events: dict
+    events: dict = field(init=False)
+    # per sector: the correlated tuples as flat angle indices (ascending,
+    # so row-major order) and the flat hidden index of each first event
+    found: dict = field(compare=False, repr=False)
+    steps: int = field(compare=False, repr=False)
+    size4: int = field(compare=False, repr=False)
+
+    def __getattr__(self, name):
+        # reached only while ``events`` is unset: build it once, then it is
+        # an ordinary instance attribute
+        if name != "events":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        events: dict = {}
+        for sector, (codes, first) in self.found.items():
+            phis = np.unravel_index(codes, (self.steps,) * 4)
+            l1, l4 = np.divmod(first, self.size4)
+            keys = np.column_stack([np.full(len(codes), sector), *phis])
+            events.update(zip(map(tuple, keys.tolist()),
+                              zip(l1.tolist(), l4.tolist())))
+        object.__setattr__(self, "events", events)
+        return events
+
+    def _lookup(self, sector: int, tuples: list) -> list:
+        """``events[(sector,) + phis]`` for each phis in ``tuples``, without
+        building ``events``; None where the rule records no event."""
+        codes, first = self.found[sector]
+        want = np.ravel_multi_index(np.array(tuples).T, (self.steps,) * 4)
+        at = np.searchsorted(codes, want).clip(max=len(codes) - 1)
+        hit = codes[at] == want
+        l1, l4 = np.divmod(first[at], self.size4)
+        return [(x, y) if ok else None
+                for x, y, ok in zip(l1.tolist(), l4.tolist(), hit.tolist())]
+
+
+def _angle_products(a: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """a[k1]*a[k2]*a[k3]*a[k4] at each flat angle-tuple index: the first
+    and the last two angles are each one index into the pair products."""
+    m = len(a)
+    pairs = (a[:, None] * a[None, :]).reshape(-1)
+    head, tail = np.divmod(codes, m * m)
+    return np.take(pairs, head) * np.take(pairs, tail)
 
 
 def derive_product_rule(fact: Factorization, model: LhvModel) -> ProductRule:
     _require_two_source(model)
     sectors = realized_sectors(model)
     verified: dict = {}
-    events_map: dict = {}
+    found: dict = {}
     a = fact.a
     for sector in sectors:
         events = model.sector_events[sector]
-        plus = np.argwhere(sign_table(model.n, sector) == 1)
-        at_plus = tuple(plus.T)
-        silent = ~events.any(axis=(-2, -1))[at_plus]
+        codes = np.flatnonzero(sign_table(model.n, sector) == 1)
+        # each correlated tuple's hidden flags; the first weighted event is
+        # the first True, row-major over (lam1, lam4)
+        hidden = np.take(events.reshape(-1, model.size1 * model.size4), codes, 0)
+        first = hidden.argmax(axis=1)
+        silent = ~hidden[np.arange(len(codes)), first]
         if silent.any():
-            phis = tuple(plus[np.argmax(silent)].tolist())
+            phis = _unravel(codes[np.argmax(silent)], model.steps)
             raise CounterexampleAlarm(
                 f"correlated tuple {phis} in sector {sector:+d} has no"
                 " weighted event although the counts check passed"
             )
-        bad = np.flatnonzero(a[plus].prod(axis=1) != 1)
+        bad = np.flatnonzero(_angle_products(a, codes) != 1)
         if len(bad):
-            phis = tuple(plus[bad[0]].tolist())
+            phis = _unravel(codes[bad[0]], model.steps)
             raise CounterexampleAlarm(
                 f"angle signs at correlated tuple {phis} in sector"
                 f" {sector:+d} multiply to -1"
             )
-        # first weighted event per tuple, row-major over (lam1, lam4)
-        first = np.argmax(events.reshape(events.shape[:4] + (-1,)), axis=-1)[at_plus]
-        l1, l4 = np.divmod(first, events.shape[-1])
-        keys = np.column_stack([np.full(len(plus), sector), plus]).tolist()
-        events_map.update(zip(map(tuple, keys), zip(l1.tolist(), l4.tolist())))
-        verified[sector] = len(plus)
-    return ProductRule(sectors=sectors, verified=verified, events=events_map)
+        found[sector] = (codes, first)
+        verified[sector] = len(codes)
+    return ProductRule(
+        sectors=sectors, verified=verified,
+        found=found, steps=model.steps, size4=model.size4,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,36 +273,42 @@ def derive_constant_a(
         rule = derive_product_rule(fact, model)
     sector = rule.sectors[0]
     m = model.steps
-    a = fact.a
+    a = fact.a.tolist()
+    triples = [(alpha, (alpha + gamma) // 2, gamma)
+               for alpha in range(m) for gamma in range(alpha + 2, m, 2)]
+    midpoints = [_midpoint_tuple(*triple, sector) for triple in triples]
+    ratios = [_ratio_tuple(k, m, sector) for k in range(m)]
+    events = iter(rule._lookup(sector, midpoints + ratios))
+
+    def cited(phis):
+        event = next(events)
+        if event is None:
+            raise KeyError((sector,) + phis)
+        return event
 
     midpoint_steps = []
-    for alpha in range(m):
-        for gamma in range(alpha + 2, m, 2):
-            beta = (alpha + gamma) // 2
-            phis = _midpoint_tuple(alpha, beta, gamma, sector)
-            if int(a[alpha]) * int(a[gamma]) != 1:
-                raise CounterexampleAlarm(
-                    f"equal-parity angles {alpha} and {gamma} carry opposite"
-                    " signs despite the verified product rule"
-                )
-            midpoint_steps.append(MidpointStep(
-                alpha=alpha, beta=beta, gamma=gamma, sector=sector,
-                phis=phis, event=rule.events[(sector,) + phis],
-            ))
+    for (alpha, beta, gamma), phis in zip(triples, midpoints):
+        if a[alpha] * a[gamma] != 1:
+            raise CounterexampleAlarm(
+                f"equal-parity angles {alpha} and {gamma} carry opposite"
+                " signs despite the verified product rule"
+            )
+        midpoint_steps.append(MidpointStep(
+            alpha=alpha, beta=beta, gamma=gamma, sector=sector,
+            phis=phis, event=cited(phis),
+        ))
 
-    ratio = int(a[1]) * int(a[0]) if m > 1 else 1
+    ratio = a[1] * a[0] if m > 1 else 1
     ratio_steps = []
-    for k in range(m):
-        phis = _ratio_tuple(k, m, sector)
-        value = int(a[(k + 1) % m]) * int(a[k])
+    for k, phis in enumerate(ratios):
+        value = a[(k + 1) % m] * a[k]
         if value != ratio:
             raise CounterexampleAlarm(
                 f"consecutive-angle sign ratio at {k} differs from the"
                 " shared ratio despite the verified product rule"
             )
         ratio_steps.append(RatioStep(
-            k=k, sector=sector, phis=phis,
-            event=rule.events[(sector,) + phis], value=value,
+            k=k, sector=sector, phis=phis, event=cited(phis), value=value,
         ))
 
     doubled_notes = (DoubledGridNote(
@@ -260,11 +320,11 @@ def derive_constant_a(
     constant = ratio == 1
     return ConstantSignReport(
         sector=sector,
-        even_value=int(a[0]),
-        odd_value=int(a[1]) if m > 1 else int(a[0]),
+        even_value=a[0],
+        odd_value=a[1] if m > 1 else a[0],
         ratio=ratio,
         constant=constant,
-        value=int(a[0]) if constant else None,
+        value=a[0] if constant else None,
         midpoint_steps=tuple(midpoint_steps),
         ratio_steps=tuple(ratio_steps),
         doubled_notes=doubled_notes,
@@ -299,13 +359,13 @@ def check_minus_clash(
     """
     _require_two_source(model)
     sector = constant.sector if constant is not None else realized_sectors(model)[0]
-    minus = np.argwhere(sign_table(model.n, sector) == -1)
-    if len(minus) == 0:
+    codes = np.flatnonzero(sign_table(model.n, sector) == -1)
+    if len(codes) == 0:
         raise GridError(
             f"grid resolution {model.n} hosts no anticorrelated tuple;"
             " the contradiction needs one"
         )
-    products = fact.a[minus].prod(axis=1)
+    products = _angle_products(fact.a, codes)
     bad = np.flatnonzero(products != -1)
     if len(bad) == 0:
         raise GridError(
@@ -313,7 +373,7 @@ def check_minus_clash(
             " contradiction: every anticorrelated tuple is satisfied by the"
             " alternating sign assignment"
         )
-    phis = tuple(minus[bad[0]].tolist())
+    phis = _unravel(codes[bad[0]], model.steps)
     event = _first_index(model.sector_events[sector][phis])
     if event is None:
         raise CounterexampleAlarm(
@@ -345,6 +405,24 @@ class EClassReport:
     max_discrepancy: float
 
 
+@lru_cache(maxsize=None)
+def _singlet_table(n: int, sector: int) -> np.ndarray:
+    """The quantum conditional expectation at every angle tuple of a sector.
+
+    Read off the sector's correlation step; cached per grid and read-only.
+    """
+    m = 2 * n
+    idx = np.arange(m)
+    by_index = np.array([
+        expectation_singlet(RationalAngle(c, n)) for c in range(m)
+    ])
+    c = (idx[:, None, None, None] - idx[None, :, None, None]
+         + sector * (idx[None, None, :, None] - idx[None, None, None, :])) % m
+    table = by_index[c]
+    table.flags.writeable = False
+    return table
+
+
 def predict_E_class(fact: Factorization, model: LhvModel) -> EClassReport:
     """Conditional expectation of the outcome product at every angle tuple.
 
@@ -354,22 +432,13 @@ def predict_E_class(fact: Factorization, model: LhvModel) -> EClassReport:
     carries both tables per realized sector and their largest gap.
     """
     _require_two_source(model)
-    m = model.steps
-    n = model.n
     sectors = realized_sectors(model)
-    idx = np.arange(m)
-    by_index = np.array([
-        expectation_singlet(RationalAngle(c, n)) for c in range(m)
-    ])
-
     defined: dict = {}
     e_class: dict = {}
     e_quantum: dict = {}
     all_plus = True
     max_gap = 0.0
     for sector in sectors:
-        c = (idx[:, None, None, None] - idx[None, :, None, None]
-             + sector * (idx[None, None, :, None] - idx[None, None, None, :])) % m
         has_pos, has_neg, table = _event_signs(model, sector)
         if (has_pos & has_neg).any():
             raise CounterexampleAlarm(
@@ -379,11 +448,11 @@ def predict_E_class(fact: Factorization, model: LhvModel) -> EClassReport:
         mask = has_pos | has_neg
         defined[sector] = mask
         e_class[sector] = table
-        e_quantum[sector] = by_index[c]
+        quantum = e_quantum[sector] = _singlet_table(model.n, sector).copy()
         if has_neg.any():
             all_plus = False
         if mask.any():
-            gap = float(np.abs(table[mask] - by_index[c][mask]).max())
+            gap = float(np.max(np.abs(table - quantum), where=mask, initial=0.0))
             max_gap = max(max_gap, gap)
     return EClassReport(
         sectors=sectors,
@@ -466,12 +535,19 @@ class ReplayError(ValueError):
 def replay(trace: DerivationTrace, model: LhvModel) -> bool:
     """Re-execute every recorded step against the raw tables alone.
 
-    Checks that each cited event carries weight, announces the step's
-    sector, and yields the claimed outcome product, and that the
-    expectation tables recompute; no factorization is consulted. Raises
+    Checks that the stages agree on one sector, that each cited event
+    carries weight, announces the step's sector, and yields the claimed
+    outcome product, and that the expectation tables recompute for every
+    sector the model realizes; no factorization is consulted. Raises
     ReplayError (a ValueError) on the first mismatch.
     """
     _require_two_source(model)
+    if not trace.sector == trace.constant.sector == trace.clash.sector:
+        raise ReplayError(
+            f"the stages disagree on the sector: trace {trace.sector:+d},"
+            f" constant {trace.constant.sector:+d}, clash"
+            f" {trace.clash.sector:+d}"
+        )
     products = product_tensor(model)
     weight_ok = positive_weight_mask(model)
 
@@ -500,9 +576,15 @@ def replay(trace: DerivationTrace, model: LhvModel) -> bool:
     if clash.derived == clash.required:
         raise ReplayError("the recorded clash does not actually clash")
 
-    for sector in trace.expectation.sectors:
+    sectors = realized_sectors(model)
+    if tuple(trace.expectation.sectors) != sectors:
+        raise ReplayError(
+            f"the expectation covers sectors {tuple(trace.expectation.sectors)},"
+            f" the model realizes {sectors}"
+        )
+    for sector in sectors:
         _, _, want = _event_signs(model, sector)
-        if not np.array_equal(want, trace.expectation.e_class[sector]):
+        if not np.array_equal(want, trace.expectation.e_class.get(sector)):
             raise ReplayError("an expectation table does not replay")
     return True
 
@@ -531,6 +613,19 @@ class SingleSourceCertificate:
     narrative: tuple[str, ...]
 
 
+def _contradiction_bytes(n: int) -> int:
+    """Estimated peak bytes of ``single_source_contradiction(n)``.
+
+    Per sector, two int8 signature tables with one row per station sign
+    vector (2**(2n)) and one column per constrained tuple (2(2n)**3
+    correlated, as many anticorrelated on even grids), plus the same-size
+    column products they are concatenated from.
+    """
+    m = 2 * n
+    tuples = (4 if n % 2 == 0 else 2) * m ** 3
+    return 4 * (1 << m) * tuples
+
+
 def single_source_contradiction(n: int) -> SingleSourceCertificate:
     """Close the single-source family at full efficiency on the pi/n grid.
 
@@ -538,8 +633,12 @@ def single_source_contradiction(n: int) -> SingleSourceCertificate:
     is +-1 and the diagonal correlated tuples (b, b, g, g) force the
     analyzer sign at (b, g) to the product of the two station signs, the
     only candidate any assignment could use. What remains is an exhaustive
-    scan over pairs of per-station sign vectors.
+    scan over pairs of per-station sign vectors. Grids whose scan would
+    exceed MAX_TABLE_BYTES raise SizeLimitError before anything is built.
     """
+    _refuse_oversize(
+        f"the single-source scan on the pi/{n} grid", _contradiction_bytes(n)
+    )
     m = 2 * n
     combos = 1 << m
     bits = (np.arange(combos)[:, None] >> np.arange(m)[None, :]) & 1

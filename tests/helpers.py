@@ -7,12 +7,29 @@ that shares no code with the code under test.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
-from bellswap.factorizer import ConsistencyWitness
-from bellswap.model import LhvModel, selected_analyzer
+from bellswap.angles import sign_table
+from bellswap.factorizer import (
+    ComponentAssignment,
+    ConsistencyWitness,
+    CounterexampleAlarm,
+    TraceStep,
+    _eliminate,
+    _var_layout,
+    _var_name,
+)
+from bellswap.model import LhvModel, product_tensor, selected_analyzer
+from bellswap.robustness import (
+    CorrelationWitness,
+    CountsWitness,
+    RelevanceWitness,
+    _first_index,
+)
 from bellswap.search import (
     FULL64,
     _assemble_two_source,
@@ -190,6 +207,71 @@ def tables_model(a, d, f, n=2, kappa=None):
         rho1=[Fraction(1, size1)] * size1,
         rho4=[Fraction(1, size4)] * size4,
     )
+
+
+@st.composite
+def ternary_models(draw):
+    """Sparse ternary tables at n=2 or 4 with 1-3 hidden values per source.
+
+    Half the draws start from a factorized model (every relation holds)
+    and plant sign flips in it; the other half are plain random tables.
+    Silencing a station lets the scan reach the analyzer relations, and
+    mirroring signs (a flip applied to both cells of an angle pair) lets it
+    get past the symmetry check. Half the draws mute two or three angles:
+    no station cell there and no analyzer cell joining a muted to a live
+    angle, so unit propagation settles the live angles and leaves the muted
+    ones to elimination, with the live cells already complete.
+    """
+    n = draw(st.sampled_from([2, 4]))
+    size1 = draw(st.integers(1, 3))
+    size4 = draw(st.integers(1, 3))
+    density = draw(st.floats(0.05, 1.0))
+    factorized = draw(st.booleans())
+    flips = draw(st.integers(0, 3))
+    silent_a, silent_d = draw(st.booleans()), draw(st.booleans())
+    mirror = draw(st.booleans())
+    muted = draw(st.sampled_from([0, 0, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = 2 * n
+
+    def mask(shape):
+        return (rng.random(shape) < density).astype(np.int8)
+
+    def signs(shape):
+        return rng.choice(np.array([-1, 1], dtype=np.int8), size=shape)
+
+    if factorized:
+        gen_a, u, v = signs(m), signs(size1), signs(size4)
+        a = gen_a[:, None] * u[None, :] * mask((m, size1))
+        d = gen_a[:, None] * v[None, :] * mask((m, size4))
+        f = (gen_a[:, None, None, None] * gen_a[None, :, None, None]
+             * u[None, None, :, None] * v[None, None, None, :]
+             * mask((m, m, size1, size4)))
+    else:
+        a = signs((m, size1)) * mask((m, size1))
+        d = signs((m, size4)) * mask((m, size4))
+        f = signs((m, m, size1, size4)) * mask((m, m, size1, size4))
+    f = f.astype(np.int8)
+    quiet = np.zeros(m, dtype=bool)
+    quiet[rng.permutation(m)[:muted]] = True
+    a[quiet] = 0
+    d[quiet] = 0
+    f[quiet[:, None] != quiet[None, :]] = 0
+    if mirror:
+        upper = np.triu(np.ones((m, m), dtype=bool))[:, :, None, None]
+        mirrored = f.transpose(1, 0, 2, 3)
+        f = np.where(upper | (mirrored == 0), f, np.abs(f) * mirrored)
+    live = np.argwhere(f != 0)
+    for row in rng.permutation(len(live))[:flips]:
+        k2, k3, l1, l4 = live[row]
+        f[k2, k3, l1, l4] *= -1
+        if mirror and k2 != k3:
+            f[k3, k2, l1, l4] *= -1
+    if silent_a:
+        a = np.zeros_like(a)
+    if silent_d:
+        d = np.zeros_like(d)
+    return tables_model(a.astype(np.int8), d.astype(np.int8), f, n=n)
 
 
 def block_diagonal(a_signs, u=(1, 1), v=(1, 1), n=2):
@@ -503,3 +585,194 @@ def unmemoized_double_blocks(space):
 
             yield code * len(a_idx) + a_pos, len(rows), np.flatnonzero(keep), build
     return total
+
+
+def eager_product_rule(fact, model: LhvModel):
+    """Oracle for ``derive_product_rule``: the events dict built eagerly.
+
+    The stage as it stood before it kept its events as arrays: one dict
+    entry per correlated tuple and sector, in row-major order, with the same
+    alarms. Returns ``(sectors, verified, events)``.
+    """
+    sectors = model.sectors
+    verified: dict = {}
+    events_map: dict = {}
+    a = fact.a
+    for sector in sectors:
+        events = model.sector_events[sector]
+        plus = np.argwhere(sign_table(model.n, sector) == 1)
+        at_plus = tuple(plus.T)
+        silent = ~events.any(axis=(-2, -1))[at_plus]
+        if silent.any():
+            phis = tuple(plus[np.argmax(silent)].tolist())
+            raise CounterexampleAlarm(
+                f"correlated tuple {phis} in sector {sector:+d} has no"
+                " weighted event although the counts check passed"
+            )
+        bad = np.flatnonzero(a[plus].prod(axis=1) != 1)
+        if len(bad):
+            phis = tuple(plus[bad[0]].tolist())
+            raise CounterexampleAlarm(
+                f"angle signs at correlated tuple {phis} in sector"
+                f" {sector:+d} multiply to -1"
+            )
+        first = np.argmax(events.reshape(events.shape[:4] + (-1,)), axis=-1)[at_plus]
+        l1, l4 = np.divmod(first, events.shape[-1])
+        keys = np.column_stack([np.full(len(plus), sector), plus]).tolist()
+        events_map.update(zip(map(tuple, keys), zip(l1.tolist(), l4.tolist())))
+        verified[sector] = len(plus)
+    return sectors, verified, events_map
+
+
+def queue_seed_component(model: LhvModel, component) -> ComponentAssignment:
+    """Oracle for ``seed_component``: propagation that rescans each cell.
+
+    The unit propagation as it stood before it kept running counts: every
+    queue pop lists the cell's unknown vars and recomputes its parity from
+    the assignment. Same queue, trace steps and alarm texts.
+    """
+    m, v_base, _ = _var_layout(model)
+    members = set(component.angles)
+    members.update(m + i for i in component.first_hidden)
+    members.update(v_base + i for i in component.last_hidden)
+    constraints = component.constraints
+    assignment: dict = {}
+    trace: list = []
+    kind, index = component.anchor
+    anchor_var = {"a": index, "u": m + index, "v": v_base + index}[kind]
+    assignment[anchor_var] = 0
+    trace.append(TraceStep(
+        kind="seed",
+        target=component.anchor,
+        value=1,
+        reason="block anchor fixed to +1; all other signs are forced"
+               " relative to it",
+    ))
+    by_var: dict = {}
+    for i, c in enumerate(constraints):
+        for var in c.vars:
+            by_var.setdefault(var, []).append(i)
+    unknown = [len(c.vars) - (anchor_var in c.vars) for c in constraints]
+    queue = deque(i for i, count in enumerate(unknown) if count <= 1)
+    seen_zero: set = set()
+
+    def settle(var, value, source):
+        assignment[var] = value
+        trace.append(TraceStep(
+            kind="unit",
+            target=_var_name(model, var),
+            value=1 if value == 0 else -1,
+            reason=f"{source.kind}: {source.where}",
+        ))
+        for j in by_var.get(var, ()):
+            unknown[j] -= 1
+            if unknown[j] <= 1:
+                queue.append(j)
+
+    while queue:
+        i = queue.popleft()
+        c = constraints[i]
+        missing = [var for var in c.vars if var not in assignment]
+        if not missing:
+            if i in seen_zero:
+                continue
+            seen_zero.add(i)
+            parity = c.bit
+            for var in c.vars:
+                parity ^= assignment[var]
+            if parity:
+                raise CounterexampleAlarm(
+                    f"conflicting sign chain at {c.kind} ({c.where}):"
+                    " the cell disagrees with the values already forced"
+                )
+            continue
+        if len(missing) == 1:
+            value = c.bit
+            for var in c.vars:
+                if var != missing[0]:
+                    value ^= assignment[var]
+            settle(missing[0], value, c)
+
+    eliminated = 0
+    leftovers = sorted(members - set(assignment))
+    if leftovers:
+        eliminated = _eliminate(model, constraints, assignment, leftovers, trace)
+    a = {var: 1 - 2 * assignment[var] for var in members if var < m}
+    u = {var - m: 1 - 2 * assignment[var] for var in members if m <= var < v_base}
+    v = {var - v_base: 1 - 2 * assignment[var] for var in members if var >= v_base}
+    return ComponentAssignment(
+        component=component, a=a, u=u, v=v,
+        trace=tuple(trace), eliminated=eliminated,
+    )
+
+
+def broadcast_products(model: LhvModel) -> np.ndarray:
+    """Oracle for ``LhvModel.products``: one broadcast product of a, f, d."""
+    f = selected_analyzer(model)
+    if model.family == "single_source":
+        return (model.a[:, None, None, None, :] * f[None, :, :, None, :]
+                * model.d[None, None, None, :, :])
+    return (model.a[:, None, None, None, :, None] * f[None, :, :, None, :, :]
+            * model.d[None, None, None, :, None, :])
+
+
+def _hidden_axes(model: LhvModel):
+    return (-1,) if model.family == "single_source" else (-2, -1)
+
+
+def multi_axis_event_signs(model: LhvModel, sector: int):
+    """Oracle for the verdict's expectation table: multi-axis ``.any``."""
+    products = product_tensor(model)
+    events = model.sector_events[sector]
+    has_pos = ((products == 1) & events).any(axis=(-2, -1))
+    has_neg = ((products == -1) & events).any(axis=(-2, -1))
+    table = np.zeros(has_pos.shape, dtype=np.int8)
+    table[has_pos] = 1
+    table[has_neg] = -1
+    return has_pos, has_neg, table
+
+
+def multi_axis_correlations(model: LhvModel, minus_row: bool = True):
+    """Oracle for ``check_perfect_correlations``: masks from ``np.where``."""
+    products = product_tensor(model)
+    plus, minus = sign_table(model.n, 1), sign_table(model.n, -1)
+    lam = (None,) * len(_hidden_axes(model))
+    required = np.where(model.kappa == 1, plus[(...,) + lam],
+                        minus[(...,) + lam])
+    bad = (products != 0) & (required != 0) & (products != required)
+    if not minus_row:
+        bad &= required == 1
+    where = _first_index(bad)
+    if where is None:
+        return None
+    l4 = None if model.family == "single_source" else where[5]
+    return CorrelationWitness(
+        phis=tuple(where[:4]), l1=where[4], l4=l4,
+        expected=int(required[where]), found=int(products[where]),
+    )
+
+
+def multi_axis_counts(model: LhvModel, require_both_sectors: bool = False):
+    """Oracle for ``check_counts_nonempty``: multi-axis ``.any``."""
+    sectors = (1, -1) if require_both_sectors else model.sectors
+    for sector in sectors:
+        covered = model.sector_events[sector].any(axis=_hidden_axes(model))
+        where = _first_index(~covered)
+        if where is not None:
+            return CountsWitness(phis=tuple(where), sector=sector)
+    return None
+
+
+def multi_axis_relevance(model: LhvModel):
+    """Oracle for ``check_relevance``: multi-axis ``.any`` on the products."""
+    fires = product_tensor(model) != 0
+    if model.family == "single_source":
+        idle = _first_index(~fires.any(axis=(0, 1, 2, 3)))
+        return None if idle is None else RelevanceWitness(side=1, index=idle[0])
+    idle = _first_index(~fires.any(axis=(0, 1, 2, 3, 5)))
+    if idle is not None:
+        return RelevanceWitness(side=1, index=idle[0])
+    idle = _first_index(~fires.any(axis=(0, 1, 2, 3, 4)))
+    if idle is not None:
+        return RelevanceWitness(side=4, index=idle[0])
+    return None

@@ -31,6 +31,7 @@ from helpers import (
     materialized_consistency,
     rebuild,
     tables_model,
+    ternary_models,
     union_find_blocks,
 )
 
@@ -68,71 +69,6 @@ def cells_model(a_cells, d_cells, f_cells, size1=2, size4=2, n=2):
         for index, sign in cells.items():
             table[index] = sign
     return tables_model(a, d, f, n=n)
-
-
-@st.composite
-def ternary_models(draw):
-    """Sparse ternary tables at n=2 or 4 with 1-3 hidden values per source.
-
-    Half the draws start from a factorized model (every relation holds)
-    and plant sign flips in it; the other half are plain random tables.
-    Silencing a station lets the scan reach the analyzer relations, and
-    mirroring signs (a flip applied to both cells of an angle pair) lets it
-    get past the symmetry check. Half the draws mute two or three angles:
-    no station cell there and no analyzer cell joining a muted to a live
-    angle, so unit propagation settles the live angles and leaves the muted
-    ones to elimination, with the live cells already complete.
-    """
-    n = draw(st.sampled_from([2, 4]))
-    size1 = draw(st.integers(1, 3))
-    size4 = draw(st.integers(1, 3))
-    density = draw(st.floats(0.05, 1.0))
-    factorized = draw(st.booleans())
-    flips = draw(st.integers(0, 3))
-    silent_a, silent_d = draw(st.booleans()), draw(st.booleans())
-    mirror = draw(st.booleans())
-    muted = draw(st.sampled_from([0, 0, 2, 3]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m = 2 * n
-
-    def mask(shape):
-        return (rng.random(shape) < density).astype(np.int8)
-
-    def signs(shape):
-        return rng.choice(np.array([-1, 1], dtype=np.int8), size=shape)
-
-    if factorized:
-        gen_a, u, v = signs(m), signs(size1), signs(size4)
-        a = gen_a[:, None] * u[None, :] * mask((m, size1))
-        d = gen_a[:, None] * v[None, :] * mask((m, size4))
-        f = (gen_a[:, None, None, None] * gen_a[None, :, None, None]
-             * u[None, None, :, None] * v[None, None, None, :]
-             * mask((m, m, size1, size4)))
-    else:
-        a = signs((m, size1)) * mask((m, size1))
-        d = signs((m, size4)) * mask((m, size4))
-        f = signs((m, m, size1, size4)) * mask((m, m, size1, size4))
-    f = f.astype(np.int8)
-    quiet = np.zeros(m, dtype=bool)
-    quiet[rng.permutation(m)[:muted]] = True
-    a[quiet] = 0
-    d[quiet] = 0
-    f[quiet[:, None] != quiet[None, :]] = 0
-    if mirror:
-        upper = np.triu(np.ones((m, m), dtype=bool))[:, :, None, None]
-        mirrored = f.transpose(1, 0, 2, 3)
-        f = np.where(upper | (mirrored == 0), f, np.abs(f) * mirrored)
-    live = np.argwhere(f != 0)
-    for row in rng.permutation(len(live))[:flips]:
-        k2, k3, l1, l4 = live[row]
-        f[k2, k3, l1, l4] *= -1
-        if mirror and k2 != k3:
-            f[k3, k2, l1, l4] *= -1
-    if silent_a:
-        a = np.zeros_like(a)
-    if silent_d:
-        d = np.zeros_like(d)
-    return tables_model(a.astype(np.int8), d.astype(np.int8), f, n=n)
 
 
 def single_source_fixture():

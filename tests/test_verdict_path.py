@@ -1,0 +1,445 @@
+"""The per-model verdict path against the code it replaced.
+
+Each rewrite of the path has an oracle in ``helpers``: the eagerly built
+product-rule events, unit propagation that rescans every cell, and the
+multi-axis reductions of the robustness gate. Property tests compare the two
+on random models; the rest pins the trace checks ``replay`` makes and the
+size guards that refuse oversized inputs before allocating.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from bellswap import verdict
+from bellswap.cli import run as cli_run
+from bellswap.factorizer import (
+    CounterexampleAlarm,
+    build_components,
+    factorize,
+    seed_component,
+)
+from bellswap.model import (
+    MAX_TABLE_BYTES,
+    LhvModel,
+    SizeLimitError,
+    dumps,
+)
+from bellswap.robustness import (
+    check_counts_nonempty,
+    check_perfect_correlations,
+    check_relevance,
+    is_robust,
+)
+from bellswap.zoo import by_uri, catalog, synthetic_factorizable
+
+from helpers import (
+    broadcast_products,
+    eager_product_rule,
+    multi_axis_correlations,
+    multi_axis_counts,
+    multi_axis_event_signs,
+    multi_axis_relevance,
+    queue_seed_component,
+    rebuild,
+    ternary_models,
+)
+from test_golden import MODELS
+
+PROPERTY = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def synthetic_models(draw):
+    """``synthetic_factorizable`` draws shaped like the benchmark batch."""
+    return synthetic_factorizable(
+        draw(st.integers(0, 2**16)),
+        n=draw(st.sampled_from([2, 4, 6])),
+        size1=draw(st.integers(1, 3)),
+        size4=draw(st.integers(1, 3)),
+        density=draw(st.sampled_from([0.4, 0.7, 1.0])),
+        kappa=draw(st.sampled_from(["plus", "minus", "mixed"])),
+    )
+
+
+def _weights(draw, size):
+    """Exact weights summing to 1, some of them zero."""
+    raw = [draw(st.integers(0, 3)) for _ in range(size)]
+    if not any(raw):
+        raw[draw(st.integers(0, size - 1))] = 1
+    return [Fraction(w, sum(raw)) for w in raw]
+
+
+@st.composite
+def gate_models(draw):
+    """Random ternary tables of either family, mixed kappa, zero weights.
+
+    One or two hidden values per side in half the draws, so the gate's
+    reductions meet L1 = 1 and L4 = 1 shapes often.
+    """
+    family = draw(st.sampled_from(["two_source", "single_source"]))
+    n = draw(st.sampled_from([2, 4]))
+    m = 2 * n
+    size1 = draw(st.integers(1, 3))
+    size4 = draw(st.integers(1, 3))
+    density = draw(st.floats(0.1, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def ternary(shape):
+        signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=shape)
+        return (signs * (rng.random(shape) < density)).astype(np.int8)
+
+    hidden = (size1, size4) if family == "two_source" else (size1,)
+    kappa = rng.choice(np.array([-1, 1], dtype=np.int8), size=hidden)
+    return LhvModel(
+        family=family,
+        n=n,
+        a=ternary((m, size1)),
+        d=ternary((m, hidden[-1])),
+        kappa=kappa,
+        f_plus=ternary((m, m) + hidden),
+        f_minus=ternary((m, m) + hidden),
+        rho1=_weights(draw, size1),
+        rho4=_weights(draw, size4) if family == "two_source" else None,
+    )
+
+
+def _outcome(call, *args):
+    """A call's result, or the text of the CounterexampleAlarm it raised."""
+    try:
+        return call(*args)
+    except CounterexampleAlarm as exc:
+        return f"alarm: {exc}"
+
+
+def _factorization(model):
+    result = factorize(model)
+    assert result.status == "ok"
+    return result.factorization
+
+
+# ---------------------------------------------------------------------------
+# unit propagation: running counts against per-pop rescans
+
+
+def _assert_seeds_match(model):
+    alarms = 0
+    for component in build_components(model):
+        got = _outcome(seed_component, model, component)
+        want = _outcome(queue_seed_component, model, component)
+        assert got == want
+        alarms += isinstance(want, str)
+    return alarms
+
+
+@PROPERTY
+@given(model=ternary_models())
+def test_seed_component_matches_rescanning_propagation(model):
+    _assert_seeds_match(model)
+
+
+@PROPERTY
+@given(model=synthetic_models())
+def test_seed_component_matches_on_factorizable_models(model):
+    assert _assert_seeds_match(model) == 0
+
+
+def test_seed_component_alarm_texts_match_on_conflicting_tables():
+    # flipped analyzer cells in a product-form model: propagation meets a
+    # cell whose parity disagrees with the signs already forced
+    alarms = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        model = synthetic_factorizable(seed, n=2, density=0.7, kappa="mixed")
+        f = model.f_plus.copy()
+        live = np.argwhere(f != 0)
+        for k2, k3, l1, l4 in live[rng.permutation(len(live))[:2]]:
+            f[k2, k3, l1, l4] *= -1
+        alarms += _assert_seeds_match(rebuild(model, f_plus=f, f_minus=f))
+    assert alarms >= 10
+
+
+# ---------------------------------------------------------------------------
+# product-rule events: kept as arrays, rendered on first read
+
+
+@PROPERTY
+@given(model=synthetic_models())
+def test_rendered_events_equal_the_eager_dict(model):
+    fact = _factorization(model)
+    rule = verdict.derive_product_rule(fact, model)
+    sectors, verified, events = eager_product_rule(fact, model)
+    assert (rule.sectors, rule.verified) == (sectors, verified)
+    assert "events" not in vars(rule)
+    assert list(rule.events.items()) == list(events.items())
+    assert all(type(i) is int for key in rule.events for i in key)
+    keys = list(events)[::37]
+    for sector in rule.sectors:
+        tuples = [key[1:] for key in keys if key[0] == sector]
+        assert rule._lookup(sector, tuples) == [events[(sector,) + t] for t in tuples]
+
+
+@PROPERTY
+@given(model=synthetic_models(), flip=st.integers(0, 11))
+def test_product_rule_alarm_texts_match_the_eager_stage(model, flip):
+    fact = _factorization(model)
+    a = fact.a.copy()
+    a[flip % model.steps] *= -1
+    tampered = dataclasses.replace(fact, a=a)
+    got = _outcome(verdict.derive_product_rule, tampered, model)
+    want = _outcome(eager_product_rule, tampered, model)
+    assert isinstance(want, str) and got == want
+
+
+def test_silent_tuple_alarm_matches_the_eager_stage():
+    model = synthetic_factorizable(2, n=4, density=0.7, kappa="mixed")
+    fact = _factorization(model)
+    f = model.f_plus.copy()
+    f[:, 3] = 0  # no event at any tuple whose analyzer angles end in 3
+    silenced = rebuild(model, f_plus=f, f_minus=f)
+    got = _outcome(verdict.derive_product_rule, fact, silenced)
+    assert got == _outcome(eager_product_rule, fact, silenced)
+    assert "has no weighted event" in got
+
+
+def test_event_lookup_misses_where_the_dict_has_no_entry():
+    model = synthetic_factorizable(1, density=0.7)
+    rule = verdict.derive_product_rule(_factorization(model), model)
+    # (0, 0, 0, 2) is anticorrelated, so neither form records an event
+    assert rule._lookup(1, [(0, 0, 0, 2), (0, 0, 0, 0)]) == [None, (0, 0)]
+    with pytest.raises(KeyError):
+        rule.events[(1, 0, 0, 0, 2)]
+    assert rule.events[(1, 0, 0, 0, 0)] == (0, 0)
+
+
+def test_constant_stage_raises_key_error_for_a_missing_event():
+    model = synthetic_factorizable(1, density=0.7)
+    fact = _factorization(model)
+    rule = verdict.derive_product_rule(fact, model)
+    first_midpoint = (0, 1, 2, 1)  # alpha 0, gamma 2 in sector +1
+    codes, first = rule.found[1]
+    keep = codes != np.ravel_multi_index(first_midpoint, (model.steps,) * 4)
+    forged = dataclasses.replace(rule, found={1: (codes[keep], first[keep])})
+    with pytest.raises(KeyError) as caught:
+        verdict.derive_constant_a(fact, model, forged)
+    assert caught.value.args == ((1,) + first_midpoint,)
+
+
+def test_run_and_replay_never_build_the_events_dict():
+    model = synthetic_factorizable(5, n=6, density=0.7, kappa="mixed")
+    result = verdict.run(model)
+    assert result.kind == "inconsistent"
+    assert verdict.replay(result.trace, model)
+    rule = result.trace.rule
+    assert "events" not in vars(rule)
+    _, _, events = eager_product_rule(_factorization(model), model)
+    assert rule.events == events
+    assert vars(rule)["events"] is rule.events
+
+
+def test_rule_equality_and_repr_see_the_events():
+    model = synthetic_factorizable(3, density=0.4)
+    fact = _factorization(model)
+    first = verdict.derive_product_rule(fact, model)
+    second = verdict.derive_product_rule(fact, model)
+    assert first == second
+    assert "events=" in repr(first)
+    assert [f.name for f in dataclasses.fields(first) if f.compare] == [
+        "sectors", "verified", "events",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the product tensor, the robustness gate and the expectation table: long
+# inner loops and fast hidden-axis reductions
+
+
+def _gate_matches(model):
+    assert np.array_equal(model.products, broadcast_products(model))
+    assert check_relevance(model) == multi_axis_relevance(model)
+    for both in (False, True):
+        assert check_counts_nonempty(model, both) == multi_axis_counts(model, both)
+    for minus_row in (False, True):
+        assert (check_perfect_correlations(model, minus_row)
+                == multi_axis_correlations(model, minus_row))
+    if model.family == "two_source":
+        for sector in (1, -1):
+            got = verdict._event_signs(model, sector)
+            want = multi_axis_event_signs(model, sector)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@PROPERTY
+@given(model=gate_models())
+def test_gate_witnesses_match_multi_axis_reductions(model):
+    _gate_matches(model)
+
+
+@PROPERTY
+@given(model=ternary_models())
+def test_gate_witnesses_match_on_sparse_tables(model):
+    _gate_matches(model)
+
+
+@PROPERTY
+@given(model=synthetic_models())
+def test_gate_witnesses_match_on_factorizable_models(model):
+    _gate_matches(model)
+
+
+@pytest.mark.parametrize("uri", [
+    "zoo:single_source_shift",
+    "zoo:single_source_efficient_50",
+    "zoo:padded_irrelevant",
+    "zoo:evasive_nonrobust",
+])
+def test_gate_witnesses_match_on_zoo_models(uri):
+    _gate_matches(by_uri(uri))
+
+
+def test_firing_mask_is_cached_and_read_only():
+    model = synthetic_factorizable(0)
+    assert model.firing is model.firing
+    assert not model.firing.flags.writeable
+    assert np.array_equal(model.firing, model.products != 0)
+
+
+# ---------------------------------------------------------------------------
+# replay checks the trace's sectors
+
+
+@pytest.fixture(scope="module")
+def mixed_run():
+    model = synthetic_factorizable(5, density=0.7, kappa="mixed")
+    result = verdict.run(model)
+    assert result.kind == "inconsistent"
+    return model, result.trace
+
+
+def test_replay_rejects_an_emptied_expectation(mixed_run):
+    model, trace = mixed_run
+    emptied = dataclasses.replace(
+        trace,
+        expectation=dataclasses.replace(trace.expectation, sectors=(), e_class={}),
+    )
+    with pytest.raises(verdict.ReplayError, match="expectation covers sectors"):
+        verdict.replay(emptied, model)
+
+
+def test_replay_rejects_a_dropped_expectation_sector(mixed_run):
+    model, trace = mixed_run
+    assert trace.expectation.sectors == (1, -1)
+    dropped = dataclasses.replace(
+        trace, expectation=dataclasses.replace(trace.expectation, sectors=(1,))
+    )
+    with pytest.raises(verdict.ReplayError, match="expectation covers sectors"):
+        verdict.replay(dropped, model)
+
+
+def test_replay_rejects_a_missing_expectation_table(mixed_run):
+    model, trace = mixed_run
+    tables = {1: trace.expectation.e_class[1]}
+    forged = dataclasses.replace(
+        trace, expectation=dataclasses.replace(trace.expectation, e_class=tables)
+    )
+    with pytest.raises(verdict.ReplayError, match="does not replay"):
+        verdict.replay(forged, model)
+
+
+@pytest.mark.parametrize("stage", ["trace", "constant", "clash"])
+def test_replay_rejects_disagreeing_stage_sectors(mixed_run, stage):
+    model, trace = mixed_run
+    other = -trace.sector
+    if stage == "trace":
+        forged = dataclasses.replace(trace, sector=other)
+    else:
+        part = dataclasses.replace(getattr(trace, stage), sector=other)
+        forged = dataclasses.replace(trace, **{stage: part})
+    with pytest.raises(verdict.ReplayError, match="disagree on the sector"):
+        verdict.replay(forged, model)
+
+
+# ---------------------------------------------------------------------------
+# size guards: estimate first, refuse before allocating
+
+
+def _huge_model(n=40, size=8):
+    m = 2 * n
+    ones = np.ones((m, size), dtype=np.int8)
+    table = np.ones((m, m, size, size), dtype=np.int8)
+    return LhvModel(
+        family="two_source", n=n, a=ones, d=ones,
+        kappa=np.ones((size, size), dtype=np.int8),
+        f_plus=table, f_minus=table,
+        rho1=[Fraction(1, size)] * size, rho4=[Fraction(1, size)] * size,
+    )
+
+
+def test_tensor_estimate_counts_every_product_entry():
+    model = synthetic_factorizable(0, n=6, size1=3, size4=2)
+    assert model.tensor_bytes == 12**4 * 3 * 2 * 8
+    assert model.tensor_bytes >= 8 * model.products.size
+    single = by_uri("zoo:single_source_shift")
+    assert single.tensor_bytes == single.steps**4 * single.size1 * 8
+
+
+def test_oversized_model_is_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        model = _huge_model()
+        assert model.tensor_bytes > MAX_TABLE_BYTES
+        for call in (lambda: model.products, lambda: is_robust(model),
+                     lambda: verdict.run(model)):
+            with pytest.raises(SizeLimitError) as caught:
+                call()
+            assert "n=40 model with 8x8 hidden values" in str(caught.value)
+            assert f"{model.tensor_bytes / 2**20:,.0f} MiB" in str(caught.value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert issubclass(SizeLimitError, ValueError)
+
+
+def test_oversized_model_file_is_a_usage_error(tmp_path, capsys):
+    model = _huge_model(n=24, size=4)
+    assert model.tensor_bytes > MAX_TABLE_BYTES
+    path = tmp_path / "huge.json"
+    path.write_text(dumps(model))
+    assert cli_run(["check", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "n=24 model with 4x4 hidden values" in err and "MiB" in err
+
+
+def test_single_source_scan_estimate_and_refusal():
+    assert verdict._contradiction_bytes(4) == 4 * 2**8 * 4 * 8**3
+    assert verdict._contradiction_bytes(3) == 4 * 2**6 * 2 * 6**3
+    assert verdict._contradiction_bytes(6) <= MAX_TABLE_BYTES
+    tracemalloc.start()
+    try:
+        for n in (8, 10):
+            with pytest.raises(SizeLimitError, match=f"pi/{n} grid.*MiB"):
+                verdict.single_source_contradiction(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_every_catalog_and_golden_model_is_under_the_limit():
+    uris = [f"zoo:{name}" for name in catalog() if name != "synthetic_factorizable"]
+    for uri in uris + list(MODELS):
+        assert by_uri(uri).tensor_bytes <= MAX_TABLE_BYTES, uri
+    assert verdict._contradiction_bytes(4) <= MAX_TABLE_BYTES
+    # the largest batch shapes the benchmark draws
+    for n, size in ((4, 4), (6, 2)):
+        assert synthetic_factorizable(0, n=n, size1=size, size4=size).tensor_bytes \
+            <= MAX_TABLE_BYTES
