@@ -6,9 +6,12 @@ a(angle)*v(lam4), analyzer a(angle2)*a(angle3)*u(lam1)*v(lam4), with the
 detection pattern carried separately by the zeros of the tables.
 
 ``check_consistency`` scans the product relations any factorizable model must
-satisfy. ``build_components`` splits the support into blocks that share no
-nonzero cell. ``seed_component`` anchors one sign per block and propagates
-the rest through the nonzero cells, recording every forced assignment.
+satisfy; the 8-index ones are counted by cached chains of int64 matmuls and
+built out only when a count is nonzero. ``build_components`` turns every
+nonzero cell into a parity constraint, a row of one int table built by array
+kernels, and splits the support into blocks that share no nonzero cell.
+``seed_component`` anchors one sign per block and propagates the rest
+through the table's rows, recording every forced assignment.
 ``merge_components`` aligns the blocks' leftover global signs against the
 correlated angle tuples. The whole pipeline is deterministic: the same model
 always yields the same factorization and the same trace.
@@ -19,7 +22,6 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -77,15 +79,17 @@ class ConsistencyWitness:
 class Component:
     """One block of the support graph, listed by member indices.
 
-    ``constraints`` carries the block's parity constraints in build order,
-    so seeding a block never rebuilds them; it is not part of the identity.
+    ``constraints`` carries the block's parity constraints as rows of an
+    int table in build order, so seeding a block never rebuilds them;
+    iterating it yields ``_Constraint`` tuples. It is not part of the
+    identity.
     """
 
     angles: tuple[int, ...]
     first_hidden: tuple[int, ...]
     last_hidden: tuple[int, ...]
     anchor: tuple[str, int]
-    constraints: tuple[_Constraint, ...] = field(compare=False, repr=False)
+    constraints: _ConstraintTable = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -157,18 +161,75 @@ _TRIPLE_VARIANTS = (  # the triple with its primed hidden values moved
 )
 
 
-def _contract(operands: str, output: str, full, diag, optimize=False):
+def _contract(operands: str, output: str, full, diag):
     """One relation's einsum over the analyzer table and its diagonal."""
     tables = [full if len(op) == 4 else diag for op in operands.split(",")]
-    return np.einsum(f"{operands}->{output}", *tables, optimize=optimize)
+    return np.einsum(f"{operands}->{output}", *tables)
 
 
 @functools.lru_cache(maxsize=None)
-def _contraction_path(operands: str, shape: tuple[int, ...]) -> tuple:
-    """Order of one relation's full contraction, chosen once per shape."""
-    f = np.zeros(shape, dtype=np.int64)
-    tables = [f if len(op) == 4 else f[0] for op in operands.split(",")]
-    return tuple(np.einsum_path(f"{operands}->", *tables, optimize="optimal")[0])
+def _count_plan(operands: str, shape: tuple[int, ...]) -> tuple:
+    """One relation's full contraction as pairwise matmul steps.
+
+    The pair order is einsum's optimal path, chosen once per relation and
+    table shape. A step takes operands ``i`` and ``j`` off the list and
+    appends their product. Each of the two first sums out the indices no
+    other operand has, then is transposed and reshaped to three axes, the
+    left one to (batch, own, contracted) and the right one to (batch,
+    contracted, own), so that one batched matmul contracts them. Batch
+    indices are the shared ones a later operand still needs.
+    """
+    terms = operands.split(",")
+    size = {}
+    for term in terms:
+        size.update(zip(term, shape if len(term) == 4 else shape[1:]))
+
+    def extent(indices):
+        return int(np.prod([size[c] for c in indices], dtype=np.int64))
+
+    dummies = [np.empty(shape if len(t) == 4 else shape[1:]) for t in terms]
+    path = np.einsum_path(f"{operands}->", *dummies, optimize="optimal")[0][1:]
+    steps = []
+    for i, j in path:
+        x, y = terms[i], terms[j]
+        terms = [t for k, t in enumerate(terms) if k not in (i, j)]
+        kept = set("".join(terms))
+        x_sum = tuple(k for k, c in enumerate(x) if c not in y and c not in kept)
+        y_sum = tuple(k for k, c in enumerate(y) if c not in x and c not in kept)
+        x = "".join(c for c in x if c in y or c in kept)
+        y = "".join(c for c in y if c in x or c in kept)
+        batch = [c for c in x if c in y and c in kept]
+        inner = [c for c in x if c in y and c not in kept]
+        left = [c for c in x if c not in y]
+        right = [c for c in y if c not in x]
+        out = "".join(batch + left + right)
+        steps.append((
+            i, j,
+            x_sum, tuple(map(x.index, batch + left + inner)),
+            (extent(batch), extent(left), extent(inner)),
+            y_sum, tuple(map(y.index, batch + inner + right)),
+            (extent(batch), extent(inner), extent(right)),
+            tuple(size[c] for c in out),
+        ))
+        terms.append(out)
+    return tuple(steps)
+
+
+def _count(operands: str, full: np.ndarray, diag: np.ndarray) -> int:
+    """One relation's full int64 sum, by the relation's matmul plan."""
+    tables = [full if len(op) == 4 else diag for op in operands.split(",")]
+    for (i, j, x_sum, x_axes, x_shape, y_sum, y_axes, y_shape,
+         out_shape) in _count_plan(operands, full.shape):
+        x, y = tables[i], tables[j]
+        if x_sum:
+            x = x.sum(axis=x_sum)
+        if y_sum:
+            y = y.sum(axis=y_sum)
+        product = (x.transpose(x_axes).reshape(x_shape)
+                   @ y.transpose(y_axes).reshape(y_shape))
+        tables = [t for k, t in enumerate(tables) if k not in (i, j)]
+        tables.append(product.reshape(out_shape))
+    return int(tables[0])
 
 
 def check_consistency(model: LhvModel, variants: bool = False) -> ConsistencyWitness | None:
@@ -181,10 +242,11 @@ def check_consistency(model: LhvModel, variants: bool = False) -> ConsistencyWit
     order. The 4-index relations (across stations, within a station, the
     analyzer's symmetry) are scanned as full tensors. Each 8-index analyzer
     relation is counted, then located: since every factor is -1, 0 or +1,
-    its number of -1 instances is (sum |t1 t2 t3 t4| - sum t1 t2 t3 t4)/2,
-    and both sums are int64 einsum contractions (order chosen once per
-    table shape) that never build the 8-index tensor. Only a relation with
-    a nonzero count is materialized, to find its first -1. ``variants``
+    its number of -1 instances is (sum |t1 t2 t3 t4| - sum t1 t2 t3 t4)/2.
+    Both sums run one plan, built once per relation and table shape: a
+    chain of pairwise steps, each a transpose, a reshape and one int64
+    matmul, that never builds the 8-index tensor. Only a relation with a
+    nonzero count is materialized, by einsum, to find its first -1. ``variants``
     additionally checks the three alternative placements of the primed
     hidden variables in the triple relation.
     """
@@ -229,9 +291,7 @@ def check_consistency(model: LhvModel, variants: bool = False) -> ConsistencyWit
     signed = (f.astype(np.int64), fdiag.astype(np.int64))
     unsigned = (np.abs(signed[0]), np.abs(signed[1]))
     for name, operands in _QUADS + (_TRIPLE_VARIANTS if variants else ()):
-        path = _contraction_path(operands, f.shape)
-        if (_contract(operands, "", *unsigned, optimize=path)
-                == _contract(operands, "", *signed, optimize=path)):
+        if _count(operands, *unsigned) == _count(operands, *signed):
             continue
         where = _first_index(_contract(operands, _EIGHT, f, fdiag) == -1)
         return ConsistencyWitness(name, dict(zip(_EIGHT_KEYS, where)), -1)
@@ -292,6 +352,42 @@ _WHERE = {
     "first_station_fill": _RECTANGLE,
     "last_station_fill": _RECTANGLE,
 }
+_KINDS = tuple(_WHERE)  # a row's kind code indexes this
+
+# columns of a constraint row; vars and cell are padded with -1 to width 4
+_VARS, _COUNT, _BIT, _KIND, _CELL = slice(0, 4), 4, 5, 6, slice(7, 11)
+_ROW_WIDTH = 11
+
+
+def _row_constraint(row: list[int]) -> _Constraint:
+    return _Constraint(tuple(row[:row[_COUNT]]), row[_BIT], _KINDS[row[_KIND]],
+                       tuple(i for i in row[_CELL] if i >= 0))
+
+
+class _ConstraintTable:
+    """Parity constraints as the rows of one read-only int table.
+
+    One row per constraint, in build order. Its columns: the parity-reduced
+    var ids (ascending, padded with -1 to width 4), how many there are, the
+    bit (0 for +1, 1 for -1), the kind's code in ``_KINDS`` and the table
+    cell ``where`` cites (padded with -1 to width 4). Indexing or iterating
+    yields ``_Constraint`` tuples, built only when asked for.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray) -> None:
+        rows.flags.writeable = False
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> _Constraint:
+        return _row_constraint(self.rows[i].tolist())
+
+    def __iter__(self):
+        return map(_row_constraint, self.rows.tolist())
 
 
 def _var_layout(model: LhvModel):
@@ -308,11 +404,15 @@ def _var_name(model: LhvModel, var: int) -> tuple[str, int]:
     return (_V_VAR, var - u_end)
 
 
-def _pair_constraints(kind, angle, hidden_var, sign, cell) -> list[_Constraint]:
-    """Constraints on one angle sign times one hidden sign, in array order."""
-    bits = (sign < 0).astype(np.int8).tolist()
-    return list(map(_Constraint, zip(angle.tolist(), hidden_var.tolist()),
-                    bits, repeat(kind), zip(*(c.tolist() for c in cell))))
+def _kind_rows(kind: str, var_columns, sign, cell_columns) -> np.ndarray:
+    """Table rows of one constraint kind, in array order."""
+    rows = np.full((len(sign), _ROW_WIDTH), -1, dtype=np.int64)
+    rows.T[:len(var_columns)] = var_columns
+    rows[:, _COUNT] = len(var_columns)
+    rows[:, _BIT] = sign < 0
+    rows[:, _KIND] = _KINDS.index(kind)
+    rows.T[_CELL.start:_CELL.start + len(cell_columns)] = cell_columns
+    return rows
 
 
 def _first_partner(partner: np.ndarray, silent: np.ndarray):
@@ -328,31 +428,32 @@ def _first_partner(partner: np.ndarray, silent: np.ndarray):
     return i, j, pos, partner[i, j, pos]
 
 
-def _build_constraints(model: LhvModel) -> list[_Constraint]:
+def _build_constraints(model: LhvModel) -> _ConstraintTable:
     u_base, v_base, _ = _var_layout(model)
     a, d = model.a, model.d
     f = selected_analyzer(model)
     m, size1, size4 = model.steps, model.size1, model.size4
 
-    out = []
+    parts = []
     for kind, table, base in (
         ("first_station_cell", a, u_base),
         ("last_station_cell", d, v_base),
     ):
         k, lam = np.nonzero(table)
-        out += _pair_constraints(kind, k, base + lam, table[k, lam], (k, lam))
+        parts.append(_kind_rows(kind, (k, base + lam), table[k, lam], (k, lam)))
     # an analyzer cell's two angle signs cancel when the angles coincide
     cell = np.nonzero(f)
     k2, k3, l1, l4 = cell
-    lo, hi = np.minimum(k2, k3).tolist(), np.maximum(k2, k3).tolist()
-    us, vs = (u_base + l1).tolist(), (v_base + l4).tolist()
-    out += map(
-        _Constraint,
-        [(x, y, u, v) if x != y else (u, v) for x, y, u, v in zip(lo, hi, us, vs)],
-        (f[cell] < 0).astype(np.int8).tolist(),
-        repeat("analyzer_cell"),
-        zip(*(c.tolist() for c in cell)),
+    rows = _kind_rows(
+        "analyzer_cell",
+        (np.minimum(k2, k3), np.maximum(k2, k3), u_base + l1, v_base + l4),
+        f[cell], cell,
     )
+    same = k2 == k3
+    rows[same, :2] = rows[same, 2:4]
+    rows[same, 2:4] = -1
+    rows[same, _COUNT] = 2
+    parts.append(rows)
 
     # bridges: a silent station entry whose sign is still pinned by an
     # analyzer cell together with the other station; partners of a silent
@@ -363,14 +464,14 @@ def _build_constraints(model: LhvModel) -> list[_Constraint]:
         (f.transpose(0, 2, 1, 3) * d).reshape(m, size1, -1), a == 0
     )
     beta, l4 = np.divmod(pos, size4)
-    out += _pair_constraints("first_station_bridge", k, u_base + l1, sign,
-                             (k, beta, l1, l4))
+    parts.append(_kind_rows("first_station_bridge", (k, u_base + l1), sign,
+                            (k, beta, l1, l4)))
     k, l4, pos, sign = _first_partner(
         (f.transpose(1, 3, 0, 2) * a).reshape(m, size4, -1), d == 0
     )
     beta, l1 = np.divmod(pos, size1)
-    out += _pair_constraints("last_station_bridge", k, v_base + l4, sign,
-                             (k, beta, l1, l4))
+    parts.append(_kind_rows("last_station_bridge", (k, v_base + l4), sign,
+                            (k, beta, l1, l4)))
 
     # rectangle fills: three live cells of a station rectangle pin the fourth;
     # the partners of a silent (beta, lam_alt) are the (alpha, lam) with
@@ -386,9 +487,9 @@ def _build_constraints(model: LhvModel) -> list[_Constraint]:
         beta, lam_alt, pos, _ = _first_partner(partner.reshape(m, size, -1), ~live)
         alpha, lam = np.divmod(pos, size)
         sign = table[alpha, lam] * table[beta, lam] * table[alpha, lam_alt]
-        out += _pair_constraints(kind, beta, base + lam_alt, sign,
-                                 (alpha, beta, lam, lam_alt))
-    return out
+        parts.append(_kind_rows(kind, (beta, base + lam_alt), sign,
+                                (alpha, beta, lam, lam_alt)))
+    return _ConstraintTable(np.concatenate(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -400,40 +501,123 @@ def build_components(model: LhvModel) -> tuple[Component, ...]:
 
     Every nonzero cell links all the indices it touches; blocks are returned
     ordered by their smallest member, angles counted first. The parity
-    constraints come from array kernels over each cell kind (built once,
-    their ``where`` text formatted only when a trace step or an alarm cites
-    it). Blocks are labelled on the distinct constraint var-sets: each
-    variable takes the smallest variable its block reaches, found by
-    squaring a boolean link matrix over the 2n + L1 + L4 variables.
+    constraints come from array kernels over each cell kind as one int
+    table, a row per constraint (see ``_ConstraintTable``); no per-cell
+    object is built. Blocks are labelled from the table's var columns:
+    each variable takes the smallest variable its block reaches, found by
+    squaring a boolean link matrix over the 2n + L1 + L4 variables. A row
+    belongs to the block of its first var, and each block keeps all of its
+    rows, in build order, as its own table.
     """
     _reject_single_source(model)
     m, u_end, v_end = _var_layout(model)
-    constraints = _build_constraints(model)
-    linked = np.eye(v_end, dtype=bool)
-    var_sets = {c.vars for c in constraints}
-    linked[[vs[0] for vs in var_sets for _ in vs],
-           [var for vs in var_sets for var in vs]] = True
+    table = _build_constraints(model)
+    var_ids = table.rows[:, _VARS]
+    # link each row's first var to all of its vars; the -1 pads land in an
+    # extra last column, cut off
+    linked = np.eye(v_end, v_end + 1, dtype=bool)
+    linked[var_ids[:, :1], var_ids] = True
+    linked = linked[:, :v_end]
     linked |= linked.T
     while True:
         reach = linked @ linked
         if np.array_equal(reach, linked):
             break
         linked = reach
-    label = linked.argmax(axis=1).tolist()  # smallest member of the block
-    owned: dict[int, list[_Constraint]] = {}
-    for constraint in constraints:
-        owned.setdefault(label[constraint.vars[0]], []).append(constraint)
+    label = linked.argmax(axis=1)  # smallest member of the block
+    roots = np.flatnonzero(label == np.arange(v_end))
+    row_label = label[var_ids[:, 0]]
+    order = np.argsort(row_label, kind="stable")
+    bounds = np.searchsorted(row_label[order], roots, side="right")
     components = []
-    for root in sorted(set(label)):
-        members = [var for var in range(v_end) if label[var] == root]
+    start = 0
+    for root, stop in zip(roots.tolist(), bounds.tolist()):
+        members = np.flatnonzero(label == root).tolist()
         components.append(Component(
             angles=tuple(v for v in members if v < m),
             first_hidden=tuple(v - m for v in members if m <= v < u_end),
             last_hidden=tuple(v - u_end for v in members if v >= u_end),
             anchor=_var_name(model, root),
-            constraints=tuple(owned.get(root, ())),
+            constraints=_ConstraintTable(table.rows[order[start:stop]]),
         ))
+        start = stop
     return tuple(components)
+
+
+def _bitsets(masks: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a Python int, bit i for column i."""
+    packed = np.packbits(masks, axis=-1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _propagate(constraints: _ConstraintTable, anchor_var: int, v_end: int,
+               check_complete: bool = False):
+    """Unit propagation over a block's rows; yields (row, var, value).
+
+    Only the anchor is assigned at the start (value 0). Row sets are Python
+    ints, bit i for row i: per var the rows that hold it, the rows' unknown
+    counts as three bit planes, and the rows whose bit and assigned values
+    have odd parity. The FIFO queue holds row sets: first the rows with one
+    unknown var, then, after each forced sign, the rows its var brought
+    down to one. A set is popped row by row in row order, and a row that
+    still has one unknown var forces it to the row's parity.
+
+    With ``check_complete`` the walk is the one made before complete rows
+    were skipped: a row also queues when it starts complete or its last
+    var settles, and a row popped with no unknown var is checked once; the
+    first violated one raises CounterexampleAlarm. Both walks force the
+    same signs in the same order.
+    """
+    rows = constraints.rows
+    var_ids = rows[:, _VARS]
+    live = var_ids >= 0
+    holds = np.zeros((v_end, len(rows)), dtype=bool)
+    holds[var_ids[live], np.nonzero(live)[0]] = True
+    held_by = _bitsets(holds)
+    unknown = rows[:, _COUNT] - holds[anchor_var]
+    c0, c1, c2 = _bitsets(np.stack([unknown & bit != 0 for bit in (1, 2, 4)]))
+    (odd,) = _bitsets(rows[None, :, _BIT] == 1)
+    assigned = {anchor_var}
+    checked = 0
+
+    def waiting(candidates: int) -> int:
+        """The candidates a pop would act on now."""
+        one = c0 & ~(c1 | c2)
+        if check_complete:
+            return candidates & (one | ~(c0 | c1 | c2 | checked))
+        return candidates & one
+
+    queue = deque([waiting((1 << len(rows)) - 1)])
+    while queue:
+        batch = queue.popleft()
+        while ready := waiting(batch):
+            low = ready & -ready
+            batch &= -2 * low  # this row and those before it are popped
+            i = low.bit_length() - 1
+            if not c0 & ~(c1 | c2) & low:  # complete: check it once
+                checked |= low
+                if odd & low:
+                    c = constraints[i]
+                    raise CounterexampleAlarm(
+                        f"conflicting sign chain at {c.kind} ({c.where}):"
+                        " the cell disagrees with the values already forced"
+                    )
+                continue
+            var = next(v for v in var_ids[i].tolist()
+                       if v >= 0 and v not in assigned)
+            value = odd >> i & 1
+            yield i, var, value
+            assigned.add(var)
+            held = held_by[var]
+            # subtract one from the counts of the rows holding var
+            borrow = held & ~c0
+            c0 ^= held
+            c1, borrow = c1 ^ borrow, borrow & ~c1
+            c2 ^= borrow
+            if value:
+                odd ^= held
+            if queued := waiting(held):
+                queue.append(queued)
 
 
 def seed_component(model: LhvModel, component: Component) -> ComponentAssignment:
@@ -443,13 +627,22 @@ def seed_component(model: LhvModel, component: Component) -> ComponentAssignment
     by step; if the support is too thin to finish that way, the leftover
     subsystem is solved by elimination (free signs default to +1).
     A contradiction raises CounterexampleAlarm.
+
+    The propagation (``_propagate``) walks the block's constraint table and
+    queues a row only when one of its vars is left unknown. Assigned values
+    never change, so one parity check over every fully assigned row
+    afterwards finds a conflict exactly when checking each row as it
+    completed would have; only then is the walk replayed with those checks,
+    to raise at the same row with the same text. A row's ``where`` text is
+    formatted only for the steps it forces.
     """
     _reject_single_source(model)
-    m, v_base, _ = _var_layout(model)  # first-hidden variables start at m
+    m, v_base, v_end = _var_layout(model)  # first-hidden variables start at m
     members = set(component.angles)
     members.update(m + i for i in component.first_hidden)
     members.update(v_base + i for i in component.last_hidden)
     constraints = component.constraints
+    rows = constraints.rows
     assignment: dict[int, int] = {}
     trace: list[TraceStep] = []
 
@@ -464,50 +657,28 @@ def seed_component(model: LhvModel, component: Component) -> ComponentAssignment
                " relative to it",
     ))
 
-    # per constraint, kept current as signs settle: how many of its vars
-    # are unknown, their sum (the missing var once one is left; the vars
-    # are distinct) and the parity of its bit with the values assigned
-    by_var: dict[int, list[int]] = {}
-    unknown, missing_sum, parity = [], [], []
-    for i, c in enumerate(constraints):
-        for var in c.vars:
-            by_var.setdefault(var, []).append(i)
-        unknown.append(len(c.vars))
-        missing_sum.append(sum(c.vars))
-        parity.append(c.bit)
-    for j in by_var.get(anchor_var, ()):  # the anchor's value 0 keeps parity
-        unknown[j] -= 1
-        missing_sum[j] -= anchor_var
-    queue = deque(i for i, count in enumerate(unknown) if count <= 1)
-    seen_zero: set[int] = set()
-
-    def settle(var: int, value: int, source: _Constraint) -> None:
+    for i, var, value in _propagate(constraints, anchor_var, v_end):
         assignment[var] = value
+        source = constraints[i]
         trace.append(TraceStep(
             kind="unit",
             target=_var_name(model, var),
             value=1 if value == 0 else -1,
             reason=f"{source.kind}: {source.where}",
         ))
-        for j in by_var.get(var, ()):
-            unknown[j] -= 1
-            missing_sum[j] -= var
-            parity[j] ^= value
-            if unknown[j] <= 1:
-                queue.append(j)
 
-    while queue:
-        i = queue.popleft()
-        if unknown[i]:  # one var left: the cell forces it
-            settle(missing_sum[i], parity[i], constraints[i])
-        elif i not in seen_zero:
-            seen_zero.add(i)
-            if parity[i]:
-                c = constraints[i]
-                raise CounterexampleAlarm(
-                    f"conflicting sign chain at {c.kind} ({c.where}):"
-                    " the cell disagrees with the values already forced"
-                )
+    # the parity of every fully assigned row; the -1 pads read the last slot
+    known = np.zeros(v_end + 1, dtype=bool)
+    values = np.zeros(v_end + 1, dtype=np.int64)
+    known[-1] = True
+    known[list(assignment)] = True
+    values[list(assignment)] = list(assignment.values())
+    var_ids = rows[:, _VARS]
+    odd = (rows[:, _BIT] + values[var_ids].sum(axis=1)) % 2 == 1
+    if (odd & known[var_ids].all(axis=1)).any():
+        for _ in _propagate(constraints, anchor_var, v_end, check_complete=True):
+            pass
+        raise AssertionError("the replayed walk met no violated complete row")
 
     eliminated = 0
     leftovers = sorted(members - set(assignment))
@@ -577,6 +748,14 @@ def _eliminate(model, constraints, assignment, leftovers, trace) -> int:
     return len(leftovers)
 
 
+@functools.lru_cache(maxsize=None)
+def _correlated_tuples(n: int, sector: int) -> np.ndarray:
+    """The angle tuples a sector correlates, as read-only index rows."""
+    tuples = np.argwhere(sign_table(n, sector) == 1)
+    tuples.flags.writeable = False
+    return tuples
+
+
 def merge_components(
     model: LhvModel, assignments: tuple[ComponentAssignment, ...]
 ) -> Factorization:
@@ -588,6 +767,8 @@ def merge_components(
     -1. The flip (a, u, v of the block together) preserves every response.
     The first block is the reference frame; blocks never mixed with it by
     any correlated tuple keep their seed signs and are reported unmerged.
+    A lone block needs no tuple scan, and the correlated tuples of a sector
+    are found once per (n, sector).
     """
     _reject_single_source(model)
     m = model.steps
@@ -609,12 +790,12 @@ def merge_components(
     if assignments:
         merged[0] = True
 
-    sectors = realized_sectors(model) or (1,)
-    correlated: list[np.ndarray] = []
-    for sector in sectors:
-        correlated.append(np.argwhere(sign_table(model.n, sector) == 1))
+    correlated = []
+    if len(assignments) > 1:  # a lone block is the reference frame itself
+        correlated = [_correlated_tuples(model.n, sector)
+                      for sector in realized_sectors(model) or (1,)]
 
-    progress = True
+    progress = bool(correlated)
     while progress:
         progress = False
         for ci, asg in enumerate(assignments):

@@ -9,17 +9,21 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 from hypothesis import strategies as st
 
 from bellswap.angles import sign_table
 from bellswap.factorizer import (
+    Component,
     ComponentAssignment,
     ConsistencyWitness,
     CounterexampleAlarm,
     TraceStep,
+    _Constraint,
     _eliminate,
+    _first_partner,
     _var_layout,
     _var_name,
 )
@@ -693,6 +697,193 @@ def queue_seed_component(model: LhvModel, component) -> ComponentAssignment:
                     value ^= assignment[var]
             settle(missing[0], value, c)
 
+    eliminated = 0
+    leftovers = sorted(members - set(assignment))
+    if leftovers:
+        eliminated = _eliminate(model, constraints, assignment, leftovers, trace)
+    a = {var: 1 - 2 * assignment[var] for var in members if var < m}
+    u = {var - m: 1 - 2 * assignment[var] for var in members if m <= var < v_base}
+    v = {var - v_base: 1 - 2 * assignment[var] for var in members if var >= v_base}
+    return ComponentAssignment(
+        component=component, a=a, u=u, v=v,
+        trace=tuple(trace), eliminated=eliminated,
+    )
+
+
+def einsum_count(operands: str, full: np.ndarray, diag: np.ndarray) -> int:
+    """Oracle for the consistency counts: one einsum over its optimal path.
+
+    How ``check_consistency`` summed a relation before its matmul plans:
+    ``np.einsum`` with the contraction order ``np.einsum_path`` chooses.
+    """
+    tables = [full if len(op) == 4 else diag for op in operands.split(",")]
+    path = np.einsum_path(f"{operands}->", *tables, optimize="optimal")[0]
+    return int(np.einsum(f"{operands}->", *tables, optimize=path))
+
+
+def _tuple_pairs(kind, angle, hidden_var, sign, cell):
+    bits = (sign < 0).astype(np.int8).tolist()
+    return list(map(_Constraint, zip(angle.tolist(), hidden_var.tolist()),
+                    bits, repeat(kind), zip(*(c.tolist() for c in cell))))
+
+
+def tuple_constraints(model: LhvModel) -> list:
+    """Oracle for the constraint table: one ``_Constraint`` per cell.
+
+    The array kernels as they stood before the int table: each kind's
+    arrays are turned into NamedTuples, in build order.
+    """
+    m, size1, size4 = model.steps, model.size1, model.size4
+    u_base, v_base = m, m + size1
+    a, d = model.a, model.d
+    f = selected_analyzer(model)
+    out = []
+    for kind, table, base in (
+        ("first_station_cell", a, u_base),
+        ("last_station_cell", d, v_base),
+    ):
+        k, lam = np.nonzero(table)
+        out += _tuple_pairs(kind, k, base + lam, table[k, lam], (k, lam))
+    cell = np.nonzero(f)
+    k2, k3, l1, l4 = cell
+    lo, hi = np.minimum(k2, k3).tolist(), np.maximum(k2, k3).tolist()
+    us, vs = (u_base + l1).tolist(), (v_base + l4).tolist()
+    out += map(
+        _Constraint,
+        [(x, y, u, v) if x != y else (u, v) for x, y, u, v in zip(lo, hi, us, vs)],
+        (f[cell] < 0).astype(np.int8).tolist(),
+        repeat("analyzer_cell"),
+        zip(*(c.tolist() for c in cell)),
+    )
+    k, l1, pos, sign = _first_partner(
+        (f.transpose(0, 2, 1, 3) * d).reshape(m, size1, -1), a == 0
+    )
+    beta, l4 = np.divmod(pos, size4)
+    out += _tuple_pairs("first_station_bridge", k, u_base + l1, sign,
+                        (k, beta, l1, l4))
+    k, l4, pos, sign = _first_partner(
+        (f.transpose(1, 3, 0, 2) * a).reshape(m, size4, -1), d == 0
+    )
+    beta, l1 = np.divmod(pos, size1)
+    out += _tuple_pairs("last_station_bridge", k, v_base + l4, sign,
+                        (k, beta, l1, l4))
+    for table, base, kind in (
+        (a, u_base, "first_station_fill"),
+        (d, v_base, "last_station_fill"),
+    ):
+        live = table != 0
+        size = table.shape[1]
+        partner = live[None, None] & live[:, None, None, :] & live.T[None, :, :, None]
+        beta, lam_alt, pos, _ = _first_partner(partner.reshape(m, size, -1), ~live)
+        alpha, lam = np.divmod(pos, size)
+        sign = table[alpha, lam] * table[beta, lam] * table[alpha, lam_alt]
+        out += _tuple_pairs(kind, beta, base + lam_alt, sign,
+                            (alpha, beta, lam, lam_alt))
+    return out
+
+
+def tuple_build_components(model: LhvModel) -> tuple:
+    """Oracle for ``build_components``: blocks holding ``_Constraint`` tuples.
+
+    The block split as it stood before the int table: labels from the
+    squared link matrix over the distinct var sets, and each block's
+    constraints as a tuple of NamedTuples in build order.
+    """
+    m, u_end, v_end = _var_layout(model)
+    constraints = tuple_constraints(model)
+    linked = np.eye(v_end, dtype=bool)
+    var_sets = {c.vars for c in constraints}
+    linked[[vs[0] for vs in var_sets for _ in vs],
+           [var for vs in var_sets for var in vs]] = True
+    linked |= linked.T
+    while True:
+        reach = linked @ linked
+        if np.array_equal(reach, linked):
+            break
+        linked = reach
+    label = linked.argmax(axis=1).tolist()
+    owned: dict = {}
+    for constraint in constraints:
+        owned.setdefault(label[constraint.vars[0]], []).append(constraint)
+    components = []
+    for root in sorted(set(label)):
+        members = [var for var in range(v_end) if label[var] == root]
+        components.append(Component(
+            angles=tuple(v for v in members if v < m),
+            first_hidden=tuple(v - m for v in members if m <= v < u_end),
+            last_hidden=tuple(v - u_end for v in members if v >= u_end),
+            anchor=_var_name(model, root),
+            constraints=tuple(owned.get(root, ())),
+        ))
+    return tuple(components)
+
+
+def running_count_seed_component(model: LhvModel, component) -> ComponentAssignment:
+    """Oracle for ``seed_component``: running counts over ``_Constraint`` tuples.
+
+    The propagation as it stood before the int table: per-var row lists and
+    per-row counts read off the NamedTuples one by one, and a queue that
+    also takes every row whose last var settles and checks it when popped.
+    Same trace steps, assignments and alarm texts.
+    """
+    m, v_base, _ = _var_layout(model)
+    members = set(component.angles)
+    members.update(m + i for i in component.first_hidden)
+    members.update(v_base + i for i in component.last_hidden)
+    constraints = component.constraints
+    assignment: dict = {}
+    trace: list = []
+    kind, index = component.anchor
+    anchor_var = {"a": index, "u": m + index, "v": v_base + index}[kind]
+    assignment[anchor_var] = 0
+    trace.append(TraceStep(
+        kind="seed",
+        target=component.anchor,
+        value=1,
+        reason="block anchor fixed to +1; all other signs are forced"
+               " relative to it",
+    ))
+    by_var: dict = {}
+    unknown, missing_sum, parity = [], [], []
+    for i, c in enumerate(constraints):
+        for var in c.vars:
+            by_var.setdefault(var, []).append(i)
+        unknown.append(len(c.vars))
+        missing_sum.append(sum(c.vars))
+        parity.append(c.bit)
+    for j in by_var.get(anchor_var, ()):
+        unknown[j] -= 1
+        missing_sum[j] -= anchor_var
+    queue = deque(i for i, count in enumerate(unknown) if count <= 1)
+    seen_zero: set = set()
+
+    def settle(var, value, source):
+        assignment[var] = value
+        trace.append(TraceStep(
+            kind="unit",
+            target=_var_name(model, var),
+            value=1 if value == 0 else -1,
+            reason=f"{source.kind}: {source.where}",
+        ))
+        for j in by_var.get(var, ()):
+            unknown[j] -= 1
+            missing_sum[j] -= var
+            parity[j] ^= value
+            if unknown[j] <= 1:
+                queue.append(j)
+
+    while queue:
+        i = queue.popleft()
+        if unknown[i]:
+            settle(missing_sum[i], parity[i], constraints[i])
+        elif i not in seen_zero:
+            seen_zero.add(i)
+            if parity[i]:
+                c = constraints[i]
+                raise CounterexampleAlarm(
+                    f"conflicting sign chain at {c.kind} ({c.where}):"
+                    " the cell disagrees with the values already forced"
+                )
     eliminated = 0
     leftovers = sorted(members - set(assignment))
     if leftovers:

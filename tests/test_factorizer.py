@@ -189,14 +189,20 @@ class TestCheckConsistency:
             assert check_consistency(model) == witness
 
     def test_only_a_relation_with_a_minus_one_is_materialized(self, monkeypatch):
+        # a count is a full sum (empty output); materializing names all eight
         outputs = []
-        contract = factorizer._contract
+        count, contract = factorizer._count, factorizer._contract
 
-        def spy(operands, output, *tables, **options):
+        def count_spy(operands, *tables):
+            outputs.append("")
+            return count(operands, *tables)
+
+        def contract_spy(operands, output, *tables):
             outputs.append(output)
-            return contract(operands, output, *tables, **options)
+            return contract(operands, output, *tables)
 
-        monkeypatch.setattr(factorizer, "_contract", spy)
+        monkeypatch.setattr(factorizer, "_count", count_spy)
+        monkeypatch.setattr(factorizer, "_contract", contract_spy)
         assert check_consistency(random_compose(3), variants=True) is None
         assert len(outputs) == 12 and not any(outputs)  # two sums per relation
         outputs.clear()

@@ -1,10 +1,12 @@
 """The per-model verdict path against the code it replaced.
 
 Each rewrite of the path has an oracle in ``helpers``: the eagerly built
-product-rule events, unit propagation that rescans every cell, and the
-multi-axis reductions of the robustness gate. Property tests compare the two
-on random models; the rest pins the trace checks ``replay`` makes and the
-size guards that refuse oversized inputs before allocating.
+product-rule events, unit propagation that rescans every cell, the
+factorizer's ``_Constraint`` tuples with their running-count propagation,
+the einsum relation counts, and the multi-axis reductions of the robustness
+gate. Property tests compare the two on random models; the rest pins the
+trace checks ``replay`` makes and the size guards that refuse oversized
+inputs before allocating.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bellswap import verdict
+from bellswap import factorizer, verdict
 from bellswap.cli import run as cli_run
 from bellswap.factorizer import (
     CounterexampleAlarm,
     build_components,
+    check_consistency,
     factorize,
+    merge_components,
     seed_component,
 )
 from bellswap.model import (
@@ -30,6 +34,7 @@ from bellswap.model import (
     LhvModel,
     SizeLimitError,
     dumps,
+    selected_analyzer,
 )
 from bellswap.robustness import (
     check_counts_nonempty,
@@ -40,15 +45,20 @@ from bellswap.robustness import (
 from bellswap.zoo import by_uri, catalog, synthetic_factorizable
 
 from helpers import (
+    block_diagonal,
     broadcast_products,
     eager_product_rule,
+    einsum_count,
     multi_axis_correlations,
     multi_axis_counts,
     multi_axis_event_signs,
     multi_axis_relevance,
     queue_seed_component,
     rebuild,
+    running_count_seed_component,
+    tables_model,
     ternary_models,
+    tuple_build_components,
 )
 from test_golden import MODELS
 
@@ -165,6 +175,148 @@ def test_seed_component_alarm_texts_match_on_conflicting_tables():
             f[k2, k3, l1, l4] *= -1
         alarms += _assert_seeds_match(rebuild(model, f_plus=f, f_minus=f))
     assert alarms >= 10
+
+
+# ---------------------------------------------------------------------------
+# the factorizer on arrays: constraint rows in one int table, propagation
+# that queues only forcing rows, relation counts by matmul plans
+
+
+def _assert_counts_match(model):
+    f = selected_analyzer(model).astype(np.int64)
+    signed = (f, np.einsum("iikl->ikl", f))
+    for tables in (signed, (np.abs(signed[0]), np.abs(signed[1]))):
+        for name, operands in factorizer._QUADS + factorizer._TRIPLE_VARIANTS:
+            got = factorizer._count(operands, *tables)
+            assert got == einsum_count(operands, *tables), name
+
+
+@PROPERTY
+@given(model=ternary_models())
+def test_relation_counts_match_einsum_on_sparse_tables(model):
+    _assert_counts_match(model)
+
+
+@PROPERTY
+@given(model=synthetic_models())
+def test_relation_counts_match_einsum_on_factorizable_models(model):
+    _assert_counts_match(model)
+
+
+def test_count_plans_are_built_once_per_relation_and_shape():
+    model = synthetic_factorizable(3, n=4, size1=2, size4=3)
+    assert check_consistency(model, variants=True) is None
+    misses = factorizer._count_plan.cache_info().misses
+    other = synthetic_factorizable(4, n=4, size1=2, size4=3, density=0.4)
+    assert check_consistency(other, variants=True) is None
+    assert factorizer._count_plan.cache_info().misses == misses
+
+
+def _assert_components_match(model):
+    got, want = build_components(model), tuple_build_components(model)
+    assert got == want
+    for block, oracle in zip(got, want):
+        assert tuple(block.constraints) == oracle.constraints
+        assert not block.constraints.rows.flags.writeable
+
+
+@PROPERTY
+@given(model=ternary_models())
+def test_components_match_the_tuple_build_on_sparse_tables(model):
+    _assert_components_match(model)
+
+
+@PROPERTY
+@given(model=synthetic_models())
+def test_components_match_the_tuple_build_on_factorizable_models(model):
+    _assert_components_match(model)
+
+
+def _assert_seeds_match_running_counts(model):
+    alarms = 0
+    oracles = tuple_build_components(model)
+    for component, oracle in zip(build_components(model), oracles):
+        got = _outcome(seed_component, model, component)
+        want = _outcome(running_count_seed_component, model, oracle)
+        assert got == want
+        alarms += isinstance(want, str)
+    return alarms
+
+
+@PROPERTY
+@given(model=ternary_models())
+def test_seed_matches_running_count_walk_on_sparse_tables(model):
+    _assert_seeds_match_running_counts(model)
+
+
+@PROPERTY
+@given(model=synthetic_models())
+def test_seed_matches_running_count_walk_on_factorizable_models(model):
+    assert _assert_seeds_match_running_counts(model) == 0
+
+
+def test_seed_alarm_texts_match_running_count_walk_on_conflicting_tables():
+    alarms = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        model = synthetic_factorizable(seed, n=2, density=0.7, kappa="mixed")
+        f = model.f_plus.copy()
+        live = np.argwhere(f != 0)
+        for k2, k3, l1, l4 in live[rng.permutation(len(live))[:2]]:
+            f[k2, k3, l1, l4] *= -1
+        alarms += _assert_seeds_match_running_counts(rebuild(model, f_plus=f, f_minus=f))
+    assert alarms >= 10
+
+
+def test_conflict_seen_only_at_a_complete_row_raises():
+    # anchor a0: the station cells (a0, u0) and (a0, v0) force u0 = v0 = +1
+    # and (a1, u0) forces a1; the analyzer cell (u0, v0) demands u0 v0 = -1
+    # but never forces, since its last unknown is settled by another row.
+    # Nothing is left to eliminate, so only the check of complete rows can
+    # see the conflict.
+    stations = np.array([[1], [1], [0], [0]], dtype=np.int8)
+    f = np.zeros((4, 4, 1, 1), dtype=np.int8)
+    f[0, 0, 0, 0] = -1
+    model = tables_model(stations, stations.copy(), f)
+    component = build_components(model)[0]
+    assert component.angles == (0, 1)
+    text = (
+        "alarm: conflicting sign chain at analyzer_cell (analyzer angles (0,0),"
+        " hidden (0,0)): the cell disagrees with the values already forced"
+    )
+    assert _outcome(seed_component, model, component) == text
+    oracle = tuple_build_components(model)[0]
+    assert _outcome(running_count_seed_component, model, oracle) == text
+
+
+def test_where_text_is_built_only_for_forcing_rows(monkeypatch):
+    built = []
+    row_constraint = factorizer._row_constraint
+    monkeypatch.setattr(factorizer, "_row_constraint",
+                        lambda row: built.append(row) or row_constraint(row))
+    model = synthetic_factorizable(7, n=4, size1=2, size4=2)
+    (component,) = build_components(model)
+    assert built == [] and len(component.constraints) > 100
+    asg = seed_component(model, component)
+    assert asg.eliminated == 0
+    assert len(built) == sum(step.kind == "unit" for step in asg.trace)
+
+
+def test_merge_scans_correlated_tuples_only_across_blocks(monkeypatch):
+    calls = []
+    tuples = factorizer._correlated_tuples
+    monkeypatch.setattr(factorizer, "_correlated_tuples",
+                        lambda n, sector: calls.append((n, sector)) or tuples(n, sector))
+    lone = synthetic_factorizable(7)
+    blocks = tuple(seed_component(lone, c) for c in build_components(lone))
+    assert merge_components(lone, blocks).merged == (True,)
+    assert calls == []
+    model = block_diagonal([1, 1, -1, -1], u=(1, -1), v=(-1, 1))
+    blocks = tuple(seed_component(model, c) for c in build_components(model))
+    assert merge_components(model, blocks).merged == (True, True)
+    assert calls == [(2, 1)]
+    assert tuples(2, 1) is tuples(2, 1)
+    assert not tuples(2, 1).flags.writeable
 
 
 # ---------------------------------------------------------------------------
