@@ -566,7 +566,9 @@ def _propagate(constraints: _ConstraintTable, anchor_var: int, v_end: int,
     were skipped: a row also queues when it starts complete or its last
     var settles, and a row popped with no unknown var is checked once; the
     first violated one raises CounterexampleAlarm. Both walks force the
-    same signs in the same order.
+    same signs in the same order. Without it, the walk ends with one test
+    of the odd-parity rows that have no unknown var left, and only if one
+    is found is the checked walk replayed to raise.
     """
     rows = constraints.rows
     var_ids = rows[:, _VARS]
@@ -618,6 +620,13 @@ def _propagate(constraints: _ConstraintTable, anchor_var: int, v_end: int,
                 odd ^= held
             if queued := waiting(held):
                 queue.append(queued)
+    # odd now marks each row whose bit and assigned values disagree; one
+    # with no unknown var left is violated, so replay the checked walk to
+    # raise at the row it would have stopped at
+    if not check_complete and odd & ~(c0 | c1 | c2):
+        for _ in _propagate(constraints, anchor_var, v_end, check_complete=True):
+            pass
+        raise AssertionError("the replayed walk met no violated complete row")
 
 
 def seed_component(model: LhvModel, component: Component) -> ComponentAssignment:
@@ -630,8 +639,8 @@ def seed_component(model: LhvModel, component: Component) -> ComponentAssignment
 
     The propagation (``_propagate``) walks the block's constraint table and
     queues a row only when one of its vars is left unknown. Assigned values
-    never change, so one parity check over every fully assigned row
-    afterwards finds a conflict exactly when checking each row as it
+    never change, so one parity test over every fully assigned row at the
+    end of the walk finds a conflict exactly when checking each row as it
     completed would have; only then is the walk replayed with those checks,
     to raise at the same row with the same text. A row's ``where`` text is
     formatted only for the steps it forces.
@@ -642,7 +651,6 @@ def seed_component(model: LhvModel, component: Component) -> ComponentAssignment
     members.update(m + i for i in component.first_hidden)
     members.update(v_base + i for i in component.last_hidden)
     constraints = component.constraints
-    rows = constraints.rows
     assignment: dict[int, int] = {}
     trace: list[TraceStep] = []
 
@@ -666,19 +674,6 @@ def seed_component(model: LhvModel, component: Component) -> ComponentAssignment
             value=1 if value == 0 else -1,
             reason=f"{source.kind}: {source.where}",
         ))
-
-    # the parity of every fully assigned row; the -1 pads read the last slot
-    known = np.zeros(v_end + 1, dtype=bool)
-    values = np.zeros(v_end + 1, dtype=np.int64)
-    known[-1] = True
-    known[list(assignment)] = True
-    values[list(assignment)] = list(assignment.values())
-    var_ids = rows[:, _VARS]
-    odd = (rows[:, _BIT] + values[var_ids].sum(axis=1)) % 2 == 1
-    if (odd & known[var_ids].all(axis=1)).any():
-        for _ in _propagate(constraints, anchor_var, v_end, check_complete=True):
-            pass
-        raise AssertionError("the replayed walk met no violated complete row")
 
     eliminated = 0
     leftovers = sorted(members - set(assignment))
@@ -748,14 +743,6 @@ def _eliminate(model, constraints, assignment, leftovers, trace) -> int:
     return len(leftovers)
 
 
-@functools.lru_cache(maxsize=None)
-def _correlated_tuples(n: int, sector: int) -> np.ndarray:
-    """The angle tuples a sector correlates, as read-only index rows."""
-    tuples = np.argwhere(sign_table(n, sector) == 1)
-    tuples.flags.writeable = False
-    return tuples
-
-
 def merge_components(
     model: LhvModel, assignments: tuple[ComponentAssignment, ...]
 ) -> Factorization:
@@ -767,8 +754,7 @@ def merge_components(
     -1. The flip (a, u, v of the block together) preserves every response.
     The first block is the reference frame; blocks never mixed with it by
     any correlated tuple keep their seed signs and are reported unmerged.
-    A lone block needs no tuple scan, and the correlated tuples of a sector
-    are found once per (n, sector).
+    A lone block is the reference frame itself and needs no tuple scan.
     """
     _reject_single_source(model)
     m = model.steps
@@ -792,7 +778,7 @@ def merge_components(
 
     correlated = []
     if len(assignments) > 1:  # a lone block is the reference frame itself
-        correlated = [_correlated_tuples(model.n, sector)
+        correlated = [np.argwhere(sign_table(model.n, sector) == 1)
                       for sector in realized_sectors(model) or (1,)]
 
     progress = bool(correlated)
