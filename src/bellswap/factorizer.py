@@ -550,25 +550,20 @@ def _bitsets(masks: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _propagate(constraints: _ConstraintTable, anchor_var: int, v_end: int,
-               check_complete: bool = False):
+def _propagate(constraints: _ConstraintTable, anchor_var: int, v_end: int):
     """Unit propagation over a block's rows; yields (row, var, value).
 
     Only the anchor is assigned at the start (value 0). Row sets are Python
     ints, bit i for row i: per var the rows that hold it, the rows' unknown
     counts as three bit planes, and the rows whose bit and assigned values
-    have odd parity. The FIFO queue holds row sets: first the rows with one
-    unknown var, then, after each forced sign, the rows its var brought
-    down to one. A set is popped row by row in row order, and a row that
-    still has one unknown var forces it to the row's parity.
-
-    With ``check_complete`` the walk is the one made before complete rows
-    were skipped: a row also queues when it starts complete or its last
-    var settles, and a row popped with no unknown var is checked once; the
-    first violated one raises CounterexampleAlarm. Both walks force the
-    same signs in the same order. Without it, the walk ends with one test
-    of the odd-parity rows that have no unknown var left, and only if one
-    is found is the checked walk replayed to raise.
+    have odd parity. The FIFO queue holds row sets: first the rows with at
+    most one unknown var, then, after each forced sign, the rows its var
+    brought down to one or none. A set is popped row by row in row order: a
+    row with one unknown var forces it to the row's parity, and a complete
+    row with odd parity raises CounterexampleAlarm. Checking a complete row
+    changes nothing, so those before the next forcing row (all of them when
+    none is left) are checked at once and the lowest odd one raises; one met
+    again in a later set was even when first checked and still is.
     """
     rows = constraints.rows
     var_ids = rows[:, _VARS]
@@ -580,31 +575,23 @@ def _propagate(constraints: _ConstraintTable, anchor_var: int, v_end: int,
     c0, c1, c2 = _bitsets(np.stack([unknown & bit != 0 for bit in (1, 2, 4)]))
     (odd,) = _bitsets(rows[None, :, _BIT] == 1)
     assigned = {anchor_var}
-    checked = 0
 
-    def waiting(candidates: int) -> int:
-        """The candidates a pop would act on now."""
-        one = c0 & ~(c1 | c2)
-        if check_complete:
-            return candidates & (one | ~(c0 | c1 | c2 | checked))
-        return candidates & one
-
-    queue = deque([waiting((1 << len(rows)) - 1)])
+    queue = deque([((1 << len(rows)) - 1) & ~(c1 | c2)])
     while queue:
         batch = queue.popleft()
-        while ready := waiting(batch):
-            low = ready & -ready
+        while batch:
+            forcing = batch & c0 & ~(c1 | c2)
+            low = forcing & -forcing
+            if violated := batch & odd & ~(c0 | c1 | c2) & (low - 1):
+                c = constraints[(violated & -violated).bit_length() - 1]
+                raise CounterexampleAlarm(
+                    f"conflicting sign chain at {c.kind} ({c.where}):"
+                    " the cell disagrees with the values already forced"
+                )
+            if not low:
+                break
             batch &= -2 * low  # this row and those before it are popped
             i = low.bit_length() - 1
-            if not c0 & ~(c1 | c2) & low:  # complete: check it once
-                checked |= low
-                if odd & low:
-                    c = constraints[i]
-                    raise CounterexampleAlarm(
-                        f"conflicting sign chain at {c.kind} ({c.where}):"
-                        " the cell disagrees with the values already forced"
-                    )
-                continue
             var = next(v for v in var_ids[i].tolist()
                        if v >= 0 and v not in assigned)
             value = odd >> i & 1
@@ -618,15 +605,8 @@ def _propagate(constraints: _ConstraintTable, anchor_var: int, v_end: int,
             c2 ^= borrow
             if value:
                 odd ^= held
-            if queued := waiting(held):
+            if queued := held & ~(c1 | c2):
                 queue.append(queued)
-    # odd now marks each row whose bit and assigned values disagree; one
-    # with no unknown var left is violated, so replay the checked walk to
-    # raise at the row it would have stopped at
-    if not check_complete and odd & ~(c0 | c1 | c2):
-        for _ in _propagate(constraints, anchor_var, v_end, check_complete=True):
-            pass
-        raise AssertionError("the replayed walk met no violated complete row")
 
 
 def seed_component(model: LhvModel, component: Component) -> ComponentAssignment:
@@ -637,13 +617,11 @@ def seed_component(model: LhvModel, component: Component) -> ComponentAssignment
     subsystem is solved by elimination (free signs default to +1).
     A contradiction raises CounterexampleAlarm.
 
-    The propagation (``_propagate``) walks the block's constraint table and
-    queues a row only when one of its vars is left unknown. Assigned values
-    never change, so one parity test over every fully assigned row at the
-    end of the walk finds a conflict exactly when checking each row as it
-    completed would have; only then is the walk replayed with those checks,
-    to raise at the same row with the same text. A row's ``where`` text is
-    formatted only for the steps it forces.
+    The propagation (``_propagate``) walks the block's constraint table once,
+    checking each fully assigned row where the row-by-row walk would pop it,
+    so a conflict is named at the first violated row in that order. A row's
+    ``where`` text is formatted only for the steps it forces and the row
+    that raises.
     """
     _reject_single_source(model)
     m, v_base, v_end = _var_layout(model)  # first-hidden variables start at m

@@ -56,7 +56,7 @@ import numpy as np
 
 from .angles import GridError, required_sign, sign_table
 from .factorizer import factorize
-from .model import SINGLE_SOURCE, TWO_SOURCE, LhvModel
+from .model import SINGLE_SOURCE, TWO_SOURCE, LhvModel, _refuse_oversize
 from .robustness import RobustnessReport, is_robust
 
 __all__ = [
@@ -608,11 +608,19 @@ def search_two_source(
     scan, and only a whole run from cursor 0 is certifying.
     ``consistent_found`` lists the kept models that factorize cleanly.
     ``stop_after`` must be positive and ``budget_seconds`` finite and
-    nonnegative.
+    nonnegative. A grid whose per-block tables would exceed
+    MAX_TABLE_BYTES raises SizeLimitError before the first block is drawn.
     """
     if space.family != TWO_SOURCE:
         raise ValueError("search_two_source requires a two_source space")
     if space.size1 == 1 and space.size4 == 1:
+        # each block holds an int8 demand tensor over every second-station
+        # column (2**(m-1)) and angle tuple (m**4), plus a same-size mask
+        m = 2 * space.denominator
+        _refuse_oversize(
+            f"the 1x1 two-source scan on the pi/{space.denominator} grid",
+            2**m * m**4,
+        )
         blocks = _pair_single_blocks(space)
     elif space.denominator == 4:
         blocks = _pair_double_blocks(space)
@@ -815,11 +823,17 @@ def search_single_source(
     ``SearchResult`` states (kept models re-verified, ``stop_after`` on a
     whole block, certifying only from cursor 0); ``consistent_found``
     stays empty. ``stop_after`` must be positive and ``budget_seconds``
-    finite and nonnegative.
+    finite and nonnegative. A grid whose support-mask lists would exceed
+    MAX_TABLE_BYTES raises SizeLimitError before the first block is drawn.
     """
     if space.family != SINGLE_SOURCE:
         raise ValueError("search_single_source requires a single_source space")
     if not 0.0 <= efficiency_floor <= 1.0:
         raise ValueError("efficiency_floor must lie in [0, 1]")
+    # the first draw lists all 2**m support masks by size, about 42 bytes each
+    m = 2 * space.denominator
+    _refuse_oversize(
+        f"the single-source search on the pi/{space.denominator} grid", 42 * 2**m
+    )
     blocks = _single_source_blocks(space, efficiency_floor)
     return _drive(space, blocks, budget_seconds, stop_after, keep_limit)

@@ -21,6 +21,7 @@ from .model import (
     SINGLE_SOURCE,
     TWO_SOURCE,
     LhvModel,
+    _refuse_oversize,
     load,
     selected_analyzer,
 )
@@ -175,6 +176,8 @@ def synthetic_factorizable(
     generation never fails: very low densities simply come back thicker than
     requested. ``kappa`` selects the announcement pattern: ``plus`` or
     ``minus`` send every hidden pair to one sector, ``mixed`` alternates.
+    A grid whose repair masks would exceed MAX_TABLE_BYTES raises
+    SizeLimitError before anything is drawn.
     """
     m = _check_grid(n)
     if size1 < 1 or size4 < 1:
@@ -182,6 +185,12 @@ def synthetic_factorizable(
     if not 0.0 <= density <= 1.0:
         raise ZooError(f"density must lie in [0, 1], got {density}")
     kappa_table = _kappa_pattern(kappa, size1, size4)
+    # the repair holds at most one m**4 bool mask per announced sector, plus a
+    # same-size temporary
+    _refuse_oversize(
+        f"the support repair of an n={n} synthetic model",
+        (len(np.unique(kappa_table)) + 1) * m**4,
+    )
     rng = np.random.default_rng(seed)
     station = np.full(m, int(_signs(rng, 1)[0]), np.int8)
     u = _signs(rng, size1)

@@ -14,8 +14,16 @@ import numpy as np
 import pytest
 
 from bellswap.angles import GridError, sign_table
+from bellswap.cli import run as cli_run
 from bellswap.factorizer import factorize
-from bellswap.model import SINGLE_SOURCE, TWO_SOURCE, LhvModel, dumps, event_count
+from bellswap.model import (
+    SINGLE_SOURCE,
+    TWO_SOURCE,
+    LhvModel,
+    SizeLimitError,
+    dumps,
+    event_count,
+)
 from bellswap.robustness import RobustnessReport, is_robust
 from bellswap.search import (
     SearchSpace,
@@ -881,6 +889,33 @@ class TestBudget:
         assert result.cursor == 0 and result.models_examined == 0
         assert not result.completed and not result.certifying
         assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize("search, space, text", [
+        # an int8 demand tensor and a same-size mask per block: 2**(2n) (2n)**4
+        (search_two_source, two_source_space(denominator=7),
+         "1x1 two-source scan on the pi/7 grid would take an estimated 600 MiB"),
+        # every support mask listed by size: about 42 bytes each
+        (search_single_source,
+         SearchSpace(family=SINGLE_SOURCE, denominator=12, size1=48),
+         "single-source search on the pi/12 grid would take an estimated 672 MiB"),
+    ], ids=["two_source_1x1", "single_source"])
+    def test_oversized_grid_is_refused_before_the_first_block(
+        self, search, space, text, monkeypatch
+    ):
+        monkeypatch.setattr("bellswap.search.time", ticking_clock())
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match=text):
+                search(space, budget_seconds=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_oversized_search_is_a_usage_error(self, capsys):
+        assert cli_run(["search", "--n", "8", "--budget", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "1x1 two-source scan on the pi/8 grid" in err and "4,096 MiB" in err
 
 
 def sorted_support_pairs(m, minimum):

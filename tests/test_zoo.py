@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bellswap.cli import run as cli_run
 from bellswap.factorizer import check_consistency, factorize
 from bellswap.model import (
     SINGLE_SOURCE,
     TWO_SOURCE,
+    SizeLimitError,
     classical_expectation,
     dumps,
     event_count,
@@ -151,6 +154,30 @@ class TestSyntheticFactorizable:
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ZooError):
             synthetic_factorizable(0, **kwargs)
+
+    @pytest.mark.parametrize("n, kappa, mib", [
+        # one (2n)**4 bool mask per announced sector plus a temporary
+        (65, "plus", 545),
+        (58, "mixed", 518),
+    ])
+    def test_oversized_grid_is_refused_before_drawing(self, n, kappa, mib):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match=(
+                f"support repair of an n={n} synthetic model would take an"
+                f" estimated {mib} MiB"
+            )):
+                synthetic_factorizable(0, n=n, kappa=kappa)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_oversized_grid_is_a_usage_error(self, capsys):
+        uri = "zoo:synthetic_factorizable:seed=0,n=150"
+        assert cli_run(["check", "--model", uri]) == 2
+        err = capsys.readouterr().err
+        assert "n=150 synthetic model" in err and "15,450 MiB" in err
 
 
 class TestEvasiveNonrobust:
