@@ -51,6 +51,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,6 +70,7 @@ __all__ = [
 ]
 
 FULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_TERNARY = np.array([-1, 0, 1])[:, None]
 
 
 @dataclass(frozen=True)
@@ -188,6 +190,43 @@ def oracle_count(model: LhvModel, phis, sector: int) -> Fraction:
     return Fraction(model.n0, 2) * total
 
 
+@lru_cache(maxsize=None)
+def _demand_bits(n: int, sector: int) -> np.ndarray:
+    """The sector's sign table as bit masks over k3, one layer per sign.
+
+    Entry [1 + s, k1, k4, k2] packs, little-endian over its bytes, a bit
+    for each k3 where the table requires the product s at (k1, k2, k3, k4).
+    The s = 0 layer is empty: it is what a silent station selects. The
+    array is cached and read-only.
+    """
+    required = sign_table(n, sector).transpose(0, 3, 1, 2)
+    layers = np.stack([required == -1, np.zeros(required.shape, bool), required == 1])
+    table = np.packbits(layers, axis=-1, bitorder="little")
+    table.flags.writeable = False
+    return table
+
+
+def _or_selected(table: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """OR over j of table[1 + signs[..., j], j]: the layers a sign row picks."""
+    picked = table[1 + signs, np.arange(signs.shape[-1])]
+    return np.bitwise_or.reduce(picked, axis=signs.ndim - 1)
+
+
+def _demand_masks(table: np.ndarray, a_col: np.ndarray, d_cols: np.ndarray):
+    """The signs the correlation law demands of the analyzer at (k2, k3).
+
+    ``table`` is ``_demand_bits(n, sector)``, ``a_col`` a first-station
+    column and ``d_cols`` rows of second-station columns, over {-1, 0, +1}.
+    A demand at (k1, k2, k3, k4) is required * a[k1] * d[k4], so it is s
+    exactly where the table requires s * a[k1] * d[k4]; a 0 entry selects
+    the empty layer and adds no demand. Returns ``(has_plus, has_minus)``,
+    masks [row, k2, byte] packed over k3 like the table.
+    """
+    # [1 + t, k4, k2]: the cells where some k1 has required * a[k1] = t
+    by_k4 = _or_selected(table, _TERNARY * a_col)
+    return _or_selected(by_k4, d_cols), _or_selected(by_k4, -d_cols)
+
+
 def forced_analyzer(a: np.ndarray, d: np.ndarray, kappa: np.ndarray, n: int) -> np.ndarray:
     """Maximal analyzer table for the given station tables and sector map.
 
@@ -199,14 +238,12 @@ def forced_analyzer(a: np.ndarray, d: np.ndarray, kappa: np.ndarray, n: int) -> 
     table = np.ones((m, m, size1, size4), dtype=np.int8)
     for l1 in range(size1):
         for l4 in range(size4):
-            required = sign_table(n, int(kappa[l1, l4]))
-            demands = (
-                required
-                * a[:, l1][:, None, None, None]
-                * d[:, l4][None, None, None, :]
+            has_plus, has_minus = (
+                np.unpackbits(mask[0], axis=-1, count=m, bitorder="little").view(bool)
+                for mask in _demand_masks(
+                    _demand_bits(n, int(kappa[l1, l4])), a[:, l1], d[None, :, l4]
+                )
             )
-            has_plus = (demands == 1).any(axis=(0, 3))
-            has_minus = (demands == -1).any(axis=(0, 3))
             cell = np.ones((m, m), dtype=np.int8)
             cell[has_minus] = -1
             cell[has_plus & has_minus] = 0
@@ -294,16 +331,39 @@ def _sign_columns(m: int) -> np.ndarray:
     return np.concatenate([np.ones((cols.shape[0], 1), dtype=np.int8), cols], axis=1)
 
 
+def _single_scan_bytes(n: int) -> int:
+    """Estimated peak bytes of the 1x1 scan on the pi/n grid."""
+    m = 2 * n
+    count, width = 2 ** (m - 1), -(-m // 8)
+    # per block: the layers picked for every second-station column,
+    # [d, k4, k2, byte], and about 16 bytes per (d, k4) beside them (an
+    # intp copy of the picking signs, the signs' int8 temporaries, and
+    # the reduced masks of this block and the last); once: the sign
+    # table's int64 build and its bit layers
+    return count * m * (m * width + 16) + 32 * m**4
+
+
 def _pair_single_blocks(space):
     """Exhaustive scan at one hidden value per side.
 
     The counts check forces full support on every table (the lone
     assignment must supply the event at every angle tuple), so the ternary
-    domain reduces to the sign domain, and a sign candidate is robust
-    exactly when its demand set is conflict-free: a conflict zeroes a cell
-    and starves those tuples, while a conflict-free forced table has full
-    support, satisfies the correlation law by construction, and makes
-    every hidden value relevant.
+    domain reduces to the sign domain. With full-support stations every
+    (k1, k4) pair the sign table speaks at demands a sign of cell (k2, k3),
+    and a sign candidate is robust exactly when no cell is demanded both +
+    and -: such a cell must hold 0, which starves the tuples through it,
+    while a conflict-free forced table has full support, satisfies the
+    correlation law by construction, and makes the lone hidden values
+    relevant.
+
+    A block is one sector and first-station column a. ``_demand_masks``
+    first ORs the sector's bit table over k1, as a selects it, into
+    masks [1 + t, k4, k2] whose bit k3 is set where some k1 gives
+    required * a[k1] = t. For every second-station column d at once it
+    then ORs those over k4, picking t = d[k4] for has_plus and
+    t = -d[k4] for has_minus: bit k3 of has_plus[d, k2] is set where some
+    (k1, k4) demands +1 at (k2, k3). A candidate is clean when
+    has_plus & has_minus is 0 in every byte.
     """
     n = space.denominator
     cols = _sign_columns(2 * n)
@@ -312,14 +372,10 @@ def _pair_single_blocks(space):
     first, a_start = divmod(min(space.cursor, len(sectors) * count), count)
     for s_index in range(first, len(sectors)):
         kappa = np.full((1, 1), sectors[s_index], dtype=np.int8)
-        required = sign_table(n, sectors[s_index])
+        table = _demand_bits(n, sectors[s_index])
         for a_index in range(a_start, count):
             a_col = cols[a_index][:, None]
-            # demands[x, k2, k3, y] for all candidate D columns at once
-            base = required * a_col[:, :, None, None]
-            scaled = base[None, :, :, :, :] * cols[:, None, None, None, :]
-            has_plus = (scaled == 1).any(axis=(1, 4))
-            has_minus = (scaled == -1).any(axis=(1, 4))
+            has_plus, has_minus = _demand_masks(table, cols[a_index], cols)
             clean = ~(has_plus & has_minus).any(axis=(1, 2))
 
             def build(d_index):
@@ -614,12 +670,9 @@ def search_two_source(
     if space.family != TWO_SOURCE:
         raise ValueError("search_two_source requires a two_source space")
     if space.size1 == 1 and space.size4 == 1:
-        # each block holds an int8 demand tensor over every second-station
-        # column (2**(m-1)) and angle tuple (m**4), plus a same-size mask
-        m = 2 * space.denominator
         _refuse_oversize(
             f"the 1x1 two-source scan on the pi/{space.denominator} grid",
-            2**m * m**4,
+            _single_scan_bytes(space.denominator),
         )
         blocks = _pair_single_blocks(space)
     elif space.denominator == 4:

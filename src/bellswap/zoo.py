@@ -176,14 +176,21 @@ def synthetic_factorizable(
     generation never fails: very low densities simply come back thicker than
     requested. ``kappa`` selects the announcement pattern: ``plus`` or
     ``minus`` send every hidden pair to one sector, ``mixed`` alternates.
-    A grid whose repair masks would exceed MAX_TABLE_BYTES raises
-    SizeLimitError before anything is drawn.
+    A grid whose repair masks, or hidden counts whose tables, would exceed
+    MAX_TABLE_BYTES raise SizeLimitError before anything is drawn.
     """
     m = _check_grid(n)
     if size1 < 1 or size4 < 1:
         raise ZooError("hidden-variable counts must be positive")
     if not 0.0 <= density <= 1.0:
         raise ZooError(f"density must lie in [0, 1], got {density}")
+    # the draws and tables take about 9.5 bytes per analyzer entry, measured
+    # with tracemalloc: the float64 draw and its bool mask peak together
+    _refuse_oversize(
+        f"the hidden-value draw of an n={n} synthetic model with {size1}x{size4}"
+        " hidden values",
+        10 * m * m * size1 * size4,
+    )
     kappa_table = _kappa_pattern(kappa, size1, size4)
     # the repair holds at most one m**4 bool mask per announced sector, plus a
     # same-size temporary

@@ -42,6 +42,7 @@ from bellswap.search import (
     _column_classes,
     _pair_not_dead,
     _side_tuples,
+    _sign_columns,
 )
 
 
@@ -589,6 +590,38 @@ def unmemoized_double_blocks(space):
 
             yield code * len(a_idx) + a_pos, len(rows), np.flatnonzero(keep), build
     return total
+
+
+def tensor_single_blocks(space):
+    """Oracle for the 1x1 scan: the int8 demand tensor of every block.
+
+    The scan as it stood before it read demands from bit masks: each block
+    multiplies out demands[d, x, k2, k3, y] for every second-station column
+    and compares the tensor with +1 and -1. Same ``(block, examined, hits,
+    build)`` items and the same return value.
+    """
+    n = space.denominator
+    cols = _sign_columns(2 * n)
+    count = cols.shape[0]
+    sectors = (1, -1)
+    first, a_start = divmod(min(space.cursor, len(sectors) * count), count)
+    for s_index in range(first, len(sectors)):
+        kappa = np.full((1, 1), sectors[s_index], dtype=np.int8)
+        required = sign_table(n, sectors[s_index])
+        for a_index in range(a_start, count):
+            a_col = cols[a_index][:, None]
+            base = required * a_col[:, :, None, None]
+            scaled = base[None, :, :, :, :] * cols[:, None, None, None, :]
+            has_plus = (scaled == 1).any(axis=(1, 4))
+            has_minus = (scaled == -1).any(axis=(1, 4))
+            clean = ~(has_plus & has_minus).any(axis=(1, 2))
+
+            def build(d_index):
+                return _assemble_two_source(a_col, cols[d_index][:, None], kappa, n)
+
+            yield s_index * count + a_index, count, np.flatnonzero(clean), build
+        a_start = 0
+    return len(sectors) * count
 
 
 def eager_product_rule(fact, model: LhvModel):

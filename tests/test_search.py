@@ -17,6 +17,7 @@ from bellswap.angles import GridError, sign_table
 from bellswap.cli import run as cli_run
 from bellswap.factorizer import factorize
 from bellswap.model import (
+    MAX_TABLE_BYTES,
     SINGLE_SOURCE,
     TWO_SOURCE,
     LhvModel,
@@ -37,9 +38,12 @@ from bellswap.search import (
     _class_column,
     _ClassPack,
     _column_classes,
+    _demand_bits,
     _pair_double_blocks,
     _pair_not_dead,
+    _pair_single_blocks,
     _side_tuples,
+    _single_scan_bytes,
     _spread_mask,
     _support_pairs,
 )
@@ -48,6 +52,7 @@ from helpers import (
     demand_filled_analyzer,
     parity_split_model,
     rebuild,
+    tensor_single_blocks,
     unmemoized_double_blocks,
 )
 
@@ -438,6 +443,46 @@ class TestPairSearch:
         assert result.robust_count > 0
         assert result.completed
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stream_matches_the_tensor_oracle(self, n):
+        space = two_source_space(denominator=n)
+        assert drain(_pair_single_blocks(space)) == drain(tensor_single_blocks(space))
+
+    def test_n5_stride_matches_the_tensor_oracle(self):
+        space = two_source_space(denominator=5)
+        for block in range(0, 1024, 37):
+            resumed = replace(space, cursor=block)
+            head = drain(_pair_single_blocks(resumed), limit=1)
+            assert head[0][0][0] == block
+            assert head == drain(tensor_single_blocks(resumed), limit=1)
+
+    def test_bit_table_round_trips_the_sign_table(self):
+        # every n the size guard lets through, and the first it refuses
+        assert _single_scan_bytes(9) <= MAX_TABLE_BYTES < _single_scan_bytes(10)
+        for n in range(1, 10):
+            m = 2 * n
+            for sector in (1, -1):
+                bits = np.unpackbits(
+                    _demand_bits(n, sector), axis=-1, count=m, bitorder="little"
+                ).view(bool)
+                required = sign_table(n, sector).transpose(0, 3, 1, 2)
+                for s in (-1, 0, 1):
+                    assert np.array_equal(bits[1 + s], (required == s) & (s != 0))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_size_estimate_bounds_the_measured_peak(self, n):
+        sign_table.cache_clear()
+        _demand_bits.cache_clear()
+        tracemalloc.start()
+        try:
+            blocks = _pair_single_blocks(two_source_space(denominator=n))
+            for _ in range(3):
+                next(blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= _single_scan_bytes(n)
+
     def test_half_grid_matches_raw_ternary_enumeration(self):
         """Independent brute force over every raw column pair and sector."""
         survivors = set()
@@ -549,7 +594,9 @@ class Pin:
 PINNED_RUNS = {
     "1x1 n=1": (two_source_space(denominator=1), {}),
     "1x1 n=2": (two_source_space(denominator=2), {}),
+    "1x1 n=3": (two_source_space(denominator=3), {}),
     "1x1 n=4": (two_source_space(), {}),
+    "1x1 n=5": (two_source_space(denominator=5), {}),
     "1x2": (two_source_space(size4=2), {}),
     "1x2 stop_after=3": (two_source_space(size4=2), dict(stop_after=3)),
     "1x2 resumed": ("1x2 stop_after=3", {}),
@@ -581,8 +628,22 @@ PINS = {
         """,
         consistent=(0, 1),
     ),
+    '1x1 n=3': Pin(
+        2048, 2, 64, 'completed certifying',
+        kept="""
+            f739aa8e89ceb8ac 4aad7a1d4f4075e5
+        """,
+        consistent=(0, 1),
+    ),
     '1x1 n=4': Pin(
         32768, 0, 256, 'completed certifying',
+    ),
+    '1x1 n=5': Pin(
+        524288, 2, 1024, 'completed certifying',
+        kept="""
+            df264f10d63221ff 33aef03dddd50ea1
+        """,
+        consistent=(0, 1),
     ),
     '1x2': Pin(
         102408, 16, 1920, 'completed certifying',
@@ -891,9 +952,9 @@ class TestBudget:
         assert peak < 20 * 2**20
 
     @pytest.mark.parametrize("search, space, text", [
-        # an int8 demand tensor and a same-size mask per block: 2**(2n) (2n)**4
-        (search_two_source, two_source_space(denominator=7),
-         "1x1 two-source scan on the pi/7 grid would take an estimated 600 MiB"),
+        # the first n past the limit; _single_scan_bytes derives the figure
+        (search_two_source, two_source_space(denominator=10),
+         "1x1 two-source scan on the pi/10 grid would take an estimated 765 MiB"),
         # every support mask listed by size: about 42 bytes each
         (search_single_source,
          SearchSpace(family=SINGLE_SOURCE, denominator=12, size1=48),
@@ -913,9 +974,9 @@ class TestBudget:
         assert peak < 2**20
 
     def test_oversized_search_is_a_usage_error(self, capsys):
-        assert cli_run(["search", "--n", "8", "--budget", "0"]) == 2
+        assert cli_run(["search", "--n", "10", "--budget", "0"]) == 2
         err = capsys.readouterr().err
-        assert "1x1 two-source scan on the pi/8 grid" in err and "4,096 MiB" in err
+        assert "1x1 two-source scan on the pi/10 grid" in err and "765 MiB" in err
 
 
 def sorted_support_pairs(m, minimum):

@@ -179,6 +179,25 @@ class TestSyntheticFactorizable:
         err = capsys.readouterr().err
         assert "n=150 synthetic model" in err and "15,450 MiB" in err
 
+    def test_oversized_hidden_counts_are_refused_before_drawing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match=(
+                "hidden-value draw of an n=1 synthetic model with 8000x8000"
+                " hidden values would take an estimated 2,441 MiB"
+            )):
+                synthetic_factorizable(0, n=1, size1=8000, size4=8000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_oversized_hidden_counts_are_a_usage_error(self, capsys):
+        uri = "zoo:synthetic_factorizable:seed=0,n=1,size1=8000,size4=8000"
+        assert cli_run(["check", "--model", uri]) == 2
+        err = capsys.readouterr().err
+        assert "8000x8000 hidden values" in err and "2,441 MiB" in err
+
 
 class TestEvasiveNonrobust:
     def test_silence_everywhere_else_fails_counts(self):
