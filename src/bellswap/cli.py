@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -581,11 +582,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves no state on the parser
+    return build_parser()
+
+
 def run(argv=None) -> int:
     """Parse arguments, execute one subcommand, print its report; return status."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.perf_counter()

@@ -43,6 +43,11 @@ Soundness rests on three facts proved here and property-tested in the suite:
   per-angle patterns therefore keep the same second-station rows, and
   each sector map decides one block per such key (at most 9 x 7 keys for
   two hidden values).
+
+Every scan streams runs of consecutive blocks to one driver, which books
+tallies, ``stop_after`` and the keep list per run and checks the wall-clock
+budget between runs. A run is one sector map for the class-space scan and
+one block for the others; ``cursor`` still counts blocks.
 """
 
 from __future__ import annotations
@@ -129,13 +134,16 @@ class SearchResult:
     ``consistent_found`` holds the kept models that also factorize cleanly;
     it stays empty for single-source runs, which the factorizer refuses.
 
-    ``stop_after`` ends a run on a whole-block boundary: the tally includes
+    ``stop_after`` ends a search on a whole-block boundary: the tally includes
     every survivor of the block that reached it, ``truncated`` is set and
-    ``cursor`` resumes at the next block. A spent budget ends a run before
-    its next block, with ``notes`` set and ``cursor`` at that block.
-    ``certifying`` is True only for a run that started at cursor 0 and
+    ``cursor`` resumes at the next block. The budget is checked between
+    runs of blocks: a run is one sector map for the class-space scan and
+    one block for the other scans, so a spent budget can overshoot by at
+    most one run. It ends the search before the next run, with ``notes``
+    set and ``cursor`` just past the last block booked.
+    ``certifying`` is True only for a search that started at cursor 0 and
     covered the whole space, in which case ``robust_count == 0`` certifies
-    emptiness; a resumed run never certifies, since it skipped blocks.
+    emptiness; a resumed search never certifies, since it skipped blocks.
     """
 
     family: str
@@ -268,14 +276,18 @@ def _assemble_two_source(a: np.ndarray, d: np.ndarray, kappa: np.ndarray, n: int
     )
 
 
-def _drive(space, blocks, budget, stop_after, keep_limit) -> SearchResult:
-    """Run one enumerator's block stream and keep all of the run's books.
+def _drive(space, runs, budget, stop_after, keep_limit) -> SearchResult:
+    """Run one enumerator's stream of block runs and keep all of the run's books.
 
-    ``blocks`` starts at ``space.cursor`` and yields ``(block, examined,
-    hits, build)`` for each block that reaches an exact check, in the
-    documented order; ``hits`` is a sequence of survivors and ``build(hit)``
-    assembles one of them into a model, valid until the next block is
-    drawn. The stream returns the number of blocks in the space.
+    ``runs`` starts at ``space.cursor`` and yields ``(blocks, examined,
+    tally, hits_of, build)`` for each run of consecutive blocks that reach
+    an exact check, in the documented order: ``blocks`` holds the block
+    numbers, each block examined ``examined`` candidates, and ``tally[i]``
+    counts the survivors of blocks 0..i of the run. ``hits_of(i)`` is the
+    sequence of block i's survivors and ``build(i, hit)`` assembles one of
+    them into a model, both valid until the next run is drawn. The stream
+    returns the number of blocks in the space. The books are kept per run
+    and the budget is checked between runs.
     """
     if stop_after is not None and stop_after < 1:
         raise ValueError("stop_after must be a positive integer")
@@ -292,29 +304,39 @@ def _drive(space, blocks, budget, stop_after, keep_limit) -> SearchResult:
             result.notes = "budget exhausted; partial result, not certifying"
             break
         try:
-            block, examined, hits, build = next(blocks)
+            blocks, examined, tally, hits_of, build = next(runs)
         except StopIteration as end:
             result.cursor = end.value
             result.completed = True
             break
-        result.cursor = block + 1
-        result.models_examined += examined
-        result.robust_count += len(hits)
-        for hit in hits[: max(keep_limit - len(result.robust_found), 0)]:
-            model = build(hit)
-            report = is_robust(model)
-            if not report.is_robust:
-                raise RuntimeError(
-                    "search engine accepted a model the robustness module rejects; "
-                    "this is a bug in the enumeration, not a finding"
-                )
-            if not result.robust_found:
-                result.first_found, result.first_report = model, report
-            result.robust_found.append(model)
-            if space.family == TWO_SOURCE and factorize(model).status == "ok":
-                result.consistent_found.append(model)
-        if stop_after is not None and result.robust_count >= stop_after:
+        booked = len(blocks)
+        if stop_after is not None and result.robust_count + int(tally[-1]) >= stop_after:
+            # stop on the block whose survivors reach the tally
+            booked = int(np.searchsorted(tally, stop_after - result.robust_count)) + 1
             result.truncated = True
+        found = int(tally[booked - 1])
+        result.cursor = int(blocks[booked - 1]) + 1
+        result.models_examined += examined * booked
+        result.robust_count += found
+        if not found or len(result.robust_found) >= keep_limit:
+            continue
+        for i in np.flatnonzero(np.diff(tally[:booked], prepend=0)).tolist():
+            room = keep_limit - len(result.robust_found)
+            if room <= 0:
+                break
+            for hit in hits_of(i)[:room]:
+                model = build(i, hit)
+                report = is_robust(model)
+                if not report.is_robust:
+                    raise RuntimeError(
+                        "search engine accepted a model the robustness module rejects; "
+                        "this is a bug in the enumeration, not a finding"
+                    )
+                if not result.robust_found:
+                    result.first_found, result.first_report = model, report
+                result.robust_found.append(model)
+                if space.family == TWO_SOURCE and factorize(model).status == "ok":
+                    result.consistent_found.append(model)
     result.certifying = result.completed and space.cursor == 0
     result.elapsed_seconds = spent()
     return result
@@ -356,11 +378,11 @@ def _pair_single_blocks(space):
     correlation law by construction, and makes the lone hidden values
     relevant.
 
-    A block is one sector and first-station column a. ``_demand_masks``
-    first ORs the sector's bit table over k1, as a selects it, into
-    masks [1 + t, k4, k2] whose bit k3 is set where some k1 gives
-    required * a[k1] = t. For every second-station column d at once it
-    then ORs those over k4, picking t = d[k4] for has_plus and
+    A block, and a run of its own, is one sector and first-station column
+    a. ``_demand_masks`` first ORs the sector's bit table over k1, as a
+    selects it, into masks [1 + t, k4, k2] whose bit k3 is set where some
+    k1 gives required * a[k1] = t. For every second-station column d at
+    once it then ORs those over k4, picking t = d[k4] for has_plus and
     t = -d[k4] for has_minus: bit k3 of has_plus[d, k2] is set where some
     (k1, k4) demands +1 at (k2, k3). A candidate is clean when
     has_plus & has_minus is 0 in every byte.
@@ -376,12 +398,12 @@ def _pair_single_blocks(space):
         for a_index in range(a_start, count):
             a_col = cols[a_index][:, None]
             has_plus, has_minus = _demand_masks(table, cols[a_index], cols)
-            clean = ~(has_plus & has_minus).any(axis=(1, 2))
+            hits = np.flatnonzero(~(has_plus & has_minus).any(axis=(1, 2)))
 
-            def build(d_index):
+            def build(_, d_index):
                 return _assemble_two_source(a_col, cols[d_index][:, None], kappa, n)
 
-            yield s_index * count + a_index, count, np.flatnonzero(clean), build
+            yield (s_index * count + a_index,), count, (len(hits),), lambda _: hits, build
         a_start = 0
     return len(sectors) * count
 
@@ -540,7 +562,8 @@ def _pair_double_blocks(space):
     sides must sit in some alive pair. That verdict depends on the
     first-station tuple only through its block key, so each sector map
     decides one block per key, on first meeting it, and every later block
-    with that key reuses the surviving rows.
+    with that key reuses the surviving rows. A sector map's blocks are
+    yielded as one run.
     """
     n = space.denominator
     m = 2 * n
@@ -552,6 +575,8 @@ def _pair_double_blocks(space):
     patterns = 1 << (space.size1 * space.size4)
     total = patterns * len(a_idx)
     first, a_start = divmod(min(space.cursor, total), len(a_idx))
+    a_supp = [pack.supp[col] for col in a_idx.T]
+    d_supp = [pack.supp[col] for col in d_idx.T]
 
     for code in range(first, patterns):
         bits = [(code >> k) & 1 for k in range(space.size1 * space.size4)]
@@ -573,16 +598,18 @@ def _pair_double_blocks(space):
         d_keep = np.ones(len(d_idx), dtype=bool)
         for s in realized:
             cols1 = sector_cols1[s]
-            a_union = pack.supp[a_idx[:, cols1[0]]] | pack.supp[a_idx[:, cols1[-1]]]
-            a_keep &= a_union == full_mask
+            a_keep &= (a_supp[cols1[0]] | a_supp[cols1[-1]]) == full_mask
             union = np.zeros(len(d_idx), dtype=np.uint16)
             for j in sector_cols4[s]:
-                union |= pack.supp[d_idx[:, j]]
+                union |= d_supp[j]
             d_keep &= union == full_mask
         a_start = 0
+        positions = np.flatnonzero(a_keep)
+        if not len(positions):
+            continue
         rows = np.nonzero(d_keep)[0]
         d_cols = [d_idx[rows, j] for j in range(space.size4)]
-        d_supp64 = [pack.supp[col].astype(np.uint64) for col in d_cols]
+        d_supp64 = [supp[rows].astype(np.uint64) for supp in d_supp]
         trivial = np.ones(len(rows), dtype=bool)
         ok_cache: dict[tuple[int, int, int, int], np.ndarray] = {}
         for j in range(space.size4):
@@ -628,23 +655,21 @@ def _pair_double_blocks(space):
             hits.flags.writeable = False
             return hits
 
-        positions = np.flatnonzero(a_keep)
-        keys = _block_keys(pack, a_idx[positions])
-        decided: dict[int, np.ndarray] = {}
-        for a_pos, key in zip(positions.tolist(), keys.tolist()):
-            a_cols = a_idx[a_pos].tolist()
-            hits = decided.get(key)
-            if hits is None:
-                hits = decided[key] = decide(a_cols)
+        _, first_at, key_of = np.unique(
+            _block_keys(pack, a_idx[positions]), return_index=True, return_inverse=True
+        )
+        decided = [decide(a_idx[positions[i]].tolist()) for i in first_at.tolist()]
+        tally = np.cumsum(np.array([len(hits) for hits in decided])[key_of])
 
-            def build(hit):
-                a = np.stack([_class_column(classes[c], m) for c in a_cols], axis=1)
-                d = np.stack(
-                    [_class_column(classes[c], m) for c in d_idx[rows[hit]]], axis=1
-                )
-                return _assemble_two_source(a, d, kappa, n)
+        def hits_of(i):
+            return decided[key_of[i]]
 
-            yield code * len(a_idx) + a_pos, len(rows), hits, build
+        def build(i, hit):
+            a = np.stack([_class_column(classes[c], m) for c in a_idx[positions[i]]], axis=1)
+            d = np.stack([_class_column(classes[c], m) for c in d_idx[rows[hit]]], axis=1)
+            return _assemble_two_source(a, d, kappa, n)
+
+        yield code * len(a_idx) + positions, len(rows), tally, hits_of, build
     return total
 
 
@@ -661,7 +686,9 @@ def search_two_source(
     the run on a whole-block boundary once the tally reaches it (so the
     result does not depend on timing), ``budget_seconds`` bounds wall time
     and, when spent, yields a partial result whose cursor resumes the
-    scan, and only a whole run from cursor 0 is certifying.
+    scan, and only a whole run from cursor 0 is certifying. The budget is
+    checked between sector maps of the class-space scan and between
+    blocks of the 1x1 scan, so it can overshoot by one of those.
     ``consistent_found`` lists the kept models that factorize cleanly.
     ``stop_after`` must be positive and ``budget_seconds`` finite and
     nonnegative. A grid whose per-block tables would exceed
@@ -827,7 +854,7 @@ def _support_pairs(m: int, minimum: int, start: int = 0):
 
 
 def _single_source_blocks(space, efficiency_floor):
-    """One block per support pair; a hit is a model passing the search predicate.
+    """One block, and run, per support pair; a hit passes the search predicate.
 
     Pairs that can put an event at every angle tuple go to the sign
     propagation; a solution is assembled into a full model and survives
@@ -855,7 +882,7 @@ def _single_source_blocks(space, efficiency_floor):
             )
             if rate >= efficiency_floor and is_robust(model).is_robust:
                 hits = (model,)
-        yield block, 1, hits, lambda model: model
+        yield (block,), 1, (len(hits),), lambda _: hits, lambda _, model: model
     return total
 
 

@@ -113,6 +113,38 @@ def _kappa_pattern(pattern: str, size1: int, size4: int) -> np.ndarray:
     )
 
 
+def _missing_slots(
+    da: np.ndarray, dd: np.ndarray, df: np.ndarray, pairs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the angle tuples no hidden pair in ``pairs`` covers lie.
+
+    Returns the first-station angles, the analyzer cells and the
+    last-station angles those tuples touch. The (2n)**4 masks live only in
+    this call, so a sector's masks are freed before the next sector builds
+    its own.
+    """
+    m = da.shape[0]
+    covered = np.zeros((m, m, m, m), dtype=bool)
+    for l1, l4 in pairs:
+        covered |= (
+            da[:, l1][:, None, None, None]
+            & df[:, :, l1, l4][None, :, :, None]
+            & dd[:, l4][None, None, None, :]
+        )
+    missing = np.logical_not(covered, out=covered)
+    return (
+        missing.any(axis=(1, 2, 3)), missing.any(axis=(0, 3)), missing.any(axis=(0, 1, 2))
+    )
+
+
+def _repair_bytes(m: int) -> int:
+    """Estimated peak bytes of ``_repair_support`` on an m-angle grid."""
+    # whatever the announcement: the running cover and the same-size
+    # temporary it ORs in, an m**3 temporary beside them, and numpy's fixed
+    # reduction buffers (about 19 KB measured with tracemalloc)
+    return 2 * m**4 + m**3 + 2**15
+
+
 def _repair_support(
     da: np.ndarray, dd: np.ndarray, df: np.ndarray, kappa: np.ndarray
 ) -> None:
@@ -123,25 +155,16 @@ def _repair_support(
     complete event to participate in. Only ever turns slots on, so the
     drawn support is preserved.
     """
-    m = da.shape[0]
     size1, size4 = kappa.shape
     for sector in (1, -1):
         pairs = np.argwhere(kappa == sector)
         if not len(pairs):
             continue
-        covered = np.zeros((m, m, m, m), dtype=bool)
-        for l1, l4 in pairs:
-            covered |= (
-                da[:, l1][:, None, None, None]
-                & df[:, :, l1, l4][None, :, :, None]
-                & dd[:, l4][None, None, None, :]
-            )
-        missing = ~covered
-        if missing.any():
-            l1, l4 = (int(x) for x in pairs[0])
-            da[:, l1] |= missing.any(axis=(1, 2, 3))
-            dd[:, l4] |= missing.any(axis=(0, 1, 2))
-            df[:, :, l1, l4] |= missing.any(axis=(0, 3))
+        on_a, on_f, on_d = _missing_slots(da, dd, df, pairs)
+        l1, l4 = (int(x) for x in pairs[0])
+        da[:, l1] |= on_a
+        dd[:, l4] |= on_d
+        df[:, :, l1, l4] |= on_f
 
     def completes(l1: int, l4: int) -> bool:
         return bool(da[:, l1].any() and df[:, :, l1, l4].any() and dd[:, l4].any())
@@ -192,11 +215,8 @@ def synthetic_factorizable(
         10 * m * m * size1 * size4,
     )
     kappa_table = _kappa_pattern(kappa, size1, size4)
-    # the repair holds at most one m**4 bool mask per announced sector, plus a
-    # same-size temporary
     _refuse_oversize(
-        f"the support repair of an n={n} synthetic model",
-        (len(np.unique(kappa_table)) + 1) * m**4,
+        f"the support repair of an n={n} synthetic model", _repair_bytes(m)
     )
     rng = np.random.default_rng(seed)
     station = np.full(m, int(_signs(rng, 1)[0]), np.int8)

@@ -7,6 +7,8 @@ that shares no code with the code under test.
 
 from __future__ import annotations
 
+import math
+import time
 from collections import deque
 from fractions import Fraction
 from itertools import repeat
@@ -26,17 +28,21 @@ from bellswap.factorizer import (
     _first_partner,
     _var_layout,
     _var_name,
+    factorize,
 )
-from bellswap.model import LhvModel, product_tensor, selected_analyzer
+from bellswap.model import TWO_SOURCE, LhvModel, product_tensor, selected_analyzer
 from bellswap.robustness import (
     CorrelationWitness,
     CountsWitness,
     RelevanceWitness,
     _first_index,
+    is_robust,
 )
 from bellswap.search import (
     FULL64,
+    SearchResult,
     _assemble_two_source,
+    _block_keys,
     _class_column,
     _ClassPack,
     _column_classes,
@@ -498,8 +504,8 @@ def unmemoized_double_blocks(space):
     """Oracle for the class-space stream: every block decided on its own.
 
     The per-block loop the search ran before it decided blocks by their
-    first-station key; same ``(block, examined, hits, build)`` items and
-    the same return value.
+    first-station key; the same ``(block, examined, hits, build)`` items
+    as the run stream expanded block by block, and the same return value.
     """
     n = space.denominator
     m = 2 * n
@@ -592,13 +598,183 @@ def unmemoized_double_blocks(space):
     return total
 
 
+def per_block_double_blocks(space):
+    """Oracle for the class-space run stream: one item per block.
+
+    The scan as it stood before it yielded a sector map's blocks as one
+    run: it walks the blocks in order, decides each first-station key on
+    first meeting it, and yields ``(block, examined, hits, build)`` items
+    for ``per_block_drive``. Same return value.
+    """
+    n = space.denominator
+    m = 2 * n
+    classes = _column_classes(m, space.value_domain)
+    pack = _ClassPack(classes)
+    a_idx = _side_tuples(len(classes), space.size1)
+    d_idx = _side_tuples(len(classes), space.size4)
+    full_mask = (1 << m) - 1
+    patterns = 1 << (space.size1 * space.size4)
+    total = patterns * len(a_idx)
+    first, a_start = divmod(min(space.cursor, total), len(a_idx))
+
+    for code in range(first, patterns):
+        bits = [(code >> k) & 1 for k in range(space.size1 * space.size4)]
+        kappa = np.array(
+            [1 - 2 * b for b in bits], dtype=np.int8
+        ).reshape(space.size1, space.size4)
+        realized = sorted({int(v) for v in kappa.ravel()}, reverse=True)
+        sector_cols1 = {
+            s: [i for i in range(space.size1) if s in kappa[i, :]] for s in realized
+        }
+        sector_cols4 = {
+            s: [j for j in range(space.size4) if s in kappa[:, j]] for s in realized
+        }
+        # bulk prune on both stations: every realized sector must be able to
+        # reach each of its angles; a sector owns one or two first-station
+        # columns (size1 <= 2), so the first and last cover its union
+        a_keep = np.ones(len(a_idx), dtype=bool)
+        a_keep[:a_start] = False
+        d_keep = np.ones(len(d_idx), dtype=bool)
+        for s in realized:
+            cols1 = sector_cols1[s]
+            a_union = pack.supp[a_idx[:, cols1[0]]] | pack.supp[a_idx[:, cols1[-1]]]
+            a_keep &= a_union == full_mask
+            union = np.zeros(len(d_idx), dtype=np.uint16)
+            for j in sector_cols4[s]:
+                union |= pack.supp[d_idx[:, j]]
+            d_keep &= union == full_mask
+        a_start = 0
+        rows = np.nonzero(d_keep)[0]
+        d_cols = [d_idx[rows, j] for j in range(space.size4)]
+        d_supp64 = [pack.supp[col].astype(np.uint64) for col in d_cols]
+        trivial = np.ones(len(rows), dtype=bool)
+        ok_cache: dict[tuple[int, int, int, int], np.ndarray] = {}
+        for j in range(space.size4):
+            col = d_cols[j]
+            for s in realized:
+                for parity in (0, 1):
+                    for pa in (1, -1):
+                        ok_cache[(j, s, parity, pa)] = _pair_not_dead(
+                            1, 1, 1, pa,
+                            pack.even[col], pack.odd[col],
+                            pack.sig_e[col], pack.sig_o[col],
+                            s, parity,
+                        )
+
+        def decide(a_cols):
+            cover = {key: np.zeros(len(rows), dtype=np.uint64) for key in
+                     ((s, parity) for s in realized for parity in (0, 1))}
+            relevant1 = [np.zeros(len(rows), dtype=bool) for _ in range(space.size1)]
+            relevant4 = [np.zeros(len(rows), dtype=bool) for _ in range(space.size4)]
+            for i, ci in enumerate(a_cols):
+                factor = pack.factor[ci]
+                for j in range(space.size4):
+                    s = int(kappa[i, j])
+                    rect = d_supp64[j] * factor
+                    for parity in (0, 1):
+                        if pack.two_sided[ci]:
+                            ok = ok_cache[(j, s, parity, int(pack.pa[ci]))]
+                            cover[(s, parity)] |= np.where(ok, rect, np.uint64(0))
+                        else:
+                            # single-sided first column: no family can die
+                            ok = trivial
+                            cover[(s, parity)] |= rect
+                        relevant1[i] |= ok
+                        relevant4[j] |= ok
+            keep = np.ones(len(rows), dtype=bool)
+            for key in cover:
+                keep &= cover[key] == FULL64
+            for alive in relevant1:
+                keep &= alive
+            for alive in relevant4:
+                keep &= alive
+            hits = np.flatnonzero(keep)
+            hits.flags.writeable = False
+            return hits
+
+        positions = np.flatnonzero(a_keep)
+        keys = _block_keys(pack, a_idx[positions])
+        decided: dict[int, np.ndarray] = {}
+        for a_pos, key in zip(positions.tolist(), keys.tolist()):
+            a_cols = a_idx[a_pos].tolist()
+            hits = decided.get(key)
+            if hits is None:
+                hits = decided[key] = decide(a_cols)
+
+            def build(hit):
+                a = np.stack([_class_column(classes[c], m) for c in a_cols], axis=1)
+                d = np.stack(
+                    [_class_column(classes[c], m) for c in d_idx[rows[hit]]], axis=1
+                )
+                return _assemble_two_source(a, d, kappa, n)
+
+            yield code * len(a_idx) + a_pos, len(rows), hits, build
+    return total
+
+
+def per_block_drive(space, blocks, budget, stop_after, keep_limit) -> SearchResult:
+    """Oracle for ``search._drive``: the books kept one block at a time.
+
+    The driver as it stood before streams yielded runs of blocks: it checks
+    the budget, books the tallies and fills the keep list block by block.
+
+    ``blocks`` starts at ``space.cursor`` and yields ``(block, examined,
+    hits, build)`` for each block that reaches an exact check, in the
+    documented order; ``hits`` is a sequence of survivors and ``build(hit)``
+    assembles one of them into a model, valid until the next block is
+    drawn. The stream returns the number of blocks in the space.
+    """
+    if stop_after is not None and stop_after < 1:
+        raise ValueError("stop_after must be a positive integer")
+    if budget is not None and not (math.isfinite(budget) and budget >= 0):
+        raise ValueError("budget_seconds must be a finite nonnegative number")
+    started = time.monotonic()
+
+    def spent() -> float:
+        return time.monotonic() - started
+
+    result = SearchResult(family=space.family, cursor=space.cursor)
+    while not result.truncated:
+        if budget is not None and spent() > budget:
+            result.notes = "budget exhausted; partial result, not certifying"
+            break
+        try:
+            block, examined, hits, build = next(blocks)
+        except StopIteration as end:
+            result.cursor = end.value
+            result.completed = True
+            break
+        result.cursor = block + 1
+        result.models_examined += examined
+        result.robust_count += len(hits)
+        for hit in hits[: max(keep_limit - len(result.robust_found), 0)]:
+            model = build(hit)
+            report = is_robust(model)
+            if not report.is_robust:
+                raise RuntimeError(
+                    "search engine accepted a model the robustness module rejects; "
+                    "this is a bug in the enumeration, not a finding"
+                )
+            if not result.robust_found:
+                result.first_found, result.first_report = model, report
+            result.robust_found.append(model)
+            if space.family == TWO_SOURCE and factorize(model).status == "ok":
+                result.consistent_found.append(model)
+        if stop_after is not None and result.robust_count >= stop_after:
+            result.truncated = True
+    result.certifying = result.completed and space.cursor == 0
+    result.elapsed_seconds = spent()
+    return result
+
+
 def tensor_single_blocks(space):
     """Oracle for the 1x1 scan: the int8 demand tensor of every block.
 
     The scan as it stood before it read demands from bit masks: each block
     multiplies out demands[d, x, k2, k3, y] for every second-station column
-    and compares the tensor with +1 and -1. Same ``(block, examined, hits,
-    build)`` items and the same return value.
+    and compares the tensor with +1 and -1. The same ``(block, examined,
+    hits, build)`` items as the runs of the bit-mask scan, one block each,
+    and the same return value.
     """
     n = space.denominator
     cols = _sign_columns(2 * n)

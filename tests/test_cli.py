@@ -74,6 +74,25 @@ class TestQuantum:
         for _, _, err in (before, after):
             assert re.fullmatch(r"elapsed: \d+\.\d+s\n", err)
 
+    def test_the_parser_keeps_no_state_between_commands(self, capsys):
+        # run reuses one parser per process: a trailing --quiet and a usage
+        # error must not leak into the commands after them
+        script = [
+            ["quantum", "--phi", "2,1,1,2", "--quiet"],
+            ["quantum", "--phi", "2,1,1,2"],
+            ["quantum", "--phi", "1,2,3"],
+            ["zoo"],
+        ]
+        fresh = []
+        for argv in script:
+            cli._parser.cache_clear()
+            fresh.append(invoke(capsys, *argv)[:2])
+        reused = [invoke(capsys, *argv)[:2] for argv in script]
+        assert reused == fresh
+        assert [code for code, _ in reused] == [0, 0, 2, 0]
+        assert len(reused[0][1].splitlines()) == 1 < len(reused[1][1].splitlines())
+        assert reused[2][1] == ""
+
 
 class TestCheck:
     def test_evasive_model_fails_counts(self, capsys):

@@ -6,7 +6,7 @@ import functools
 import hashlib
 import itertools
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -51,6 +51,8 @@ from helpers import (
     both_sector_model,
     demand_filled_analyzer,
     parity_split_model,
+    per_block_double_blocks,
+    per_block_drive,
     rebuild,
     tensor_single_blocks,
     unmemoized_double_blocks,
@@ -228,10 +230,8 @@ class TestTwistedClasses:
         # the sector maps that hold survivors; 0 and 15 hold nearly all
         for cursor in (0, 115200, *(code * 230400 for code in (3, 5, 6, 9, 10, 12)),
                        15 * 230400, 15 * 230400 + 115200):
-            _, _, hits, build = next(
-                item for item in _pair_double_blocks(replace(space, cursor=cursor))
-                if len(item[2])
-            )
+            runs = _pair_double_blocks(replace(space, cursor=cursor))
+            _, _, hits, build = next(item for item in blocks_of(runs) if len(item[2]))
             survivors.append(build(hits[int(rng.integers(len(hits)))]))
         tried = robust_raw = 0
         while tried < 300:
@@ -398,14 +398,41 @@ class TestBlockKeys:
         assert reused >= len(sample) // 2
 
 
-def drain(blocks, limit=None, build=True):
+def blocks_of(stream):
+    """The ``(block, examined, hits, build)`` items of a stream, one per block.
+
+    A run ``(blocks, examined, tally, hits_of, build)`` is expanded into
+    its blocks, the running tally checked against their hits; the items of
+    the per-block oracles pass through. Returns the stream's end value.
+    """
+    while True:
+        try:
+            item = next(stream)
+        except StopIteration as end:
+            return end.value
+        if len(item) == 4:
+            yield item
+            continue
+        blocks, examined, tally, hits_of, build = item
+        assert len(blocks) == len(tally) > 0
+        found = 0
+        for i, block in enumerate(blocks):
+            hits = hits_of(i)
+            found += len(hits)
+            assert tally[i] == found
+            yield int(block), examined, hits, functools.partial(build, i)
+
+
+def drain(stream, limit=None, build=True):
     """Items of a block stream as plain data, and the stream's end value.
 
     Each item is ``(block, examined, hits)`` plus, with ``build``, the
-    encodings of the models built from the block's first and last hit.
-    A stream cut at ``limit`` items has end value None.
+    encodings of the models built from the block's first and last hit;
+    runs are expanded by ``blocks_of``. A stream cut at ``limit`` items
+    has end value None.
     """
     items = []
+    blocks = blocks_of(stream)
     while len(items) != limit:
         try:
             block, examined, hits, make = next(blocks)
@@ -416,6 +443,70 @@ def drain(blocks, limit=None, build=True):
             item += (dumps(make(hits[0])), dumps(make(hits[-1])))
         items.append(item)
     return items, None
+
+
+def plain_fields(result):
+    """Every ``SearchResult`` field but ``elapsed_seconds``, models encoded."""
+
+    def plain(value):
+        if isinstance(value, LhvModel):
+            return dumps(value)
+        if isinstance(value, list):
+            return [plain(item) for item in value]
+        return value
+
+    return {
+        f.name: plain(getattr(result, f.name))
+        for f in fields(result)
+        if f.name != "elapsed_seconds"
+    }
+
+
+CENSUS = two_source_space(size1=2, size4=2)
+SECTOR_MAP = 230400  # first-station tuples, and so blocks, per 2x2 sector map
+
+
+class TestRunDriver:
+    """The driver books runs of blocks as the per-block oracle books blocks."""
+
+    @pytest.mark.parametrize("space, kwargs", [
+        (two_source_space(size4=2), {}),
+        (two_source_space(size1=2), {}),
+        (two_source_space(size1=2, size4=2, value_domain="signs"), {}),
+        (CENSUS, {}),
+        (CENSUS, dict(stop_after=1)),
+        (CENSUS, dict(stop_after=3)),
+        (CENSUS, dict(stop_after=5)),
+        (CENSUS, dict(stop_after=17)),
+        # every block of sector map 0 holds survivors; its tally is 204,768,
+        # reached on its last block, and 102,385 falls inside block 41,421
+        (CENSUS, dict(stop_after=204768)),
+        (CENSUS, dict(stop_after=102385)),
+        (CENSUS, dict(stop_after=5, keep_limit=0)),
+        (CENSUS, dict(stop_after=5, keep_limit=1)),
+        (CENSUS, dict(stop_after=17, keep_limit=16)),
+        (CENSUS, dict(stop_after=17, keep_limit=40)),
+        (replace(CENSUS, cursor=SECTOR_MAP // 2), dict(stop_after=5)),
+        # sector map 5 onwards: survivors sit in a few scattered blocks per
+        # map, so the keep list and the tally cross runs
+        (replace(CENSUS, cursor=5 * SECTOR_MAP), dict(keep_limit=40)),
+        (replace(CENSUS, cursor=5 * SECTOR_MAP), dict(stop_after=17)),
+    ], ids=[
+        "1x2", "2x1", "2x2 signs", "2x2",
+        "stop_after=1", "stop_after=3", "stop_after=5", "stop_after=17",
+        "stop_after on the last block of map 0", "stop_after mid-map",
+        "keep_limit=0", "keep_limit=1", "keep_limit=16", "keep_limit=40",
+        "cursor mid-map", "cursor on a map boundary, keep_limit=40",
+        "cursor on a map boundary, stop_after=17",
+    ])
+    def test_matches_the_per_block_oracle(self, space, kwargs):
+        result = search_two_source(space, **kwargs)
+        oracle = per_block_drive(
+            space, per_block_double_blocks(space), None,
+            kwargs.get("stop_after"), kwargs.get("keep_limit", 16),
+        )
+        assert plain_fields(result) == plain_fields(oracle)
+        assert result.robust_count > 0
 
 
 class TestPairSearch:
@@ -605,6 +696,12 @@ PINNED_RUNS = {
     "2x1 resumed": ("2x1 stop_after=3", {}),
     "2x2 signs": (two_source_space(size1=2, size4=2, value_domain="signs"), {}),
     "2x2 stop_after=1": (two_source_space(size1=2, size4=2), dict(stop_after=1)),
+    "2x2 stop_after=20": (two_source_space(size1=2, size4=2), dict(stop_after=20)),
+    "2x2 resumed mid-map": (
+        two_source_space(size1=2, size4=2, cursor=115200), dict(stop_after=5)
+    ),
+    # the benchmark's census slice: sector maps 10-15
+    "2x2 from map 10": (two_source_space(size1=2, size4=2, cursor=2304000), {}),
     "1x1 resume past end": (two_source_space(cursor=1000), {}),
     "single floor=0.0": (single_source_space(), dict(efficiency_floor=0.0)),
     "single floor=0.5": (single_source_space(), dict(efficiency_floor=0.5)),
@@ -612,7 +709,8 @@ PINNED_RUNS = {
 }
 
 # Recorded before the search engine got its single driver. The one
-# deliberate change since: resumed rows no longer certify.
+# deliberate change since: resumed rows no longer certify. The last three
+# 2x2 rows were recorded before the driver booked runs of blocks.
 PINS = {
     '1x1 n=1': Pin(
         8, 2, 4, 'completed certifying',
@@ -704,6 +802,31 @@ PINS = {
         25598, 4, 1, 'truncated',
         kept="""
             cd5742d24a2b7b2d a0c1c92bd67c69e5 3bcbd0f3d001aa11 67858cdba4ebe592
+        """,
+    ),
+    '2x2 stop_after=20': Pin(
+        51196, 25602, 2, 'truncated',
+        kept="""
+            cd5742d24a2b7b2d a0c1c92bd67c69e5 3bcbd0f3d001aa11 67858cdba4ebe592
+            0f0e8fa01605d3da 04c4d56401c85531 5d60acb09ee494f2 e79884404ec35d62
+            b434ce20f43178fa fd906ce204fe961a f5c993b8fd2a6710 5ec2adc8a012659e
+            1d73728ec7f39fb5 f4c7e6215933b28e 33b3189272b03c4f bcdd2c851db271e0
+        """,
+    ),
+    '2x2 resumed mid-map': Pin(
+        51196, 8, 115202, 'truncated',
+        kept="""
+            7c934196a9200f9d da4bfa00e812cff8 fbe3d9d06383f694 118c8d7d70e4dc75
+            ecdaf3332adfec98 777dd6b46f3f7f71 ca41a9a9836f5995 054df3d01d382dce
+        """,
+    ),
+    '2x2 from map 10': Pin(
+        658227188, 204800, 3686400, 'completed',
+        kept="""
+            7af19a52a5744a2b 3dcab9a5084d886c 83ab3a9590bc1012 a9b8036cc6053ea3
+            da32cbfcb401bbc6 96e4ded966d2782f d282399b85eab7bd d212c08cb0f5baca
+            c6a933f7b687393d 058bd1e8b2540353 f0b5496e18668296 cbf22f4bddcff1ef
+            e0cd334db1ffe068 776e0f2f2df5d4d7 e70142df45032e8a c3d802ce053312a2
         """,
     ),
     '1x1 resume past end': Pin(

@@ -11,6 +11,7 @@ import pytest
 from bellswap.cli import run as cli_run
 from bellswap.factorizer import check_consistency, factorize
 from bellswap.model import (
+    MAX_TABLE_BYTES,
     SINGLE_SOURCE,
     TWO_SOURCE,
     SizeLimitError,
@@ -29,6 +30,9 @@ from bellswap.robustness import (
 )
 from bellswap.zoo import (
     ZooError,
+    _kappa_pattern,
+    _repair_bytes,
+    _repair_support,
     all_delta_one,
     both_sector_robust,
     by_uri,
@@ -156,9 +160,10 @@ class TestSyntheticFactorizable:
             synthetic_factorizable(0, **kwargs)
 
     @pytest.mark.parametrize("n, kappa, mib", [
-        # one (2n)**4 bool mask per announced sector plus a temporary
-        (65, "plus", 545),
-        (58, "mixed", 518),
+        # two (2n)**4 bool masks whatever the announcement: n = 64 is the
+        # first grid refused for every pattern
+        (64, "plus", 514),
+        (64, "mixed", 514),
     ])
     def test_oversized_grid_is_refused_before_drawing(self, n, kappa, mib):
         tracemalloc.start()
@@ -177,7 +182,27 @@ class TestSyntheticFactorizable:
         uri = "zoo:synthetic_factorizable:seed=0,n=150"
         assert cli_run(["check", "--model", uri]) == 2
         err = capsys.readouterr().err
-        assert "n=150 synthetic model" in err and "15,450 MiB" in err
+        assert "n=150 synthetic model" in err and "15,475 MiB" in err
+
+    @pytest.mark.parametrize("kappa", ["plus", "mixed"])
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_repair_estimate_bounds_the_measured_peak(self, n, kappa):
+        # a mixed announcement repairs two sectors; the first sector's mask
+        # must be gone before the second sector builds its own
+        assert _repair_bytes(2 * 63) <= MAX_TABLE_BYTES < _repair_bytes(2 * 64)
+        m = 2 * n
+        rng = np.random.default_rng(n)
+        da, dd = rng.random((2, m, 2)) < 0.05
+        df = rng.random((m, m, 2, 2)) < 0.05
+        kappa_table = _kappa_pattern(kappa, 2, 2)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            _repair_support(da, dd, df, kappa_table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= _repair_bytes(m)
 
     def test_oversized_hidden_counts_are_refused_before_drawing(self):
         tracemalloc.start()
