@@ -94,17 +94,18 @@ def sign_table(n: int, sector: int) -> np.ndarray:
     """
     if sector not in (1, -1):
         raise ValueError(f"sector must be +1 or -1, got {sector}")
-    m = 2 * n
-    k = np.arange(m)
-    zeta = (
+    # int16 differences reduced in place keep the build at about 4 bytes
+    # per entry: 2 for the angles, 1 for the table, 1 for a mask
+    k = np.arange(2 * n, dtype=np.int16)
+    reduced = (
         k[:, None, None, None]
         - k[None, :, None, None]
         + sector * (k[None, None, :, None] - k[None, None, None, :])
-    ) % m
-    reduced = zeta % n
-    table = np.zeros(zeta.shape, dtype=np.int8)
+    )
+    reduced %= n
+    table = np.zeros(reduced.shape, dtype=np.int8)
     table[reduced == 0] = 1
     if n % 2 == 0:
-        table[2 * reduced == n] = -1
+        table[reduced == n // 2] = -1
     table.flags.writeable = False
     return table

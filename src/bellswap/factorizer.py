@@ -614,8 +614,8 @@ def seed_component(model: LhvModel, component: Component) -> ComponentAssignment
 
     Unit propagation over the block's cells comes first and is recorded step
     by step; if the support is too thin to finish that way, the leftover
-    subsystem is solved by elimination (free signs default to +1).
-    A contradiction raises CounterexampleAlarm.
+    subsystem is solved as one GF(2) system (``_eliminate``), free signs
+    +1. A contradiction raises CounterexampleAlarm.
 
     The propagation (``_propagate``) walks the block's constraint table once,
     checking each fully assigned row where the row-by-row walk would pop it,
@@ -669,56 +669,74 @@ def seed_component(model: LhvModel, component: Component) -> ComponentAssignment
 
 
 def _eliminate(model, constraints, assignment, leftovers, trace) -> int:
-    """Gaussian elimination over the block's not-yet-forced signs."""
-    position = {var: i for i, var in enumerate(leftovers)}
-    rows: list[tuple[int, int]] = []  # (mask over leftovers, rhs)
+    """Solve the block's not-yet-forced signs by GF(2) elimination.
+
+    Leftover i takes bit ``len(leftovers) - 1 - i``, so the least solution
+    is the first in leftover order: each sign is +1 unless the signs before
+    it force -1.
+    """
+    top = len(leftovers) - 1
+    bit_of = {var: top - i for i, var in enumerate(leftovers)}
+    rows = []
     for c in constraints:
         mask, rhs = 0, c.bit
         for var in c.vars:
             if var in assignment:
                 rhs ^= assignment[var]
             else:
-                mask |= 1 << position[var]
-        # unit propagation already checked every fully assigned cell
-        if mask:
-            rows.append((mask, rhs))
-    pivots: dict[int, tuple[int, int]] = {}
-    for mask, rhs in rows:
-        # each pivot row's highest bit is its pivot, so reducing from the
-        # top down terminates with a mask whose top bit is fresh
-        while mask:
-            top = mask.bit_length() - 1
-            if top not in pivots:
-                break
-            pmask, prhs = pivots[top]
-            mask ^= pmask
-            rhs ^= prhs
-        if mask == 0:
-            if rhs:
-                raise CounterexampleAlarm(
-                    "sign subsystem is unsatisfiable after elimination"
-                )
-            continue
-        pivots[mask.bit_length() - 1] = (mask, rhs)
-    values = {var: 0 for var in leftovers}  # free signs default to +1
-    for pivot_bit in sorted(pivots):  # lower pivots feed higher rows
-        pmask, prhs = pivots[pivot_bit]
-        acc = prhs
-        bits = pmask & ~(1 << pivot_bit)
-        while bits:
-            low = bits & -bits
-            acc ^= values[leftovers[low.bit_length() - 1]]
-            bits ^= low
-        values[leftovers[pivot_bit]] = acc
+                mask |= 1 << bit_of[var]
+        rows.append((mask, rhs))  # propagation left every complete row even
+    _, least = _least_parity_solution(rows)
+    if least is None:
+        raise CounterexampleAlarm(
+            "sign subsystem is unsatisfiable after elimination"
+        )
     for var in leftovers:
-        assignment[var] = values[var]
+        value = least >> bit_of[var] & 1
+        assignment[var] = value
         trace.append(TraceStep(
             kind="elimination",
             target=_var_name(model, var),
-            value=1 - 2 * values[var],
+            value=1 - 2 * value,
             reason="solved from the block's remaining cells by elimination",
         ))
     return len(leftovers)
+
+
+def _least_parity_solution(rows) -> tuple[int, int | None]:
+    """Rank and integer-least solution of a GF(2) system.
+
+    Each row is a ``(mask, bit)`` pair of Python ints asking that the bits
+    of x the mask selects XOR to ``bit``. The rows are kept in reduced
+    echelon form with each pivot on its row's lowest set bit, so every other
+    bit of a pivot row is free and higher; the smallest x sets every free
+    bit to 0 and each pivot to its row's bit. Returns ``(rank, x)``, or
+    ``(rank, None)`` when the rows contradict each other.
+    """
+    pivots: dict[int, list[int]] = {}  # pivot bit -> [mask, bit]
+    pivot_bits = 0
+    consistent = True
+    for mask, bit in rows:
+        hits = mask & pivot_bits
+        while hits:  # a pivot row holds no other pivot, so one pass clears them
+            low = hits & -hits
+            hits ^= low
+            pmask, pbit = pivots[low]
+            mask ^= pmask
+            bit ^= pbit
+        if not mask:
+            consistent &= not bit
+            continue
+        low = mask & -mask
+        for row in pivots.values():
+            if row[0] & low:
+                row[0] ^= mask
+                row[1] ^= bit
+        pivots[low] = [mask, bit]
+        pivot_bits |= low
+    if not consistent:
+        return len(pivots), None
+    return len(pivots), sum(low for low, (_, bit) in pivots.items() if bit)
 
 
 def merge_components(

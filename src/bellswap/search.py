@@ -4,7 +4,7 @@ Two families are searched. For two-source spaces the searcher enumerates
 station tables and sector maps, derives the unique maximal analyzer table
 each candidate admits, and keeps the candidates the robustness module
 accepts. For single-source spaces it searches a shift-covariant family
-whose members are pinned down by unit propagation over sign equations.
+whose members are pinned down by one GF(2) solve of their sign equations.
 
 Soundness rests on three facts proved here and property-tested in the suite:
 
@@ -61,7 +61,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angles import GridError, required_sign, sign_table
-from .factorizer import factorize
+from .factorizer import _least_parity_solution, factorize
 from .model import SINGLE_SOURCE, TWO_SOURCE, LhvModel, _refuse_oversize
 from .robustness import RobustnessReport, is_robust
 
@@ -713,86 +713,48 @@ def search_two_source(
 
 
 # ---------------------------------------------------------------------------
-# single-source: shift-covariant lattice with sign propagation
+# single-source: shift-covariant lattice with one sign solve per support pair
 
-def _propagate_signs(sa: list[int], sd: list[int], n: int):
-    """Solve the shift-reduced sign system by propagation with branching.
+def _solve_signs(sa: list[int], sd: list[int], n: int):
+    """Solve the shift-reduced sign system as one GF(2) system.
 
     Variables are the station patterns on their supports and the analyzer
     pattern over (offset, flavor); equations couple one of each through the
-    required product. Returns (station, partner, analyzer) dicts or None.
+    required product. Analyzer cell (t, r) takes bit 2t + r; above the cells
+    lie the station and partner signs in the order the equations first name
+    them (sa[0], then sd, then the rest of sa), the earliest highest. The
+    least solution is then the first solution in that order, +1 before -1.
+    Its first station and partner signs are +1, since flipping a whole
+    station pattern together with the analyzer keeps every equation.
+    Returns (station, partner, analyzer) dicts or None.
     """
     m = 2 * n
-    equations = []
+    order = [(0, sa[0]), *((1, dd) for dd in sd), *((0, a) for a in sa[1:])]
+    top = 2 * m + len(order) - 1
+    bit = {var: top - i for i, var in enumerate(order)}
+    rows = []
+    cells = set()
     for a in sa:
         for dd in sd:
             for r in (0, 1):
                 for t in range(m):
                     req = required_sign(a - dd - r + t, n)
                     if req:
-                        equations.append((a, dd, (t, r), req))
-    station: dict[int, int] = {sa[0]: 1}
-    partner: dict[int, int] = {sd[0]: 1}
-    analyzer: dict[tuple[int, int], int] = {}
-
-    def propagate() -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for a, dd, cell, req in equations:
-                known = [
-                    station.get(a), partner.get(dd), analyzer.get(cell)
-                ]
-                missing = known.count(None)
-                if missing == 0:
-                    if station[a] * partner[dd] * analyzer[cell] != req:
-                        return False
-                elif missing == 1:
-                    value = req
-                    if known[0] is not None:
-                        value *= known[0]
-                    if known[1] is not None:
-                        value *= known[1]
-                    if known[2] is not None:
-                        value *= known[2]
-                    if known[0] is None:
-                        station[a] = value
-                    elif known[1] is None:
-                        partner[dd] = value
-                    else:
-                        analyzer[cell] = value
-                    changed = True
-        return True
-
-    def solve() -> bool:
-        snapshot = (dict(station), dict(partner), dict(analyzer))
-
-        def restore() -> None:
-            for table, saved in zip((station, partner, analyzer), snapshot):
-                table.clear()
-                table.update(saved)
-
-        if not propagate():
-            restore()
-            return False
-        # branch on the first unknown station sign, then partner sign, in
-        # equation order
-        for a, dd, _, _ in equations:
-            for table, var in ((station, a), (partner, dd)):
-                if var in table:
-                    continue
-                for guess in (1, -1):
-                    table[var] = guess
-                    if solve():
-                        return True
-                    restore()
-                    if not propagate():
-                        raise RuntimeError("propagation diverged after restore")
-                return False
-        return True
-
-    if not solve():
+                        cells.add((t, r))
+                        rows.append((
+                            1 << bit[0, a] | 1 << bit[1, dd] | 1 << 2 * t + r,
+                            req < 0,
+                        ))
+    _, least = _least_parity_solution(rows)
+    if least is None:
         return None
+
+    def sign(b: int) -> int:
+        return 1 - 2 * (least >> b & 1)
+
+    station = {a: sign(bit[0, a]) for a in sa}
+    partner = {dd: sign(bit[1, dd]) for dd in sd}
+    analyzer = {(t, r): sign(2 * t + r) for t, r in cells}
     return station, partner, analyzer
 
 
@@ -856,10 +818,10 @@ def _support_pairs(m: int, minimum: int, start: int = 0):
 def _single_source_blocks(space, efficiency_floor):
     """One block, and run, per support pair; a hit passes the search predicate.
 
-    Pairs that can put an event at every angle tuple go to the sign
-    propagation; a solution is assembled into a full model and survives
-    when it is robust and both stations fire at every angle at least at
-    the floor rate.
+    Pairs that can put an event at every angle tuple go to the sign solve;
+    its solution is assembled into a full model and survives when it is
+    robust and both stations fire at every angle at least at the floor
+    rate.
     """
     n = space.denominator
     m = 2 * n
@@ -872,7 +834,7 @@ def _single_source_blocks(space, efficiency_floor):
         reachable = {
             (a - dd - r) % m for a in sa for dd in sd for r in (0, 1)
         }
-        solution = _propagate_signs(sa, sd, n) if len(reachable) == m else None
+        solution = _solve_signs(sa, sd, n) if len(reachable) == m else None
         hits = ()
         if solution is not None:
             model = _assemble_single_source(sa, sd, *solution, n)
@@ -898,8 +860,8 @@ def search_single_source(
     The floor bounds the station detectors from below (firing fraction per
     angle); the analyzer always fires. Support pairs are enumerated by
     ascending total size, kept when they can put an event at every angle
-    tuple, and handed to the sign propagation; each solution is assembled
-    into a full model and tested. The run follows the rules
+    tuple, and handed to the sign solve; each solution is assembled into a
+    full model and tested. The run follows the rules
     ``SearchResult`` states (kept models re-verified, ``stop_after`` on a
     whole block, certifying only from cursor 0); ``consistent_found``
     stays empty. ``stop_after`` must be positive and ``budget_seconds``

@@ -10,8 +10,9 @@ grids whose quarter turn is an even number of steps). A replay routine
 re-executes every recorded step against the raw tables alone.
 
 The same style of argument closes the single-source family at full detector
-efficiency: an exhaustive per-hidden-value enumeration shows every sign
-assignment violates some perfect-correlation constraint.
+efficiency: per hidden value, the perfect-correlation constraints are parity
+equations over the station signs, and one GF(2) solve per sector shows every
+sign assignment violates one of them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .factorizer import (
     CounterexampleAlarm,
     Factorization,
     FamilyError,
+    _least_parity_solution,
     factorize,
 )
 from .model import (
@@ -595,14 +597,15 @@ def replay(trace: DerivationTrace, model: LhvModel) -> bool:
 
 @dataclass(frozen=True)
 class SingleSourceCertificate:
-    """Exhaustive refutation of fully-efficient single-source assignments.
+    """Refutation of every fully-efficient single-source assignment.
 
     A single-source model mixes per-hidden-value assignments, and at full
     efficiency each assignment must satisfy every perfect-correlation
     constraint of its own announcement sector; refuting every assignment in
     both sectors therefore refutes every model. ``survivors`` maps each
     sector to None or to one surviving (first station, last station) pair of
-    sign vectors; ``contradicted`` counts the refuted pairs.
+    sign vectors; ``contradicted`` counts the refuted pairs, all
+    ``assignments_checked`` of them decided by the sector's GF(2) rank.
     """
 
     n: int
@@ -616,14 +619,35 @@ class SingleSourceCertificate:
 def _contradiction_bytes(n: int) -> int:
     """Estimated peak bytes of ``single_source_contradiction(n)``.
 
-    Per sector, two int8 signature tables with one row per station sign
-    vector (2**(2n)) and one column per constrained tuple (2(2n)**3
-    correlated, as many anticorrelated on even grids), plus the same-size
-    column products they are concatenated from.
+    The first sector's sign table (1 byte per (2n)**4 entry) stays cached
+    while the second is built (4 bytes per entry); the pair codes and rows
+    take under 48 bytes per constrained tuple, at most 4(2n)**3 a sector;
+    64 KiB covers the rest. ``tracemalloc`` reads 2(2n)**4 plus about 40
+    bytes per tuple up to n = 26, and 5(2n)**4 from n = 28.
     """
     m = 2 * n
-    tuples = (4 if n % 2 == 0 else 2) * m ** 3
-    return 4 * (1 << m) * tuples
+    return 5 * m**4 + 192 * m**3 + 2**16
+
+
+def _station_rows(table: np.ndarray):
+    """One sector's distinct parity rows over the station sign bits, lazily.
+
+    With the forced analyzer, the tuple (t0, t1, t2, t3) asks the bits of
+    first-station signs t0, t1 (bits 0..2n-1) and last-station signs t2, t3
+    (bits 2n..4n-1) to XOR to 0 where the table demands +1 and to 1 where
+    it demands -1. A row sees each station's angle pair unordered, so the
+    tuples are deduplicated by their pair codes first.
+    """
+    m = table.shape[0]
+    mm = m * m
+    flat = table.reshape(mm, mm)
+    k = np.arange(m)
+    pair = (np.minimum.outer(k, k) * m + np.maximum.outer(k, k)).ravel()
+    first, last = np.nonzero(flat)
+    codes = np.unique((pair[first] * mm + pair[last]) * 2 + (flat[first, last] < 0))
+    half = [(1 << p // m) ^ (1 << p % m) for p in range(mm)]
+    return ((half[c // (2 * mm)] ^ (half[c // 2 % mm] << m), c & 1)
+            for c in codes.tolist())
 
 
 def single_source_contradiction(n: int) -> SingleSourceCertificate:
@@ -632,56 +656,39 @@ def single_source_contradiction(n: int) -> SingleSourceCertificate:
     The analyzer table is not enumerated: at full efficiency every response
     is +-1 and the diagonal correlated tuples (b, b, g, g) force the
     analyzer sign at (b, g) to the product of the two station signs, the
-    only candidate any assignment could use. What remains is an exhaustive
-    scan over pairs of per-station sign vectors. Grids whose scan would
-    exceed MAX_TABLE_BYTES raise SizeLimitError before anything is built.
+    only candidate any assignment could use. Every constrained tuple is then
+    one parity row over the 4n station sign bits, and one GF(2) solve per
+    sector decides all pairs of station sign vectors at once: 2**(4n - rank)
+    pairs survive, or none when the rows contradict. The witness is the
+    least solution, first-station bits low, so the pair with the lowest
+    last-station index that has a mate, and its lowest mate. Grids whose
+    solve would exceed MAX_TABLE_BYTES raise SizeLimitError before anything
+    is built.
     """
     _refuse_oversize(
-        f"the single-source scan on the pi/{n} grid", _contradiction_bytes(n)
+        f"the single-source refutation on the pi/{n} grid",
+        _contradiction_bytes(n),
     )
     m = 2 * n
     combos = 1 << m
-    bits = (np.arange(combos)[:, None] >> np.arange(m)[None, :]) & 1
-    signs = (1 - 2 * bits).astype(np.int8)  # row i = one station assignment
 
     contradicted: dict = {}
     survivors: dict = {}
     for sector in (1, -1):
         table = sign_table(n, sector)
-        plus = np.argwhere(table == 1)
-        minus = np.argwhere(table == -1)
-        if len(minus) == 0:
+        if not (table < 0).any():
             raise GridError(
                 f"grid resolution {n} hosts no anticorrelated tuple;"
                 " the contradiction needs one"
             )
-        # with the forced analyzer, the product at (t0,t1,t2,t3) splits into
-        # A(t0)A(t1) from the first station times D(t2)D(t3) from the last;
-        # correlated tuples need the two factors equal, anticorrelated
-        # tuples opposite, so a pair (i, j) survives exactly when the
-        # combined signatures below coincide
-        first_sig = np.concatenate([
-            signs[:, plus[:, 0]] * signs[:, plus[:, 1]],
-            signs[:, minus[:, 0]] * signs[:, minus[:, 1]],
-        ], axis=1)
-        last_sig = np.concatenate([
-            signs[:, plus[:, 2]] * signs[:, plus[:, 3]],
-            -(signs[:, minus[:, 2]] * signs[:, minus[:, 3]]),
-        ], axis=1)
-        first_index: dict[bytes, list[int]] = {}
-        for i in range(combos):
-            first_index.setdefault(first_sig[i].tobytes(), []).append(i)
-        surviving = 0
-        witness = None
-        for j in range(combos):
-            mates = first_index.get(last_sig[j].tobytes())
-            if not mates:
-                continue
-            surviving += len(mates)
-            if witness is None:
-                witness = (signs[mates[0]].copy(), signs[j].copy())
-        contradicted[sector] = combos * combos - surviving
-        survivors[sector] = witness
+        rank, least = _least_parity_solution(_station_rows(table))
+        contradicted[sector] = combos * combos
+        survivors[sector] = None
+        if least is not None:
+            contradicted[sector] -= 1 << 2 * m - rank
+            signs = [1 - 2 * (least >> k & 1) for k in range(2 * m)]
+            survivors[sector] = (np.array(signs[:m], dtype=np.int8),
+                                 np.array(signs[m:], dtype=np.int8))
 
     all_contradicted = all(s is None for s in survivors.values())
     half = n // 2

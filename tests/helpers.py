@@ -16,7 +16,7 @@ from itertools import repeat
 import numpy as np
 from hypothesis import strategies as st
 
-from bellswap.angles import sign_table
+from bellswap.angles import required_sign, sign_table
 from bellswap.factorizer import (
     Component,
     ComponentAssignment,
@@ -1176,3 +1176,183 @@ def multi_axis_relevance(model: LhvModel):
     if idle is not None:
         return RelevanceWitness(side=4, index=idle[0])
     return None
+
+
+def high_bit_eliminate(model, constraints, assignment, leftovers, trace) -> int:
+    """Oracle for ``_eliminate``: Gaussian elimination with high-bit pivots.
+
+    The elimination as it stood before the factorizer shared one GF(2)
+    solver: leftovers on bits in order, each pivot on its row's highest
+    bit, pivots settled from the lowest up with free signs +1. Same
+    assignment, trace steps and alarm text.
+    """
+    position = {var: i for i, var in enumerate(leftovers)}
+    rows: list[tuple[int, int]] = []  # (mask over leftovers, rhs)
+    for c in constraints:
+        mask, rhs = 0, c.bit
+        for var in c.vars:
+            if var in assignment:
+                rhs ^= assignment[var]
+            else:
+                mask |= 1 << position[var]
+        if mask:
+            rows.append((mask, rhs))
+    pivots: dict[int, tuple[int, int]] = {}
+    for mask, rhs in rows:
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in pivots:
+                break
+            pmask, prhs = pivots[top]
+            mask ^= pmask
+            rhs ^= prhs
+        if mask == 0:
+            if rhs:
+                raise CounterexampleAlarm(
+                    "sign subsystem is unsatisfiable after elimination"
+                )
+            continue
+        pivots[mask.bit_length() - 1] = (mask, rhs)
+    values = {var: 0 for var in leftovers}
+    for pivot_bit in sorted(pivots):
+        pmask, prhs = pivots[pivot_bit]
+        acc = prhs
+        bits = pmask & ~(1 << pivot_bit)
+        while bits:
+            low = bits & -bits
+            acc ^= values[leftovers[low.bit_length() - 1]]
+            bits ^= low
+        values[leftovers[pivot_bit]] = acc
+    for var in leftovers:
+        assignment[var] = values[var]
+        trace.append(TraceStep(
+            kind="elimination",
+            target=_var_name(model, var),
+            value=1 - 2 * values[var],
+            reason="solved from the block's remaining cells by elimination",
+        ))
+    return len(leftovers)
+
+
+def branching_solve_signs(sa: list[int], sd: list[int], n: int):
+    """Oracle for ``search._solve_signs``: propagation with backtracking.
+
+    The single-source sign solve as it stood before it became one GF(2)
+    system: unit propagation to a fixpoint, then a branch on the first
+    unknown station or partner sign in equation order, +1 first, undone
+    from a snapshot when it fails. Returns the first solution's
+    (station, partner, analyzer) dicts, or None.
+    """
+    m = 2 * n
+    equations = []
+    for a in sa:
+        for dd in sd:
+            for r in (0, 1):
+                for t in range(m):
+                    req = required_sign(a - dd - r + t, n)
+                    if req:
+                        equations.append((a, dd, (t, r), req))
+    station: dict[int, int] = {sa[0]: 1}
+    partner: dict[int, int] = {sd[0]: 1}
+    analyzer: dict[tuple[int, int], int] = {}
+
+    def propagate() -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for a, dd, cell, req in equations:
+                known = [station.get(a), partner.get(dd), analyzer.get(cell)]
+                missing = known.count(None)
+                if missing == 0:
+                    if station[a] * partner[dd] * analyzer[cell] != req:
+                        return False
+                elif missing == 1:
+                    value = req
+                    for sign in known:
+                        if sign is not None:
+                            value *= sign
+                    if known[0] is None:
+                        station[a] = value
+                    elif known[1] is None:
+                        partner[dd] = value
+                    else:
+                        analyzer[cell] = value
+                    changed = True
+        return True
+
+    def solve() -> bool:
+        snapshot = (dict(station), dict(partner), dict(analyzer))
+
+        def restore() -> None:
+            for table, saved in zip((station, partner, analyzer), snapshot):
+                table.clear()
+                table.update(saved)
+
+        if not propagate():
+            restore()
+            return False
+        for a, dd, _, _ in equations:
+            for table, var in ((station, a), (partner, dd)):
+                if var in table:
+                    continue
+                for guess in (1, -1):
+                    table[var] = guess
+                    if solve():
+                        return True
+                    restore()
+                    propagate()
+                return False
+        return True
+
+    if not solve():
+        return None
+    return station, partner, analyzer
+
+
+def signature_scan_contradiction(n: int) -> dict:
+    """Oracle for ``single_source_contradiction``: the signature-table scan.
+
+    The refutation as it stood before it solved each sector by GF(2) rank:
+    one int8 signature row per station sign vector, first-station rows
+    indexed by their bytes, every last-station row matched against them.
+    Returns the certificate's ``assignments_checked``, ``contradicted``,
+    ``survivors`` (the first pair in scan order) and ``all_contradicted``.
+    """
+    m = 2 * n
+    combos = 1 << m
+    bits = (np.arange(combos)[:, None] >> np.arange(m)[None, :]) & 1
+    signs = (1 - 2 * bits).astype(np.int8)  # row i = one station assignment
+    contradicted: dict = {}
+    survivors: dict = {}
+    for sector in (1, -1):
+        table = sign_table(n, sector)
+        plus = np.argwhere(table == 1)
+        minus = np.argwhere(table == -1)
+        first_sig = np.concatenate([
+            signs[:, plus[:, 0]] * signs[:, plus[:, 1]],
+            signs[:, minus[:, 0]] * signs[:, minus[:, 1]],
+        ], axis=1)
+        last_sig = np.concatenate([
+            signs[:, plus[:, 2]] * signs[:, plus[:, 3]],
+            -(signs[:, minus[:, 2]] * signs[:, minus[:, 3]]),
+        ], axis=1)
+        first_index: dict[bytes, list[int]] = {}
+        for i in range(combos):
+            first_index.setdefault(first_sig[i].tobytes(), []).append(i)
+        surviving = 0
+        witness = None
+        for j in range(combos):
+            mates = first_index.get(last_sig[j].tobytes())
+            if not mates:
+                continue
+            surviving += len(mates)
+            if witness is None:
+                witness = (signs[mates[0]].copy(), signs[j].copy())
+        contradicted[sector] = combos * combos - surviving
+        survivors[sector] = witness
+    return {
+        "assignments_checked": 2 * combos * combos,
+        "contradicted": contradicted,
+        "survivors": survivors,
+        "all_contradicted": all(s is None for s in survivors.values()),
+    }

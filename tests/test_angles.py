@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,19 @@ def test_sign_table_cached_and_readonly():
     assert t1 is t2
     with pytest.raises(ValueError):
         t1[0, 0, 0, 0] = 0
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_sign_table_build_stays_within_the_tensor_budget(n):
+    # model.tensor_bytes budgets 8 bytes per (2n)**4 entry and hidden pair
+    sign_table.cache_clear()
+    tracemalloc.start()
+    try:
+        sign_table(n, -1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2 * n) ** 4
 
 
 def test_sign_table_sector_balance():

@@ -44,11 +44,13 @@ from bellswap.search import (
     _pair_single_blocks,
     _side_tuples,
     _single_scan_bytes,
+    _solve_signs,
     _spread_mask,
     _support_pairs,
 )
 from helpers import (
     both_sector_model,
+    branching_solve_signs,
     demand_filled_analyzer,
     parity_split_model,
     per_block_double_blocks,
@@ -928,6 +930,20 @@ class TestSingleSourceSearch:
         space = SearchSpace(family=SINGLE_SOURCE, denominator=4, size1=16)
         with pytest.raises(ValueError):
             search_single_source(space, efficiency_floor=1.5)
+
+    @pytest.mark.parametrize("n, stride, counts", [(2, 1, (225, 225)),
+                                                   (4, 23, (2828, 622))])
+    def test_sign_solve_matches_the_branching_oracle(self, n, stride, counts):
+        m = 2 * n
+        pairs = list(_support_pairs(m, 1))[::stride]
+        solved = 0
+        for ma, md in pairs:
+            sa = [x for x in range(m) if ma >> x & 1]
+            sd = [x for x in range(m) if md >> x & 1]
+            expected = branching_solve_signs(sa, sd, n)
+            assert _solve_signs(sa, sd, n) == expected, (ma, md)
+            solved += expected is not None
+        assert (len(pairs), solved) == counts
 
 
 class TestOracleCount:

@@ -23,6 +23,7 @@ from helpers import (
     compose_two_source,
     parity_split_model,
     rebuild,
+    signature_scan_contradiction,
 )
 
 ALTERNATING_8 = [1, -1, 1, -1, 1, -1, 1, -1]
@@ -534,3 +535,39 @@ class TestSingleSourceContradiction:
                     surviving += ok
             assert cert.contradicted[sector] == 256 - surviving
             assert surviving > 0
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_matches_the_signature_scan_oracle(self, n):
+        cert = verdict.single_source_contradiction(n)
+        expected = signature_scan_contradiction(n)
+        assert cert.n == n
+        for name in ("assignments_checked", "contradicted", "all_contradicted"):
+            assert getattr(cert, name) == expected[name], name
+        assert cert.survivors.keys() == expected["survivors"].keys()
+        for sector, witness in expected["survivors"].items():
+            if witness is None:
+                assert cert.survivors[sector] is None
+                continue
+            for got, want in zip(cert.survivors[sector], witness, strict=True):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", range(2, 17, 2))
+    def test_the_narrative_claim_holds_on_every_even_grid(self, n):
+        """n/2 even: every pair fails; n/2 odd: 4 pairs per sector survive."""
+        cert = verdict.single_source_contradiction(n)
+        pairs = 4 ** (2 * n)
+        if n // 2 % 2 == 0:
+            assert cert.all_contradicted
+            assert cert.contradicted == {1: pairs, -1: pairs}
+            assert any("fails some constraint" in line for line in cert.narrative)
+            return
+        assert not cert.all_contradicted
+        assert any("too coarse" in line for line in cert.narrative)
+        for sector in (1, -1):
+            assert cert.contradicted[sector] == pairs - 4
+            first, last = cert.survivors[sector]
+            table = sign_table(n, sector)
+            at = np.nonzero(table)
+            t0, t1, t2, t3 = at
+            assert (first[t0] * first[t1] * last[t2] * last[t3] == table[at]).all()

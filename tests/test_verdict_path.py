@@ -3,8 +3,8 @@
 Each rewrite of the path has an oracle in ``helpers``: the eagerly built
 product-rule events, unit propagation that rescans every cell, the
 factorizer's ``_Constraint`` tuples with their running-count propagation,
-the einsum relation counts, and the multi-axis reductions of the robustness
-gate. Property tests compare the two on random models; the rest pins the
+the high-bit elimination, the einsum relation counts, and the multi-axis
+reductions of the robustness gate. Property tests compare the two on random models; the rest pins the
 trace checks ``replay`` makes and the size guards that refuse oversized
 inputs before allocating.
 """
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bellswap import factorizer, verdict
+from bellswap.angles import sign_table
 from bellswap.cli import run as cli_run
 from bellswap.factorizer import (
     CounterexampleAlarm,
@@ -49,6 +50,7 @@ from helpers import (
     broadcast_products,
     eager_product_rule,
     einsum_count,
+    high_bit_eliminate,
     multi_axis_correlations,
     multi_axis_counts,
     multi_axis_event_signs,
@@ -318,6 +320,53 @@ def test_merge_scans_correlated_tuples_only_across_blocks(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# elimination on the shared GF(2) solver
+
+
+@st.composite
+def leftover_systems(draw):
+    """Parity rows over the 12 signs of a 2x2 model at n = 4.
+
+    Some signs are assigned, as propagation leaves them, and every row they
+    complete is even. The rows agree with one planted solution, except that
+    in half the draws some rows with a leftover sign get their bit flipped,
+    which often makes the system contradict itself.
+    """
+    planted = draw(st.lists(st.integers(0, 1), min_size=12, max_size=12))
+    assigned = draw(st.sets(st.integers(0, 11), max_size=8))
+    assignment = {var: planted[var] for var in sorted(assigned)}
+    noisy = draw(st.booleans())
+    constraints = []
+    for held, flip in draw(st.lists(st.tuples(
+            st.sets(st.integers(0, 11), min_size=1, max_size=4), st.booleans()),
+            max_size=14)):
+        bit = sum(planted[var] for var in held) % 2
+        if noisy and flip and not held <= assigned:
+            bit ^= 1
+        constraints.append(factorizer._Constraint(
+            tuple(sorted(held)), bit, "analyzer_cell", (0, 0, 0, 0)))
+    leftovers = sorted(set(range(12)) - assigned)
+    return constraints, assignment, leftovers
+
+
+def _elimination_outcome(eliminate, model, constraints, assignment, leftovers):
+    assignment, trace = dict(assignment), []
+    try:
+        count = eliminate(model, constraints, assignment, leftovers, trace)
+    except CounterexampleAlarm as alarm:
+        return str(alarm)
+    return count, assignment, trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=leftover_systems())
+def test_elimination_matches_the_high_bit_oracle(system):
+    model = synthetic_factorizable(0, n=4, size1=2, size4=2)  # names 12 signs
+    got = _elimination_outcome(factorizer._eliminate, model, *system)
+    assert got == _elimination_outcome(high_bit_eliminate, model, *system)
+
+
+# ---------------------------------------------------------------------------
 # product-rule events: kept as arrays, rendered on first read
 
 
@@ -570,18 +619,31 @@ def test_oversized_model_file_is_a_usage_error(tmp_path, capsys):
 
 
 def test_single_source_scan_estimate_and_refusal():
-    assert verdict._contradiction_bytes(4) == 4 * 2**8 * 4 * 8**3
-    assert verdict._contradiction_bytes(3) == 4 * 2**6 * 2 * 6**3
-    assert verdict._contradiction_bytes(6) <= MAX_TABLE_BYTES
+    assert verdict._contradiction_bytes(4) == 5 * 8**4 + 192 * 8**3 + 2**16
+    assert verdict._contradiction_bytes(3) == 5 * 6**4 + 192 * 6**3 + 2**16
+    assert verdict._contradiction_bytes(46) <= MAX_TABLE_BYTES
     tracemalloc.start()
     try:
-        for n in (8, 10):
+        for n in (47, 48):
             with pytest.raises(SizeLimitError, match=f"pi/{n} grid.*MiB"):
                 verdict.single_source_contradiction(n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_single_source_estimate_bounds_the_measured_peak(n):
+    verdict.single_source_contradiction(2)  # numpy's lazy imports, once
+    sign_table.cache_clear()
+    tracemalloc.start()
+    try:
+        verdict.single_source_contradiction(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= verdict._contradiction_bytes(n)
 
 
 def test_every_catalog_and_golden_model_is_under_the_limit():
