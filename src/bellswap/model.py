@@ -20,9 +20,11 @@ Families:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -59,6 +61,13 @@ MAX_TABLE_BYTES = 512 * 2**20
 _BYTES_PER_PRODUCT = 8
 
 
+# each sign table's attribute and its name in the file format
+_TABLE_FIELDS = {
+    "a": "A", "d": "D", "kappa": "kappa",
+    "f_plus": "F_plus_sector", "f_minus": "F_minus_sector",
+}
+
+
 class ModelFormatError(ValueError):
     """A model violates the file format or a structural invariant."""
 
@@ -86,13 +95,30 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_BOOL_TYPES = (bool, np.bool_)
+
+
+def _has_bool(values, depth: int) -> bool:
+    """Whether a nested sequence holds a bool, which numpy would read as 0/1."""
+    flat = [values]
+    for _ in range(depth):
+        flat = chain.from_iterable(flat)
+    return bool(set(map(type, flat)).intersection(_BOOL_TYPES))
+
+
 def _sign_array(values, path: str, allow_zero: bool) -> np.ndarray:
-    # a copy: the model owns its tables, so no caller alias can change them
-    arr = np.array(values, dtype=np.int8)
-    allowed = {-1, 0, 1} if allow_zero else {-1, 1}
-    present = set(np.unique(arr).tolist()) if arr.size else set()
-    _require(present <= allowed, path, f"values must lie in {sorted(allowed)}")
-    return arr
+    # a copy at the input's own dtype: the model owns its tables, so no
+    # caller alias can change them, and nothing is cast before it is checked
+    arr = np.array(values)
+    if arr.size:
+        allowed = [-1, 0, 1] if allow_zero else [-1, 1]
+        if arr.dtype.kind not in "iu" or (
+            not isinstance(values, np.ndarray) and _has_bool(values, arr.ndim)
+        ):
+            raise ModelFormatError(f"{path}: values must be integers in {allowed}")
+        if arr.min() < -1 or arr.max() > 1 or not (allow_zero or arr.all()):
+            raise ModelFormatError(f"{path}: values must lie in {allowed}")
+    return arr.astype(np.int8, copy=False)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -103,6 +129,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def _weights(values, path: str) -> tuple[Fraction, ...]:
     out = []
     for i, v in enumerate(values):
+        # JSON true/false would otherwise pass as the weights 1 and 0
+        _require(not isinstance(v, _BOOL_TYPES), f"{path}[{i}]",
+                 f"not a rational number: {v!r}")
         try:
             w = Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
@@ -142,10 +171,10 @@ class LhvModel:
         _require(_is_int(self.n0) and self.n0 >= 0, "n0",
                  "nominal count must be a nonnegative integer")
         m = 2 * self.n
-        for name in ("a", "d", "kappa", "f_plus", "f_minus"):
+        for name, path in _TABLE_FIELDS.items():
             object.__setattr__(
                 self, name,
-                _sign_array(getattr(self, name), name, allow_zero=name != "kappa"),
+                _sign_array(getattr(self, name), path, allow_zero=name != "kappa"),
             )
         size1 = len(self.rho1)
         _require(size1 >= 1, "rho1", "at least one hidden-variable value required")
@@ -174,9 +203,9 @@ class LhvModel:
             fshape = (m, m, size1)
         for name in ("f_plus", "f_minus"):
             table = getattr(self, name)
-            _require(table.shape == fshape, name.replace("f_", "F_") + "_sector",
+            _require(table.shape == fshape, _TABLE_FIELDS[name],
                      f"expected shape {fshape}, got {table.shape}")
-        for name in ("a", "d", "kappa", "f_plus", "f_minus"):
+        for name in _TABLE_FIELDS:
             _read_only(getattr(self, name))
 
     @property
@@ -370,24 +399,71 @@ def positive_weight_mask(model: LhvModel) -> np.ndarray:
 
 
 # file format: one JSON document, tables as nested row-major lists,
-# weights as exact rational strings
+# weights as exact rational strings. dumps writes the one-space-indented
+# layout of json.dumps(doc, indent=1) byte for byte: `zoo --model` prints
+# the sha256 of this text, so the layout is part of the format.
+
+# bounded: a run meets few table shapes, and an entry holds a byte per leaf
+@lru_cache(maxsize=32)
+def _table_layout(shape: tuple[int, ...]):
+    """Opening text, leaf tokens and token index of a table in the document.
+
+    The text after leaf i depends only on how many trailing axes end there
+    (``ends[i]``: 0 inside a row, ndim after the last leaf), so each leaf is
+    written as one token, its value followed by that text: the token of a
+    leaf with value v is ``tokens[(v + 1) * (ndim + 1) + ends[i]]``.
+    """
+    ndim = len(shape)
+    leaf = 1 + ndim  # indent of the innermost entries
+
+    def reopen(depth: int) -> str:
+        return "".join("[\n" + " " * (leaf - depth + 1 + t) for t in range(depth))
+
+    def close(depth: int) -> str:
+        return "".join("\n" + " " * (leaf - 1 - t) + "]" for t in range(depth))
+
+    after = [close(j) + ",\n" + " " * (leaf - j) + reopen(j) for j in range(ndim)]
+    after.append(close(ndim))
+    tokens = np.array([str(v) + text for v in (-1, 0, 1) for text in after], dtype=object)
+    ends = np.zeros(math.prod(shape), dtype=np.int8)
+    block = 1
+    for size in shape[:0:-1]:
+        block *= size
+        ends[block - 1::block] += 1
+    ends[-1] = ndim
+    return reopen(ndim), tokens, _read_only(ends)
+
+
+def _table_text(table: np.ndarray) -> str:
+    """``json.dumps(table.tolist(), indent=1)`` as a field of the document."""
+    opening, tokens, ends = _table_layout(table.shape)
+    index = (table.ravel().astype(np.intp) + 1) * (table.ndim + 1) + ends
+    return opening + "".join(tokens[index].tolist())
+
+
+def _weights_text(weights: tuple[Fraction, ...] | None) -> str:
+    """A weight vector as its indented list of ``"p/q"`` strings, or null."""
+    if weights is None:
+        return "null"
+    return "[\n  " + ",\n  ".join(json.dumps(str(w)) for w in weights) + "\n ]"
+
 
 def dumps(model: LhvModel) -> str:
-    doc = {
-        "family": model.family,
-        "n": model.n,
-        "lambda1": model.size1,
-        "lambda4": model.size4 if model.family == TWO_SOURCE else None,
-        "A": model.a.tolist(),
-        "D": model.d.tolist(),
-        "kappa": model.kappa.tolist(),
-        "F_plus_sector": model.f_plus.tolist(),
-        "F_minus_sector": model.f_minus.tolist(),
-        "rho1": [str(w) for w in model.rho1],
-        "rho4": [str(w) for w in model.rho4] if model.rho4 is not None else None,
-        "n0": model.n0,
+    fields = {
+        "family": json.dumps(model.family),
+        "n": json.dumps(model.n),
+        "lambda1": json.dumps(model.size1),
+        "lambda4": json.dumps(model.size4 if model.family == TWO_SOURCE else None),
+        "A": _table_text(model.a),
+        "D": _table_text(model.d),
+        "kappa": _table_text(model.kappa),
+        "F_plus_sector": _table_text(model.f_plus),
+        "F_minus_sector": _table_text(model.f_minus),
+        "rho1": _weights_text(model.rho1),
+        "rho4": _weights_text(model.rho4),
+        "n0": json.dumps(model.n0),
     }
-    return json.dumps(doc, indent=1)
+    return "{\n" + ",\n".join(f' "{key}": {text}' for key, text in fields.items()) + "\n}"
 
 
 def loads(text: str) -> LhvModel:

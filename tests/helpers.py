@@ -7,6 +7,7 @@ that shares no code with the code under test.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from collections import deque
@@ -1356,3 +1357,26 @@ def signature_scan_contradiction(n: int) -> dict:
         "survivors": survivors,
         "all_contradicted": all(s is None for s in survivors.values()),
     }
+
+
+def indent_dumps(model: LhvModel) -> str:
+    """Oracle for ``model.dumps``: the document through ``json.dumps(indent=1)``.
+
+    The encoder as it stood before ``dumps`` wrote each table from a
+    per-shape layout; its text is the fingerprint ``zoo --model`` prints.
+    """
+    doc = {
+        "family": model.family,
+        "n": model.n,
+        "lambda1": model.size1,
+        "lambda4": model.size4 if model.family == TWO_SOURCE else None,
+        "A": model.a.tolist(),
+        "D": model.d.tolist(),
+        "kappa": model.kappa.tolist(),
+        "F_plus_sector": model.f_plus.tolist(),
+        "F_minus_sector": model.f_minus.tolist(),
+        "rho1": [str(w) for w in model.rho1],
+        "rho4": [str(w) for w in model.rho4] if model.rho4 is not None else None,
+        "n0": model.n0,
+    }
+    return json.dumps(doc, indent=1)

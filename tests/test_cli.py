@@ -134,6 +134,17 @@ class TestCheck:
         assert not out
         assert f"{field}:" in err
 
+    @pytest.mark.parametrize("value", [300, 0.5, True, "1"], ids=repr)
+    def test_bad_table_entry_is_a_usage_error(self, capsys, tmp_path, value):
+        doc = json.loads(bellswap.dumps(all_delta_one(n=1, size1=1, size4=1)))
+        doc["A"][0][0] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--model", str(path))
+        assert code == 2
+        assert not out
+        assert len(err.splitlines()) == 1 and "A: values must" in err
+
 
 class TestFactorize:
     def test_product_model_recovers_signs(self, capsys):

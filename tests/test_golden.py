@@ -72,6 +72,9 @@ def cli_script() -> list[list[str]]:
     for uri in MODELS:
         for command in ("check", "factorize", "verdict"):
             script.append([command, "--model", uri])
+    # the sha256 fingerprint of dumps(model): the file layout is pinned
+    for uri in MODELS:
+        script.append(["zoo", "--model", uri])
     for floor in ("0.5", "1.0"):
         script.append(["search", "--family", "single_source", "--floor", floor])
     script.append(["selftest"])

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bellswap.model import (
     LhvModel,
@@ -24,6 +25,10 @@ from bellswap.model import (
     save,
     selected_analyzer,
 )
+from bellswap.zoo import by_uri, catalog
+
+from helpers import indent_dumps
+from test_golden import MODELS
 
 
 def constant_two_source(n=2, l1=2, l4=2, a=1, d=1, f=1, kappa=1, n0=8):
@@ -82,6 +87,50 @@ def constant_single_source(n=2, size=3, a=1, d=1, f=1, kappa=1, n0=6):
         rho4=None,
         n0=n0,
     )
+
+
+@st.composite
+def weight_vectors(draw, size):
+    """Exact weights of ``size`` values, denominators up to seven digits."""
+    parts = draw(st.lists(st.integers(0, 10**6), min_size=size, max_size=size))
+    if not any(parts):
+        parts[0] = 1
+    return [Fraction(p, sum(parts)) for p in parts]
+
+
+@st.composite
+def file_models(draw):
+    """Random models of either family, n 1-6, 1-4 values per hidden source."""
+    family = draw(st.sampled_from(["two_source", "single_source"]))
+    n = draw(st.integers(1, 6))
+    size1 = draw(st.integers(1, 4))
+    size4 = draw(st.integers(1, 4)) if family == "two_source" else size1
+    hidden = (size1, size4) if family == "two_source" else (size1,)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = 2 * n
+
+    def table(shape):
+        return rng.integers(-1, 2, size=shape, dtype=np.int8)
+
+    return LhvModel(
+        family=family,
+        n=n,
+        a=table((m, size1)),
+        d=table((m, size4)),
+        kappa=rng.choice(np.array([-1, 1], dtype=np.int8), size=hidden),
+        f_plus=table((m, m) + hidden),
+        f_minus=table((m, m) + hidden),
+        rho1=draw(weight_vectors(size1)),
+        rho4=draw(weight_vectors(size4)) if family == "two_source" else None,
+        n0=draw(st.integers(0, 10**6)),
+    )
+
+
+def first_leaf_set(table: list, value) -> None:
+    """Put ``value`` at index 0 of every axis of a nested-list table."""
+    while isinstance(table[0], list):
+        table = table[0]
+    table[0] = value
 
 
 class TestValidation:
@@ -145,6 +194,41 @@ class TestValidation:
         m = constant_two_source(n=1, l1=1, l4=1, n0=1)
         with pytest.raises(ModelFormatError, match=f"^{field}:"):
             dataclasses.replace(m, **{field: True})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.full((4, 2), 257, dtype=np.int64),  # int8 would wrap it to +1
+            np.full((4, 2), 255, dtype=np.uint8),  # int8 would wrap it to -1
+            np.full((4, 2), 0.9),  # int8 would truncate it to 0
+            np.ones((4, 2), dtype=bool),
+            [[1, 1], [1, 1], [1, 1], [True, 1]],
+            [["1", "1"]] * 4,
+        ],
+        ids=["int64-257", "uint8-255", "float", "bool-array", "bool-in-list", "strings"],
+    )
+    def test_tables_take_only_sign_integers(self, bad):
+        with pytest.raises(ModelFormatError, match="^A:"):
+            dataclasses.replace(constant_two_source(), a=bad)
+
+    @pytest.mark.parametrize(
+        "good",
+        [
+            np.full((4, 2), -1, dtype=np.int64),
+            np.ones((4, 2), dtype=np.uint8),
+            np.zeros((4, 2), dtype=np.int16),
+            [[1, 0], [-1, 1], [0, 0], [1, -1]],
+        ],
+        ids=["int64", "uint8", "int16", "list"],
+    )
+    def test_any_integer_dtype_is_taken_as_int8(self, good):
+        model = dataclasses.replace(constant_two_source(), a=good)
+        assert model.a.dtype == np.int8
+        assert np.array_equal(model.a, np.array(good))
+
+    def test_boolean_is_not_a_weight(self):
+        with pytest.raises(ModelFormatError, match=r"^rho1\[0\]:"):
+            dataclasses.replace(constant_two_source(), rho1=[True, False])
 
     def test_tables_are_frozen(self):
         m = constant_two_source()
@@ -426,3 +510,74 @@ class TestFileFormat:
             rho4=m.rho4, n0=m.n0,
         )
         assert loads(dumps(rebuilt)).rho1 == rebuilt.rho1
+
+    @pytest.mark.parametrize(
+        "field", ["A", "D", "kappa", "F_plus_sector", "F_minus_sector"]
+    )
+    @pytest.mark.parametrize(
+        "value", [300, -2, 0.5, 1.0, -1.7, True, False, "1", None],
+        ids=repr,
+    )
+    def test_table_entries_must_be_sign_integers(self, field, value):
+        doc = json.loads(dumps(constant_two_source()))
+        first_leaf_set(doc[field], value)
+        with pytest.raises(ModelFormatError, match=f"^{field}:"):
+            loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["rho1", "rho4"])
+    def test_boolean_is_not_a_weight(self, field):
+        doc = json.loads(dumps(constant_two_source()))
+        doc[field] = [True, 0]
+        with pytest.raises(ModelFormatError, match=f"^{field}\\[0\\]:"):
+            loads(json.dumps(doc))
+
+    def test_integer_and_fraction_weights_are_accepted(self):
+        doc = json.loads(dumps(constant_two_source()))
+        doc["rho1"], doc["rho4"] = [1, 0], ["1/3", "2/3"]
+        model = loads(json.dumps(doc))
+        assert model.rho1 == (1, 0)
+        assert model.rho4 == (Fraction(1, 3), Fraction(2, 3))
+
+    @pytest.mark.parametrize(
+        "model", [random_two_source(1), constant_single_source()],
+        ids=["two_source", "single_source"],
+    )
+    def test_loads_accepts_any_layout(self, model):
+        text = dumps(model)
+        doc = json.loads(text)
+        layouts = [
+            json.dumps(doc),
+            json.dumps(doc, separators=(",", ":")),
+            json.dumps(doc, indent=4),
+            json.dumps(dict(reversed(doc.items())), indent="\t"),
+            json.dumps(doc, sort_keys=True),
+        ]
+        for other in layouts:
+            assert other != text
+            back = loads(other)
+            assert dumps(back) == text
+            for name in ("a", "d", "kappa", "f_plus", "f_minus"):
+                assert np.array_equal(getattr(back, name), getattr(model, name))
+            assert (back.rho1, back.rho4, back.n0) == (model.rho1, model.rho4, model.n0)
+
+
+class TestEncoder:
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(model=file_models())
+    def test_dumps_matches_the_indent_encoder(self, model):
+        text = dumps(model)
+        assert text == indent_dumps(model)
+        assert dumps(loads(text)) == text
+
+    # the catalog at its defaults, and the golden URIs (seeded synthetic ones)
+    @pytest.mark.parametrize(
+        "uri",
+        sorted(
+            {f"zoo:{name}" for name in catalog() if name != "synthetic_factorizable"}
+            | set(MODELS)
+        ),
+    )
+    def test_catalog_and_golden_models(self, uri):
+        model = by_uri(uri)
+        assert dumps(model) == indent_dumps(model)
