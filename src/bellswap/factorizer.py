@@ -768,27 +768,26 @@ def merge_components(
             v[j] = s
 
     trace = [step for asg in assignments for step in asg.trace]
-    merged = [False] * len(assignments)
-    if assignments:
-        merged[0] = True
+    merged = np.zeros(len(assignments), dtype=bool)
+    merged[:1] = True
 
-    correlated = []
+    # each sector's correlated tuples with the block of every angle, (T, 4)
+    block_tables = []
     if len(assignments) > 1:  # a lone block is the reference frame itself
-        correlated = [np.argwhere(sign_table(model.n, sector) == 1)
-                      for sector in realized_sectors(model) or (1,)]
+        for sector in realized_sectors(model) or (1,):
+            tuples = np.argwhere(sign_table(model.n, sector) == 1)
+            block_tables.append((tuples, comp_of_angle[tuples]))
 
-    progress = bool(correlated)
+    progress = bool(block_tables)
     while progress:
         progress = False
         for ci, asg in enumerate(assignments):
             if merged[ci]:
                 continue
             demands: set[int] = set()
-            merged_ids = [j for j, flag in enumerate(merged) if flag]
-            for tuples in correlated:
-                comps4 = comp_of_angle[tuples]  # (T, 4)
+            for tuples, comps4 in block_tables:
                 in_this = comps4 == ci
-                allowed = in_this | np.isin(comps4, merged_ids)
+                allowed = in_this | merged[comps4]
                 usable = allowed.all(axis=1) & (in_this.sum(axis=1) % 2 == 1)
                 if not usable.any():
                     continue
@@ -821,7 +820,7 @@ def merge_components(
     factorization = Factorization(
         a=a, u=u, v=v,
         components=tuple(asg.component for asg in assignments),
-        merged=tuple(merged),
+        merged=tuple(merged.tolist()),
         trace=tuple(trace),
     )
     _verify_products(model, factorization)

@@ -300,13 +300,6 @@ class LhvModel:
             for s in (1, -1)
         }
 
-    def sector_table(self, sector: int) -> np.ndarray:
-        if sector == 1:
-            return self.f_plus
-        if sector == -1:
-            return self.f_minus
-        raise ValueError(f"sector must be +1 or -1, got {sector}")
-
     def assignments(self) -> Iterator[tuple[int, int | None, Fraction]]:
         """All hidden-variable assignments with their weights."""
         if self.family == SINGLE_SOURCE:
@@ -323,12 +316,10 @@ def _lookup(model: LhvModel, phis: Sequence[int], l1: int, l4: int | None):
     """Raw factors (first response, analyzer response, last response, sector)."""
     p1, p2, p3, p4 = phis
     if model.family == SINGLE_SOURCE:
-        sector = int(model.kappa[l1])
-        f = int(model.sector_table(sector)[p2, p3, l1])
-        return int(model.a[p1, l1]), f, int(model.d[p4, l1]), sector
-    sector = int(model.kappa[l1, l4])
-    f = int(model.sector_table(sector)[p2, p3, l1, l4])
-    return int(model.a[p1, l1]), f, int(model.d[p4, l4]), sector
+        f = int(model.analyzer[p2, p3, l1])
+        return int(model.a[p1, l1]), f, int(model.d[p4, l1]), int(model.kappa[l1])
+    f = int(model.analyzer[p2, p3, l1, l4])
+    return int(model.a[p1, l1]), f, int(model.d[p4, l4]), int(model.kappa[l1, l4])
 
 
 def event_count(model: LhvModel, phis: Sequence[int], sector: int) -> Fraction:

@@ -23,26 +23,29 @@ Soundness rests on three facts proved here and property-tested in the suite:
   sector, and as i^(-tau) * [i^x A(x)] * [i^y D(y)] in the minus sector,
   shows a station-pair's same-parity and cross-parity diagonal families
   are each satisfiable exactly when the twisted column restrictions are
-  constant on every touched parity side and one product equation between
-  the four side constants holds (only that equation's sign depends on the
-  sector). A family with conflicting demands zeroes all its cells;
-  a family nobody demands is filled at +1. Robustness of the maximal-table
-  model thus depends on a column only through its per-parity support sets
-  and side constants, and replacing a non-constant side by a constant one
-  of the same support never shrinks the alive set, so the enumeration may
-  restrict to twisted-constant columns without missing any support shape.
+  constant on every touched parity side and, for two two-sided columns,
+  k_a * k_d = c. A column's kind k is the product of its side constants
+  (0 when single-sided); c is s for the same-parity family in sector s
+  and -s for the cross-parity one. A family with conflicting demands
+  zeroes all its cells; a family nobody demands is filled at +1.
+  Robustness of the maximal-table model thus depends on a column only
+  through its per-parity support sets and side constants, and replacing
+  a non-constant side by a constant one of the same support never
+  shrinks the alive set, so the enumeration may restrict to
+  twisted-constant columns without missing any support shape. A pair's
+  two families in one sector have opposite couplings, so one stays alive
+  and relevance always holds: a candidate is decided by its cover alone.
 
 * Block keys (class space). Under a fixed sector map the exact check
   reads a first-station column through its support and its kind only:
-  single-sided (no family it touches can die) or two-sided with side
-  constant product +1 or -1 (which picks the family fates). Byte r of a
+  kind 0 keeps every family it touches, kind +1 or -1 picks, for each
+  second-station kind, the coupling whose family survives. Byte r of a
   sector's cover is the OR, over the columns whose support holds angle r,
   of their alive partners' supports, so it depends on the tuple only
-  through which columns support r; the relevance flags depend on the
-  kinds alone. Tuples that agree on their kinds and on the set of these
-  per-angle patterns therefore keep the same second-station rows, and
-  each sector map decides one block per such key (at most 9 x 7 keys for
-  two hidden values).
+  through which columns support r. Tuples that agree on their kinds and
+  on the set of these per-angle patterns therefore keep the same
+  second-station rows, and each sector map decides one block per such key
+  (at most 9 x 7 keys for two hidden values).
 
 Every scan streams runs of consecutive blocks to one driver, which books
 tallies, ``stop_after`` and the keep list per run and checks the wall-clock
@@ -452,13 +455,6 @@ def _class_column(cls: tuple[int, int, int, int], m: int) -> np.ndarray:
     return col
 
 
-def _family_coupling(sector: int, parity: int) -> int:
-    # sign relating the two side-constant products when both blocks exist
-    if parity == 0:
-        return 1 if sector == 1 else -1
-    return -1 if sector == 1 else 1
-
-
 def _spread_mask(even_mask: int, odd_mask: int) -> int:
     """8-bit angle support mask from 4-bit even and odd side masks."""
     out = 0
@@ -480,59 +476,37 @@ def _side_tuples(count, size) -> np.ndarray:
 
 
 class _ClassPack:
-    """Struct-of-arrays view of the canonical column classes."""
+    """Struct-of-arrays view of the canonical column classes.
+
+    ``kind`` is 0 for a single-sided column, else sig_e * sig_o; a family
+    of kinds k_a, k_d and coupling c stays alive iff k_a * k_d != -c.
+    """
 
     def __init__(self, classes):
         count = len(classes)
-        self.even = np.zeros(count, dtype=np.int16)
-        self.odd = np.zeros(count, dtype=np.int16)
-        self.sig_e = np.zeros(count, dtype=np.int8)
-        self.sig_o = np.zeros(count, dtype=np.int8)
         self.supp = np.zeros(count, dtype=np.uint16)
         # support rectangle by multiplication: the factor places one copy
         # of the partner support byte at each supported angle's byte row
         self.factor = np.zeros(count, dtype=np.uint64)
-        self.two_sided = np.zeros(count, dtype=bool)
-        self.pa = np.zeros(count, dtype=np.int8)
+        self.kind = np.zeros(count, dtype=np.int8)
         for idx, (em, om, se, so) in enumerate(classes):
-            self.even[idx] = em
-            self.odd[idx] = om
-            self.sig_e[idx] = se
-            self.sig_o[idx] = so
             spread = _spread_mask(em, om)
             self.supp[idx] = spread
             self.factor[idx] = sum(1 << (8 * r) for r in range(8) if spread >> r & 1)
-            self.two_sided[idx] = bool(em) and bool(om)
-            self.pa[idx] = se * so
-
-
-def _pair_not_dead(ea, oa, sea, soa, ed, od, sed, sod, sector, parity):
-    """Vectorized family fate: True where the family is alive or free."""
-    if parity == 0:
-        block1 = (ea != 0) & (ed != 0)
-        block2 = (oa != 0) & (od != 0)
-        lhs = sea * sed
-        rhs = soa * sod
-    else:
-        block1 = (ea != 0) & (od != 0)
-        block2 = (oa != 0) & (ed != 0)
-        lhs = sea * sod
-        rhs = soa * sed
-    couple = lhs == _family_coupling(sector, parity) * rhs
-    return ~(block1 & block2 & ~couple)
+            self.kind[idx] = se * so if em and om else 0
 
 
 def _block_keys(pack, tuples: np.ndarray) -> np.ndarray:
     """Decision key of each first-station tuple, one tuple per row.
 
     The exact check reads a first-station column only through its kind
-    (single-sided, or two-sided with side-constant product +1 or -1) and,
+    (0 single-sided, or the side-constant product +1 or -1) and,
     at each angle, through which columns support that angle. A key packs
     the kinds with the set of those per-angle patterns, so two tuples with
     equal keys keep the same second-station rows under any sector map.
     """
-    # kind 0 single-sided, 1 two-sided with pa = +1, 2 with pa = -1
-    kind = pack.two_sided * np.where(pack.pa == 1, 1, 2).astype(np.uint16)
+    # base-3 digit: 0 single-sided, 1 for kind +1, 2 for kind -1
+    kind = (pack.kind % 3).astype(np.uint16)
     kinds = np.zeros(len(tuples), dtype=np.uint16)
     for col in tuples.T:
         kinds = 3 * kinds + kind[col]
@@ -553,17 +527,17 @@ def _pair_double_blocks(space):
     supported on even index differences and the twisted-constancy
     reduction applies. Candidates are pruned in bulk by two sound
     necessary conditions (each sector must reach every station angle on
-    both sides); surviving rows get the exact family-fate evaluation, so
-    ``models_examined`` tallies individually decided candidates only.
+    both sides); surviving rows get the exact check, so ``models_examined``
+    tallies individually decided candidates only.
 
-    A candidate is decided by the family fates of its station pairs: for
-    each realized sector and parity, the alive (or free) pairs' support
-    rectangles must cover every angle pair, and every hidden value on both
-    sides must sit in some alive pair. That verdict depends on the
-    first-station tuple only through its block key, so each sector map
-    decides one block per key, on first meeting it, and every later block
-    with that key reuses the surviving rows. A sector map's blocks are
-    yielded as one run.
+    A candidate is decided by its covers: for each realized sector s and
+    coupling c = +1 or -1 (one parity family each), the support rectangles
+    of the pairs whose family stays alive, k_a * k_d != -c, must cover
+    every angle pair. Relevance needs no test, since each pair keeps one
+    of its two families. That verdict depends on the first-station tuple
+    only through its block key, so each sector map decides one block per
+    key, on first meeting it, and every later block with that key reuses
+    the surviving rows. A sector map's blocks are yielded as one run.
     """
     n = space.denominator
     m = 2 * n
@@ -608,49 +582,30 @@ def _pair_double_blocks(space):
         if not len(positions):
             continue
         rows = np.nonzero(d_keep)[0]
-        d_cols = [d_idx[rows, j] for j in range(space.size4)]
         d_supp64 = [supp[rows].astype(np.uint64) for supp in d_supp]
-        trivial = np.ones(len(rows), dtype=bool)
-        ok_cache: dict[tuple[int, int, int, int], np.ndarray] = {}
-        for j in range(space.size4):
-            col = d_cols[j]
-            for s in realized:
-                for parity in (0, 1):
-                    for pa in (1, -1):
-                        ok_cache[(j, s, parity, pa)] = _pair_not_dead(
-                            1, 1, 1, pa,
-                            pack.even[col], pack.odd[col],
-                            pack.sig_e[col], pack.sig_o[col],
-                            s, parity,
-                        )
+        # d_alive[j][c]: rows whose column j keeps the family of coupling c
+        # beside a first column of kind +1; kind k_a reads d_alive[j][c * k_a]
+        d_kind = [pack.kind[d_idx[rows, j]] for j in range(space.size4)]
+        d_alive = [{c: kind != -c for c in (1, -1)} for kind in d_kind]
 
         def decide(a_cols):
-            cover = {key: np.zeros(len(rows), dtype=np.uint64) for key in
-                     ((s, parity) for s in realized for parity in (0, 1))}
-            relevant1 = [np.zeros(len(rows), dtype=bool) for _ in range(space.size1)]
-            relevant4 = [np.zeros(len(rows), dtype=bool) for _ in range(space.size4)]
+            cover = {(s, c): np.zeros(len(rows), dtype=np.uint64)
+                     for s in realized for c in (1, -1)}
             for i, ci in enumerate(a_cols):
                 factor = pack.factor[ci]
+                k_a = int(pack.kind[ci])
                 for j in range(space.size4):
                     s = int(kappa[i, j])
                     rect = d_supp64[j] * factor
-                    for parity in (0, 1):
-                        if pack.two_sided[ci]:
-                            ok = ok_cache[(j, s, parity, int(pack.pa[ci]))]
-                            cover[(s, parity)] |= np.where(ok, rect, np.uint64(0))
+                    for c in (1, -1):
+                        if k_a:
+                            cover[(s, c)] |= np.where(d_alive[j][c * k_a], rect, np.uint64(0))
                         else:
                             # single-sided first column: no family can die
-                            ok = trivial
-                            cover[(s, parity)] |= rect
-                        relevant1[i] |= ok
-                        relevant4[j] |= ok
+                            cover[(s, c)] |= rect
             keep = np.ones(len(rows), dtype=bool)
-            for key in cover:
-                keep &= cover[key] == FULL64
-            for alive in relevant1:
-                keep &= alive
-            for alive in relevant4:
-                keep &= alive
+            for covered in cover.values():
+                keep &= covered == FULL64
             hits = np.flatnonzero(keep)
             hits.flags.writeable = False
             return hits

@@ -26,7 +26,7 @@ from .model import (
     selected_analyzer,
 )
 from .robustness import is_robust
-from .search import SearchSpace, forced_analyzer, search_single_source
+from .search import SearchSpace, _assemble_two_source, search_single_source
 
 __all__ = [
     "ZooError",
@@ -310,23 +310,6 @@ def padded_irrelevant(n: int = 4) -> LhvModel:
 # robust non-factorizable models
 
 
-def _demanded_model(a: np.ndarray, kappa: np.ndarray, n: int) -> LhvModel:
-    f = forced_analyzer(a, a, kappa, n)
-    size = a.shape[1]
-    return LhvModel(
-        family=TWO_SOURCE,
-        n=n,
-        a=a,
-        d=a.copy(),
-        kappa=kappa,
-        f_plus=f,
-        f_minus=f,
-        rho1=_uniform(size),
-        rho4=_uniform(size),
-        n0=4 * n,
-    )
-
-
 def _verified_robust(model: LhvModel, name: str) -> LhvModel:
     report = is_robust(model)
     if not report.is_robust:
@@ -352,9 +335,8 @@ def parity_split_robust(n: int = 4) -> LhvModel:
     a = np.zeros((m, 2), np.int8)
     for k in range(m):
         a[k, k % 2] = seq[k]
-    return _verified_robust(
-        _demanded_model(a, np.ones((2, 2), np.int8), n), "parity_split_robust"
-    )
+    model = _assemble_two_source(a, a.copy(), np.ones((2, 2), np.int8), n)
+    return _verified_robust(model, "parity_split_robust")
 
 
 def both_sector_robust(n: int = 4) -> LhvModel:
@@ -372,7 +354,8 @@ def both_sector_robust(n: int = 4) -> LhvModel:
         a[k, 0] = seq[k]
         a[k, 1] = seq[k] if k % 2 == 0 else -seq[k]
     kappa = np.array([[1, 1], [-1, -1]], np.int8)
-    return _verified_robust(_demanded_model(a, kappa, n), "both_sector_robust")
+    model = _assemble_two_source(a, a.copy(), kappa, n)
+    return _verified_robust(model, "both_sector_robust")
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from bellswap.search import (
     _class_column,
     _ClassPack,
     _column_classes,
-    _pair_not_dead,
     _side_tuples,
     _sign_columns,
 )
@@ -501,6 +500,47 @@ def union_find_blocks(model: LhvModel, constraints):
     return [(tuple(blocks[root]), root, owned[root]) for root in sorted(blocks)]
 
 
+def _family_coupling(sector: int, parity: int) -> int:
+    # sign relating the two side-constant products when both blocks exist
+    if parity == 0:
+        return 1 if sector == 1 else -1
+    return -1 if sector == 1 else 1
+
+
+def _pair_not_dead(ea, oa, sea, soa, ed, od, sed, sod, sector, parity):
+    """Oracle for the family fate: True where the family is alive or free.
+
+    The general form, read from both columns' side masks and side
+    constants; the class-space scan uses its closed form in column kinds.
+    """
+    if parity == 0:
+        block1 = (ea != 0) & (ed != 0)
+        block2 = (oa != 0) & (od != 0)
+        lhs = sea * sed
+        rhs = soa * sod
+    else:
+        block1 = (ea != 0) & (od != 0)
+        block2 = (oa != 0) & (ed != 0)
+        lhs = sea * sod
+        rhs = soa * sed
+    couple = lhs == _family_coupling(sector, parity) * rhs
+    return ~(block1 & block2 & ~couple)
+
+
+def fate_pack(classes):
+    """The engine's ``_ClassPack`` plus the side data the general fate reads.
+
+    Adds per-class arrays ``even``, ``odd``, ``sig_e``, ``sig_o``,
+    ``two_sided`` and ``pa`` (the side-constant product), built from
+    ``classes`` directly.
+    """
+    pack = _ClassPack(classes)
+    pack.even, pack.odd, pack.sig_e, pack.sig_o = (np.array(side) for side in zip(*classes))
+    pack.two_sided = (pack.even != 0) & (pack.odd != 0)
+    pack.pa = pack.sig_e * pack.sig_o
+    return pack
+
+
 def unmemoized_double_blocks(space):
     """Oracle for the class-space stream: every block decided on its own.
 
@@ -511,7 +551,7 @@ def unmemoized_double_blocks(space):
     n = space.denominator
     m = 2 * n
     classes = _column_classes(m, space.value_domain)
-    pack = _ClassPack(classes)
+    pack = fate_pack(classes)
     a_idx = _side_tuples(len(classes), space.size1)
     d_idx = _side_tuples(len(classes), space.size4)
     full_mask = (1 << m) - 1
@@ -610,7 +650,7 @@ def per_block_double_blocks(space):
     n = space.denominator
     m = 2 * n
     classes = _column_classes(m, space.value_domain)
-    pack = _ClassPack(classes)
+    pack = fate_pack(classes)
     a_idx = _side_tuples(len(classes), space.size1)
     d_idx = _side_tuples(len(classes), space.size4)
     full_mask = (1 << m) - 1

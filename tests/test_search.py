@@ -40,7 +40,6 @@ from bellswap.search import (
     _column_classes,
     _demand_bits,
     _pair_double_blocks,
-    _pair_not_dead,
     _pair_single_blocks,
     _side_tuples,
     _single_scan_bytes,
@@ -49,9 +48,12 @@ from bellswap.search import (
     _support_pairs,
 )
 from helpers import (
+    _family_coupling,
+    _pair_not_dead,
     both_sector_model,
     branching_solve_signs,
     demand_filled_analyzer,
+    fate_pack,
     parity_split_model,
     per_block_double_blocks,
     per_block_drive,
@@ -199,6 +201,31 @@ class TestTwistedClasses:
             assert all(v == sig_e for v in evens)
             assert all(v == sig_o for v in odds)
         assert len(seen) == len(classes)
+
+    def test_one_sign_per_column_decides_every_family_fate(self):
+        """The closed form of the fate over every class pair, sector and parity.
+
+        The general fate equals k_a * k_d != -c, and the two parity
+        families of a pair never both die in one sector, which is why the
+        class-space scan tests no relevance.
+        """
+        classes = _column_classes(8, "ternary")
+        pack = fate_pack(classes)
+        sides = (pack.even, pack.odd, pack.sig_e, pack.sig_o)
+        kind = pack.kind.astype(int)
+        assert np.array_equal(kind, pack.two_sided * pack.pa)
+        for s in (1, -1):
+            kept = np.zeros((len(classes), len(classes)), dtype=int)
+            for parity in (0, 1):
+                fate = _pair_not_dead(
+                    *(side[:, None] for side in sides),
+                    *(side[None, :] for side in sides),
+                    s, parity,
+                )
+                closed = kind[:, None] * kind[None, :] != -_family_coupling(s, parity)
+                assert np.array_equal(fate, closed)
+                kept += fate
+            assert kept.min() >= 1
 
     @pytest.mark.parametrize("seed", range(30))
     def test_family_fate_predicts_robustness(self, seed):
