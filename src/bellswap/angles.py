@@ -92,6 +92,13 @@ def sign_table(n: int, sector: int) -> np.ndarray:
     -1 where it is pi/2 mod pi, and 0 where the correlation law is silent.
     The array is cached and read-only.
     """
+    table = _build_sign_table(n, sector)
+    table.flags.writeable = False
+    return table
+
+
+def _build_sign_table(n: int, sector: int) -> np.ndarray:
+    """A fresh, writable ``sign_table(n, sector)`` that no cache keeps."""
     if sector not in (1, -1):
         raise ValueError(f"sector must be +1 or -1, got {sector}")
     # int16 differences reduced in place keep the build at about 4 bytes
@@ -107,5 +114,4 @@ def sign_table(n: int, sector: int) -> np.ndarray:
     table[reduced == 0] = 1
     if n % 2 == 0:
         table[reduced == n // 2] = -1
-    table.flags.writeable = False
     return table

@@ -6,9 +6,10 @@ a(angle)*v(lam4), analyzer a(angle2)*a(angle3)*u(lam1)*v(lam4), with the
 detection pattern carried separately by the zeros of the tables.
 
 ``check_consistency`` scans the product relations any factorizable model must
-satisfy; the 8-index ones are counted by cached chains of int64 matmuls and
-built out only when a count is nonzero. ``build_components`` turns every
-nonzero cell into a parity constraint, a row of one int table built by array
+satisfy, the rows of one einsum table over angle letters a-d and hidden
+letters p, q (first source) and r, s (last source); the 8-index rows are
+counted by cached chains of int64 matmuls and built out only when a count is
+nonzero. ``build_components`` turns every nonzero cell into a parity constraint, a row of one int table built by array
 kernels, and splits the support into blocks that share no nonzero cell.
 ``seed_component`` anchors one sign per block and propagates the rest
 through the table's rows, recording every forced assignment.
@@ -142,29 +143,28 @@ def _reject_single_source(model: LhvModel) -> None:
 # consistency relations
 
 
-# The 8-index relations, as einsum operand subscripts over the indices
-# alpha beta gamma delta = a b c d and lam1 lam1_alt lam4 lam4_alt = p q r s.
-# A four-letter operand is the analyzer table, a three-letter one its
-# equal-angle diagonal.
-_EIGHT = "abcdpqrs"
-_EIGHT_KEYS = ("alpha", "beta", "gamma", "delta",
-               "lam1", "lam1_alt", "lam4", "lam4_alt")
-_QUADS = (
-    ("analyzer_triple", "abpr,acps,bcqr,dqs"),  # one cell through three others
-    ("analyzer_pair_shift", "abpr,acps,dbqr,dcqs"),  # pairs sharing a shifted angle
-    ("analyzer_diagonal", "cpr,dqs,abpr,abqs"),  # diagonals against a repeated cell
+# The product relations in scan order: a name, einsum operands and output
+# letters, which name the witness keys; see ``check_consistency``.
+_RELATIONS = (
+    ("cross_station_rectangle", "ap,bp,ar,br", "abpr"),
+    ("first_station_rectangle", "ap,aq,bp,bq", "abpq"),
+    ("last_station_rectangle", "ar,as,br,bs", "abrs"),
+    ("analyzer_symmetry", "abpr,bapr", "abpr"),  # the two angle slots swap
+    ("analyzer_triple", "abpr,acps,bcqr,dqs", "abcdpqrs"),  # one cell through three others
+    ("analyzer_pair_shift", "abpr,acps,dbqr,dcqs", "abcdpqrs"),  # pairs sharing a shifted angle
+    ("analyzer_diagonal", "cpr,dqs,abpr,abqs", "abcdpqrs"),  # diagonals against a repeated cell
 )
-_TRIPLE_VARIANTS = (  # the triple with its primed hidden values moved
-    ("analyzer_triple_alt1", "abpr,acqr,bcps,dqs"),
-    ("analyzer_triple_alt2", "abpr,acps,bcqs,dqr"),
-    ("analyzer_triple_alt3", "abpr,acqs,bcpr,dqs"),
+_KEYS = dict(zip("abcdpqrs", ("alpha", "beta", "gamma", "delta",
+                              "lam1", "lam1_alt", "lam4", "lam4_alt")))
+# per row: name, einsum subscripts, the operands to count first (8-index rows
+# only), each operand's position in the tables (a, d, fdiag, f), witness keys
+_SCAN = tuple(
+    (name, f"{operands}->{output}", operands if len(output) == 8 else None,
+     tuple(int(t[1] in "rs") if len(t) == 2 else len(t) - 1
+           for t in operands.split(",")),
+     tuple(map(_KEYS.get, output)))
+    for name, operands, output in _RELATIONS
 )
-
-
-def _contract(operands: str, output: str, full, diag):
-    """One relation's einsum over the analyzer table and its diagonal."""
-    tables = [full if len(op) == 4 else diag for op in operands.split(",")]
-    return np.einsum(f"{operands}->{output}", *tables)
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,69 +232,38 @@ def _count(operands: str, full: np.ndarray, diag: np.ndarray) -> int:
     return int(tables[0])
 
 
-def check_consistency(model: LhvModel, variants: bool = False) -> ConsistencyWitness | None:
+def check_consistency(model: LhvModel) -> ConsistencyWitness | None:
     """Exhaustively scan the product relations; None means all hold.
 
     Every relation multiplies table entries whose hidden-variable and angle
     indices each appear an even number of times, so the product must be +1
     unless some factor is 0 (which makes the instance vacuous). The scan
     looks for product -1 and reports the first such instance in row-major
-    order. The 4-index relations (across stations, within a station, the
-    analyzer's symmetry) are scanned as full tensors. Each 8-index analyzer
-    relation is counted, then located: since every factor is -1, 0 or +1,
-    its number of -1 instances is (sum |t1 t2 t3 t4| - sum t1 t2 t3 t4)/2.
-    Both sums run one plan, built once per relation and table shape: a
-    chain of pairwise steps, each a transpose, a reshape and one int64
-    matmul, that never builds the 8-index tensor. Only a relation with a
-    nonzero count is materialized, by einsum, to find its first -1. ``variants``
-    additionally checks the three alternative placements of the primed
-    hidden variables in the triple relation.
+    order. The relations are the rows of ``_RELATIONS``, in order. Their
+    einsum letters a b c d are the angles alpha..delta and p q r s the
+    hidden values lam1, lam1_alt, lam4, lam4_alt, which name the witness
+    keys; an operand of four letters reads the analyzer, of three its
+    equal-angle diagonal, of two the first station (p, q) or the last (r,
+    s). The four 4-index rows are located directly. The three 8-index rows
+    are counted first: since every factor is -1, 0 or +1, a row's number of
+    -1 instances is (sum |t1 t2 t3 t4| - sum t1 t2 t3 t4)/2. Both sums run
+    one plan, built once per relation and table shape: a chain of pairwise
+    steps, each a transpose, a reshape and one int64 matmul, that never
+    builds the 8-index tensor. Only a row with a nonzero count is
+    materialized, by einsum, to find its first -1.
     """
     _reject_single_source(model)
-    a, d = model.a, model.d
     f = selected_analyzer(model)
-
-    # two angles, one hidden value per side, across both stations
-    cross = (
-        a[:, None, :, None] * a[None, :, :, None]
-        * d[:, None, None, :] * d[None, :, None, :]
-    )
-    where = _first_index(cross == -1)
-    if where is not None:
-        keys = ("alpha", "beta", "lam1", "lam4")
-        return ConsistencyWitness("cross_station_rectangle",
-                                  dict(zip(keys, where)), -1)
-
-    # rectangle within one station's table
-    for name, table, lam_key in (
-        ("first_station_rectangle", a, "lam1"),
-        ("last_station_rectangle", d, "lam4"),
-    ):
-        rect = (
-            table[:, None, :, None] * table[:, None, None, :]
-            * table[None, :, :, None] * table[None, :, None, :]
-        )
-        where = _first_index(rect == -1)
-        if where is not None:
-            keys = ("alpha", "beta", lam_key, lam_key + "_alt")
-            return ConsistencyWitness(name, dict(zip(keys, where)), -1)
-
-    # analyzer table: symmetric in its two angle slots
-    sym = f * f.transpose(1, 0, 2, 3)
-    where = _first_index(sym == -1)
-    if where is not None:
-        keys = ("alpha", "beta", "lam1", "lam4")
-        return ConsistencyWitness("analyzer_symmetry", dict(zip(keys, where)), -1)
-
-    # 8-index relations: count the -1 instances, locate only a nonzero count
     fdiag = np.einsum("iikl->ikl", f)
+    tables = (model.a, model.d, fdiag, f)
     signed = (f.astype(np.int64), fdiag.astype(np.int64))
     unsigned = (np.abs(signed[0]), np.abs(signed[1]))
-    for name, operands in _QUADS + (_TRIPLE_VARIANTS if variants else ()):
-        if _count(operands, *unsigned) == _count(operands, *signed):
+    for name, subscripts, counted, picks, keys in _SCAN:
+        if counted and _count(counted, *unsigned) == _count(counted, *signed):
             continue
-        where = _first_index(_contract(operands, _EIGHT, f, fdiag) == -1)
-        return ConsistencyWitness(name, dict(zip(_EIGHT_KEYS, where)), -1)
+        where = _first_index(np.einsum(subscripts, *[tables[i] for i in picks]) == -1)
+        if where is not None:
+            return ConsistencyWitness(name, dict(zip(keys, where)), -1)
     return None
 
 

@@ -227,6 +227,13 @@ class LhvModel:
         hidden = self.size1 * (self.size4 if self.family == TWO_SOURCE else 1)
         return self.steps ** 4 * hidden * _BYTES_PER_PRODUCT
 
+    @property
+    def _size_label(self) -> str:
+        """The model as size refusals name it, by grid and hidden counts."""
+        hidden = (f"{self.size1}x{self.size4}" if self.family == TWO_SOURCE
+                  else str(self.size1))
+        return f"an n={self.n} model with {hidden} hidden values"
+
     @cached_property
     def analyzer(self) -> np.ndarray:
         """Analyzer table with each assignment's sector already selected by kappa.
@@ -246,13 +253,8 @@ class LhvModel:
         a model whose :attr:`tensor_bytes` exceed MAX_TABLE_BYTES raises
         SizeLimitError before anything is allocated.
         """
-        hidden = (f"{self.size1}x{self.size4}" if self.family == TWO_SOURCE
-                  else str(self.size1))
-        _refuse_oversize(
-            f"the product tensor of an n={self.n} model with {hidden} hidden"
-            " values",
-            self.tensor_bytes,
-        )
+        _refuse_oversize(f"the product tensor of {self._size_label}",
+                         self.tensor_bytes)
         f = self.analyzer
         m, lam = self.steps, f.shape[2:]
         if self.family == SINGLE_SOURCE:

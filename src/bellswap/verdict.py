@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angles import GridError, RationalAngle, sign_table
+from .angles import GridError, RationalAngle, _build_sign_table, sign_table
 from .factorizer import (
     CounterexampleAlarm,
     Factorization,
@@ -411,16 +411,16 @@ class EClassReport:
 def _singlet_table(n: int, sector: int) -> np.ndarray:
     """The quantum conditional expectation at every angle tuple of a sector.
 
-    Read off the sector's correlation step; cached per grid and read-only.
+    Gathered in blocks by the shift alpha - beta, so the table is the only
+    (2n)**4 array built; cached per grid and read-only.
     """
     m = 2 * n
-    idx = np.arange(m)
     by_index = np.array([
         expectation_singlet(RationalAngle(c, n)) for c in range(m)
     ])
-    c = (idx[:, None, None, None] - idx[None, :, None, None]
-         + sector * (idx[None, None, :, None] - idx[None, None, None, :])) % m
-    table = by_index[c]
+    k = np.arange(m)
+    by_shift = by_index[(k[:, None, None] + sector * (k[:, None] - k)) % m]
+    table = by_shift[(k[:, None] - k) % m]
     table.flags.writeable = False
     return table
 
@@ -450,12 +450,13 @@ def predict_E_class(fact: Factorization, model: LhvModel) -> EClassReport:
         mask = has_pos | has_neg
         defined[sector] = mask
         e_class[sector] = table
-        quantum = e_quantum[sector] = _singlet_table(model.n, sector).copy()
+        quantum = e_quantum[sector] = _singlet_table(model.n, sector)
         if has_neg.any():
             all_plus = False
         if mask.any():
-            gap = float(np.max(np.abs(table - quantum), where=mask, initial=0.0))
-            max_gap = max(max_gap, gap)
+            gap = table - quantum
+            np.abs(gap, out=gap)  # in place: one float table, not two
+            max_gap = max(max_gap, float(np.max(gap, where=mask, initial=0.0)))
     return EClassReport(
         sectors=sectors,
         defined=defined,
@@ -502,8 +503,28 @@ class Verdict:
     witness: object | None = None
 
 
+def _verdict_bytes(model: LhvModel) -> int:
+    """Estimated peak bytes of ``run`` and then ``replay`` on one model.
+
+    ``model.tensor_bytes`` covers the product tensor and its masks. Each
+    realized sector adds 20 bytes per (2n)**4 entry (its cached float64
+    singlet table, the float64 gap to it, the expectation, its mask and
+    event scratch) and 64 per (2n)**3 (the product rule's tuple codes);
+    128 KiB covers the rest. ``tracemalloc`` reads 27.0-27.9 of the 28
+    bytes per entry this gives a 1x1 model at n = 12 to 20.
+    """
+    m = model.steps
+    return (model.tensor_bytes + len(model.sectors) * (20 * m**4 + 64 * m**3)
+            + 2**17)
+
+
 def run(model: LhvModel) -> Verdict:
     """Factorize, derive, and clash; the full pipeline on one model."""
+    _refuse_oversize(
+        f"the verdict on {model._size_label} (product tensor and masks:"
+        f" {model.tensor_bytes / 2**20:,.0f} MiB)",
+        _verdict_bytes(model),
+    )
     try:
         result = factorize(model)
         if result.status == "not_robust":
@@ -619,14 +640,14 @@ class SingleSourceCertificate:
 def _contradiction_bytes(n: int) -> int:
     """Estimated peak bytes of ``single_source_contradiction(n)``.
 
-    The first sector's sign table (1 byte per (2n)**4 entry) stays cached
-    while the second is built (4 bytes per entry); the pair codes and rows
-    take under 48 bytes per constrained tuple, at most 4(2n)**3 a sector;
-    64 KiB covers the rest. ``tracemalloc`` reads 2(2n)**4 plus about 40
-    bytes per tuple up to n = 26, and 5(2n)**4 from n = 28.
+    One sector's sign table lives at a time, built uncached: 4 bytes per
+    (2n)**4 entry while it is built; then its pair codes and rows take under
+    48 bytes per constrained tuple, at most 4(2n)**3 a sector; 64 KiB covers
+    the rest. ``tracemalloc`` reads (2n)**4 plus 160-172 bytes per (2n)**3
+    up to n = 24, and 4.00 bytes per entry from n = 28 to 36.
     """
     m = 2 * n
-    return 5 * m**4 + 192 * m**3 + 2**16
+    return 4 * m**4 + 192 * m**3 + 2**16
 
 
 def _station_rows(table: np.ndarray):
@@ -675,13 +696,14 @@ def single_source_contradiction(n: int) -> SingleSourceCertificate:
     contradicted: dict = {}
     survivors: dict = {}
     for sector in (1, -1):
-        table = sign_table(n, sector)
+        table = _build_sign_table(n, sector)  # uncached, one sector at a time
         if not (table < 0).any():
             raise GridError(
                 f"grid resolution {n} hosts no anticorrelated tuple;"
                 " the contradiction needs one"
             )
         rank, least = _least_parity_solution(_station_rows(table))
+        del table
         contradicted[sector] = combos * combos
         survivors[sector] = None
         if least is not None:

@@ -329,7 +329,7 @@ def _first_true(mask: np.ndarray):
     return tuple(int(i) for i in np.unravel_index(int(np.argmax(mask)), mask.shape))
 
 
-def materialized_consistency(model: LhvModel, variants: bool = False):
+def materialized_consistency(model: LhvModel):
     """Oracle for ``check_consistency``: every relation as a full tensor.
 
     The scan as it stood before the count-then-locate kernels: each relation
@@ -388,21 +388,6 @@ def materialized_consistency(model: LhvModel, variants: bool = False):
          base,
          f[:, :, None, None, None, :, None, :]),
     ]
-    if variants:
-        quads += [
-            ("analyzer_triple_alt1", base,
-             f[:, None, :, None, None, :, :, None],
-             f[None, :, :, None, :, None, None, :],
-             fdiag[None, None, None, :, None, :, None, :]),
-            ("analyzer_triple_alt2", base,
-             f[:, None, :, None, :, None, None, :],
-             f[None, :, :, None, None, :, None, :],
-             fdiag[None, None, None, :, None, :, :, None]),
-            ("analyzer_triple_alt3", base,
-             f[:, None, :, None, None, :, None, :],
-             f[None, :, :, None, :, None, :, None],
-             fdiag[None, None, None, :, None, :, None, :]),
-        ]
     for name, t1, t2, t3, t4 in quads:
         where = _first_true((t1 * t2 * t3 * t4) == -1)
         if where is not None:

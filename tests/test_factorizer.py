@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from bellswap import factorizer
 from bellswap.factorizer import (
@@ -22,7 +22,7 @@ from bellswap.factorizer import (
     seed_component,
 )
 from bellswap.model import LhvModel, selected_analyzer
-from bellswap.robustness import RobustnessReport
+from bellswap.robustness import RobustnessReport, check_relevance
 
 from helpers import (
     block_diagonal,
@@ -92,7 +92,6 @@ class TestCheckConsistency:
     def test_factorized_models_pass(self, seed):
         model = random_compose(seed, density=0.5 + 0.05 * seed)
         assert check_consistency(model) is None
-        assert check_consistency(model, variants=True) is None
 
     def test_rejects_single_source(self):
         with pytest.raises(FamilyError):
@@ -167,56 +166,52 @@ class TestCheckConsistency:
         ("analyzer_diagonal",
          {(2, 0, 0, 1): 1, (2, 0, 1, 0): -1, (3, 3, 0, 1): 1, (3, 3, 1, 0): 1},
          (2, 0, 3, 3, 0, 1, 1, 0)),
-        ("analyzer_triple_alt1",
-         {(1, 2, 1, 1): -1, (1, 3, 0, 1): 1, (2, 2, 0, 1): -1, (2, 3, 1, 1): -1},
-         (1, 2, 3, 2, 1, 0, 1, 1)),
-        ("analyzer_triple_alt2",
-         {(0, 2, 1, 0): 1, (0, 3, 1, 1): -1, (2, 3, 0, 1): -1, (3, 3, 0, 0): -1},
-         (0, 2, 3, 3, 1, 0, 0, 1)),
-        ("analyzer_triple_alt3",
-         {(0, 3, 0, 0): 1, (1, 1, 1, 1): -1, (2, 0, 0, 0): -1, (2, 3, 1, 1): -1},
-         (2, 0, 3, 1, 0, 1, 0, 1)),
     ])
     def test_relation_fixture_witness(self, relation, cells, indices):
         model = cells_model({}, {}, cells)
         keys = ("alpha", "beta", "gamma", "delta",
                 "lam1", "lam1_alt", "lam4", "lam4_alt")
         witness = ConsistencyWitness(relation, dict(zip(keys, indices)), -1)
-        assert check_consistency(model, variants=True) == witness
-        if relation.startswith("analyzer_triple_alt"):
-            assert check_consistency(model) is None
-        else:
-            assert check_consistency(model) == witness
+        assert check_consistency(model) == witness
 
     def test_only_a_relation_with_a_minus_one_is_materialized(self, monkeypatch):
-        # a count is a full sum (empty output); materializing names all eight
-        outputs = []
-        count, contract = factorizer._count, factorizer._contract
+        # a count is a full sum (""); an einsum is named by its output: the
+        # diagonal, each 4-index row, then only an 8-index row with a -1
+        calls = []
+        count, einsum = factorizer._count, np.einsum
 
         def count_spy(operands, *tables):
-            outputs.append("")
+            calls.append("")
             return count(operands, *tables)
 
-        def contract_spy(operands, output, *tables):
-            outputs.append(output)
-            return contract(operands, output, *tables)
+        def einsum_spy(subscripts, *operands, **kwargs):
+            calls.append(subscripts.split("->")[1])
+            return einsum(subscripts, *operands, **kwargs)
 
         monkeypatch.setattr(factorizer, "_count", count_spy)
-        monkeypatch.setattr(factorizer, "_contract", contract_spy)
-        assert check_consistency(random_compose(3), variants=True) is None
-        assert len(outputs) == 12 and not any(outputs)  # two sums per relation
-        outputs.clear()
+        monkeypatch.setattr(np, "einsum", einsum_spy)
+        located = ["ikl", "abpr", "abpq", "abrs", "abpr"]
+        assert check_consistency(random_compose(3)) is None
+        assert calls == located + [""] * 6  # two sums per 8-index row
+        calls.clear()
         cells = {(0, 1, 0, 0): -1, (0, 1, 1, 0): 1, (0, 2, 0, 1): -1, (0, 2, 1, 1): -1}
         model = cells_model({}, {}, cells)
         assert check_consistency(model).relation == "analyzer_pair_shift"
-        assert [len(output) for output in outputs] == [0, 0, 0, 0, 8]
+        assert calls == located + [""] * 4 + ["abcdpqrs"]
+
+    def test_relations_run_in_the_oracle_order(self):
+        # the order ``materialized_consistency`` scans; a model that breaks
+        # several relations reports the first of them
+        assert [row[0] for row in factorizer._RELATIONS] == [
+            "cross_station_rectangle", "first_station_rectangle",
+            "last_station_rectangle", "analyzer_symmetry", "analyzer_triple",
+            "analyzer_pair_shift", "analyzer_diagonal",
+        ]
 
     @settings(max_examples=150, deadline=None)
-    @given(model=ternary_models(), variants=st.booleans())
-    def test_witness_matches_materialized_scan(self, model, variants):
-        assert check_consistency(model, variants) == materialized_consistency(
-            model, variants
-        )
+    @given(model=ternary_models())
+    def test_witness_matches_materialized_scan(self, model):
+        assert check_consistency(model) == materialized_consistency(model)
 
 
 class TestDanglingSupport:
@@ -244,6 +239,15 @@ class TestDanglingSupport:
     def test_rejects_single_source(self):
         with pytest.raises(FamilyError):
             find_dangling_support(single_source_fixture())
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=ternary_models())
+    def test_relevant_models_have_no_dangling_support(self, model):
+        # a relevant lam1 fires with some lam4 at all three devices, so that
+        # lam4 has analyzer and last-station support (and symmetrically)
+        # (about a fifth of these draws are relevant)
+        if check_relevance(model) is None:
+            assert find_dangling_support(model) is None
 
 
 class TestBuildComponents:

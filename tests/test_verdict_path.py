@@ -188,7 +188,9 @@ def _assert_counts_match(model):
     f = selected_analyzer(model).astype(np.int64)
     signed = (f, np.einsum("iikl->ikl", f))
     for tables in (signed, (np.abs(signed[0]), np.abs(signed[1]))):
-        for name, operands in factorizer._QUADS + factorizer._TRIPLE_VARIANTS:
+        for name, operands, output in factorizer._RELATIONS:
+            if len(output) < 8:
+                continue
             got = factorizer._count(operands, *tables)
             assert got == einsum_count(operands, *tables), name
 
@@ -207,10 +209,10 @@ def test_relation_counts_match_einsum_on_factorizable_models(model):
 
 def test_count_plans_are_built_once_per_relation_and_shape():
     model = synthetic_factorizable(3, n=4, size1=2, size4=3)
-    assert check_consistency(model, variants=True) is None
+    assert check_consistency(model) is None
     misses = factorizer._count_plan.cache_info().misses
     other = synthetic_factorizable(4, n=4, size1=2, size4=3, density=0.4)
-    assert check_consistency(other, variants=True) is None
+    assert check_consistency(other) is None
     assert factorizer._count_plan.cache_info().misses == misses
 
 
@@ -619,12 +621,12 @@ def test_oversized_model_file_is_a_usage_error(tmp_path, capsys):
 
 
 def test_single_source_scan_estimate_and_refusal():
-    assert verdict._contradiction_bytes(4) == 5 * 8**4 + 192 * 8**3 + 2**16
-    assert verdict._contradiction_bytes(3) == 5 * 6**4 + 192 * 6**3 + 2**16
-    assert verdict._contradiction_bytes(46) <= MAX_TABLE_BYTES
+    assert verdict._contradiction_bytes(4) == 4 * 8**4 + 192 * 8**3 + 2**16
+    assert verdict._contradiction_bytes(3) == 4 * 6**4 + 192 * 6**3 + 2**16
+    assert verdict._contradiction_bytes(48) <= MAX_TABLE_BYTES
     tracemalloc.start()
     try:
-        for n in (47, 48):
+        for n in (49, 50):
             with pytest.raises(SizeLimitError, match=f"pi/{n} grid.*MiB"):
                 verdict.single_source_contradiction(n)
         _, peak = tracemalloc.get_traced_memory()
@@ -644,6 +646,54 @@ def test_single_source_estimate_bounds_the_measured_peak(n):
     finally:
         tracemalloc.stop()
     assert peak <= verdict._contradiction_bytes(n)
+
+
+def test_single_source_refutation_keeps_no_table_alive():
+    # once first: numpy's lazy imports, and Python's free lists filled with
+    # as many small objects as the call needs
+    verdict.single_source_contradiction(8)
+    sign_table.cache_clear()
+    tracemalloc.start()
+    try:
+        verdict.single_source_contradiction(8)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held == 0
+    assert sign_table.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n, size1, size4", [(16, 1, 1), (20, 1, 1), (8, 2, 2)])
+def test_verdict_estimate_bounds_the_measured_peak(n, size1, size4):
+    verdict.run(synthetic_factorizable(0, n=2, size1=1, size4=1))
+    model = synthetic_factorizable(0, n=n, size1=size1, size4=size4, kappa="mixed")
+    sign_table.cache_clear()
+    verdict._singlet_table.cache_clear()
+    tracemalloc.start()
+    try:
+        result = verdict.run(model)
+        assert verdict.replay(result.trace, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= verdict._verdict_bytes(model)
+
+
+def test_verdict_refuses_a_small_hidden_count_before_allocating():
+    # the product tensor alone would pass; its singlet and expectation
+    # tables would not
+    assert verdict._verdict_bytes(_huge_model(n=32, size=1)) <= MAX_TABLE_BYTES
+    tracemalloc.start()
+    try:
+        model = _huge_model(n=33, size=1)
+        assert model.tensor_bytes <= MAX_TABLE_BYTES
+        with pytest.raises(SizeLimitError,
+                           match="verdict on an n=33 model with 1x1 hidden values"):
+            verdict.run(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_every_catalog_and_golden_model_is_under_the_limit():
