@@ -6,7 +6,8 @@ quantity stays exact. The grid with resolution n contains the 2n angles
 indices, and :class:`RationalAngle` names one grid angle by its steps and
 resolution, compared by exact value. The correlation law reads off the step
 index: :func:`required_sign` gives the outcome product it demands at one
-angle, :func:`sign_table` the demands over every angle tuple at once.
+angle. Every grid table gathers one value per step index at each angle
+tuple's :func:`correlation_index`: :func:`sign_table` the demands.
 """
 
 from __future__ import annotations
@@ -84,13 +85,13 @@ def correlation_index(k1: int, k2: int, k3: int, k4: int, sector: int, n: int) -
     return (k1 - k2 + sector * (k3 - k4)) % (2 * n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def sign_table(n: int, sector: int) -> np.ndarray:
     """Required outcome product over all angle tuples: int8 array of shape (2n,)*4.
 
     Entry [k1, k2, k3, k4] is +1 where the sector's correlation angle is 0 mod pi,
     -1 where it is pi/2 mod pi, and 0 where the correlation law is silent.
-    The array is cached and read-only.
+    The array is read-only, cached for two grids with both sectors.
     """
     table = _build_sign_table(n, sector)
     table.flags.writeable = False
@@ -99,19 +100,17 @@ def sign_table(n: int, sector: int) -> np.ndarray:
 
 def _build_sign_table(n: int, sector: int) -> np.ndarray:
     """A fresh, writable ``sign_table(n, sector)`` that no cache keeps."""
+    return _grid_table([required_sign(c, n) for c in range(2 * n)], sector, np.int8)
+
+
+def _grid_table(by_index, sector: int, dtype) -> np.ndarray:
+    """A fresh table of ``by_index`` at every tuple's correlation index.
+
+    ``by_index`` holds one value per step of the 2n-angle grid. The int16
+    index table keeps the build at 4 bytes per entry beside the result.
+    """
     if sector not in (1, -1):
         raise ValueError(f"sector must be +1 or -1, got {sector}")
-    # int16 differences reduced in place keep the build at about 4 bytes
-    # per entry: 2 for the angles, 1 for the table, 1 for a mask
-    k = np.arange(2 * n, dtype=np.int16)
-    reduced = (
-        k[:, None, None, None]
-        - k[None, :, None, None]
-        + sector * (k[None, None, :, None] - k[None, None, None, :])
-    )
-    reduced %= n
-    table = np.zeros(reduced.shape, dtype=np.int8)
-    table[reduced == 0] = 1
-    if n % 2 == 0:
-        table[reduced == n // 2] = -1
-    return table
+    m = len(by_index)
+    index = correlation_index(*np.ix_(*[np.arange(m, dtype=np.int16)] * 4), sector, m // 2)
+    return np.asarray(by_index, dtype=dtype)[index]

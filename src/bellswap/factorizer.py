@@ -9,8 +9,9 @@ detection pattern carried separately by the zeros of the tables.
 satisfy, the rows of one einsum table over angle letters a-d and hidden
 letters p, q (first source) and r, s (last source); the 8-index rows are
 counted by cached chains of int64 matmuls and built out only when a count is
-nonzero. ``build_components`` turns every nonzero cell into a parity constraint, a row of one int table built by array
-kernels, and splits the support into blocks that share no nonzero cell.
+nonzero. ``build_components`` turns every nonzero cell into a parity
+constraint, a row of one int table built by array kernels, and splits the
+support into blocks that share no nonzero cell.
 ``seed_component`` anchors one sign per block and propagates the rest
 through the table's rows, recording every forced assignment.
 ``merge_components`` aligns the blocks' leftover global signs against the

@@ -129,8 +129,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def _weights(values, path: str) -> tuple[Fraction, ...]:
     out = []
     for i, v in enumerate(values):
-        # JSON true/false would otherwise pass as the weights 1 and 0
-        _require(not isinstance(v, _BOOL_TYPES), f"{path}[{i}]",
+        # JSON true/false would otherwise pass as the weights 1 and 0, and
+        # a float as its binary expansion (0.1 as 3602879701896397/2**55)
+        _require(not isinstance(v, (*_BOOL_TYPES, float, np.floating)), f"{path}[{i}]",
                  f"not a rational number: {v!r}")
         try:
             w = Fraction(v)

@@ -45,7 +45,9 @@ Soundness rests on three facts proved here and property-tested in the suite:
   through which columns support r. Tuples that agree on their kinds and
   on the set of these per-angle patterns therefore keep the same
   second-station rows, and each sector map decides one block per such key
-  (at most 9 x 7 keys for two hidden values).
+  (at most 9 x 7 keys for two hidden values). Each class's station column
+  is built once, as a row of ``_ClassPack.column``, beside its support
+  mask and kind.
 
 Every scan streams runs of consecutive blocks to one driver, which books
 tallies, ``stop_after`` and the keep list per run and checks the wall-clock
@@ -56,10 +58,12 @@ one block for the others; ``cursor`` still counts blocks.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import compress
 
 import numpy as np
 
@@ -201,14 +205,14 @@ def oracle_count(model: LhvModel, phis, sector: int) -> Fraction:
     return Fraction(model.n0, 2) * total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _demand_bits(n: int, sector: int) -> np.ndarray:
     """The sector's sign table as bit masks over k3, one layer per sign.
 
     Entry [1 + s, k1, k4, k2] packs, little-endian over its bytes, a bit
     for each k3 where the table requires the product s at (k1, k2, k3, k4).
     The s = 0 layer is empty: it is what a silent station selects. The
-    array is cached and read-only.
+    array is read-only, cached for two grids with both sectors.
     """
     required = sign_table(n, sector).transpose(0, 3, 1, 2)
     layers = np.stack([required == -1, np.zeros(required.shape, bool), required == 1])
@@ -435,35 +439,8 @@ def _column_classes(m: int, value_domain: str) -> list[tuple[int, int, int, int]
             for sig_o in sig_os:
                 classes.append((even_mask, odd_mask, 1, sig_o))
 
-    def size(cls):
-        return bin(cls[0]).count("1") + bin(cls[1]).count("1")
-
-    classes.sort(key=lambda cls: (-size(cls), cls))
+    classes.sort(key=lambda cls: (-cls[0].bit_count() - cls[1].bit_count(), cls))
     return classes
-
-
-def _class_column(cls: tuple[int, int, int, int], m: int) -> np.ndarray:
-    even_mask, odd_mask, sig_e, sig_o = cls
-    col = np.zeros(m, dtype=np.int8)
-    for bit in range(m // 2):
-        if even_mask >> bit & 1:
-            x = 2 * bit
-            col[x] = sig_e * (-1) ** (x // 2)
-        if odd_mask >> bit & 1:
-            x = 2 * bit + 1
-            col[x] = sig_o * (-1) ** ((x - 1) // 2)
-    return col
-
-
-def _spread_mask(even_mask: int, odd_mask: int) -> int:
-    """8-bit angle support mask from 4-bit even and odd side masks."""
-    out = 0
-    for bit in range(4):
-        if even_mask >> bit & 1:
-            out |= 1 << (2 * bit)
-        if odd_mask >> bit & 1:
-            out |= 1 << (2 * bit + 1)
-    return out
 
 
 def _side_tuples(count, size) -> np.ndarray:
@@ -476,24 +453,30 @@ def _side_tuples(count, size) -> np.ndarray:
 
 
 class _ClassPack:
-    """Struct-of-arrays view of the canonical column classes.
+    """Struct-of-arrays view of the canonical column classes on 8 angles.
 
+    ``column`` holds each class's int8 station column, ``supp`` its support
+    mask and ``factor`` a byte 1 at each supported angle's byte row.
     ``kind`` is 0 for a single-sided column, else sig_e * sig_o; a family
     of kinds k_a, k_d and coupling c stays alive iff k_a * k_d != -c.
     """
 
     def __init__(self, classes):
-        count = len(classes)
-        self.supp = np.zeros(count, dtype=np.uint16)
+        even, odd, sig_e, sig_o = np.array(classes, dtype=np.int64).T[:, :, None]
+        # angle x is bit x // 2 of side x % 2, its constant twisted by (-1) ** (x // 2)
+        x = np.arange(8)
+        held = np.where(x % 2, odd, even) >> x // 2 & 1
+        self.column = (held * np.where(x % 2, sig_o, sig_e) * (-1) ** (x // 2)).astype(np.int8)
+        self.supp = (held << x).sum(axis=1).astype(np.uint16)
         # support rectangle by multiplication: the factor places one copy
         # of the partner support byte at each supported angle's byte row
-        self.factor = np.zeros(count, dtype=np.uint64)
-        self.kind = np.zeros(count, dtype=np.int8)
-        for idx, (em, om, se, so) in enumerate(classes):
-            spread = _spread_mask(em, om)
-            self.supp[idx] = spread
-            self.factor[idx] = sum(1 << (8 * r) for r in range(8) if spread >> r & 1)
-            self.kind[idx] = se * so if em and om else 0
+        self.factor = (held << 8 * x).sum(axis=1).astype(np.uint64)
+        self.kind = (sig_e * sig_o * ((even > 0) & (odd > 0))).ravel().astype(np.int8)
+
+
+def _reach(supp, owned) -> np.ndarray:
+    """Rows whose ``owned`` columns' supports together hold all 8 angles."""
+    return reduce(operator.or_, compress(supp, owned)) == 0xFF
 
 
 def _block_keys(pack, tuples: np.ndarray) -> np.ndarray:
@@ -540,12 +523,10 @@ def _pair_double_blocks(space):
     the surviving rows. A sector map's blocks are yielded as one run.
     """
     n = space.denominator
-    m = 2 * n
-    classes = _column_classes(m, space.value_domain)
+    classes = _column_classes(2 * n, space.value_domain)
     pack = _ClassPack(classes)
     a_idx = _side_tuples(len(classes), space.size1)
     d_idx = _side_tuples(len(classes), space.size4)
-    full_mask = (1 << m) - 1
     patterns = 1 << (space.size1 * space.size4)
     total = patterns * len(a_idx)
     first, a_start = divmod(min(space.cursor, total), len(a_idx))
@@ -553,30 +534,18 @@ def _pair_double_blocks(space):
     d_supp = [pack.supp[col] for col in d_idx.T]
 
     for code in range(first, patterns):
-        bits = [(code >> k) & 1 for k in range(space.size1 * space.size4)]
-        kappa = np.array(
-            [1 - 2 * b for b in bits], dtype=np.int8
-        ).reshape(space.size1, space.size4)
+        bits = code >> np.arange(space.size1 * space.size4) & 1
+        kappa = (1 - 2 * bits).astype(np.int8).reshape(space.size1, space.size4)
         realized = sorted({int(v) for v in kappa.ravel()}, reverse=True)
-        sector_cols1 = {
-            s: [i for i in range(space.size1) if s in kappa[i, :]] for s in realized
-        }
-        sector_cols4 = {
-            s: [j for j in range(space.size4) if s in kappa[:, j]] for s in realized
-        }
-        # bulk prune on both stations: every realized sector must be able to
-        # reach each of its angles; a sector owns one or two first-station
-        # columns (size1 <= 2), so the first and last cover its union
+        # bulk prune on both stations: every realized sector must reach
+        # each station angle through the columns it owns
         a_keep = np.ones(len(a_idx), dtype=bool)
         a_keep[:a_start] = False
         d_keep = np.ones(len(d_idx), dtype=bool)
         for s in realized:
-            cols1 = sector_cols1[s]
-            a_keep &= (a_supp[cols1[0]] | a_supp[cols1[-1]]) == full_mask
-            union = np.zeros(len(d_idx), dtype=np.uint16)
-            for j in sector_cols4[s]:
-                union |= d_supp[j]
-            d_keep &= union == full_mask
+            owned = kappa == s
+            a_keep &= _reach(a_supp, owned.any(axis=1))
+            d_keep &= _reach(d_supp, owned.any(axis=0))
         a_start = 0
         positions = np.flatnonzero(a_keep)
         if not len(positions):
@@ -620,8 +589,8 @@ def _pair_double_blocks(space):
             return decided[key_of[i]]
 
         def build(i, hit):
-            a = np.stack([_class_column(classes[c], m) for c in a_idx[positions[i]]], axis=1)
-            d = np.stack([_class_column(classes[c], m) for c in d_idx[rows[hit]]], axis=1)
+            a = pack.column[a_idx[positions[i]]].T
+            d = pack.column[d_idx[rows[hit]]].T
             return _assemble_two_source(a, d, kappa, n)
 
         yield code * len(a_idx) + positions, len(rows), tally, hits_of, build
@@ -713,26 +682,21 @@ def _solve_signs(sa: list[int], sd: list[int], n: int):
     return station, partner, analyzer
 
 
-def _assemble_single_source(sa, sd, station, partner, analyzer, n) -> LhvModel:
+def _assemble_single_source(station, partner, analyzer, n) -> LhvModel:
     m = 2 * n
     size = 2 * m
-    a = np.zeros((m, size), dtype=np.int8)
-    d = np.zeros((m, size), dtype=np.int8)
-    f = np.ones((m, m, size), dtype=np.int8)
-    for shift in range(m):
-        for flavor in (0, 1):
-            lam = 2 * shift + flavor
-            for k in range(m):
-                offset = (k - shift) % m
-                if offset in station:
-                    a[k, lam] = station[offset]
-                offset_d = (k - shift - flavor) % m
-                if offset_d in partner:
-                    d[k, lam] = partner[offset_d]
-            for k2 in range(m):
-                for k3 in range(m):
-                    cell = ((k3 - k2) % m, flavor)
-                    f[k2, k3, lam] = analyzer.get(cell, 1)
+    station_signs, partner_signs = np.zeros((2, m), dtype=np.int8)
+    station_signs[list(station)] = list(station.values())
+    partner_signs[list(partner)] = list(partner.values())
+    cell_signs = np.ones((m, 2), dtype=np.int8)
+    cell_signs[tuple(zip(*analyzer))] = list(analyzer.values())
+    # hidden value 2 * shift + flavor reads each solved pattern shifted by
+    # shift, and the partner's by one more step in flavor 1
+    shift, flavor = np.divmod(np.arange(size), 2)
+    k = np.arange(m)
+    a = station_signs[(k[:, None] - shift) % m]
+    d = partner_signs[(k[:, None] - shift - flavor) % m]
+    f = cell_signs[((k - k[:, None]) % m)[:, :, None], flavor]
     return LhvModel(
         family=SINGLE_SOURCE,
         n=n,
@@ -792,7 +756,7 @@ def _single_source_blocks(space, efficiency_floor):
         solution = _solve_signs(sa, sd, n) if len(reachable) == m else None
         hits = ()
         if solution is not None:
-            model = _assemble_single_source(sa, sd, *solution, n)
+            model = _assemble_single_source(*solution, n)
             rate = min(
                 np.count_nonzero(table, axis=1).min() / table.shape[1]
                 for table in (model.a, model.d)

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angles import GridError, RationalAngle, _build_sign_table, sign_table
+from .angles import GridError, RationalAngle, _build_sign_table, _grid_table, sign_table
 from .factorizer import (
     CounterexampleAlarm,
     Factorization,
@@ -300,7 +300,7 @@ def derive_constant_a(
             phis=phis, event=cited(phis),
         ))
 
-    ratio = a[1] * a[0] if m > 1 else 1
+    ratio = a[1] * a[0]
     ratio_steps = []
     for k, phis in enumerate(ratios):
         value = a[(k + 1) % m] * a[k]
@@ -323,7 +323,7 @@ def derive_constant_a(
     return ConstantSignReport(
         sector=sector,
         even_value=a[0],
-        odd_value=a[1] if m > 1 else a[0],
+        odd_value=a[1],
         ratio=ratio,
         constant=constant,
         value=a[0] if constant else None,
@@ -407,20 +407,15 @@ class EClassReport:
     max_discrepancy: float
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _singlet_table(n: int, sector: int) -> np.ndarray:
     """The quantum conditional expectation at every angle tuple of a sector.
 
-    Gathered in blocks by the shift alpha - beta, so the table is the only
-    (2n)**4 array built; cached per grid and read-only.
+    A gather of the singlet expectation per correlation index; read-only,
+    cached for two grids with both sectors.
     """
-    m = 2 * n
-    by_index = np.array([
-        expectation_singlet(RationalAngle(c, n)) for c in range(m)
-    ])
-    k = np.arange(m)
-    by_shift = by_index[(k[:, None, None] + sector * (k[:, None] - k)) % m]
-    table = by_shift[(k[:, None] - k) % m]
+    by_index = [expectation_singlet(RationalAngle(c, n)) for c in range(2 * n)]
+    table = _grid_table(by_index, sector, np.float64)
     table.flags.writeable = False
     return table
 

@@ -31,7 +31,13 @@ from bellswap.factorizer import (
     _var_name,
     factorize,
 )
-from bellswap.model import TWO_SOURCE, LhvModel, product_tensor, selected_analyzer
+from bellswap.model import (
+    SINGLE_SOURCE,
+    TWO_SOURCE,
+    LhvModel,
+    product_tensor,
+    selected_analyzer,
+)
 from bellswap.robustness import (
     CorrelationWitness,
     CountsWitness,
@@ -44,7 +50,6 @@ from bellswap.search import (
     SearchResult,
     _assemble_two_source,
     _block_keys,
-    _class_column,
     _ClassPack,
     _column_classes,
     _side_tuples,
@@ -510,6 +515,31 @@ def _pair_not_dead(ea, oa, sea, soa, ed, od, sed, sod, sector, parity):
         rhs = soa * sed
     couple = lhs == _family_coupling(sector, parity) * rhs
     return ~(block1 & block2 & ~couple)
+
+
+def _class_column(cls: tuple[int, int, int, int], m: int) -> np.ndarray:
+    """Oracle for ``_ClassPack.column``: one class's column, bit by bit."""
+    even_mask, odd_mask, sig_e, sig_o = cls
+    col = np.zeros(m, dtype=np.int8)
+    for bit in range(m // 2):
+        if even_mask >> bit & 1:
+            x = 2 * bit
+            col[x] = sig_e * (-1) ** (x // 2)
+        if odd_mask >> bit & 1:
+            x = 2 * bit + 1
+            col[x] = sig_o * (-1) ** ((x - 1) // 2)
+    return col
+
+
+def _spread_mask(even_mask: int, odd_mask: int) -> int:
+    """Oracle for ``_ClassPack.supp``: 8-bit angle support from side masks."""
+    out = 0
+    for bit in range(4):
+        if even_mask >> bit & 1:
+            out |= 1 << (2 * bit)
+        if odd_mask >> bit & 1:
+            out |= 1 << (2 * bit + 1)
+    return out
 
 
 def fate_pack(classes):
@@ -1333,6 +1363,45 @@ def branching_solve_signs(sa: list[int], sd: list[int], n: int):
     if not solve():
         return None
     return station, partner, analyzer
+
+
+def looped_single_source(station, partner, analyzer, n) -> LhvModel:
+    """Oracle for ``search._assemble_single_source``: the lattice cell by cell.
+
+    The assembly as it stood before it gathered by shift: a loop over
+    shifts, flavors and angles that reads each solved sign from its dict.
+    """
+    m = 2 * n
+    size = 2 * m
+    a = np.zeros((m, size), dtype=np.int8)
+    d = np.zeros((m, size), dtype=np.int8)
+    f = np.ones((m, m, size), dtype=np.int8)
+    for shift in range(m):
+        for flavor in (0, 1):
+            lam = 2 * shift + flavor
+            for k in range(m):
+                offset = (k - shift) % m
+                if offset in station:
+                    a[k, lam] = station[offset]
+                offset_d = (k - shift - flavor) % m
+                if offset_d in partner:
+                    d[k, lam] = partner[offset_d]
+            for k2 in range(m):
+                for k3 in range(m):
+                    cell = ((k3 - k2) % m, flavor)
+                    f[k2, k3, lam] = analyzer.get(cell, 1)
+    return LhvModel(
+        family=SINGLE_SOURCE,
+        n=n,
+        a=a,
+        d=d,
+        kappa=np.ones(size, dtype=np.int8),
+        f_plus=f,
+        f_minus=f,
+        rho1=[Fraction(1, size)] * size,
+        rho4=None,
+        n0=2 * size,
+    )
 
 
 def signature_scan_contradiction(n: int) -> dict:

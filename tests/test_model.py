@@ -227,8 +227,9 @@ class TestValidation:
         assert np.array_equal(model.a, np.array(good))
 
     def test_boolean_is_not_a_weight(self):
-        with pytest.raises(ModelFormatError, match=r"^rho1\[0\]:"):
-            dataclasses.replace(constant_two_source(), rho1=[True, False])
+        for weights in ([True, False], [0.5, 0.5], [np.float64(0.5)] * 2):
+            with pytest.raises(ModelFormatError, match=r"^rho1\[0\]: not a rational"):
+                dataclasses.replace(constant_two_source(), rho1=weights)
 
     def test_tables_are_frozen(self):
         m = constant_two_source()
@@ -526,10 +527,13 @@ class TestFileFormat:
 
     @pytest.mark.parametrize("field", ["rho1", "rho4"])
     def test_boolean_is_not_a_weight(self, field):
-        doc = json.loads(dumps(constant_two_source()))
-        doc[field] = [True, 0]
-        with pytest.raises(ModelFormatError, match=f"^{field}\\[0\\]:"):
-            loads(json.dumps(doc))
+        # nor is a float: 0.5 would come in as its binary expansion
+        for weights in ([True, 0], [0.5, 0.5]):
+            doc = json.loads(dumps(constant_two_source()))
+            doc[field] = weights
+            with pytest.raises(ModelFormatError,
+                               match=f"^{field}\\[0\\]: not a rational number"):
+                loads(json.dumps(doc))
 
     def test_integer_and_fraction_weights_are_accepted(self):
         doc = json.loads(dumps(constant_two_source()))

@@ -34,8 +34,8 @@ from bellswap.search import (
     search_two_source,
 )
 from bellswap.search import (
+    _assemble_single_source,
     _block_keys,
-    _class_column,
     _ClassPack,
     _column_classes,
     _demand_bits,
@@ -44,16 +44,18 @@ from bellswap.search import (
     _side_tuples,
     _single_scan_bytes,
     _solve_signs,
-    _spread_mask,
     _support_pairs,
 )
 from helpers import (
+    _class_column,
     _family_coupling,
     _pair_not_dead,
+    _spread_mask,
     both_sector_model,
     branching_solve_signs,
     demand_filled_analyzer,
     fate_pack,
+    looped_single_source,
     parity_split_model,
     per_block_double_blocks,
     per_block_drive,
@@ -201,6 +203,18 @@ class TestTwistedClasses:
             assert all(v == sig_e for v in evens)
             assert all(v == sig_o for v in odds)
         assert len(seen) == len(classes)
+
+    @pytest.mark.parametrize("domain", ["ternary", "signs"])
+    def test_pack_matches_the_bitwise_oracles(self, domain):
+        classes = _column_classes(8, domain)
+        pack = _ClassPack(classes)
+        assert pack.column.dtype == np.int8 and pack.column.shape == (len(classes), 8)
+        for c, (even_mask, odd_mask, sig_e, sig_o) in enumerate(classes):
+            spread = _spread_mask(even_mask, odd_mask)
+            assert np.array_equal(pack.column[c], _class_column(classes[c], 8))
+            assert pack.supp[c] == spread
+            assert pack.factor[c] == sum(1 << 8 * r for r in range(8) if spread >> r & 1)
+            assert pack.kind[c] == (sig_e * sig_o if even_mask and odd_mask else 0)
 
     def test_one_sign_per_column_decides_every_family_fate(self):
         """The closed form of the fate over every class pair, sector and parity.
@@ -357,6 +371,67 @@ def class_predicate(a_cls, d_cls, kappa):
     return all(alive_a) and all(alive_d)
 
 
+# recorded on the class-space scan before its tables were gathered from
+# the class masks in one pass; the whole 2x2 stream hashes in about 0.3 s
+STREAM_DIGESTS = {
+    "2x2": (
+        two_source_space(size1=2, size4=2),
+        "783892363e4e1963e612634cf1e14b78383de761630304021c098332d527d66e",
+    ),
+    "1x2": (
+        two_source_space(size4=2),
+        "0be6ce9592687861395905e4484e67eb9d342554cf6799c391310a9df2bb3086",
+    ),
+    "2x1": (
+        two_source_space(size1=2),
+        "f731061a647d4240195b6d8332def43647286a06842884ca564695389f843c1b",
+    ),
+    "2x2 signs": (
+        two_source_space(size1=2, size4=2, value_domain="signs"),
+        "72cc0e594d0653397acff0895136755a04fdc05b30c317277204d5944bc776c8",
+    ),
+    "2x2 from map 10": (
+        two_source_space(size1=2, size4=2, cursor=2304000),
+        "32872163c17b470547259702de5cdacdbaa227c07a36229ed5040ee8c201d451",
+    ),
+    "2x2 from block 25597": (
+        two_source_space(size1=2, size4=2, cursor=25597),
+        "89792f6cd4ee8022e8429429b63f8bdf1a5a761a8ec316dec47c84abc89ce9d0",
+    ),
+    "1x2 from block 100": (
+        two_source_space(size4=2, cursor=100),
+        "b7a2aec43c31265e2bef6de732db142ec8cf8d249beac88bbfbca4ac5b0f93b9",
+    ),
+}
+
+
+def stream_digest(stream):
+    """sha256 of a class-space run stream.
+
+    It covers each run's blocks, examined count and tally, every block's
+    hits, the model built from the run's first hit, and the stream's end
+    value.
+    """
+    h = hashlib.sha256()
+    while True:
+        try:
+            blocks, examined, tally, hits_of, build = next(stream)
+        except StopIteration as end:
+            h.update(repr(end.value).encode())
+            return h.hexdigest()
+        h.update(repr((len(blocks), int(examined))).encode())
+        h.update(np.asarray(blocks, np.int64).tobytes())
+        h.update(np.asarray(tally, np.int64).tobytes())
+        first = None
+        for i in range(len(blocks)):
+            hits = np.asarray(hits_of(i), np.int64)
+            h.update(hits.tobytes())
+            if first is None and len(hits):
+                first = (i, hits[0])
+        if first is not None:
+            h.update(dumps(build(*first)).encode())
+
+
 class TestBlockKeys:
     """A class-space block is decided once per first-station key and map."""
 
@@ -425,6 +500,12 @@ class TestBlockKeys:
         # most sampled blocks had their key decided earlier in the whole
         # run; a resume there decides it afresh, on a different block
         assert reused >= len(sample) // 2
+
+    @pytest.mark.parametrize("name", STREAM_DIGESTS)
+    def test_stream_digest_is_pinned(self, name):
+        """Every block, count, tally and hit, and one model per sector map."""
+        space, digest = STREAM_DIGESTS[name]
+        assert stream_digest(_pair_double_blocks(space)) == digest
 
 
 def blocks_of(stream):
@@ -971,6 +1052,23 @@ class TestSingleSourceSearch:
             assert _solve_signs(sa, sd, n) == expected, (ma, md)
             solved += expected is not None
         assert (len(pairs), solved) == counts
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_assembly_matches_the_looped_oracle(self, n):
+        m = 2 * n
+        rng = np.random.default_rng(n)
+        solved = 0
+        for ma, md in rng.integers(1, 1 << m, size=(100, 2)).tolist():
+            sa = [x for x in range(m) if ma >> x & 1]
+            sd = [x for x in range(m) if md >> x & 1]
+            solution = _solve_signs(sa, sd, n)
+            if solution is None:
+                continue
+            solved += 1
+            assert dumps(_assemble_single_source(*solution, n)) == dumps(
+                looped_single_source(*solution, n)
+            ), (ma, md)
+        assert solved >= 10
 
 
 class TestOracleCount:

@@ -12,6 +12,7 @@ inputs before allocating.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -19,8 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bellswap import factorizer, verdict
-from bellswap.angles import sign_table
+from bellswap import factorizer, search, verdict
+from bellswap.angles import RationalAngle, correlation_index, sign_table
 from bellswap.cli import run as cli_run
 from bellswap.factorizer import (
     CounterexampleAlarm,
@@ -37,6 +38,7 @@ from bellswap.model import (
     dumps,
     selected_analyzer,
 )
+from bellswap.quantum import expectation_singlet
 from bellswap.robustness import (
     check_counts_nonempty,
     check_perfect_correlations,
@@ -677,6 +679,43 @@ def test_verdict_estimate_bounds_the_measured_peak(n, size1, size4):
     finally:
         tracemalloc.stop()
     assert peak <= verdict._verdict_bytes(model)
+
+
+@pytest.mark.parametrize("sector", [1, -1])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_singlet_table_matches_pointwise(n, sector):
+    table = verdict._singlet_table(n, sector)
+    assert table.shape == (2 * n,) * 4 and not table.flags.writeable
+    for k in itertools.product(range(2 * n), repeat=4):
+        zeta = RationalAngle(correlation_index(*k, sector, n), n)
+        assert table[k] == expectation_singlet(zeta)
+
+
+GRID_CACHES = (sign_table, search._demand_bits, verdict._singlet_table)
+
+
+def test_grid_caches_keep_the_last_two_grids():
+    verdict.run(synthetic_factorizable(0, n=2, size1=1, size4=1))
+    for cache in GRID_CACHES:
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in (8, 10, 12, 14):
+            for kappa in ("plus", "minus"):
+                model = synthetic_factorizable(0, n=n, size1=1, size4=1, kappa=kappa)
+                result = verdict.run(model)
+                assert verdict.replay(result.trace, model)
+                search.forced_analyzer(model.a, model.d, model.kappa, n)
+                del model, result
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(cache.cache_info().currsize <= 4 for cache in GRID_CACHES)
+    # per grid and sector: the int8 sign table, the float64 singlet table
+    # and the three bit layers over k3; 256 KiB covers the small caches.
+    # Unbounded caches would hold all four grids, 3.3 MiB more.
+    last_two = sum(2 * (9 * m**4 + 3 * m**3 * -(-m // 8)) for m in (24, 28))
+    assert held <= last_two + 2**18
 
 
 def test_verdict_refuses_a_small_hidden_count_before_allocating():
