@@ -8,13 +8,13 @@ per announcement sector, with a sign map ``kappa`` choosing which sector a
 hidden-variable pair belongs to. Weights are exact rationals so counts and
 expectations never accumulate rounding error.
 
-Families:
+Families differ only in their hidden axes, the shape of ``kappa``:
 
-* ``two_source``: independent hidden variables on each side, tables indexed
-  by (angle, lam1), (angle, lam4), (angle, angle, lam1, lam4); the joint
-  weight is always the product of the two marginals.
-* ``single_source``: one shared hidden variable feeds all three devices;
-  tables drop the second hidden index and ``rho4`` is absent.
+* ``two_source``: (L1, L4), independent hidden variables on each side;
+  tables are indexed by (angle, lam1), (angle, lam4), (angle, angle, lam1,
+  lam4), and the joint weight is the product of the two marginals.
+* ``single_source``: (L,), one shared hidden variable feeds all three
+  devices; tables drop the second hidden index and ``rho4`` is absent.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -183,31 +183,19 @@ class LhvModel:
         if self.family == TWO_SOURCE:
             _require(self.rho4 is not None, "rho4",
                      "two_source models carry a second weight vector")
-            size4 = len(self.rho4)
             object.__setattr__(self, "rho4", _weights(self.rho4, "rho4"))
-            _require(self.a.shape == (m, size1), "A",
-                     f"expected shape {(m, size1)}, got {self.a.shape}")
-            _require(self.d.shape == (m, size4), "D",
-                     f"expected shape {(m, size4)}, got {self.d.shape}")
-            _require(self.kappa.shape == (size1, size4), "kappa",
-                     f"expected shape {(size1, size4)}, got {self.kappa.shape}")
-            fshape = (m, m, size1, size4)
+            hidden = (size1, len(self.rho4))
         else:
             _require(self.rho4 is None, "rho4",
                      "single_source models carry one shared weight vector")
-            _require(self.a.shape == (m, size1), "A",
-                     f"expected shape {(m, size1)}, got {self.a.shape}")
-            _require(self.d.shape == (m, size1), "D",
-                     f"expected shape {(m, size1)}, got {self.d.shape}")
-            _require(self.kappa.shape == (size1,), "kappa",
-                     f"expected shape {(size1,)}, got {self.kappa.shape}")
-            fshape = (m, m, size1)
-        for name in ("f_plus", "f_minus"):
+            hidden = (size1,)
+        shapes = {"a": (m, size1), "d": (m, hidden[-1]), "kappa": hidden,
+                  "f_plus": (m, m) + hidden, "f_minus": (m, m) + hidden}
+        for name, shape in shapes.items():
             table = getattr(self, name)
-            _require(table.shape == fshape, _TABLE_FIELDS[name],
-                     f"expected shape {fshape}, got {table.shape}")
-        for name in _TABLE_FIELDS:
-            _read_only(getattr(self, name))
+            _require(table.shape == shape, _TABLE_FIELDS[name],
+                     f"expected shape {shape}, got {table.shape}")
+            _read_only(table)
 
     @property
     def steps(self) -> int:
@@ -216,23 +204,22 @@ class LhvModel:
 
     @property
     def size1(self) -> int:
-        return len(self.rho1)
+        return self.kappa.shape[0]
 
     @property
     def size4(self) -> int:
-        return len(self.rho4) if self.rho4 is not None else len(self.rho1)
+        """The last station's hidden count; a single source's is its one count."""
+        return self.kappa.shape[-1]
 
     @property
     def tensor_bytes(self) -> int:
         """Estimated bytes of the product tensor and the masks built over it."""
-        hidden = self.size1 * (self.size4 if self.family == TWO_SOURCE else 1)
-        return self.steps ** 4 * hidden * _BYTES_PER_PRODUCT
+        return self.steps ** 4 * self.kappa.size * _BYTES_PER_PRODUCT
 
     @property
     def _size_label(self) -> str:
         """The model as size refusals name it, by grid and hidden counts."""
-        hidden = (f"{self.size1}x{self.size4}" if self.family == TWO_SOURCE
-                  else str(self.size1))
+        hidden = "x".join(map(str, self.kappa.shape))
         return f"an n={self.n} model with {hidden} hidden values"
 
     @cached_property
@@ -257,11 +244,12 @@ class LhvModel:
         _refuse_oversize(f"the product tensor of {self._size_label}",
                          self.tensor_bytes)
         f = self.analyzer
-        m, lam = self.steps, f.shape[2:]
-        if self.family == SINGLE_SOURCE:
-            a, d = self.a, self.d
-        else:
-            a, d = self.a[:, :, None], self.d[:, None, :]
+        m, lam = self.steps, self.kappa.shape
+        # each station on its own hidden axis: the first and the last
+        # (one and the same axis for a single source)
+        ones = (1,) * (len(lam) - 1)
+        a = self.a.reshape((m, lam[0]) + ones)
+        d = self.d.reshape((m,) + ones + (lam[-1],))
         # a * f over the first three angles, repeated along the fourth and
         # multiplied by d there: both factors then run contiguously over
         # (last angle, hidden), so numpy loops over long rows rather than
@@ -279,10 +267,8 @@ class LhvModel:
     @cached_property
     def weight_mask(self) -> np.ndarray:
         """Boolean mask over hidden-variable assignments carrying positive weight."""
-        mask = np.array([w > 0 for w in self.rho1])
-        if self.rho4 is not None:
-            mask = mask[:, None] & np.array([w > 0 for w in self.rho4])[None, :]
-        return _read_only(mask)
+        mask = np.array([w > 0 for _, _, w in self.assignments()])
+        return _read_only(mask.reshape(self.kappa.shape))
 
     @cached_property
     def sectors(self) -> tuple[int, ...]:
@@ -315,14 +301,23 @@ class LhvModel:
                     yield l1, l4, w1 * w4
 
 
-def _lookup(model: LhvModel, phis: Sequence[int], l1: int, l4: int | None):
-    """Raw factors (first response, analyzer response, last response, sector)."""
+def _live_events(
+    model: LhvModel, phis: Sequence[int], sector: int, analyzer_sign: int | None
+) -> list[tuple[Fraction, int]]:
+    """Weight and outcome product of each weighted live event at one tuple.
+
+    Read from the cached sector events and product tensor, so an oversized
+    model meets the product tensor's SizeLimitError.
+    """
+    if sector not in (1, -1):
+        raise ValueError(f"sector must be +1 or -1, got {sector}")
     p1, p2, p3, p4 = phis
-    if model.family == SINGLE_SOURCE:
-        f = int(model.analyzer[p2, p3, l1])
-        return int(model.a[p1, l1]), f, int(model.d[p4, l1]), int(model.kappa[l1])
-    f = int(model.analyzer[p2, p3, l1, l4])
-    return int(model.a[p1, l1]), f, int(model.d[p4, l4]), int(model.kappa[l1, l4])
+    live = model.sector_events[sector][p1, p2, p3, p4]
+    if analyzer_sign is not None:
+        live = live & (model.analyzer[p2, p3] == analyzer_sign)
+    weights = [w for _, _, w in model.assignments()]
+    products = model.products[p1, p2, p3, p4].ravel().tolist()
+    return list(compress(zip(weights, products), live.ravel().tolist()))
 
 
 def event_count(model: LhvModel, phis: Sequence[int], sector: int) -> Fraction:
@@ -331,14 +326,8 @@ def event_count(model: LhvModel, phis: Sequence[int], sector: int) -> Fraction:
     Half the nominal emission count times the weight of assignments whose
     announcement matches the sector and whose three devices all fire.
     """
-    if sector not in (1, -1):
-        raise ValueError(f"sector must be +1 or -1, got {sector}")
-    total = Fraction(0)
-    for l1, l4, w in model.assignments():
-        first, analyzer, last, found = _lookup(model, phis, l1, l4)
-        if found == sector and first * analyzer * last:
-            total += w
-    return Fraction(model.n0, 2) * total
+    events = _live_events(model, phis, sector, None)
+    return Fraction(model.n0, 2) * sum((w for w, _ in events), Fraction(0))
 
 
 def classical_expectation(
@@ -354,22 +343,11 @@ def classical_expectation(
     singlet-type announcement). Returns None when no conditioned event has
     weight, which is distinct from an average of zero.
     """
-    if sector not in (1, -1):
-        raise ValueError(f"sector must be +1 or -1, got {sector}")
-    num = Fraction(0)
-    den = Fraction(0)
-    for l1, l4, w in model.assignments():
-        first, analyzer, last, found = _lookup(model, phis, l1, l4)
-        if found != sector:
-            continue
-        if analyzer_sign is not None and analyzer != analyzer_sign:
-            continue
-        product = first * analyzer * last
-        num += w * product
-        den += w * abs(product)
-    if den == 0:
+    events = _live_events(model, phis, sector, analyzer_sign)
+    if not events:
         return None
-    return num / den
+    num = sum((w * product for w, product in events), Fraction(0))
+    return num / sum((w for w, _ in events), Fraction(0))
 
 
 def realized_sectors(model: LhvModel) -> tuple[int, ...]:

@@ -10,12 +10,13 @@ variables) so failures are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import sign_table
-from .model import SINGLE_SOURCE, LhvModel, product_tensor, realized_sectors
+from .model import LhvModel, product_tensor, realized_sectors
 
 __all__ = [
     "CorrelationWitness",
@@ -95,26 +96,27 @@ def required_tensor(model: LhvModel) -> np.ndarray:
     return np.stack(columns, axis=-1).reshape(tables[1].shape + model.kappa.shape)
 
 
-def _hidden_words(mask: np.ndarray) -> np.ndarray:
-    """A two-source mask over (..., L1, L4) as one row of words per tuple.
+def _hidden_words(mask: np.ndarray, axes: int) -> np.ndarray:
+    """A mask over (..., hidden) as one row of words per tuple.
 
-    Each angle tuple's L1*L4 hidden flags are one contiguous run of bytes,
-    read here as the widest machine words that divide it: ORs over those
-    words replace numpy's reductions over short axes, which are several
-    times slower.
+    ``axes`` counts the trailing hidden axes: 2 for two sources, 1 for one.
+    Each angle tuple's hidden flags are one contiguous run of bytes, read
+    here as the widest machine words that divide it: ORs over those words
+    replace numpy's reductions over short axes, which are several times
+    slower.
     """
-    width = mask.shape[-2] * mask.shape[-1]
+    width = math.prod(mask.shape[-axes:])
     word = next(w for w in (8, 4, 2, 1) if width % w == 0)
     return np.ascontiguousarray(mask).reshape(-1, width).view(f"u{word}")
 
 
-def _any_hidden(mask: np.ndarray) -> np.ndarray:
-    """``mask.any(axis=(-2, -1))`` for a two-source mask over (..., L1, L4)."""
-    words = _hidden_words(mask)
+def _any_hidden(mask: np.ndarray, axes: int) -> np.ndarray:
+    """``mask.any`` over the last ``axes`` axes, the hidden ones."""
+    words = _hidden_words(mask, axes)
     hit = words[:, 0].copy()
     for k in range(1, words.shape[1]):
         hit |= words[:, k]
-    return (hit != 0).reshape(mask.shape[:-2])
+    return (hit != 0).reshape(mask.shape[:-axes])
 
 
 def _first_index(mask: np.ndarray) -> tuple[int, ...] | None:
@@ -143,15 +145,11 @@ def check_perfect_correlations(
     where = _first_index(bad)
     if where is None:
         return None
-    phis = tuple(where[:4])
-    if model.family == SINGLE_SOURCE:
-        l1, l4 = where[4], None
-    else:
-        l1, l4 = where[4], where[5]
+    hidden = where[4:]
     return CorrelationWitness(
-        phis=phis,
-        l1=l1,
-        l4=l4,
+        phis=tuple(where[:4]),
+        l1=hidden[0],
+        l4=hidden[1] if len(hidden) == 2 else None,
         expected=int(required[where]),
         found=int(products[where]),
     )
@@ -167,11 +165,7 @@ def check_counts_nonempty(
     """
     sectors = (1, -1) if require_both_sectors else realized_sectors(model)
     for sector in sectors:
-        events = model.sector_events[sector]
-        if model.family == SINGLE_SOURCE:
-            covered = events.any(axis=-1)
-        else:
-            covered = _any_hidden(events)
+        covered = _any_hidden(model.sector_events[sector], model.kappa.ndim)
         where = _first_index(~covered)
         if where is not None:
             return CountsWitness(phis=tuple(where), sector=sector)
@@ -180,19 +174,16 @@ def check_counts_nonempty(
 
 def check_relevance(model: LhvModel) -> RelevanceWitness | None:
     """First hidden variable participating in no event, or None."""
-    fires = model.firing
-    if model.family == SINGLE_SOURCE:
-        active = fires.any(axis=(0, 1, 2, 3))
-        idle = _first_index(~active)
-        return None if idle is None else RelevanceWitness(side=1, index=idle[0])
-    # an OR over the angle tuples leaves the (L1, L4) firing pattern
-    pairs = np.bitwise_or.reduce(_hidden_words(fires), axis=0)
-    pairs = (pairs.view(np.uint8) != 0).reshape(model.size1, model.size4)
+    # an OR over the angle tuples leaves the (L1, L4) firing pattern; a
+    # single source's reads as (L, 1), so side 4 can only be idle where
+    # side 1 already is
+    words = _hidden_words(model.firing, model.kappa.ndim)
+    pairs = np.bitwise_or.reduce(words, axis=0)
+    pairs = (pairs.view(np.uint8) != 0).reshape(model.size1, -1)
     idle = _first_index(~pairs.any(axis=1))
     if idle is not None:
         return RelevanceWitness(side=1, index=idle[0])
-    active4 = pairs.any(axis=0)
-    idle = _first_index(~active4)
+    idle = _first_index(~pairs.any(axis=0))
     if idle is not None:
         return RelevanceWitness(side=4, index=idle[0])
     return None

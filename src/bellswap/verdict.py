@@ -26,12 +26,11 @@ from .angles import GridError, RationalAngle, _build_sign_table, _grid_table, si
 from .factorizer import (
     CounterexampleAlarm,
     Factorization,
-    FamilyError,
     _least_parity_solution,
+    _reject_single_source,
     factorize,
 )
 from .model import (
-    SINGLE_SOURCE,
     LhvModel,
     _refuse_oversize,
     positive_weight_mask,
@@ -67,18 +66,13 @@ __all__ = [
 # event bookkeeping shared by the derivation stages
 
 
-def _require_two_source(model: LhvModel) -> None:
-    if model.family == SINGLE_SOURCE:
-        raise FamilyError("the derivation applies to two-source models only")
-
-
 def _event_signs(model: LhvModel, sector: int):
     """Tuples with a weighted +1 event, with a weighted -1 event, and both as
     one table: the classical expectation, 0 where no event defines it."""
     events = model.sector_events[sector]
     positive = (product_tensor(model) == 1) & events
-    has_pos = _any_hidden(positive)
-    has_neg = _any_hidden(positive ^ events)  # every event fires: +1 or -1
+    has_pos = _any_hidden(positive, 2)
+    has_neg = _any_hidden(positive ^ events, 2)  # every event fires: +1 or -1
     table = np.zeros(has_pos.shape, dtype=np.int8)
     table[has_pos] = 1
     table[has_neg] = -1
@@ -168,7 +162,7 @@ def _angle_products(a: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 def derive_product_rule(fact: Factorization, model: LhvModel) -> ProductRule:
-    _require_two_source(model)
+    _reject_single_source(model)
     sectors = realized_sectors(model)
     verified: dict = {}
     found: dict = {}
@@ -270,7 +264,7 @@ def derive_constant_a(
     exclude it through off-grid midpoints, recorded here as documentation
     only), so the report states explicitly whether a is a single constant.
     """
-    _require_two_source(model)
+    _reject_single_source(model)
     if rule is None:
         rule = derive_product_rule(fact, model)
     sector = rule.sectors[0]
@@ -359,7 +353,7 @@ def check_minus_clash(
     anticorrelated tuple at all (odd resolution), or every such tuple is
     satisfied by the alternating sign assignment (resolution 2 mod 4).
     """
-    _require_two_source(model)
+    _reject_single_source(model)
     sector = constant.sector if constant is not None else realized_sectors(model)[0]
     codes = np.flatnonzero(sign_table(model.n, sector) == -1)
     if len(codes) == 0:
@@ -428,7 +422,7 @@ def predict_E_class(fact: Factorization, model: LhvModel) -> EClassReport:
     correlation angle; the quantum curve instead swings with it. The report
     carries both tables per realized sector and their largest gap.
     """
-    _require_two_source(model)
+    _reject_single_source(model)
     sectors = realized_sectors(model)
     defined: dict = {}
     e_class: dict = {}
@@ -559,7 +553,7 @@ def replay(trace: DerivationTrace, model: LhvModel) -> bool:
     sector the model realizes; no factorization is consulted. Raises
     ReplayError (a ValueError) on the first mismatch.
     """
-    _require_two_source(model)
+    _reject_single_source(model)
     if not trace.sector == trace.constant.sector == trace.clash.sector:
         raise ReplayError(
             f"the stages disagree on the sector: trace {trace.sector:+d},"

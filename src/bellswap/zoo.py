@@ -391,7 +391,8 @@ def single_source_shift(n: int = 4) -> LhvModel:
     )
 
 
-@lru_cache(maxsize=None)
+# bounded like the grid caches: each model keeps its product tensor alive
+@lru_cache(maxsize=2)
 def single_source_efficient_50(n: int = 4) -> LhvModel:
     """Shared-source model with 50% station detectors and a perfect analyzer.
 

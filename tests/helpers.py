@@ -1162,6 +1162,35 @@ def running_count_seed_component(model: LhvModel, component) -> ComponentAssignm
     )
 
 
+def _lookup(model: LhvModel, phis, l1: int, l4: int | None):
+    """Raw factors (first response, analyzer response, last response, sector)."""
+    p1, p2, p3, p4 = phis
+    if model.family == SINGLE_SOURCE:
+        f = int(model.analyzer[p2, p3, l1])
+        return int(model.a[p1, l1]), f, int(model.d[p4, l1]), int(model.kappa[l1])
+    f = int(model.analyzer[p2, p3, l1, l4])
+    return int(model.a[p1, l1]), f, int(model.d[p4, l4]), int(model.kappa[l1, l4])
+
+
+def looped_expectation(model: LhvModel, phis, sector: int = 1,
+                       analyzer_sign: int | None = -1) -> Fraction | None:
+    """Oracle for ``classical_expectation``: one table lookup per assignment."""
+    num = Fraction(0)
+    den = Fraction(0)
+    for l1, l4, w in model.assignments():
+        first, analyzer, last, found = _lookup(model, phis, l1, l4)
+        if found != sector:
+            continue
+        if analyzer_sign is not None and analyzer != analyzer_sign:
+            continue
+        product = first * analyzer * last
+        num += w * product
+        den += w * abs(product)
+    if den == 0:
+        return None
+    return num / den
+
+
 def broadcast_products(model: LhvModel) -> np.ndarray:
     """Oracle for ``LhvModel.products``: one broadcast product of a, f, d."""
     f = selected_analyzer(model)

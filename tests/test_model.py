@@ -180,6 +180,16 @@ class TestValidation:
                 rho1=m.rho1, rho4=m.rho4, n0=m.n0,
             )
 
+    @pytest.mark.parametrize("family", ["two_source", "single_source"])
+    @pytest.mark.parametrize("field, path", [
+        ("a", "A"), ("d", "D"), ("kappa", "kappa"),
+        ("f_plus", "F_plus_sector"), ("f_minus", "F_minus_sector"),
+    ])
+    def test_wrong_shape_names_its_table(self, family, field, path):
+        m = constant_two_source() if family == "two_source" else constant_single_source()
+        with pytest.raises(ModelFormatError, match=f"^{path}: expected shape"):
+            dataclasses.replace(m, **{field: getattr(m, field)[:-1]})
+
     def test_single_source_rejects_second_weight_vector(self):
         s = constant_single_source()
         with pytest.raises(ModelFormatError, match="rho4"):

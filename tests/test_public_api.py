@@ -1,7 +1,9 @@
-"""The public surface: exported names resolve, README's quick start runs."""
+"""The public surface: exported names resolve, README's quick start runs,
+and no source module imports a name it neither uses nor re-exports."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -12,6 +14,7 @@ import pytest
 import bellswap
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(bellswap.__file__).resolve().parent
 
 MODULES = ["bellswap"] + [
     f"bellswap.{info.name}"
@@ -35,3 +38,29 @@ def test_readme_library_quick_start_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme"})
     # the quick start's last line prints the 1x1 census: empty
     assert capsys.readouterr().out == "0\n"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but neither reads nor lists in ``__all__``."""
+    imported = []
+    exported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported += ast.literal_eval(node.value)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used | set(exported)]
+
+
+def test_no_unused_imports_in_src():
+    unused = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := _unused_imports(ast.parse(path.read_text())))
+    }
+    assert not unused, f"imported but never used: {unused}"

@@ -3,10 +3,11 @@
 Each rewrite of the path has an oracle in ``helpers``: the eagerly built
 product-rule events, unit propagation that rescans every cell, the
 factorizer's ``_Constraint`` tuples with their running-count propagation,
-the high-bit elimination, the einsum relation counts, and the multi-axis
-reductions of the robustness gate. Property tests compare the two on random models; the rest pins the
-trace checks ``replay`` makes and the size guards that refuse oversized
-inputs before allocating.
+the high-bit elimination, the einsum relation counts, the multi-axis
+reductions of the robustness gate, and the per-assignment loops that
+counted events and averaged outcomes. Property tests compare the two on
+random models; the rest pins the trace checks ``replay`` makes and the size
+guards that refuse oversized inputs before allocating.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from bellswap.model import (
     MAX_TABLE_BYTES,
     LhvModel,
     SizeLimitError,
+    classical_expectation,
     dumps,
+    event_count,
     selected_analyzer,
 )
 from bellswap.quantum import expectation_singlet
@@ -53,6 +56,7 @@ from helpers import (
     eager_product_rule,
     einsum_count,
     high_bit_eliminate,
+    looped_expectation,
     multi_axis_correlations,
     multi_axis_counts,
     multi_axis_event_signs,
@@ -467,6 +471,14 @@ def test_rule_equality_and_repr_see_the_events():
 
 def _gate_matches(model):
     assert np.array_equal(model.products, broadcast_products(model))
+    m = model.steps
+    for phis in ((0, 0, 0, 0), (1, 2, 3, 0), (m - 1, 0, m - 1, 1)):
+        for sector in (1, -1):
+            assert event_count(model, phis, sector) == search.oracle_count(
+                model, phis, sector)
+            for sign in (-1, 1, None):
+                assert (classical_expectation(model, phis, sector, sign)
+                        == looped_expectation(model, phis, sector, sign))
     assert check_relevance(model) == multi_axis_relevance(model)
     for both in (False, True):
         assert check_counts_nonempty(model, both) == multi_axis_counts(model, both)
@@ -594,22 +606,43 @@ def test_tensor_estimate_counts_every_product_entry():
     assert single.tensor_bytes == single.steps**4 * single.size1 * 8
 
 
-def test_oversized_model_is_refused_before_allocating():
+def _assert_refused_before_allocating(build, label, *calls):
+    """Every call raises SizeLimitError naming the model, within 4 MiB."""
     tracemalloc.start()
     try:
-        model = _huge_model()
+        model = build()
         assert model.tensor_bytes > MAX_TABLE_BYTES
-        for call in (lambda: model.products, lambda: is_robust(model),
-                     lambda: verdict.run(model)):
+        for call in (lambda m: m.products, is_robust,
+                     lambda m: event_count(m, (0, 0, 0, 0), 1),
+                     lambda m: classical_expectation(m, (0, 0, 0, 0)), *calls):
             with pytest.raises(SizeLimitError) as caught:
-                call()
-            assert "n=40 model with 8x8 hidden values" in str(caught.value)
+                call(model)
+            assert label in str(caught.value)
             assert f"{model.tensor_bytes / 2**20:,.0f} MiB" in str(caught.value)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_oversized_model_is_refused_before_allocating():
+    _assert_refused_before_allocating(
+        _huge_model, "n=40 model with 8x8 hidden values", verdict.run)
     assert issubclass(SizeLimitError, ValueError)
+
+
+def test_oversized_single_source_model_is_refused_before_allocating():
+    def build(n=40, size=2):
+        m = 2 * n
+        ones = np.ones((m, size), dtype=np.int8)
+        table = np.ones((m, m, size), dtype=np.int8)
+        return LhvModel(
+            family="single_source", n=n, a=ones, d=ones,
+            kappa=np.ones(size, dtype=np.int8), f_plus=table, f_minus=table,
+            rho1=[Fraction(1, size)] * size, rho4=None,
+        )
+
+    _assert_refused_before_allocating(build, "n=40 model with 2 hidden values")
 
 
 def test_oversized_model_file_is_a_usage_error(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -340,6 +342,15 @@ class TestSingleSourceEfficient50:
         assert dumps(single_source_efficient_50()) == dumps(
             single_source_efficient_50()
         )
+
+    def test_cache_keeps_the_last_two_grids(self):
+        single_source_efficient_50.cache_clear()
+        first = weakref.ref(single_source_efficient_50(4))
+        for n in (5, 6):
+            single_source_efficient_50(n)
+        gc.collect()
+        assert single_source_efficient_50.cache_info().currsize <= 2
+        assert first() is None
 
 
 class TestCatalogAndUris:
