@@ -51,8 +51,9 @@ Soundness rests on three facts proved here and property-tested in the suite:
 
 Every scan streams runs of consecutive blocks to one driver, which books
 tallies, ``stop_after`` and the keep list per run and checks the wall-clock
-budget between runs. A run is one sector map for the class-space scan and
-one block for the others; ``cursor`` still counts blocks.
+budget between runs. A run is one sector map for the class-space scan, a
+chunk of first-station columns of one sector for the 1x1 scan, and one
+block for the single-source search; ``cursor`` still counts blocks.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ __all__ = [
 
 FULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _TERNARY = np.array([-1, 0, 1])[:, None]
+# an analyzer cell by its demands, indexed 2 * minus + plus: none and plus
+# alone give +1, minus alone -1, and both 0
+_CELL = np.array([1, 1, -1, 0], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -144,9 +148,10 @@ class SearchResult:
     ``stop_after`` ends a search on a whole-block boundary: the tally includes
     every survivor of the block that reached it, ``truncated`` is set and
     ``cursor`` resumes at the next block. The budget is checked between
-    runs of blocks: a run is one sector map for the class-space scan and
-    one block for the other scans, so a spent budget can overshoot by at
-    most one run. It ends the search before the next run, with ``notes``
+    runs of blocks: a run is one sector map for the class-space scan, a
+    chunk of first-station columns for the 1x1 scan and one block for the
+    single-source search, so a spent budget can overshoot by at most one
+    run. It ends the search before the next run, with ``notes``
     set and ``cursor`` just past the last block booked.
     ``certifying`` is True only for a search that started at cursor 0 and
     covered the whole space, in which case ``robust_count == 0`` certifies
@@ -222,24 +227,31 @@ def _demand_bits(n: int, sector: int) -> np.ndarray:
 
 
 def _or_selected(table: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """OR over j of table[1 + signs[..., j], j]: the layers a sign row picks."""
-    picked = table[1 + signs, np.arange(signs.shape[-1])]
-    return np.bitwise_or.reduce(picked, axis=signs.ndim - 1)
+    """OR over j of table[1 + signs[j, ...], j]: the layers a sign row picks.
+
+    The picked layers are gathered with j leading, so the reduce ORs whole
+    contiguous layers into one another.
+    """
+    j = np.arange(len(signs)).reshape((-1,) + (1,) * (signs.ndim - 1))
+    return np.bitwise_or.reduce(table[1 + signs, j], axis=0)
 
 
-def _demand_masks(table: np.ndarray, a_col: np.ndarray, d_cols: np.ndarray):
+def _demand_masks(table: np.ndarray, a_cols: np.ndarray, d_cols: np.ndarray):
     """The signs the correlation law demands of the analyzer at (k2, k3).
 
-    ``table`` is ``_demand_bits(n, sector)``, ``a_col`` a first-station
-    column and ``d_cols`` rows of second-station columns, over {-1, 0, +1}.
-    A demand at (k1, k2, k3, k4) is required * a[k1] * d[k4], so it is s
-    exactly where the table requires s * a[k1] * d[k4]; a 0 entry selects
-    the empty layer and adds no demand. Returns ``(has_plus, has_minus)``,
-    masks [row, k2, byte] packed over k3 like the table.
+    ``table`` is ``_demand_bits(n, sector)``, ``a_cols`` a batch [c, k1] of
+    first-station columns and ``d_cols`` rows [d, k4] of second-station
+    columns, over {-1, 0, +1}. A demand at (k1, k2, k3, k4) is required *
+    a[k1] * d[k4], so it is s exactly where the table requires s * a[k1] *
+    d[k4]; a 0 entry selects the empty layer and adds no demand. Returns
+    ``(has_plus, has_minus)``, masks [d, c, k2, byte] packed over k3 like
+    the table. The largest temporary is the layers picked for one of
+    them, [k4, d, c, k2, byte].
     """
-    # [1 + t, k4, k2]: the cells where some k1 has required * a[k1] = t
-    by_k4 = _or_selected(table, _TERNARY * a_col)
-    return _or_selected(by_k4, d_cols), _or_selected(by_k4, -d_cols)
+    # [1 + t, k4, c, k2]: the cells where some k1 has required * a[k1] = t
+    by_k4 = _or_selected(table, a_cols.T[:, None] * _TERNARY)
+    by_k4 = np.ascontiguousarray(by_k4.swapaxes(1, 2))
+    return _or_selected(by_k4, d_cols.T), _or_selected(by_k4, -d_cols.T)
 
 
 def forced_analyzer(a: np.ndarray, d: np.ndarray, kappa: np.ndarray, n: int) -> np.ndarray:
@@ -247,22 +259,19 @@ def forced_analyzer(a: np.ndarray, d: np.ndarray, kappa: np.ndarray, n: int) -> 
 
     Each cell carries the unique sign the correlation law demands through
     it, 0 when two demands disagree, and +1 when nothing constrains it.
+    One ``_demand_masks`` call per sector ``kappa`` announces covers every
+    hidden pair at once, and each pair takes the cells of its own sector.
     """
     m = 2 * n
-    size1, size4 = a.shape[1], d.shape[1]
-    table = np.ones((m, m, size1, size4), dtype=np.int8)
-    for l1 in range(size1):
-        for l4 in range(size4):
-            has_plus, has_minus = (
-                np.unpackbits(mask[0], axis=-1, count=m, bitorder="little").view(bool)
-                for mask in _demand_masks(
-                    _demand_bits(n, int(kappa[l1, l4])), a[:, l1], d[None, :, l4]
-                )
-            )
-            cell = np.ones((m, m), dtype=np.int8)
-            cell[has_minus] = -1
-            cell[has_plus & has_minus] = 0
-            table[:, :, l1, l4] = cell
+    table = np.empty((m, m) + kappa.shape, dtype=np.int8)
+    for sector in set(kappa.ravel().tolist()):
+        plus, minus = (
+            np.unpackbits(mask, axis=-1, count=m, bitorder="little")
+            for mask in _demand_masks(_demand_bits(n, sector), a.T, d.T)
+        )
+        # [l4, l1, k2, k3] to [k2, k3, l1, l4]
+        cell = _CELL[minus << 1 | plus].transpose(2, 3, 1, 0)
+        np.copyto(table, cell, where=kappa == sector)
     return table
 
 
@@ -360,16 +369,35 @@ def _sign_columns(m: int) -> np.ndarray:
     return np.concatenate([np.ones((cols.shape[0], 1), dtype=np.int8), cols], axis=1)
 
 
+# bytes of demand layers one run of the 1x1 scan may pick at once
+_CHUNK_BYTES = 128 * 1024
+
+
+def _scan_chunk(n: int) -> int:
+    """First-station columns per run of the 1x1 scan on the pi/n grid.
+
+    As many as keep the layers picked for every second-station column,
+    [k4, d, c, k2, byte], within ``_CHUNK_BYTES``: a sector's whole
+    column set up to n = 3, 16 columns at n = 4, and one from n = 5 on.
+    """
+    m = 2 * n
+    count = 2 ** (m - 1)
+    per_column = count * m * m * -(-m // 8)
+    return min(max(_CHUNK_BYTES // per_column, 1), count)
+
+
 def _single_scan_bytes(n: int) -> int:
-    """Estimated peak bytes of the 1x1 scan on the pi/n grid."""
+    """Estimated peak bytes of the 1x1 scan on the pi/n grid: one run's
+    picked layers and the masks beside them, and the sign tables built once.
+    """
     m = 2 * n
     count, width = 2 ** (m - 1), -(-m // 8)
-    # per block: the layers picked for every second-station column,
-    # [d, k4, k2, byte], and about 16 bytes per (d, k4) beside them (an
-    # intp copy of the picking signs, the signs' int8 temporaries, and
-    # the reduced masks of this block and the last); once: the sign
-    # table's int64 build and its bit layers
-    return count * m * (m * width + 16) + 32 * m**4
+    # per run of c columns: the layers picked for every second-station
+    # column, [k4, d, c, k2, byte], and about 16 bytes per (k4, d) and
+    # column beside them (an intp copy of the picking signs, the signs'
+    # int8 temporaries, and the reduced masks of this run and the last);
+    # once: the sign table's int64 build and its bit layers
+    return _scan_chunk(n) * count * m * (m * width + 16) + 32 * m**4
 
 
 def _pair_single_blocks(space):
@@ -385,32 +413,40 @@ def _pair_single_blocks(space):
     correlation law by construction, and makes the lone hidden values
     relevant.
 
-    A block, and a run of its own, is one sector and first-station column
-    a. ``_demand_masks`` first ORs the sector's bit table over k1, as a
-    selects it, into masks [1 + t, k4, k2] whose bit k3 is set where some
-    k1 gives required * a[k1] = t. For every second-station column d at
-    once it then ORs those over k4, picking t = d[k4] for has_plus and
-    t = -d[k4] for has_minus: bit k3 of has_plus[d, k2] is set where some
-    (k1, k4) demands +1 at (k2, k3). A candidate is clean when
-    has_plus & has_minus is 0 in every byte.
+    A block is one sector and first-station column a; a run is a chunk of
+    ``_scan_chunk(n)`` consecutive first-station columns of one sector.
+    ``_demand_masks`` first ORs the sector's bit table over k1, as each a
+    of the chunk selects it, into masks [1 + t, k4, a, k2] whose bit k3 is
+    set where some k1 gives required * a[k1] = t. For every second-station
+    column d at once it then ORs those over k4, picking t = d[k4] for
+    has_plus and t = -d[k4] for has_minus: bit k3 of has_plus[d, a, k2] is
+    set where some (k1, k4) demands +1 at (k2, k3). A candidate is clean
+    when has_plus & has_minus is 0 in every byte.
     """
     n = space.denominator
     cols = _sign_columns(2 * n)
     count = cols.shape[0]
+    chunk = _scan_chunk(n)
     sectors = (1, -1)
     first, a_start = divmod(min(space.cursor, len(sectors) * count), count)
     for s_index in range(first, len(sectors)):
         kappa = np.full((1, 1), sectors[s_index], dtype=np.int8)
         table = _demand_bits(n, sectors[s_index])
-        for a_index in range(a_start, count):
-            a_col = cols[a_index][:, None]
+        for start in range(a_start, count, chunk):
+            a_index = np.arange(start, min(start + chunk, count))
             has_plus, has_minus = _demand_masks(table, cols[a_index], cols)
-            hits = np.flatnonzero(~(has_plus & has_minus).any(axis=(1, 2)))
+            # clean[a, d]: no cell demanded both ways
+            clean = ~(has_plus & has_minus).any(axis=(2, 3)).T
+            tally = np.cumsum(clean.sum(axis=1))
 
-            def build(_, d_index):
+            def hits_of(i):
+                return np.flatnonzero(clean[i])
+
+            def build(i, d_index):
+                a_col = cols[a_index[i]][:, None]
                 return _assemble_two_source(a_col, cols[d_index][:, None], kappa, n)
 
-            yield (s_index * count + a_index,), count, (len(hits),), lambda _: hits, build
+            yield s_index * count + a_index, count, tally, hits_of, build
         a_start = 0
     return len(sectors) * count
 
@@ -612,10 +648,11 @@ def search_two_source(
     and, when spent, yields a partial result whose cursor resumes the
     scan, and only a whole run from cursor 0 is certifying. The budget is
     checked between sector maps of the class-space scan and between
-    blocks of the 1x1 scan, so it can overshoot by one of those.
+    chunks of first-station columns of the 1x1 scan, so it can overshoot
+    by one of those.
     ``consistent_found`` lists the kept models that factorize cleanly.
     ``stop_after`` must be positive and ``budget_seconds`` finite and
-    nonnegative. A grid whose per-block tables would exceed
+    nonnegative. A grid whose per-run tables would exceed
     MAX_TABLE_BYTES raises SizeLimitError before the first block is drawn.
     """
     if space.family != TWO_SOURCE:

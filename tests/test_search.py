@@ -122,17 +122,55 @@ class TestSearchSpace:
             search_single_source(two_source_space())
 
 
+def oracle_analyzer_cases():
+    """(shape, n, seed, sectors) rows for the loop-built oracle comparison.
+
+    Random 2x2 sector maps keep their ``n-seed`` ids. Every shape then
+    meets every grid up to n = 4, the odd one included, under a map that
+    announces both sectors and under one that announces only + or only -,
+    so each sector's cells are checked where the other sector is unused.
+    Those rows draw sparse columns: dense ones put demands of both signs
+    on most cells, whose 0 then reads the same in either sector.
+    """
+    cases = [
+        pytest.param((2, 2), n, seed, "random", id=f"{n}-{seed}")
+        for n in (2, 4) for seed in range(8)
+    ]
+    for shape in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        label = f"{shape[0]}x{shape[1]}"
+        for n in (2, 3, 4):
+            cases += [
+                pytest.param(shape, n, 300 + n, sectors, id=f"{label}-{n}-{sectors}")
+                for sectors in ("plus", "minus")
+            ]
+            if shape != (1, 1):
+                cases += [
+                    pytest.param(shape, n, seed, "mixed", id=f"{label}-{n}-mixed-{seed}")
+                    for seed in range(4)
+                ]
+    return cases
+
+
 class TestForcedAnalyzer:
     """The maximal-table construction against an independent builder."""
 
-    @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("n", [2, 4])
-    def test_matches_loop_built_oracle(self, seed, n):
+    @pytest.mark.parametrize("shape, n, seed, sectors", oracle_analyzer_cases())
+    def test_matches_loop_built_oracle(self, shape, n, seed, sectors):
         rng = np.random.default_rng(seed)
         m = 2 * n
-        a = rng.integers(-1, 2, size=(m, 2)).astype(np.int8)
-        d = rng.integers(-1, 2, size=(m, 2)).astype(np.int8)
-        kappa = (1 - 2 * rng.integers(0, 2, size=(2, 2))).astype(np.int8)
+        if sectors == "random":
+            a = rng.integers(-1, 2, size=(m, shape[0])).astype(np.int8)
+            d = rng.integers(-1, 2, size=(m, shape[1])).astype(np.int8)
+        else:
+            a, d = (
+                rng.choice([-1, 0, 1], p=[0.15, 0.7, 0.15], size=(m, size)).astype(np.int8)
+                for size in shape
+            )
+        kappa = (1 - 2 * rng.integers(0, 2, size=shape)).astype(np.int8)
+        if sectors == "mixed":
+            kappa.flat[-1] = -kappa.flat[0]
+        elif sectors != "random":
+            kappa[...] = 1 if sectors == "plus" else -1
         fast = forced_analyzer(a, d, kappa, n)
         slow = demand_filled_analyzer(a, d, kappa, n)
         assert np.array_equal(fast, slow)
@@ -601,6 +639,16 @@ class TestRunDriver:
         # map, so the keep list and the tally cross runs
         (replace(CENSUS, cursor=5 * SECTOR_MAP), dict(keep_limit=40)),
         (replace(CENSUS, cursor=5 * SECTOR_MAP), dict(stop_after=17)),
+        # 1x1: each grid's two survivors lie one per sector, so one per run,
+        # and the keep list crosses runs; at n = 2 a run is a sector's 8
+        # blocks and the first survivor sits in block 5 of run 0
+        (two_source_space(denominator=1), {}),
+        (two_source_space(denominator=2), {}),
+        (two_source_space(denominator=3), {}),
+        (two_source_space(denominator=2), dict(stop_after=1)),
+        (two_source_space(denominator=2), dict(keep_limit=0)),
+        (two_source_space(denominator=2), dict(keep_limit=1)),
+        (two_source_space(denominator=3, cursor=16), {}),
     ], ids=[
         "1x2", "2x1", "2x2 signs", "2x2",
         "stop_after=1", "stop_after=3", "stop_after=5", "stop_after=17",
@@ -608,11 +656,15 @@ class TestRunDriver:
         "keep_limit=0", "keep_limit=1", "keep_limit=16", "keep_limit=40",
         "cursor mid-map", "cursor on a map boundary, keep_limit=40",
         "cursor on a map boundary, stop_after=17",
+        "1x1 n=1", "1x1 n=2", "1x1 n=3", "1x1 stop_after=1",
+        "1x1 keep_limit=0", "1x1 keep_limit=1", "1x1 cursor mid-sector",
     ])
     def test_matches_the_per_block_oracle(self, space, kwargs):
         result = search_two_source(space, **kwargs)
+        single = space.size1 == space.size4 == 1
+        blocks = tensor_single_blocks(space) if single else per_block_double_blocks(space)
         oracle = per_block_drive(
-            space, per_block_double_blocks(space), None,
+            space, blocks, None,
             kwargs.get("stop_after"), kwargs.get("keep_limit", 16),
         )
         assert plain_fields(result) == plain_fields(oracle)
@@ -657,6 +709,22 @@ class TestPairSearch:
             assert head[0][0][0] == block
             assert head == drain(tensor_single_blocks(resumed), limit=1)
 
+    def test_n4_stream_runs_chunks_of_consecutive_blocks(self):
+        sign_table.cache_clear()
+        _demand_bits.cache_clear()
+        tracemalloc.start()
+        try:
+            items = list(_pair_single_blocks(two_source_space()))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 1024
+        covered = np.concatenate([blocks for blocks, *_ in items])
+        assert len(items) < len(covered)
+        assert np.array_equal(covered, np.arange(256))
+        for _, _, tally, _, _ in items:
+            assert np.all(np.diff(tally, prepend=0) >= 0)
+
     def test_bit_table_round_trips_the_sign_table(self):
         # every n the size guard lets through, and the first it refuses
         assert _single_scan_bytes(9) <= MAX_TABLE_BYTES < _single_scan_bytes(10)
@@ -676,9 +744,10 @@ class TestPairSearch:
         _demand_bits.cache_clear()
         tracemalloc.start()
         try:
-            blocks = _pair_single_blocks(two_source_space(denominator=n))
-            for _ in range(3):
-                next(blocks)
+            # up to three runs, fewer if the stream ends first
+            runs = _pair_single_blocks(two_source_space(denominator=n))
+            for _ in itertools.islice(runs, 3):
+                pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1130,9 +1199,11 @@ class TestOracleCount:
 # ---------------------------------------------------------------------------
 # the rules every enumerator shares through the one driver
 
-# (search, space, kwargs) per enumerator: sign scan, class scan, single source
+# (search, space, kwargs) per enumerator: sign scan, class scan, single source;
+# the sign scan at n = 5, where its 2 survivors lie among many runs (at
+# n = 2 its whole space is two runs)
 ENUMERATORS = {
-    "pair_single": (search_two_source, two_source_space(denominator=2), {}),
+    "pair_single": (search_two_source, two_source_space(denominator=5), {}),
     "pair_double": (search_two_source, two_source_space(size4=2), {}),
     "single_source": (search_single_source, single_source_space(), {}),
 }
