@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .angles import GridError, RationalAngle, correlation_index
-from .factorizer import FamilyError, factorize
+from .factorizer import ConsistencyWitness, FamilyError, factorize
 from .model import (
     SINGLE_SOURCE,
     TWO_SOURCE,
@@ -132,6 +132,11 @@ def _witness_lines(report: RobustnessReport) -> list[tuple[str, str]]:
     return out
 
 
+def _consistency_lines(w: ConsistencyWitness) -> list[tuple[str, str]]:
+    indices = " ".join(f"{k}={v}" for k, v in w.indices.items())
+    return [("witness.relation", w.relation), ("witness.indices", indices)]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -178,25 +183,20 @@ def _cmd_quantum(args) -> tuple[int, Report]:
 def _cmd_check(args) -> tuple[int, Report]:
     model = resolve(args.model)
     report = is_robust(model, require_both_sectors=args.require_both_sectors)
+    checks = (
+        ("correlations", report.perfect_correlations_ok),
+        ("counts", report.counts_ok),
+        ("relevance", report.relevance_ok),
+    )
     payload = _model_lines(model)
-    payload.append(("correlations", "ok" if report.perfect_correlations_ok else "violated"))
-    payload.append(("counts", "ok" if report.counts_ok else "violated"))
-    payload.append(("relevance", "ok" if report.relevance_ok else "violated"))
+    payload.extend((name, "ok" if ok else "violated") for name, ok in checks)
     payload.append(("robust", _fmt(report.is_robust)))
     payload.extend(_witness_lines(report))
     if report.is_robust:
         summary = "robust: all three checks hold"
         code = 0
     else:
-        failed = [
-            name
-            for name, ok in (
-                ("correlations", report.perfect_correlations_ok),
-                ("counts", report.counts_ok),
-                ("relevance", report.relevance_ok),
-            )
-            if not ok
-        ]
+        failed = [name for name, ok in checks if not ok]
         summary = "not robust: " + ", ".join(failed) + " failed"
         code = 1
     inputs = [
@@ -225,9 +225,7 @@ def _cmd_factorize(args) -> tuple[int, Report]:
         code = 0
     elif result.status == "consistency_violated":
         w = result.witness
-        indices = " ".join(f"{k}={v}" for k, v in w.indices.items())
-        payload.append(("witness.relation", w.relation))
-        payload.append(("witness.indices", indices))
+        payload.extend(_consistency_lines(w))
         payload.append(("witness.product", f"{w.product:+d}"))
         summary = f"no factorization: {w.relation} evaluates to {w.product:+d}"
         code = 1
@@ -268,7 +266,8 @@ def _cmd_verdict(args) -> tuple[int, Report]:
             f" required={clash.required:+d} derived={clash.derived:+d}"
             f" event={_fmt(clash.event)}",
         ))
-        payload.append(("trace.replay", "ok" if replay(trace, model) else "failed"))
+        replay(trace, model)  # raises ReplayError, which run() maps to exit 1
+        payload.append(("trace.replay", "ok"))
         expectation = trace.expectation
         payload.append(
             ("expectation.all_plus_one", _fmt(bool(expectation.all_plus_one)))
@@ -287,10 +286,8 @@ def _cmd_verdict(args) -> tuple[int, Report]:
         code = 1
     else:
         w = verdict.witness
-        if w is not None and hasattr(w, "relation"):
-            indices = " ".join(f"{k}={v}" for k, v in w.indices.items())
-            payload.append(("witness.relation", w.relation))
-            payload.append(("witness.indices", indices))
+        if isinstance(w, ConsistencyWitness):
+            payload.extend(_consistency_lines(w))
         else:
             payload.append(("witness.text", str(w)))
         summary = "alarm: the model escapes the factorized-sign dichotomy"
@@ -600,10 +597,7 @@ def run(argv=None) -> int:
     except ReplayError as exc:  # an internal failure, not a usage error
         print(f"error: replay failed: {exc}", file=sys.stderr)
         return 1
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (*_USAGE_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(render(report, quiet=args.quiet))

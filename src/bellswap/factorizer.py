@@ -275,21 +275,17 @@ def find_dangling_support(model: LhvModel) -> dict | None:
     at least one completing event partner; robust models never fail this.
     """
     _reject_single_source(model)
-    f = selected_analyzer(model)
-    # lam1 -> exists lam4 with analyzer and last-station support
-    f_any = (f != 0).any(axis=(0, 1))  # (L1, L4)
-    d_any = (model.d != 0).any(axis=0)  # (L4,)
-    lam1_ok = (f_any & d_any[None, :]).any(axis=1)  # (L1,)
-    bad = np.argwhere((model.a != 0) & ~lam1_ok[None, :])
-    if len(bad):
-        k, l1 = bad[0]
-        return {"side": 1, "angle": int(k), "hidden": int(l1)}
-    a_any = (model.a != 0).any(axis=0)  # (L1,)
-    lam4_ok = (f_any & a_any[:, None]).any(axis=0)  # (L4,)
-    bad = np.argwhere((model.d != 0) & ~lam4_ok[None, :])
-    if len(bad):
-        k, l4 = bad[0]
-        return {"side": 4, "angle": int(k), "hidden": int(l4)}
+    f_any = (selected_analyzer(model) != 0).any(axis=(0, 1))  # (L1, L4)
+    # each station in turn, with the analyzer's support indexed by
+    # (own hidden value, other hidden value): a value is completed by a
+    # partner with analyzer support and support at the other station
+    for side, own, other, pairs in ((1, model.a, model.d, f_any),
+                                    (4, model.d, model.a, f_any.T)):
+        ok = (pairs & (other != 0).any(axis=0)).any(axis=1)
+        bad = np.argwhere((own != 0) & ~ok)
+        if len(bad):
+            k, hidden = bad[0]
+            return {"side": side, "angle": int(k), "hidden": int(hidden)}
     return None
 
 
@@ -744,7 +740,7 @@ def merge_components(
     # each sector's correlated tuples with the block of every angle, (T, 4)
     block_tables = []
     if len(assignments) > 1:  # a lone block is the reference frame itself
-        for sector in realized_sectors(model) or (1,):
+        for sector in realized_sectors(model):
             tuples = np.argwhere(sign_table(model.n, sector) == 1)
             block_tables.append((tuples, comp_of_angle[tuples]))
 

@@ -301,6 +301,19 @@ class LhvModel:
                     yield l1, l4, w1 * w4
 
 
+def _uniform_model(n: int, a, d, kappa, analyzer) -> LhvModel:
+    """Uniform weights per source, ``analyzer`` in both sectors, ``n0 = 4n``.
+
+    ``kappa``'s shape picks the family: (L1, L4) two sources, (L,) one.
+    """
+    rho1, *rho4 = ([Fraction(1, size)] * size for size in np.shape(kappa))
+    return LhvModel(
+        family=TWO_SOURCE if rho4 else SINGLE_SOURCE, n=n, a=a, d=d, kappa=kappa,
+        f_plus=analyzer, f_minus=analyzer, rho1=rho1,
+        rho4=rho4[0] if rho4 else None, n0=4 * n,
+    )
+
+
 def _live_events(
     model: LhvModel, phis: Sequence[int], sector: int, analyzer_sign: int | None
 ) -> list[tuple[Fraction, int]]:

@@ -70,7 +70,7 @@ import numpy as np
 
 from .angles import GridError, required_sign, sign_table
 from .factorizer import _least_parity_solution, factorize
-from .model import SINGLE_SOURCE, TWO_SOURCE, LhvModel, _refuse_oversize
+from .model import SINGLE_SOURCE, TWO_SOURCE, LhvModel, _refuse_oversize, _uniform_model
 from .robustness import RobustnessReport, is_robust
 
 __all__ = [
@@ -276,20 +276,8 @@ def forced_analyzer(a: np.ndarray, d: np.ndarray, kappa: np.ndarray, n: int) -> 
 
 
 def _assemble_two_source(a: np.ndarray, d: np.ndarray, kappa: np.ndarray, n: int) -> LhvModel:
-    analyzer = forced_analyzer(a, d, kappa, n)
-    size1, size4 = a.shape[1], d.shape[1]
-    return LhvModel(
-        family=TWO_SOURCE,
-        n=n,
-        a=a,
-        d=d,
-        kappa=kappa,
-        f_plus=analyzer,
-        f_minus=analyzer,
-        rho1=[Fraction(1, size1)] * size1,
-        rho4=[Fraction(1, size4)] * size4,
-        n0=4 * n,
-    )
+    """The candidate's model with its maximal analyzer table in both sectors."""
+    return _uniform_model(n, a, d, kappa, forced_analyzer(a, d, kappa, n))
 
 
 def _drive(space, runs, budget, stop_after, keep_limit) -> SearchResult:

@@ -5,7 +5,10 @@ drawn from a seeded generator, so the same URI always denotes the same model.
 The catalog covers the factorizable product family (dense and thinned), one
 representative for each way robustness can fail, the two known robust
 non-factorizable models, and the shared-source family with its
-half-efficiency escape model.
+half-efficiency escape model. Unless a constructor says otherwise, its
+model weighs each source's hidden values uniformly, uses one analyzer table
+in both sectors and has ``n0 = 4n``; the single-source search's model
+``single_source_efficient_50`` has ``n0 = 8n``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .model import (
     TWO_SOURCE,
     LhvModel,
     _refuse_oversize,
+    _uniform_model,
     load,
     selected_analyzer,
 )
@@ -47,10 +51,6 @@ __all__ = [
 
 class ZooError(ValueError):
     """A catalog constructor was misused or a model reference is malformed."""
-
-
-def _uniform(size: int) -> list[Fraction]:
-    return [Fraction(1, size)] * size
 
 
 def _signs(rng: np.random.Generator, shape) -> np.ndarray:
@@ -82,17 +82,12 @@ def all_delta_one(n: int = 4, size1: int = 2, size4: int = 2) -> LhvModel:
     m = _check_grid(n)
     if size1 < 1 or size4 < 1:
         raise ZooError("hidden-variable counts must be positive")
-    return LhvModel(
-        family=TWO_SOURCE,
-        n=n,
-        a=np.ones((m, size1), np.int8),
-        d=np.ones((m, size4), np.int8),
-        kappa=np.ones((size1, size4), np.int8),
-        f_plus=np.ones((m, m, size1, size4), np.int8),
-        f_minus=np.ones((m, m, size1, size4), np.int8),
-        rho1=_uniform(size1),
-        rho4=_uniform(size4),
-        n0=4 * n,
+    return _uniform_model(
+        n,
+        np.ones((m, size1), np.int8),
+        np.ones((m, size4), np.int8),
+        np.ones((size1, size4), np.int8),
+        np.ones((m, m, size1, size4), np.int8),
     )
 
 
@@ -235,18 +230,7 @@ def synthetic_factorizable(
         * v[None, None, None, :]
         * df
     )
-    return LhvModel(
-        family=TWO_SOURCE,
-        n=n,
-        a=table_a.astype(np.int8),
-        d=table_d.astype(np.int8),
-        kappa=kappa_table,
-        f_plus=table_f.astype(np.int8),
-        f_minus=table_f.astype(np.int8),
-        rho1=_uniform(size1),
-        rho4=_uniform(size4),
-        n0=4 * n,
-    )
+    return _uniform_model(n, table_a, table_d, kappa_table, table_f)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +243,7 @@ def evasive_nonrobust(n: int = 4) -> LhvModel:
     All three devices fire only at angle step 0, producing the demanded +1
     product there; every other tuple records no event at all, which is
     precisely the evasion the event-count requirement exists to reject.
+    The minus-sector table is silent, but nothing announces that sector.
     """
     m = _check_grid(n)
     a = np.zeros((m, 1), np.int8)
@@ -292,18 +277,7 @@ def padded_irrelevant(n: int = 4) -> LhvModel:
     a = np.hstack([base.a, np.zeros((m, 1), np.int8)])
     f = np.concatenate([base.f_plus, np.zeros((m, m, 1, base.size4), np.int8)], axis=2)
     kappa = np.vstack([base.kappa, np.ones((1, base.size4), np.int8)])
-    return LhvModel(
-        family=TWO_SOURCE,
-        n=n,
-        a=a,
-        d=base.d,
-        kappa=kappa,
-        f_plus=f,
-        f_minus=f,
-        rho1=_uniform(base.size1 + 1),
-        rho4=base.rho4,
-        n0=base.n0,
-    )
+    return _uniform_model(n, a, base.d, kappa, f)
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +351,7 @@ def single_source_shift(n: int = 4) -> LhvModel:
     shifts = (np.arange(m)[:, None] - np.arange(m)[None, :]) % m
     station = half[shifts]
     analyzer = station[:, None, :] * station[None, :, :]
-    return LhvModel(
-        family=SINGLE_SOURCE,
-        n=n,
-        a=station,
-        d=station.copy(),
-        kappa=np.ones(m, np.int8),
-        f_plus=analyzer,
-        f_minus=analyzer.copy(),
-        rho1=_uniform(m),
-        rho4=None,
-        n0=4 * n,
-    )
+    return _uniform_model(n, station, station, np.ones(m, np.int8), analyzer)
 
 
 # bounded like the grid caches: each model keeps its product tensor alive
@@ -430,10 +393,10 @@ def two_source_shell(model: LhvModel) -> LhvModel:
 
     The first source keeps the shared hidden value and the analyzer's
     dependence on it; the second source collapses to a singleton carrying
-    the last station's response at hidden value 0. The shell is a container
-    for the tables, not an equivalent model: scanning the independent-source
-    consistency relations on it shows why the shared value cannot be
-    factored apart.
+    the last station's response at hidden value 0, and the weights and
+    ``n0`` are the input's. The shell is a container for the tables, not an
+    equivalent model: scanning the independent-source consistency relations
+    on it shows why the shared value cannot be factored apart.
     """
     if model.family != SINGLE_SOURCE:
         raise ZooError("only shared-source models can be wrapped in a shell")

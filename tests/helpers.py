@@ -1191,6 +1191,36 @@ def looped_expectation(model: LhvModel, phis, sector: int = 1,
     return num / den
 
 
+def looped_dangling(model: LhvModel) -> dict | None:
+    """Oracle for ``find_dangling_support``: one loop over side, angle, value.
+
+    Walks the first station, then the last, each angle by angle and hidden
+    value by hidden value, and returns the first firing cell whose value no
+    partner value completes: none with both an analyzer cell that fires in
+    the pair's own sector table and a firing cell at the other station.
+    """
+    m = model.steps
+
+    def analyzer_fires(l1: int, l4: int) -> bool:
+        f = model.f_plus if model.kappa[l1, l4] == 1 else model.f_minus
+        return any(f[k2, k3, l1, l4] != 0 for k2 in range(m) for k3 in range(m))
+
+    def completed(side: int, hidden: int) -> bool:
+        for partner in range(model.size4 if side == 1 else model.size1):
+            l1, l4 = (hidden, partner) if side == 1 else (partner, hidden)
+            other = model.d[:, l4] if side == 1 else model.a[:, l1]
+            if analyzer_fires(l1, l4) and any(x != 0 for x in other):
+                return True
+        return False
+
+    for side, table in ((1, model.a), (4, model.d)):
+        for k in range(m):
+            for hidden in range(table.shape[1]):
+                if table[k, hidden] != 0 and not completed(side, hidden):
+                    return {"side": side, "angle": k, "hidden": hidden}
+    return None
+
+
 def broadcast_products(model: LhvModel) -> np.ndarray:
     """Oracle for ``LhvModel.products``: one broadcast product of a, f, d."""
     f = selected_analyzer(model)

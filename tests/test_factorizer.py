@@ -28,6 +28,7 @@ from helpers import (
     block_diagonal,
     compose_two_source,
     loop_constraints,
+    looped_dangling,
     materialized_consistency,
     rebuild,
     tables_model,
@@ -248,6 +249,15 @@ class TestDanglingSupport:
         # (about a fifth of these draws are relevant)
         if check_relevance(model) is None:
             assert find_dangling_support(model) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=ternary_models())
+    # both stations dangle: the analyzer pairs only hidden values 0 and 0,
+    # and the first station's answer comes first
+    @example(model=cells_model({(0, 0): 1, (2, 1): 1}, {(0, 0): 1, (1, 1): 1},
+                               {(0, 0, 0, 0): 1}))
+    def test_matches_looped_oracle(self, model):
+        assert find_dangling_support(model) == looped_dangling(model)
 
 
 class TestBuildComponents:

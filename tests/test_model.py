@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bellswap.model import (
     LhvModel,
     ModelFormatError,
+    _uniform_model,
     classical_expectation,
     dumps,
     event_count,
@@ -454,6 +455,34 @@ class TestRealizedSectors:
             rho1=[Fraction(1), Fraction(0)], rho4=m.rho4, n0=m.n0,
         )
         assert realized_sectors(skewed) == (1,)
+
+
+class TestUniformModel:
+    # the asymmetric shapes tell a swapped rho1 and rho4 apart
+    @pytest.mark.parametrize("hidden", [(1, 3), (3, 1), (2, 2), (3,)])
+    def test_matches_the_explicit_model(self, hidden):
+        n, m = 2, 4
+        rng = np.random.default_rng(len(hidden) * 10 + hidden[0])
+        a = rng.integers(-1, 2, (m, hidden[0]))
+        d = rng.integers(-1, 2, (m, hidden[-1]))
+        kappa = rng.choice([-1, 1], hidden)
+        analyzer = rng.integers(-1, 2, (m, m) + hidden)
+        model = _uniform_model(n, a, d, kappa, analyzer)
+        explicit = LhvModel(
+            family="two_source" if len(hidden) == 2 else "single_source",
+            n=n,
+            a=a,
+            d=d,
+            kappa=kappa,
+            f_plus=analyzer,
+            f_minus=analyzer,
+            rho1=[Fraction(1, hidden[0])] * hidden[0],
+            rho4=[Fraction(1, hidden[1])] * hidden[1] if len(hidden) == 2 else None,
+            n0=4 * n,
+        )
+        assert dumps(model) == dumps(explicit)
+        assert model.n0 == 4 * n
+        assert np.array_equal(model.f_plus, model.f_minus)
 
 
 class TestFileFormat:

@@ -1,5 +1,6 @@
 """The public surface: exported names resolve, README's quick start runs,
-and no source module imports a name it neither uses nor re-exports."""
+no source module imports a name it neither uses nor re-exports, and no
+private definition goes unread."""
 
 from __future__ import annotations
 
@@ -64,3 +65,39 @@ def test_no_unused_imports_in_src():
         if (names := _unused_imports(ast.parse(path.read_text())))
     }
     assert not unused, f"imported but never used: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Top-level ``_name`` functions, classes and assignment targets."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Names a module reads: loaded names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def test_no_unreferenced_private_definitions_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(_read_names, trees.values()))
+    unread = {
+        name: names
+        for name, tree in trees.items()
+        if (names := [d for d in _private_definitions(tree) if d not in read])
+    }
+    assert not unread, f"private definitions nothing in src/ reads: {unread}"
