@@ -13,7 +13,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .angles import GridError, RationalAngle
+from .angles import GridError, RationalAngle, UsageError
 from .factorizer import (
     CounterexampleAlarm,
     FactorizeResult,
@@ -70,6 +70,7 @@ __all__ = [
     "SearchResult",
     "SearchSpace",
     "SizeLimitError",
+    "UsageError",
     "Verdict",
     "ZooError",
     "by_uri",

@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "UsageError",
     "GridError",
     "RationalAngle",
     "correlation_index",
@@ -28,7 +29,11 @@ __all__ = [
 ]
 
 
-class GridError(ValueError):
+class UsageError(ValueError):
+    """An input the caller can correct; the CLI reports it and exits 2."""
+
+
+class GridError(UsageError):
     """A grid resolution is invalid or not supported by the operation."""
 
 

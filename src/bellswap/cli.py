@@ -5,7 +5,8 @@ in a stable order, so identical inputs always produce identical bytes.
 Timing goes to standard error only. Exit status is 0 for success (including
 the expected inconsistency verdict), 1 for model-level failures such as a
 robustness check rejecting its input or a derivation trace that does not
-replay, and 2 for usage or schema errors.
+replay, and 2 for usage or schema errors. Any other exception is an internal
+failure and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .angles import GridError, RationalAngle, correlation_index
+from .angles import RationalAngle, UsageError, correlation_index
 from .factorizer import ConsistencyWitness, FamilyError, factorize
 from .model import (
     SINGLE_SOURCE,
     TWO_SOURCE,
     LhvModel,
-    ModelFormatError,
     dumps,
     event_count,
     save,
@@ -49,7 +49,6 @@ from .verdict import (
     single_source_contradiction,
 )
 from .zoo import (
-    ZooError,
     all_delta_one,
     both_sector_robust,
     catalog,
@@ -60,9 +59,6 @@ from .zoo import (
 )
 
 __all__ = ["Report", "render", "run", "main"]
-
-_USAGE_ERRORS = (ZooError, ModelFormatError, GridError, FamilyError, ValueError)
-
 
 @dataclass(frozen=True)
 class Report:
@@ -597,7 +593,7 @@ def run(argv=None) -> int:
     except ReplayError as exc:  # an internal failure, not a usage error
         print(f"error: replay failed: {exc}", file=sys.stderr)
         return 1
-    except (*_USAGE_ERRORS, OSError) as exc:
+    except (UsageError, FamilyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(render(report, quiet=args.quiet))

@@ -30,6 +30,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .angles import UsageError
+
 __all__ = [
     "ModelFormatError",
     "SizeLimitError",
@@ -68,11 +70,11 @@ _TABLE_FIELDS = {
 }
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(UsageError):
     """A model violates the file format or a structural invariant."""
 
 
-class SizeLimitError(ValueError):
+class SizeLimitError(UsageError):
     """An input whose tables would exceed MAX_TABLE_BYTES; nothing was built."""
 
 
@@ -510,7 +512,11 @@ def loads(text: str) -> LhvModel:
 
 
 def load(path: str | Path) -> LhvModel:
-    return loads(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"document: not text: {exc}") from exc
+    return loads(text)
 
 
 def save(model: LhvModel, path: str | Path) -> None:

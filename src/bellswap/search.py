@@ -68,7 +68,7 @@ from itertools import compress
 
 import numpy as np
 
-from .angles import GridError, required_sign, sign_table
+from .angles import GridError, UsageError, required_sign, sign_table
 from .factorizer import _least_parity_solution, factorize
 from .model import SINGLE_SOURCE, TWO_SOURCE, LhvModel, _refuse_oversize, _uniform_model
 from .robustness import RobustnessReport, is_robust
@@ -113,23 +113,23 @@ class SearchSpace:
 
     def __post_init__(self) -> None:
         if self.family not in (TWO_SOURCE, SINGLE_SOURCE):
-            raise ValueError(f"unknown family {self.family!r}")
+            raise UsageError(f"unknown family {self.family!r}")
         if self.denominator < 1:
-            raise ValueError("denominator must be a positive integer")
+            raise UsageError("denominator must be a positive integer")
         if self.value_domain not in ("ternary", "signs"):
-            raise ValueError(f"unknown value domain {self.value_domain!r}")
+            raise UsageError(f"unknown value domain {self.value_domain!r}")
         if self.family == TWO_SOURCE:
             if not (1 <= self.size1 <= 2 and 1 <= self.size4 <= 2):
-                raise ValueError(
+                raise UsageError(
                     "two_source search supports one or two hidden values per side"
                 )
         elif self.size1 != 4 * self.denominator:
-            raise ValueError(
+            raise UsageError(
                 "single_source search uses the shift lattice: "
                 f"size1 must be {4 * self.denominator}"
             )
         if self.cursor < 0:
-            raise ValueError("cursor must be nonnegative")
+            raise UsageError("cursor must be nonnegative")
 
 
 @dataclass
@@ -294,9 +294,9 @@ def _drive(space, runs, budget, stop_after, keep_limit) -> SearchResult:
     and the budget is checked between runs.
     """
     if stop_after is not None and stop_after < 1:
-        raise ValueError("stop_after must be a positive integer")
+        raise UsageError("stop_after must be a positive integer")
     if budget is not None and not (math.isfinite(budget) and budget >= 0):
-        raise ValueError("budget_seconds must be a finite nonnegative number")
+        raise UsageError("budget_seconds must be a finite nonnegative number")
     started = time.monotonic()
 
     def spent() -> float:
@@ -644,7 +644,7 @@ def search_two_source(
     MAX_TABLE_BYTES raises SizeLimitError before the first block is drawn.
     """
     if space.family != TWO_SOURCE:
-        raise ValueError("search_two_source requires a two_source space")
+        raise UsageError("search_two_source requires a two_source space")
     if space.size1 == 1 and space.size4 == 1:
         _refuse_oversize(
             f"the 1x1 two-source scan on the pi/{space.denominator} grid",
@@ -813,9 +813,9 @@ def search_single_source(
     MAX_TABLE_BYTES raises SizeLimitError before the first block is drawn.
     """
     if space.family != SINGLE_SOURCE:
-        raise ValueError("search_single_source requires a single_source space")
+        raise UsageError("search_single_source requires a single_source space")
     if not 0.0 <= efficiency_floor <= 1.0:
-        raise ValueError("efficiency_floor must lie in [0, 1]")
+        raise UsageError("efficiency_floor must lie in [0, 1]")
     # the first draw lists all 2**m support masks by size, about 42 bytes each
     m = 2 * space.denominator
     _refuse_oversize(

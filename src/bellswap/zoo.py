@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .angles import UsageError
 from .model import (
     SINGLE_SOURCE,
     TWO_SOURCE,
@@ -49,7 +50,7 @@ __all__ = [
 ]
 
 
-class ZooError(ValueError):
+class ZooError(UsageError):
     """A catalog constructor was misused or a model reference is malformed."""
 
 
@@ -60,6 +61,8 @@ def _signs(rng: np.random.Generator, shape) -> np.ndarray:
 def _check_grid(n) -> int:
     if not isinstance(n, int) or n < 1:
         raise ZooError("grid resolution n must be a positive integer")
+    # every catalog model holds at least one m x m int8 analyzer slice
+    _refuse_oversize(f"the analyzer table of an n={n} catalog model", (2 * n) ** 2)
     return 2 * n
 
 
@@ -198,6 +201,8 @@ def synthetic_factorizable(
     MAX_TABLE_BYTES raise SizeLimitError before anything is drawn.
     """
     m = _check_grid(n)
+    if isinstance(seed, int) and seed < 0:
+        raise ZooError(f"seed must be a nonnegative integer, got {seed}")
     if size1 < 1 or size4 < 1:
         raise ZooError("hidden-variable counts must be positive")
     if not 0.0 <= density <= 1.0:

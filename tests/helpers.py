@@ -8,27 +8,22 @@ that shares no code with the code under test.
 from __future__ import annotations
 
 import json
-import math
-import time
 from collections import deque
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 from hypothesis import strategies as st
 
 from bellswap.angles import required_sign, sign_table
 from bellswap.factorizer import (
-    Component,
     ComponentAssignment,
     ConsistencyWitness,
     CounterexampleAlarm,
     TraceStep,
-    _Constraint,
     _eliminate,
-    _first_partner,
     _var_layout,
     _var_name,
+    build_components,
     factorize,
 )
 from bellswap.model import (
@@ -49,7 +44,6 @@ from bellswap.search import (
     FULL64,
     SearchResult,
     _assemble_two_source,
-    _block_keys,
     _ClassPack,
     _column_classes,
     _side_tuples,
@@ -401,10 +395,12 @@ def materialized_consistency(model: LhvModel):
 
 
 def loop_constraints(model: LhvModel):
-    """Oracle for the factorizer's parity constraints: the per-cell loops.
+    """Oracle for the constraint table: the per-cell loops.
 
-    Returns ``(vars, bit, kind, where)`` per constraint, in build order, as
-    the constraint build produced them before it became array kernels.
+    The layer checked is ``factorizer._build_constraints``, whose rows
+    ``build_components`` splits into blocks. Returns ``(vars, bit, kind,
+    where)`` per constraint, in build order, as the constraint build
+    produced them before it became array kernels.
     """
     m, size1 = model.steps, model.size1
     u_base, v_base = m, m + size1
@@ -466,8 +462,9 @@ def loop_constraints(model: LhvModel):
 def union_find_blocks(model: LhvModel, constraints):
     """Oracle for the block split: union-find over ``loop_constraints``.
 
-    Returns ``(members, anchor var, owned where-texts)`` per block, ordered
-    by smallest member.
+    The layer checked is ``build_components``, which labels blocks by
+    squaring a link matrix. Returns ``(members, anchor var, owned
+    constraints)`` per block, ordered by smallest member.
     """
     total = model.steps + model.size1 + model.size4
     parent = list(range(total))
@@ -485,9 +482,28 @@ def union_find_blocks(model: LhvModel, constraints):
     for var in range(total):
         blocks.setdefault(find(var), []).append(var)
     owned = {root: [] for root in blocks}
-    for reduced, _, kind, where in constraints:
-        owned[find(reduced[0])].append(f"{kind}: {where}")
+    for constraint in constraints:
+        owned[find(constraint[0][0])].append(constraint)
     return [(tuple(blocks[root]), root, owned[root]) for root in sorted(blocks)]
+
+
+def assert_components_match(model: LhvModel, constraints) -> None:
+    """``build_components`` against ``union_find_blocks`` over ``constraints``.
+
+    Each block's members, anchor and ``(vars, bit, kind, where)`` rows in
+    order, and that its rows are read-only.
+    """
+    m, size1 = model.steps, model.size1
+    got = []
+    for block in build_components(model):
+        members = (block.angles + tuple(m + i for i in block.first_hidden)
+                   + tuple(m + size1 + j for j in block.last_hidden))
+        kind, index = block.anchor
+        anchor = index + {"a": 0, "u": m, "v": m + size1}[kind]
+        rows = [(c.vars, c.bit, c.kind, c.where) for c in block.constraints]
+        got.append((members, anchor, rows))
+        assert not block.constraints.rows.flags.writeable
+    assert got == union_find_blocks(model, constraints)
 
 
 def _family_coupling(sector: int, parity: int) -> int:
@@ -559,9 +575,11 @@ def fate_pack(classes):
 def unmemoized_double_blocks(space):
     """Oracle for the class-space stream: every block decided on its own.
 
-    The per-block loop the search ran before it decided blocks by their
-    first-station key; the same ``(block, examined, hits, build)`` items
-    as the run stream expanded block by block, and the same return value.
+    The layer checked is ``search._pair_double_blocks``, which decides one
+    block per first-station key and yields a sector map's blocks as one run.
+    This is the per-block loop the search ran before it used that key. It
+    yields the same ``(block, examined, hits, build)`` items as the run
+    stream expanded block by block, and returns the same value.
     """
     n = space.denominator
     m = 2 * n
@@ -654,125 +672,13 @@ def unmemoized_double_blocks(space):
     return total
 
 
-def per_block_double_blocks(space):
-    """Oracle for the class-space run stream: one item per block.
+def per_block_drive(space, blocks, stop_after, keep_limit) -> SearchResult:
+    """Oracle for the run driver, ``search._drive``: books kept block by block.
 
-    The scan as it stood before it yielded a sector map's blocks as one
-    run: it walks the blocks in order, decides each first-station key on
-    first meeting it, and yields ``(block, examined, hits, build)`` items
-    for ``per_block_drive``. Same return value.
-    """
-    n = space.denominator
-    m = 2 * n
-    classes = _column_classes(m, space.value_domain)
-    pack = fate_pack(classes)
-    a_idx = _side_tuples(len(classes), space.size1)
-    d_idx = _side_tuples(len(classes), space.size4)
-    full_mask = (1 << m) - 1
-    patterns = 1 << (space.size1 * space.size4)
-    total = patterns * len(a_idx)
-    first, a_start = divmod(min(space.cursor, total), len(a_idx))
-
-    for code in range(first, patterns):
-        bits = [(code >> k) & 1 for k in range(space.size1 * space.size4)]
-        kappa = np.array(
-            [1 - 2 * b for b in bits], dtype=np.int8
-        ).reshape(space.size1, space.size4)
-        realized = sorted({int(v) for v in kappa.ravel()}, reverse=True)
-        sector_cols1 = {
-            s: [i for i in range(space.size1) if s in kappa[i, :]] for s in realized
-        }
-        sector_cols4 = {
-            s: [j for j in range(space.size4) if s in kappa[:, j]] for s in realized
-        }
-        # bulk prune on both stations: every realized sector must be able to
-        # reach each of its angles; a sector owns one or two first-station
-        # columns (size1 <= 2), so the first and last cover its union
-        a_keep = np.ones(len(a_idx), dtype=bool)
-        a_keep[:a_start] = False
-        d_keep = np.ones(len(d_idx), dtype=bool)
-        for s in realized:
-            cols1 = sector_cols1[s]
-            a_union = pack.supp[a_idx[:, cols1[0]]] | pack.supp[a_idx[:, cols1[-1]]]
-            a_keep &= a_union == full_mask
-            union = np.zeros(len(d_idx), dtype=np.uint16)
-            for j in sector_cols4[s]:
-                union |= pack.supp[d_idx[:, j]]
-            d_keep &= union == full_mask
-        a_start = 0
-        rows = np.nonzero(d_keep)[0]
-        d_cols = [d_idx[rows, j] for j in range(space.size4)]
-        d_supp64 = [pack.supp[col].astype(np.uint64) for col in d_cols]
-        trivial = np.ones(len(rows), dtype=bool)
-        ok_cache: dict[tuple[int, int, int, int], np.ndarray] = {}
-        for j in range(space.size4):
-            col = d_cols[j]
-            for s in realized:
-                for parity in (0, 1):
-                    for pa in (1, -1):
-                        ok_cache[(j, s, parity, pa)] = _pair_not_dead(
-                            1, 1, 1, pa,
-                            pack.even[col], pack.odd[col],
-                            pack.sig_e[col], pack.sig_o[col],
-                            s, parity,
-                        )
-
-        def decide(a_cols):
-            cover = {key: np.zeros(len(rows), dtype=np.uint64) for key in
-                     ((s, parity) for s in realized for parity in (0, 1))}
-            relevant1 = [np.zeros(len(rows), dtype=bool) for _ in range(space.size1)]
-            relevant4 = [np.zeros(len(rows), dtype=bool) for _ in range(space.size4)]
-            for i, ci in enumerate(a_cols):
-                factor = pack.factor[ci]
-                for j in range(space.size4):
-                    s = int(kappa[i, j])
-                    rect = d_supp64[j] * factor
-                    for parity in (0, 1):
-                        if pack.two_sided[ci]:
-                            ok = ok_cache[(j, s, parity, int(pack.pa[ci]))]
-                            cover[(s, parity)] |= np.where(ok, rect, np.uint64(0))
-                        else:
-                            # single-sided first column: no family can die
-                            ok = trivial
-                            cover[(s, parity)] |= rect
-                        relevant1[i] |= ok
-                        relevant4[j] |= ok
-            keep = np.ones(len(rows), dtype=bool)
-            for key in cover:
-                keep &= cover[key] == FULL64
-            for alive in relevant1:
-                keep &= alive
-            for alive in relevant4:
-                keep &= alive
-            hits = np.flatnonzero(keep)
-            hits.flags.writeable = False
-            return hits
-
-        positions = np.flatnonzero(a_keep)
-        keys = _block_keys(pack, a_idx[positions])
-        decided: dict[int, np.ndarray] = {}
-        for a_pos, key in zip(positions.tolist(), keys.tolist()):
-            a_cols = a_idx[a_pos].tolist()
-            hits = decided.get(key)
-            if hits is None:
-                hits = decided[key] = decide(a_cols)
-
-            def build(hit):
-                a = np.stack([_class_column(classes[c], m) for c in a_cols], axis=1)
-                d = np.stack(
-                    [_class_column(classes[c], m) for c in d_idx[rows[hit]]], axis=1
-                )
-                return _assemble_two_source(a, d, kappa, n)
-
-            yield code * len(a_idx) + a_pos, len(rows), hits, build
-    return total
-
-
-def per_block_drive(space, blocks, budget, stop_after, keep_limit) -> SearchResult:
-    """Oracle for ``search._drive``: the books kept one block at a time.
-
-    The driver as it stood before streams yielded runs of blocks: it checks
-    the budget, books the tallies and fills the keep list block by block.
+    The driver as it stood before streams yielded runs of blocks, with no
+    budget: it books the tallies and fills the keep list block by block.
+    It is checked on the engine's own streams, expanded into blocks, so it
+    tests the driver alone; the streams have their own oracles.
 
     ``blocks`` starts at ``space.cursor`` and yields ``(block, examined,
     hits, build)`` for each block that reaches an exact check, in the
@@ -780,20 +686,8 @@ def per_block_drive(space, blocks, budget, stop_after, keep_limit) -> SearchResu
     assembles one of them into a model, valid until the next block is
     drawn. The stream returns the number of blocks in the space.
     """
-    if stop_after is not None and stop_after < 1:
-        raise ValueError("stop_after must be a positive integer")
-    if budget is not None and not (math.isfinite(budget) and budget >= 0):
-        raise ValueError("budget_seconds must be a finite nonnegative number")
-    started = time.monotonic()
-
-    def spent() -> float:
-        return time.monotonic() - started
-
     result = SearchResult(family=space.family, cursor=space.cursor)
     while not result.truncated:
-        if budget is not None and spent() > budget:
-            result.notes = "budget exhausted; partial result, not certifying"
-            break
         try:
             block, examined, hits, build = next(blocks)
         except StopIteration as end:
@@ -819,7 +713,6 @@ def per_block_drive(space, blocks, budget, stop_after, keep_limit) -> SearchResu
         if stop_after is not None and result.robust_count >= stop_after:
             result.truncated = True
     result.certifying = result.completed and space.cursor == 0
-    result.elapsed_seconds = spent()
     return result
 
 
@@ -894,11 +787,13 @@ def eager_product_rule(fact, model: LhvModel):
 
 
 def queue_seed_component(model: LhvModel, component) -> ComponentAssignment:
-    """Oracle for ``seed_component``: propagation that rescans each cell.
+    """Oracle for unit propagation: a queue that rescans each cell.
 
-    The unit propagation as it stood before it kept running counts: every
-    queue pop lists the cell's unknown vars and recomputes its parity from
-    the assignment. Same queue, trace steps and alarm texts.
+    The layer checked is ``seed_component`` with its ``_propagate`` walk
+    over bit-set row counts. Here every queue pop lists the cell's unknown
+    vars and recomputes its parity from the assignment, as the propagation
+    did before it kept running counts. Same trace steps, assignments and
+    alarm texts.
     """
     m, v_base, _ = _var_layout(model)
     members = set(component.angles)
@@ -984,182 +879,6 @@ def einsum_count(operands: str, full: np.ndarray, diag: np.ndarray) -> int:
     tables = [full if len(op) == 4 else diag for op in operands.split(",")]
     path = np.einsum_path(f"{operands}->", *tables, optimize="optimal")[0]
     return int(np.einsum(f"{operands}->", *tables, optimize=path))
-
-
-def _tuple_pairs(kind, angle, hidden_var, sign, cell):
-    bits = (sign < 0).astype(np.int8).tolist()
-    return list(map(_Constraint, zip(angle.tolist(), hidden_var.tolist()),
-                    bits, repeat(kind), zip(*(c.tolist() for c in cell))))
-
-
-def tuple_constraints(model: LhvModel) -> list:
-    """Oracle for the constraint table: one ``_Constraint`` per cell.
-
-    The array kernels as they stood before the int table: each kind's
-    arrays are turned into NamedTuples, in build order.
-    """
-    m, size1, size4 = model.steps, model.size1, model.size4
-    u_base, v_base = m, m + size1
-    a, d = model.a, model.d
-    f = selected_analyzer(model)
-    out = []
-    for kind, table, base in (
-        ("first_station_cell", a, u_base),
-        ("last_station_cell", d, v_base),
-    ):
-        k, lam = np.nonzero(table)
-        out += _tuple_pairs(kind, k, base + lam, table[k, lam], (k, lam))
-    cell = np.nonzero(f)
-    k2, k3, l1, l4 = cell
-    lo, hi = np.minimum(k2, k3).tolist(), np.maximum(k2, k3).tolist()
-    us, vs = (u_base + l1).tolist(), (v_base + l4).tolist()
-    out += map(
-        _Constraint,
-        [(x, y, u, v) if x != y else (u, v) for x, y, u, v in zip(lo, hi, us, vs)],
-        (f[cell] < 0).astype(np.int8).tolist(),
-        repeat("analyzer_cell"),
-        zip(*(c.tolist() for c in cell)),
-    )
-    k, l1, pos, sign = _first_partner(
-        (f.transpose(0, 2, 1, 3) * d).reshape(m, size1, -1), a == 0
-    )
-    beta, l4 = np.divmod(pos, size4)
-    out += _tuple_pairs("first_station_bridge", k, u_base + l1, sign,
-                        (k, beta, l1, l4))
-    k, l4, pos, sign = _first_partner(
-        (f.transpose(1, 3, 0, 2) * a).reshape(m, size4, -1), d == 0
-    )
-    beta, l1 = np.divmod(pos, size1)
-    out += _tuple_pairs("last_station_bridge", k, v_base + l4, sign,
-                        (k, beta, l1, l4))
-    for table, base, kind in (
-        (a, u_base, "first_station_fill"),
-        (d, v_base, "last_station_fill"),
-    ):
-        live = table != 0
-        size = table.shape[1]
-        partner = live[None, None] & live[:, None, None, :] & live.T[None, :, :, None]
-        beta, lam_alt, pos, _ = _first_partner(partner.reshape(m, size, -1), ~live)
-        alpha, lam = np.divmod(pos, size)
-        sign = table[alpha, lam] * table[beta, lam] * table[alpha, lam_alt]
-        out += _tuple_pairs(kind, beta, base + lam_alt, sign,
-                            (alpha, beta, lam, lam_alt))
-    return out
-
-
-def tuple_build_components(model: LhvModel) -> tuple:
-    """Oracle for ``build_components``: blocks holding ``_Constraint`` tuples.
-
-    The block split as it stood before the int table: labels from the
-    squared link matrix over the distinct var sets, and each block's
-    constraints as a tuple of NamedTuples in build order.
-    """
-    m, u_end, v_end = _var_layout(model)
-    constraints = tuple_constraints(model)
-    linked = np.eye(v_end, dtype=bool)
-    var_sets = {c.vars for c in constraints}
-    linked[[vs[0] for vs in var_sets for _ in vs],
-           [var for vs in var_sets for var in vs]] = True
-    linked |= linked.T
-    while True:
-        reach = linked @ linked
-        if np.array_equal(reach, linked):
-            break
-        linked = reach
-    label = linked.argmax(axis=1).tolist()
-    owned: dict = {}
-    for constraint in constraints:
-        owned.setdefault(label[constraint.vars[0]], []).append(constraint)
-    components = []
-    for root in sorted(set(label)):
-        members = [var for var in range(v_end) if label[var] == root]
-        components.append(Component(
-            angles=tuple(v for v in members if v < m),
-            first_hidden=tuple(v - m for v in members if m <= v < u_end),
-            last_hidden=tuple(v - u_end for v in members if v >= u_end),
-            anchor=_var_name(model, root),
-            constraints=tuple(owned.get(root, ())),
-        ))
-    return tuple(components)
-
-
-def running_count_seed_component(model: LhvModel, component) -> ComponentAssignment:
-    """Oracle for ``seed_component``: running counts over ``_Constraint`` tuples.
-
-    The propagation as it stood before the int table: per-var row lists and
-    per-row counts read off the NamedTuples one by one, and a queue that
-    also takes every row whose last var settles and checks it when popped.
-    Same trace steps, assignments and alarm texts.
-    """
-    m, v_base, _ = _var_layout(model)
-    members = set(component.angles)
-    members.update(m + i for i in component.first_hidden)
-    members.update(v_base + i for i in component.last_hidden)
-    constraints = component.constraints
-    assignment: dict = {}
-    trace: list = []
-    kind, index = component.anchor
-    anchor_var = {"a": index, "u": m + index, "v": v_base + index}[kind]
-    assignment[anchor_var] = 0
-    trace.append(TraceStep(
-        kind="seed",
-        target=component.anchor,
-        value=1,
-        reason="block anchor fixed to +1; all other signs are forced"
-               " relative to it",
-    ))
-    by_var: dict = {}
-    unknown, missing_sum, parity = [], [], []
-    for i, c in enumerate(constraints):
-        for var in c.vars:
-            by_var.setdefault(var, []).append(i)
-        unknown.append(len(c.vars))
-        missing_sum.append(sum(c.vars))
-        parity.append(c.bit)
-    for j in by_var.get(anchor_var, ()):
-        unknown[j] -= 1
-        missing_sum[j] -= anchor_var
-    queue = deque(i for i, count in enumerate(unknown) if count <= 1)
-    seen_zero: set = set()
-
-    def settle(var, value, source):
-        assignment[var] = value
-        trace.append(TraceStep(
-            kind="unit",
-            target=_var_name(model, var),
-            value=1 if value == 0 else -1,
-            reason=f"{source.kind}: {source.where}",
-        ))
-        for j in by_var.get(var, ()):
-            unknown[j] -= 1
-            missing_sum[j] -= var
-            parity[j] ^= value
-            if unknown[j] <= 1:
-                queue.append(j)
-
-    while queue:
-        i = queue.popleft()
-        if unknown[i]:
-            settle(missing_sum[i], parity[i], constraints[i])
-        elif i not in seen_zero:
-            seen_zero.add(i)
-            if parity[i]:
-                c = constraints[i]
-                raise CounterexampleAlarm(
-                    f"conflicting sign chain at {c.kind} ({c.where}):"
-                    " the cell disagrees with the values already forced"
-                )
-    eliminated = 0
-    leftovers = sorted(members - set(assignment))
-    if leftovers:
-        eliminated = _eliminate(model, constraints, assignment, leftovers, trace)
-    a = {var: 1 - 2 * assignment[var] for var in members if var < m}
-    u = {var - m: 1 - 2 * assignment[var] for var in members if m <= var < v_base}
-    v = {var - v_base: 1 - 2 * assignment[var] for var in members if var >= v_base}
-    return ComponentAssignment(
-        component=component, a=a, u=u, v=v,
-        trace=tuple(trace), eliminated=eliminated,
-    )
 
 
 def _lookup(model: LhvModel, phis, l1: int, l4: int | None):

@@ -9,10 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bellswap
-from bellswap import cli
+from bellswap import cli, factorizer, robustness, search, verdict
 from bellswap.cli import run
 from bellswap.verdict import ReplayError
 from bellswap.zoo import all_delta_one
@@ -144,6 +145,21 @@ class TestCheck:
         assert code == 2
         assert not out
         assert len(err.splitlines()) == 1 and "A: values must" in err
+
+    def test_binary_model_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n")
+        code, out, err = invoke(capsys, "check", "--model", str(path))
+        assert code == 2
+        assert not out
+        assert "document: not text" in err
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        uri = "zoo:synthetic_factorizable:seed=-1"
+        code, out, err = invoke(capsys, "check", "--model", uri)
+        assert code == 2
+        assert not out
+        assert "seed must be a nonnegative integer" in err
 
 
 class TestFactorize:
@@ -427,3 +443,25 @@ class TestUsage:
         code = run(["quantum", "--phi", "garbage"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("argv, module, stage", [
+        (("check", "--model", "zoo:synthetic_factorizable:seed=1"),
+         robustness, "check_perfect_correlations"),
+        (("factorize", "--model", "zoo:synthetic_factorizable:seed=1"),
+         factorizer, "check_consistency"),
+        (("verdict", "--model", "zoo:synthetic_factorizable:seed=1"),
+         verdict, "derive_product_rule"),
+        (("search", "--n", "2"), search, "_demand_masks"),
+    ], ids=["check", "factorize", "verdict", "search"])
+    def test_internal_value_error_is_not_a_usage_error(
+        self, capsys, monkeypatch, argv, module, stage
+    ):
+        # a shape bug inside a stage: numpy's ValueError leaves run with its
+        # traceback, so the process exits 1, never 2 with a usage line
+        def broken(*args, **kwargs):
+            return np.zeros(3).reshape(2, 2)
+
+        monkeypatch.setattr(module, stage, broken)
+        with pytest.raises(ValueError, match="cannot reshape"):
+            run(list(argv))
+        assert "error:" not in capsys.readouterr().err

@@ -25,6 +25,7 @@ from bellswap.model import LhvModel, selected_analyzer
 from bellswap.robustness import RobustnessReport, check_relevance
 
 from helpers import (
+    assert_components_match,
     block_diagonal,
     compose_two_source,
     loop_constraints,
@@ -33,7 +34,6 @@ from helpers import (
     rebuild,
     tables_model,
     ternary_models,
-    union_find_blocks,
 )
 
 
@@ -340,16 +340,7 @@ class TestBuildComponents:
         constraints = loop_constraints(model)
         built = factorizer._build_constraints(model)
         assert [(c.vars, c.bit, c.kind, c.where) for c in built] == constraints
-        m, size1 = model.steps, model.size1
-        got = []
-        for comp in build_components(model):
-            members = (comp.angles + tuple(m + i for i in comp.first_hidden)
-                       + tuple(m + size1 + j for j in comp.last_hidden))
-            kind, index = comp.anchor
-            anchor = index + {"a": 0, "u": m, "v": m + size1}[kind]
-            got.append((members, anchor,
-                        [f"{c.kind}: {c.where}" for c in comp.constraints]))
-        assert got == union_find_blocks(model, constraints)
+        assert_components_match(model, constraints)
 
     def test_rejects_single_source(self):
         with pytest.raises(FamilyError):

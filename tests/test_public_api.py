@@ -1,6 +1,7 @@
 """The public surface: exported names resolve, README's quick start runs,
 no source module imports a name it neither uses nor re-exports, and no
-private definition goes unread."""
+private definition goes unread; nor does ``tests/helpers.py`` hold an
+unused import or a function no test reads."""
 
 from __future__ import annotations
 
@@ -101,3 +102,31 @@ def test_no_unreferenced_private_definitions_in_src():
         if (names := [d for d in _private_definitions(tree) if d not in read])
     }
     assert not unread, f"private definitions nothing in src/ reads: {unread}"
+
+
+TESTS = Path(__file__).resolve().parent
+HELPERS = TESTS / "helpers.py"
+
+
+def test_no_unused_imports_in_test_helpers():
+    unused = _unused_imports(ast.parse(HELPERS.read_text()))
+    assert not unused, f"tests/helpers.py imports but never uses: {unused}"
+
+
+def test_every_test_helper_is_read():
+    """Each top-level function in helpers.py is read by a test module, or by
+    a helper that is: an oracle its comparisons stopped reading is dead."""
+    functions = {
+        node.name: node
+        for node in ast.parse(HELPERS.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    tests = [ast.parse(path.read_text()) for path in sorted(TESTS.glob("test_*.py"))]
+    frontier = list(functions.keys() & set().union(*map(_read_names, tests)))
+    reached = set(frontier)
+    while frontier:
+        fresh = _read_names(functions[frontier.pop()]) & functions.keys() - reached
+        reached |= fresh
+        frontier += fresh
+    unread = sorted(functions.keys() - reached)
+    assert not unread, f"tests/helpers.py functions no test reads: {unread}"

@@ -57,7 +57,6 @@ from helpers import (
     fate_pack,
     looped_single_source,
     parity_split_model,
-    per_block_double_blocks,
     per_block_drive,
     rebuild,
     tensor_single_blocks,
@@ -440,6 +439,15 @@ STREAM_DIGESTS = {
         two_source_space(size4=2, cursor=100),
         "b7a2aec43c31265e2bef6de732db142ec8cf8d249beac88bbfbca4ac5b0f93b9",
     ),
+    # the resumed census streams the run driver is checked on
+    "2x2 from mid-map 0": (
+        two_source_space(size1=2, size4=2, cursor=115200),
+        "9a3fff9850c9af1339d232b74a5c89c5628b9d0e172cd1d21d3e8ec4fde32893",
+    ),
+    "2x2 from map 5": (
+        two_source_space(size1=2, size4=2, cursor=1152000),
+        "9f51abb78c654703973e81c850d6a694cb18b235e86c02ac246d5516453b03ae",
+    ),
 }
 
 
@@ -615,7 +623,10 @@ SECTOR_MAP = 230400  # first-station tuples, and so blocks, per 2x2 sector map
 
 
 class TestRunDriver:
-    """The driver books runs of blocks as the per-block oracle books blocks."""
+    """The driver books runs of blocks as the per-block oracle books blocks.
+
+    Both read the engine's own stream, which the stream tests check.
+    """
 
     @pytest.mark.parametrize("space, kwargs", [
         (two_source_space(size4=2), {}),
@@ -662,9 +673,9 @@ class TestRunDriver:
     def test_matches_the_per_block_oracle(self, space, kwargs):
         result = search_two_source(space, **kwargs)
         single = space.size1 == space.size4 == 1
-        blocks = tensor_single_blocks(space) if single else per_block_double_blocks(space)
+        stream = _pair_single_blocks(space) if single else _pair_double_blocks(space)
         oracle = per_block_drive(
-            space, blocks, None,
+            space, blocks_of(stream),
             kwargs.get("stop_after"), kwargs.get("keep_limit", 16),
         )
         assert plain_fields(result) == plain_fields(oracle)
@@ -696,9 +707,10 @@ class TestPairSearch:
         assert result.robust_count > 0
         assert result.completed
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_stream_matches_the_tensor_oracle(self, n):
-        space = two_source_space(denominator=n)
+    @pytest.mark.parametrize("n, cursor", [(1, 0), (2, 0), (3, 0), (4, 0), (3, 16)],
+                             ids=["1", "2", "3", "4", "3 from block 16"])
+    def test_stream_matches_the_tensor_oracle(self, n, cursor):
+        space = two_source_space(denominator=n, cursor=cursor)
         assert drain(_pair_single_blocks(space)) == drain(tensor_single_blocks(space))
 
     def test_n5_stride_matches_the_tensor_oracle(self):

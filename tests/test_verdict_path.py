@@ -2,12 +2,12 @@
 
 Each rewrite of the path has an oracle in ``helpers``: the eagerly built
 product-rule events, unit propagation that rescans every cell, the
-factorizer's ``_Constraint`` tuples with their running-count propagation,
-the high-bit elimination, the einsum relation counts, the multi-axis
-reductions of the robustness gate, and the per-assignment loops that
-counted events and averaged outcomes. Property tests compare the two on
-random models; the rest pins the trace checks ``replay`` makes and the size
-guards that refuse oversized inputs before allocating.
+per-cell constraint loops with their union-find block split, the high-bit
+elimination, the einsum relation counts, the multi-axis reductions of the
+robustness gate, and the per-assignment loops that counted events and
+averaged outcomes. Property tests compare the two on random models; the
+rest pins the trace checks ``replay`` makes and the size guards that refuse
+oversized inputs before allocating.
 """
 
 from __future__ import annotations
@@ -51,11 +51,13 @@ from bellswap.robustness import (
 from bellswap.zoo import by_uri, catalog, synthetic_factorizable
 
 from helpers import (
+    assert_components_match,
     block_diagonal,
     broadcast_products,
     eager_product_rule,
     einsum_count,
     high_bit_eliminate,
+    loop_constraints,
     looped_expectation,
     multi_axis_correlations,
     multi_axis_counts,
@@ -63,16 +65,15 @@ from helpers import (
     multi_axis_relevance,
     queue_seed_component,
     rebuild,
-    running_count_seed_component,
     tables_model,
     ternary_models,
-    tuple_build_components,
 )
 from test_golden import MODELS
 
 PROPERTY = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+SEED_PROPERTY = settings(PROPERTY, max_examples=120)
 
 
 @st.composite
@@ -145,7 +146,7 @@ def _factorization(model):
 
 
 # ---------------------------------------------------------------------------
-# unit propagation: running counts against per-pop rescans
+# unit propagation: the int-table walk against per-pop rescans
 
 
 def _assert_seeds_match(model):
@@ -158,13 +159,13 @@ def _assert_seeds_match(model):
     return alarms
 
 
-@PROPERTY
+@SEED_PROPERTY
 @given(model=ternary_models())
 def test_seed_component_matches_rescanning_propagation(model):
     _assert_seeds_match(model)
 
 
-@PROPERTY
+@SEED_PROPERTY
 @given(model=synthetic_models())
 def test_seed_component_matches_on_factorizable_models(model):
     assert _assert_seeds_match(model) == 0
@@ -222,60 +223,16 @@ def test_count_plans_are_built_once_per_relation_and_shape():
     assert factorizer._count_plan.cache_info().misses == misses
 
 
-def _assert_components_match(model):
-    got, want = build_components(model), tuple_build_components(model)
-    assert got == want
-    for block, oracle in zip(got, want):
-        assert tuple(block.constraints) == oracle.constraints
-        assert not block.constraints.rows.flags.writeable
-
-
 @PROPERTY
 @given(model=ternary_models())
 def test_components_match_the_tuple_build_on_sparse_tables(model):
-    _assert_components_match(model)
+    assert_components_match(model, loop_constraints(model))
 
 
 @PROPERTY
 @given(model=synthetic_models())
 def test_components_match_the_tuple_build_on_factorizable_models(model):
-    _assert_components_match(model)
-
-
-def _assert_seeds_match_running_counts(model):
-    alarms = 0
-    oracles = tuple_build_components(model)
-    for component, oracle in zip(build_components(model), oracles):
-        got = _outcome(seed_component, model, component)
-        want = _outcome(running_count_seed_component, model, oracle)
-        assert got == want
-        alarms += isinstance(want, str)
-    return alarms
-
-
-@PROPERTY
-@given(model=ternary_models())
-def test_seed_matches_running_count_walk_on_sparse_tables(model):
-    _assert_seeds_match_running_counts(model)
-
-
-@PROPERTY
-@given(model=synthetic_models())
-def test_seed_matches_running_count_walk_on_factorizable_models(model):
-    assert _assert_seeds_match_running_counts(model) == 0
-
-
-def test_seed_alarm_texts_match_running_count_walk_on_conflicting_tables():
-    alarms = 0
-    for seed in range(40):
-        rng = np.random.default_rng(seed)
-        model = synthetic_factorizable(seed, n=2, density=0.7, kappa="mixed")
-        f = model.f_plus.copy()
-        live = np.argwhere(f != 0)
-        for k2, k3, l1, l4 in live[rng.permutation(len(live))[:2]]:
-            f[k2, k3, l1, l4] *= -1
-        alarms += _assert_seeds_match_running_counts(rebuild(model, f_plus=f, f_minus=f))
-    assert alarms >= 10
+    assert_components_match(model, loop_constraints(model))
 
 
 def test_conflict_seen_only_at_a_complete_row_raises():
@@ -295,8 +252,7 @@ def test_conflict_seen_only_at_a_complete_row_raises():
         " hidden (0,0)): the cell disagrees with the values already forced"
     )
     assert _outcome(seed_component, model, component) == text
-    oracle = tuple_build_components(model)[0]
-    assert _outcome(running_count_seed_component, model, oracle) == text
+    assert _outcome(queue_seed_component, model, component) == text
 
 
 def test_where_text_is_built_only_for_forcing_rows(monkeypatch):
