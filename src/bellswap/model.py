@@ -111,7 +111,10 @@ def _has_bool(values, depth: int) -> bool:
 def _sign_array(values, path: str, allow_zero: bool) -> np.ndarray:
     # a copy at the input's own dtype: the model owns its tables, so no
     # caller alias can change them, and nothing is cast before it is checked
-    arr = np.array(values)
+    try:
+        arr = np.array(values)
+    except ValueError as exc:  # a ragged nested list
+        raise ModelFormatError(f"{path}: malformed table data: {exc}") from exc
     if arr.size:
         allowed = [-1, 0, 1] if allow_zero else [-1, 1]
         if arr.dtype.kind not in "iu" or (
@@ -129,6 +132,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _weights(values, path: str) -> tuple[Fraction, ...]:
+    _require(isinstance(values, (list, tuple)), path, "must be a list")
+    _require(len(values) >= 1, path, "at least one hidden-variable value required")
     out = []
     for i, v in enumerate(values):
         # JSON true/false would otherwise pass as the weights 1 and 0, and
@@ -137,7 +142,7 @@ def _weights(values, path: str) -> tuple[Fraction, ...]:
                  f"not a rational number: {v!r}")
         try:
             w = Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ModelFormatError(f"{path}[{i}]: not a rational number: {v!r}") from exc
         _require(w >= 0, f"{path}[{i}]", "weights must be nonnegative")
         out.append(w)
@@ -179,9 +184,8 @@ class LhvModel:
                 self, name,
                 _sign_array(getattr(self, name), path, allow_zero=name != "kappa"),
             )
-        size1 = len(self.rho1)
-        _require(size1 >= 1, "rho1", "at least one hidden-variable value required")
         object.__setattr__(self, "rho1", _weights(self.rho1, "rho1"))
+        size1 = len(self.rho1)
         if self.family == TWO_SOURCE:
             _require(self.rho4 is not None, "rho4",
                      "two_source models carry a second weight vector")
@@ -454,60 +458,29 @@ def dumps(model: LhvModel) -> str:
 
 
 def loads(text: str) -> LhvModel:
+    """A model from its document; ``LhvModel`` checks all but the file's own rules."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"document: not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "document", "top level must be an object")
-    required = {
-        "family", "n", "lambda1", "lambda4", "A", "D", "kappa",
-        "F_plus_sector", "F_minus_sector", "rho1", "rho4", "n0",
-    }
-    missing = required - doc.keys()
+    same_name = ("family", "n", "rho1", "rho4", "n0")  # fields named as in LhvModel
+    missing = {"lambda1", "lambda4", *same_name, *_TABLE_FIELDS.values()} - doc.keys()
     _require(not missing, "document", f"missing fields: {sorted(missing)}")
-    family = doc["family"]
-    _require(family in (TWO_SOURCE, SINGLE_SOURCE), "family",
-             f"unknown family {family!r}")
-    if family == SINGLE_SOURCE:
-        _require(doc["lambda4"] is None, "lambda4",
-                 "single_source models must not carry a second hidden-variable set")
-        _require(doc["rho4"] is None, "rho4",
-                 "single_source models must not carry a second weight vector")
-    else:
-        _require(doc["lambda4"] is not None, "lambda4",
-                 "two_source models need a second hidden-variable set")
-        _require(doc["rho4"] is not None, "rho4",
-                 "two_source models need a second weight vector")
+    model = LhvModel(**{name: doc[name] for name in same_name},
+                     **{name: doc[path] for name, path in _TABLE_FIELDS.items()})
+    # the declared sizes restate the vectors' lengths, null for no vector
     for field, size_field in (("rho1", "lambda1"), ("rho4", "lambda4")):
-        if doc[field] is None:
+        weights, declared = getattr(model, field), doc[size_field]
+        if weights is None:
+            _require(declared is None, size_field,
+                     f"declared size {declared!r} for a null {field}")
             continue
-        _require(isinstance(doc[field], list), field, "must be a list")
-        declared = doc[size_field]
         _require(_is_int(declared), size_field,
                  f"declared size must be an integer, got {declared!r}")
-        _require(
-            declared == len(doc[field]),
-            size_field,
-            f"declared size {declared!r} does not match {field} length"
-            f" {len(doc[field])}",
-        )
-    try:
-        model = LhvModel(
-            family=family,
-            n=doc["n"],
-            a=doc["A"],
-            d=doc["D"],
-            kappa=doc["kappa"],
-            f_plus=doc["F_plus_sector"],
-            f_minus=doc["F_minus_sector"],
-            rho1=doc["rho1"],
-            rho4=doc["rho4"],
-            n0=doc["n0"],
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ModelFormatError):
-            raise
-        raise ModelFormatError(f"document: malformed table data: {exc}") from exc
+        _require(declared == len(weights), size_field,
+                 f"declared size {declared!r} does not match {field} length"
+                 f" {len(weights)}")
     return model
 
 

@@ -114,7 +114,7 @@ class SearchSpace:
     def __post_init__(self) -> None:
         if self.family not in (TWO_SOURCE, SINGLE_SOURCE):
             raise UsageError(f"unknown family {self.family!r}")
-        if self.denominator < 1:
+        if not isinstance(self.denominator, int) or self.denominator < 1:
             raise UsageError("denominator must be a positive integer")
         if self.value_domain not in ("ternary", "signs"):
             raise UsageError(f"unknown value domain {self.value_domain!r}")

@@ -342,11 +342,7 @@ class MinusClash:
     event: tuple[int, int]
 
 
-def check_minus_clash(
-    fact: Factorization,
-    model: LhvModel,
-    constant: ConstantSignReport | None = None,
-) -> MinusClash:
+def check_minus_clash(fact: Factorization, model: LhvModel) -> MinusClash:
     """First anticorrelated tuple the derived sign structure fails.
 
     Raises GridError when the grid cannot force a clash: either it hosts no
@@ -354,7 +350,7 @@ def check_minus_clash(
     satisfied by the alternating sign assignment (resolution 2 mod 4).
     """
     _reject_single_source(model)
-    sector = constant.sector if constant is not None else realized_sectors(model)[0]
+    sector = realized_sectors(model)[0]
     codes = np.flatnonzero(sign_table(model.n, sector) == -1)
     if len(codes) == 0:
         raise GridError(
@@ -526,7 +522,7 @@ def run(model: LhvModel) -> Verdict:
         fact = result.factorization
         rule = derive_product_rule(fact, model)
         constant = derive_constant_a(fact, model, rule)
-        clash = check_minus_clash(fact, model, constant)
+        clash = check_minus_clash(fact, model)
         expectation = predict_E_class(fact, model)
     except CounterexampleAlarm as exc:
         return Verdict(kind="alarm", witness=str(exc))

@@ -66,6 +66,15 @@ def _check_grid(n) -> int:
     return 2 * n
 
 
+def _check_counts(size1, size4) -> None:
+    if not (isinstance(size1, int) and isinstance(size4, int)):
+        raise ZooError(
+            f"hidden-variable counts must be integers, got {size1!r} and {size4!r}"
+        )
+    if size1 < 1 or size4 < 1:
+        raise ZooError("hidden-variable counts must be positive")
+
+
 def _alternating_pair_signs(m: int) -> np.ndarray:
     """The sign sequence +1,+1,-1,-1,... used by the robust catalog models."""
     return np.array([(-1) ** (k // 2) for k in range(m)], dtype=np.int8)
@@ -83,8 +92,7 @@ def all_delta_one(n: int = 4, size1: int = 2, size4: int = 2) -> LhvModel:
     sector. The reference point for the counting law.
     """
     m = _check_grid(n)
-    if size1 < 1 or size4 < 1:
-        raise ZooError("hidden-variable counts must be positive")
+    _check_counts(size1, size4)
     return _uniform_model(
         n,
         np.ones((m, size1), np.int8),
@@ -201,12 +209,11 @@ def synthetic_factorizable(
     MAX_TABLE_BYTES raise SizeLimitError before anything is drawn.
     """
     m = _check_grid(n)
-    if isinstance(seed, int) and seed < 0:
-        raise ZooError(f"seed must be a nonnegative integer, got {seed}")
-    if size1 < 1 or size4 < 1:
-        raise ZooError("hidden-variable counts must be positive")
-    if not 0.0 <= density <= 1.0:
-        raise ZooError(f"density must lie in [0, 1], got {density}")
+    if not isinstance(seed, int) or seed < 0:
+        raise ZooError(f"seed must be a nonnegative integer, got {seed!r}")
+    _check_counts(size1, size4)
+    if not isinstance(density, (int, float)) or not 0.0 <= density <= 1.0:
+        raise ZooError(f"density must lie in [0, 1], got {density!r}")
     # the draws and tables take about 9.5 bytes per analyzer entry, measured
     # with tracemalloc: the float64 draw and its bool mask peak together
     _refuse_oversize(
@@ -468,9 +475,10 @@ def by_uri(uri: str) -> LhvModel:
             raise ZooError(f"malformed argument {piece!r}; expected key=value")
         kwargs[key] = _coerce(value)
     try:
-        return builder(**kwargs)
+        bound = inspect.signature(builder).bind(**kwargs)
     except TypeError as exc:
         raise ZooError(f"bad arguments for {name}: {exc}") from exc
+    return builder(*bound.args, **bound.kwargs)
 
 
 def resolve(reference: str) -> LhvModel:

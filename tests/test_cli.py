@@ -9,11 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import bellswap
-from bellswap import cli, factorizer, robustness, search, verdict
+from bellswap import cli, factorizer, model, robustness, search, verdict, zoo
 from bellswap.cli import run
 from bellswap.verdict import ReplayError
 from bellswap.zoo import all_delta_one
@@ -160,6 +159,24 @@ class TestCheck:
         assert code == 2
         assert not out
         assert "seed must be a nonnegative integer" in err
+
+    @pytest.mark.parametrize("uri", [
+        "zoo:synthetic_factorizable:seed=1,size1=a",
+        "zoo:synthetic_factorizable:seed=1,size1=2.5",
+        "zoo:synthetic_factorizable:seed=1,density=x",
+        "zoo:synthetic_factorizable:seed=2.5",
+        "zoo:synthetic_factorizable:seed=x",
+        "zoo:synthetic_factorizable:seed=1,bogus=1",
+        "zoo:synthetic_factorizable:seed=1,kappa=7",
+        "zoo:all_delta_one:size4=b",
+        "zoo:single_source_efficient_50:n=x",
+        "zoo:single_source_efficient_50:n=2.5",
+    ])
+    def test_wrongly_typed_zoo_argument_is_a_usage_error(self, capsys, uri):
+        code, out, err = invoke(capsys, "check", "--model", uri)
+        assert code == 2
+        assert not out
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 class TestFactorize:
@@ -444,24 +461,31 @@ class TestUsage:
         capsys.readouterr()
         assert code == 2
 
-    @pytest.mark.parametrize("argv, module, stage", [
+    @pytest.mark.parametrize("argv, module, stage, error", [
         (("check", "--model", "zoo:synthetic_factorizable:seed=1"),
-         robustness, "check_perfect_correlations"),
+         robustness, "check_perfect_correlations", ValueError),
         (("factorize", "--model", "zoo:synthetic_factorizable:seed=1"),
-         factorizer, "check_consistency"),
+         factorizer, "check_consistency", ValueError),
         (("verdict", "--model", "zoo:synthetic_factorizable:seed=1"),
-         verdict, "derive_product_rule"),
-        (("search", "--n", "2"), search, "_demand_masks"),
-    ], ids=["check", "factorize", "verdict", "search"])
+         verdict, "derive_product_rule", ValueError),
+        (("search", "--n", "2"), search, "_demand_masks", ValueError),
+        (("check", "--model", "{file}"), model, "_read_only", ValueError),
+        (("check", "--model", "zoo:synthetic_factorizable:seed=1"),
+         zoo, "_repair_support", TypeError),
+    ], ids=["check", "factorize", "verdict", "search", "load", "zoo"])
     def test_internal_value_error_is_not_a_usage_error(
-        self, capsys, monkeypatch, argv, module, stage
+        self, capsys, monkeypatch, tmp_path, argv, module, stage, error
     ):
-        # a shape bug inside a stage: numpy's ValueError leaves run with its
-        # traceback, so the process exits 1, never 2 with a usage line
+        # a bug inside a stage, the model intake or a zoo builder: the
+        # ValueError or TypeError leaves run with its traceback, so the
+        # process exits 1, never 2 with a usage line
+        path = tmp_path / "model.json"
+        bellswap.save(all_delta_one(n=1, size1=1, size4=1), path)
+
         def broken(*args, **kwargs):
-            return np.zeros(3).reshape(2, 2)
+            raise error(f"a bug in {stage}")
 
         monkeypatch.setattr(module, stage, broken)
-        with pytest.raises(ValueError, match="cannot reshape"):
-            run(list(argv))
+        with pytest.raises(error, match=f"^a bug in {stage}$"):
+            run([arg.format(file=path) for arg in argv])
         assert "error:" not in capsys.readouterr().err

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -241,6 +242,17 @@ class TestValidation:
         for weights in ([True, False], [0.5, 0.5], [np.float64(0.5)] * 2):
             with pytest.raises(ModelFormatError, match=r"^rho1\[0\]: not a rational"):
                 dataclasses.replace(constant_two_source(), rho1=weights)
+
+    @pytest.mark.parametrize("field, value, path", [
+        ("rho1", "1", "rho1"),
+        ("rho4", 5, "rho4"),
+        ("a", [[1, 1], [1, 1], [1, 1], [1]], "A"),
+    ], ids=["string-rho1", "integer-rho4", "ragged-a"])
+    def test_malformed_input_names_its_field(self, field, value, path):
+        # a string is no weight vector though it iterates, an integer has
+        # no length, and numpy refuses a ragged list with a ValueError
+        with pytest.raises(ModelFormatError, match=f"^{path}: "):
+            dataclasses.replace(constant_two_source(), **{field: value})
 
     def test_tables_are_frozen(self):
         m = constant_two_source()
@@ -525,6 +537,23 @@ class TestFileFormat:
         broken = text.replace('"lambda4": null', '"lambda4": 3')
         with pytest.raises(ModelFormatError, match="lambda4"):
             loads(broken)
+
+    @pytest.mark.parametrize("family, changes, message", [
+        ("two_source", {"A": [[1], [1, 1]]}, "A: malformed table data"),
+        ("two_source", {"lambda4": None, "rho4": None},
+         "rho4: two_source models carry a second weight vector"),
+        ("single_source", {"lambda4": 1, "rho4": ["1"]},
+         "rho4: single_source models carry one shared weight vector"),
+        ("single_source", {"lambda4": 3}, "lambda4: declared size 3 for a null rho4"),
+        ("two_source", {"rho1": "1/1"}, "rho1: must be a list"),
+    ], ids=["ragged-table", "two-source-without-rho4", "single-source-with-rho4",
+            "single-source-with-lambda4", "string-rho1"])
+    def test_the_model_rules_read_the_same_from_a_file(self, family, changes, message):
+        model = {"two_source": constant_two_source(n=1, l1=1, l4=1),
+                 "single_source": constant_single_source(n=1, size=1)}[family]
+        doc = {**json.loads(dumps(model)), **changes}
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}"):
+            loads(json.dumps(doc))
 
     @pytest.mark.parametrize("field", ["n", "n0", "lambda1", "lambda4"])
     def test_boolean_is_not_an_integer(self, field):

@@ -1,11 +1,13 @@
 """The public surface: exported names resolve, README's quick start runs,
-no source module imports a name it neither uses nor re-exports, and no
-private definition goes unread; nor does ``tests/helpers.py`` hold an
-unused import or a function no test reads."""
+no source module imports a name it neither uses nor re-exports, no private
+definition goes unread, and no handler that raises a usage error wraps the
+program's own calls; nor does ``tests/helpers.py`` hold an unused import or
+a function no test reads."""
 
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
 import pkgutil
 import re
@@ -102,6 +104,59 @@ def test_no_unreferenced_private_definitions_in_src():
         if (names := [d for d in _private_definitions(tree) if d not in read])
     }
     assert not unread, f"private definitions nothing in src/ reads: {unread}"
+
+
+def _usage_error_classes(trees) -> set[str]:
+    """``UsageError`` and every class in src/ derived from it, by name."""
+    classes = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    names = {"UsageError"}
+    while fresh := {c.name for c in classes if any(
+            isinstance(b, ast.Name) and b.id in names for b in c.bases)} - names:
+        names |= fresh
+    return names
+
+
+def _absolute_imports(tree: ast.Module) -> set[str]:
+    """Names a module binds by ``import x`` or ``from x import y``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names |= {a.asname or a.name for a in node.names}
+    return names
+
+
+def _called_name(func: ast.expr) -> str | None:
+    """The name a call's target is reached through: ``json`` in ``json.loads``."""
+    while isinstance(func, (ast.Attribute, ast.Call)):
+        func = func.func if isinstance(func, ast.Call) else func.value
+    return func.id if isinstance(func, ast.Name) else None
+
+
+def test_usage_error_handlers_wrap_only_library_calls():
+    """A ``try`` whose handler raises a usage error calls only builtins and
+    absolutely imported names: wrapped around the program's own code, it
+    would report an internal failure as the user's mistake."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    usage = _usage_error_classes(trees.values())
+    wrapped = []
+    for name, tree in trees.items():
+        allowed = set(dir(builtins)) | _absolute_imports(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Try):
+                continue
+            raised = {_called_name(r.exc) for h in node.handlers
+                      for r in ast.walk(h) if isinstance(r, ast.Raise) and r.exc}
+            if usage.isdisjoint(raised):
+                continue
+            wrapped += [
+                f"{name}:{call.lineno} {ast.unparse(call.func)}"
+                for stmt in node.body for call in ast.walk(stmt)
+                if isinstance(call, ast.Call) and _called_name(call.func) not in allowed
+            ]
+    assert not wrapped, f"usage-error handlers around the program's own calls: {wrapped}"
 
 
 TESTS = Path(__file__).resolve().parent

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bellswap import factorizer, search, verdict
 from bellswap.angles import RationalAngle, correlation_index, sign_table
@@ -159,8 +159,24 @@ def _assert_seeds_match(model):
     return alarms
 
 
+def _second_forcing_row_conflicts():
+    """A block whose alarm comes from a row forced complete mid-batch.
+
+    Analyzer cells (0,0) and (1,1) at hidden (0,1) both force v1, with
+    opposite parities, ahead of the bridge over analyzer (2,1), which is
+    already complete and odd when their batch is popped: the alarm names
+    cell (1,1), the row the walk reaches first.
+    """
+    d = np.zeros((4, 2), dtype=np.int8)
+    d[[0, 1, 2], [0, 1, 0]] = -1, 1, 1
+    f = np.zeros((4, 4, 1, 2), dtype=np.int8)
+    f[[0, 0, 1, 2], [0, 1, 1, 1], 0, 1] = -1, -1, 1, -1
+    return tables_model(np.zeros((4, 1), dtype=np.int8), d, f)
+
+
 @SEED_PROPERTY
 @given(model=ternary_models())
+@example(model=_second_forcing_row_conflicts())
 def test_seed_component_matches_rescanning_propagation(model):
     _assert_seeds_match(model)
 
