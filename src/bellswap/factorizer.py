@@ -168,7 +168,10 @@ _SCAN = tuple(
 )
 
 
-@functools.lru_cache(maxsize=None)
+# one plan per 8-index relation and table shape, a few small tuples each:
+# a batch over 2x2 to 4x4 models at n = 4 and 6 fills 12 entries (three
+# relations at four shapes), so 64 evicts nothing there yet stays bounded
+@functools.lru_cache(maxsize=64)
 def _count_plan(operands: str, shape: tuple[int, ...]) -> tuple:
     """One relation's full contraction as pairwise matmul steps.
 

@@ -39,15 +39,19 @@ Soundness rests on three facts proved here and property-tested in the suite:
 * Block keys (class space). Under a fixed sector map the exact check
   reads a first-station column through its support and its kind only:
   kind 0 keeps every family it touches, kind +1 or -1 picks, for each
-  second-station kind, the coupling whose family survives. Byte r of a
-  sector's cover is the OR, over the columns whose support holds angle r,
-  of their alive partners' supports, so it depends on the tuple only
-  through which columns support r. Tuples that agree on their kinds and
-  on the set of these per-angle patterns therefore keep the same
-  second-station rows, and each sector map decides one block per such key
-  (at most 9 x 7 keys for two hidden values). Each class's station column
-  is built once, as a row of ``_ClassPack.column``, beside its support
-  mask and kind.
+  second-station kind, the coupling whose family survives. Every byte of
+  a cover is a copy of a partner's support byte, so byte r of a sector's
+  cover is the OR, over the columns whose support holds angle r, of one
+  per-row partner byte per column: the OR of the supports of its alive
+  partners in that sector. It depends on the tuple only through the
+  columns' kinds and through which columns support r. Tuples that agree
+  on their kinds and on the set of these per-angle patterns therefore
+  keep the same second-station rows, and each sector map decides one
+  block per such key. A key is one uint16, below 144 for two hidden
+  values (9 kind pairs x 16 pattern sets). The class tables and the key
+  of every tuple are built once per value domain and tuple size, and
+  each class's station column is a row of ``_ClassPack.column``, beside
+  its support byte and kind.
 
 Every scan streams runs of consecutive blocks to one driver, which books
 tallies, ``stop_after`` and the keep list per run and checks the wall-clock
@@ -65,12 +69,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
 from .angles import GridError, UsageError, required_sign, sign_table
 from .factorizer import _least_parity_solution, factorize
-from .model import SINGLE_SOURCE, TWO_SOURCE, LhvModel, _refuse_oversize, _uniform_model
+from .model import (
+    SINGLE_SOURCE,
+    TWO_SOURCE,
+    LhvModel,
+    _read_only,
+    _refuse_oversize,
+    _uniform_model,
+)
 from .robustness import RobustnessReport, is_robust
 
 __all__ = [
@@ -82,7 +94,6 @@ __all__ = [
     "search_single_source",
 ]
 
-FULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _TERNARY = np.array([-1, 0, 1])[:, None]
 # an analyzer cell by its demands, indexed 2 * minus + plus: none and plus
 # alone give +1, minus alone -1, and both 0
@@ -221,9 +232,7 @@ def _demand_bits(n: int, sector: int) -> np.ndarray:
     """
     required = sign_table(n, sector).transpose(0, 3, 1, 2)
     layers = np.stack([required == -1, np.zeros(required.shape, bool), required == 1])
-    table = np.packbits(layers, axis=-1, bitorder="little")
-    table.flags.writeable = False
-    return table
+    return _read_only(np.packbits(layers, axis=-1, bitorder="little"))
 
 
 def _or_selected(table: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -470,8 +479,8 @@ def _column_classes(m: int, value_domain: str) -> list[tuple[int, int, int, int]
 def _side_tuples(count, size) -> np.ndarray:
     """Every tuple of ``size`` class indices, row-major, one per row.
 
-    Stored as int16 (there are 480 classes at most): the table is rebuilt
-    per search, and at 2x2 its int64 form was the largest allocation.
+    Stored as int16 (there are 480 classes at most), since at 2x2 its
+    int64 form would be the largest table the scan keeps.
     """
     return np.indices((count,) * size, dtype=np.int16).reshape(size, -1).T
 
@@ -479,10 +488,11 @@ def _side_tuples(count, size) -> np.ndarray:
 class _ClassPack:
     """Struct-of-arrays view of the canonical column classes on 8 angles.
 
-    ``column`` holds each class's int8 station column, ``supp`` its support
-    mask and ``factor`` a byte 1 at each supported angle's byte row.
-    ``kind`` is 0 for a single-sided column, else sig_e * sig_o; a family
-    of kinds k_a, k_d and coupling c stays alive iff k_a * k_d != -c.
+    ``column`` holds each class's int8 station column and ``supp`` its
+    uint8 support mask, bit r for angle r. ``kind`` is 0 for a
+    single-sided column, else sig_e * sig_o; a family of kinds k_a, k_d
+    and coupling c stays alive iff k_a * k_d != -c. All three are
+    read-only.
     """
 
     def __init__(self, classes):
@@ -490,17 +500,22 @@ class _ClassPack:
         # angle x is bit x // 2 of side x % 2, its constant twisted by (-1) ** (x // 2)
         x = np.arange(8)
         held = np.where(x % 2, odd, even) >> x // 2 & 1
-        self.column = (held * np.where(x % 2, sig_o, sig_e) * (-1) ** (x // 2)).astype(np.int8)
-        self.supp = (held << x).sum(axis=1).astype(np.uint16)
-        # support rectangle by multiplication: the factor places one copy
-        # of the partner support byte at each supported angle's byte row
-        self.factor = (held << 8 * x).sum(axis=1).astype(np.uint64)
-        self.kind = (sig_e * sig_o * ((even > 0) & (odd > 0))).ravel().astype(np.int8)
+        self.column = _read_only(
+            (held * np.where(x % 2, sig_o, sig_e) * (-1) ** (x // 2)).astype(np.int8)
+        )
+        self.supp = _read_only((held << x).sum(axis=1).astype(np.uint8))
+        self.kind = _read_only(
+            (sig_e * sig_o * ((even > 0) & (odd > 0))).ravel().astype(np.int8)
+        )
 
 
 def _reach(supp, owned) -> np.ndarray:
     """Rows whose ``owned`` columns' supports together hold all 8 angles."""
     return reduce(operator.or_, compress(supp, owned)) == 0xFF
+
+
+# tuples per chunk of the key build, so its uint16 temporaries stay at 32 KiB
+_KEY_CHUNK = 1 << 14
 
 
 def _block_keys(pack, tuples: np.ndarray) -> np.ndarray:
@@ -509,22 +524,59 @@ def _block_keys(pack, tuples: np.ndarray) -> np.ndarray:
     The exact check reads a first-station column only through its kind
     (0 single-sided, or the side-constant product +1 or -1) and,
     at each angle, through which columns support that angle. A key packs
-    the kinds with the set of those per-angle patterns, so two tuples with
-    equal keys keep the same second-station rows under any sector map.
+    the kinds, as base-3 digits with the first column most significant
+    (0, 1, 2 for kind 0, +1, -1), above the set of those per-angle
+    patterns, bit p for the pattern whose bit i says column i holds the
+    angle: ``kinds << 2**size | present``. Two tuples with equal keys keep
+    the same second-station rows under any sector map. Keys are uint16,
+    below 3**size << 2**size (144 at size 2), built in chunks of
+    ``_KEY_CHUNK`` tuples.
     """
-    # base-3 digit: 0 single-sided, 1 for kind +1, 2 for kind -1
+    size = tuples.shape[1]
     kind = (pack.kind % 3).astype(np.uint16)
-    kinds = np.zeros(len(tuples), dtype=np.uint16)
-    for col in tuples.T:
-        kinds = 3 * kinds + kind[col]
-    supp = [pack.supp[col] for col in tuples.T]
-    present = np.zeros(len(tuples), dtype=np.uint16)
-    for r in range(8):
-        pattern = np.zeros(len(tuples), dtype=np.uint16)
-        for i, col in enumerate(supp):
-            pattern |= (col >> r & 1) << i
-        present |= np.left_shift(1, pattern, dtype=np.uint16)
-    return kinds.astype(np.int64) << (1 << len(supp)) | present
+    keys = np.empty(len(tuples), dtype=np.uint16)
+    for start in range(0, len(tuples), _KEY_CHUNK):
+        part = tuples[start:start + _KEY_CHUNK]
+        kinds = np.zeros(len(part), dtype=np.uint16)
+        for col in part.T:
+            kinds = 3 * kinds + kind[col]
+        supp = [pack.supp[col] for col in part.T]
+        present = np.zeros(len(part), dtype=np.uint16)
+        for r in range(8):
+            pattern = np.zeros(len(part), dtype=np.uint8)
+            for i, col in enumerate(supp):
+                pattern |= (col >> r & 1) << i
+            present |= np.left_shift(1, pattern, dtype=np.uint16)
+        keys[start:start + len(part)] = kinds << (1 << size) | present
+    return keys
+
+
+class _ClassSide(NamedTuple):
+    """One station's fixed class tables for a value domain and tuple size."""
+
+    pack: _ClassPack
+    # int16 [count**size, size]: the class of each column of each tuple
+    tuples: np.ndarray
+    # one uint8 support per tuple for each column position
+    supp: tuple[np.ndarray, ...]
+    # uint16: the ``_block_keys`` key of each tuple
+    keys: np.ndarray
+
+
+@lru_cache(maxsize=4)
+def _class_side(value_domain: str, size: int) -> _ClassSide:
+    """The class tables a station of ``size`` hidden values scans on pi/4.
+
+    Built once per (value domain, size) and shared by both stations when
+    their sizes agree; every array is read-only. The cache holds all four
+    entries the scan can ask for; the 2-tuple ternary one is the largest,
+    about 1.8 MB (the int16 tuples, two uint8 supports and the uint16 key
+    per tuple), and the other three hold under 10 KB together.
+    """
+    pack = _ClassPack(_column_classes(8, value_domain))
+    tuples = _read_only(_side_tuples(len(pack.kind), size))
+    supp = tuple(_read_only(pack.supp[col]) for col in tuples.T)
+    return _ClassSide(pack, tuples, supp, _read_only(_block_keys(pack, tuples)))
 
 
 def _pair_double_blocks(space):
@@ -541,25 +593,39 @@ def _pair_double_blocks(space):
     coupling c = +1 or -1 (one parity family each), the support rectangles
     of the pairs whose family stays alive, k_a * k_d != -c, must cover
     every angle pair. Relevance needs no test, since each pair keeps one
-    of its two families. That verdict depends on the first-station tuple
-    only through its block key, so each sector map decides one block per
-    key, on first meeting it, and every later block with that key reuses
-    the surviving rows. A sector map's blocks are yielded as one run.
+    of its two families. Every byte of a cover is a copy of some partner's
+    support byte, so byte r of sector s's cover at coupling c is the OR,
+    over the first-station columns whose support holds r, of their
+    partner bytes: U[i, k, s, c] is the OR of the supports of the
+    second-station columns that share sector s with first-station position
+    i and stay alive beside kind k. A row is kept exactly when, for every
+    per-angle member set of the block key, the members' U bytes OR to 0xFF
+    at every (s, c).
+
+    Per sector map, each second-station column's supports are masked once
+    per coupling, the U bytes are built on demand (at most 2 x 3 x 2 x 2)
+    and the full-byte flags memoized per (members, s, c). The verdict
+    depends on the first-station tuple only through its block key, so
+    each key is decided once, and every block with that key reuses the
+    same read-only rows. A sector map's blocks are yielded as one run. The
+    class tables and keys come from ``_class_side``.
     """
     n = space.denominator
-    classes = _column_classes(2 * n, space.value_domain)
-    pack = _ClassPack(classes)
-    a_idx = _side_tuples(len(classes), space.size1)
-    d_idx = _side_tuples(len(classes), space.size4)
-    patterns = 1 << (space.size1 * space.size4)
+    size1, size4 = space.size1, space.size4
+    a_side = _class_side(space.value_domain, size1)
+    d_side = _class_side(space.value_domain, size4)
+    pack, a_idx, d_idx = a_side.pack, a_side.tuples, d_side.tuples
+    patterns = 1 << (size1 * size4)
     total = patterns * len(a_idx)
     first, a_start = divmod(min(space.cursor, total), len(a_idx))
-    a_supp = [pack.supp[col] for col in a_idx.T]
-    d_supp = [pack.supp[col] for col in d_idx.T]
+    width = 1 << size1
+    # the kind of position i in a key's base-3 kinds, first column most significant
+    kind_of = [[(0, 1, -1)[kinds // 3 ** (size1 - 1 - i) % 3] for i in range(size1)]
+               for kinds in range(3 ** size1)]
 
     for code in range(first, patterns):
-        bits = code >> np.arange(space.size1 * space.size4) & 1
-        kappa = (1 - 2 * bits).astype(np.int8).reshape(space.size1, space.size4)
+        bits = code >> np.arange(size1 * size4) & 1
+        kappa = (1 - 2 * bits).astype(np.int8).reshape(size1, size4)
         realized = sorted({int(v) for v in kappa.ravel()}, reverse=True)
         # bulk prune on both stations: every realized sector must reach
         # each station angle through the columns it owns
@@ -568,49 +634,64 @@ def _pair_double_blocks(space):
         d_keep = np.ones(len(d_idx), dtype=bool)
         for s in realized:
             owned = kappa == s
-            a_keep &= _reach(a_supp, owned.any(axis=1))
-            d_keep &= _reach(d_supp, owned.any(axis=0))
+            a_keep &= _reach(a_side.supp, owned.any(axis=1))
+            d_keep &= _reach(d_side.supp, owned.any(axis=0))
         a_start = 0
         positions = np.flatnonzero(a_keep)
         if not len(positions):
             continue
-        rows = np.nonzero(d_keep)[0]
-        d_supp64 = [supp[rows].astype(np.uint64) for supp in d_supp]
-        # d_alive[j][c]: rows whose column j keeps the family of coupling c
-        # beside a first column of kind +1; kind k_a reads d_alive[j][c * k_a]
-        d_kind = [pack.kind[d_idx[rows, j]] for j in range(space.size4)]
-        d_alive = [{c: kind != -c for c in (1, -1)} for kind in d_kind]
+        rows = np.flatnonzero(d_keep)
+        # alive[j][t]: column j's support bytes on the rows where its family
+        # stays alive beside a first column of kind k at coupling c, t = k * c
+        alive = []
+        for j in range(size4):
+            supp = d_side.supp[j][rows]
+            kind = pack.kind[d_idx[rows, j]]
+            alive.append({0: supp, **{t: np.where(kind != -t, supp, 0) for t in (1, -1)}})
+        partner_bytes = {}
+        full = {}
 
-        def decide(a_cols):
-            cover = {(s, c): np.zeros(len(rows), dtype=np.uint64)
-                     for s in realized for c in (1, -1)}
-            for i, ci in enumerate(a_cols):
-                factor = pack.factor[ci]
-                k_a = int(pack.kind[ci])
-                for j in range(space.size4):
-                    s = int(kappa[i, j])
-                    rect = d_supp64[j] * factor
-                    for c in (1, -1):
-                        if k_a:
-                            cover[(s, c)] |= np.where(d_alive[j][c * k_a], rect, np.uint64(0))
-                        else:
-                            # single-sided first column: no family can die
-                            cover[(s, c)] |= rect
+        def partner(i, k, s, c):
+            """U[i, k, s, c], built on first use."""
+            if (i, k, s, c) not in partner_bytes:
+                u = np.zeros(len(rows), dtype=np.uint8)
+                for j in range(size4):
+                    if kappa[i, j] == s:
+                        u |= alive[j][k * c]
+                partner_bytes[i, k, s, c] = u
+            return partner_bytes[i, k, s, c]
+
+        def covered(members, s, c):
+            """Rows whose members' partner bytes OR to 0xFF, memoized."""
+            if (members, s, c) not in full:
+                u = np.zeros(len(rows), dtype=np.uint8)
+                for i, k in members:
+                    u = u | partner(i, k, s, c)
+                full[members, s, c] = u == 0xFF
+            return full[members, s, c]
+
+        def decide(key):
+            kinds, present = divmod(key, 1 << width)
+            kind = kind_of[kinds]
             keep = np.ones(len(rows), dtype=bool)
-            for covered in cover.values():
-                keep &= covered == FULL64
-            hits = np.flatnonzero(keep)
-            hits.flags.writeable = False
-            return hits
+            for pattern in range(width):
+                if present >> pattern & 1:
+                    members = tuple((i, kind[i]) for i in range(size1) if pattern >> i & 1)
+                    for s in realized:
+                        for c in (1, -1):
+                            keep &= covered(members, s, c)
+            return _read_only(np.flatnonzero(keep))
 
-        _, first_at, key_of = np.unique(
-            _block_keys(pack, a_idx[positions]), return_index=True, return_inverse=True
-        )
-        decided = [decide(a_idx[positions[i]].tolist()) for i in first_at.tolist()]
-        tally = np.cumsum(np.array([len(hits) for hits in decided])[key_of])
+        keys = a_side.keys[positions]
+        decided = [None] * (3 ** size1 << width)
+        counts = np.zeros(len(decided), dtype=np.int64)
+        for key in np.unique(keys).tolist():
+            decided[key] = decide(key)
+            counts[key] = len(decided[key])
+        tally = np.cumsum(counts[keys])
 
         def hits_of(i):
-            return decided[key_of[i]]
+            return decided[keys[i]]
 
         def build(i, hit):
             a = pack.column[a_idx[positions[i]]].T

@@ -41,7 +41,6 @@ from bellswap.robustness import (
     is_robust,
 )
 from bellswap.search import (
-    FULL64,
     SearchResult,
     _assemble_two_source,
     _ClassPack,
@@ -558,17 +557,26 @@ def _spread_mask(even_mask: int, odd_mask: int) -> int:
     return out
 
 
+# every angle pair covered: all 8 byte rows of a uint64 cover full
+FULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
 def fate_pack(classes):
     """The engine's ``_ClassPack`` plus the side data the general fate reads.
 
     Adds per-class arrays ``even``, ``odd``, ``sig_e``, ``sig_o``,
     ``two_sided`` and ``pa`` (the side-constant product), built from
-    ``classes`` directly.
+    ``classes`` directly, and the uint64 ``factor`` the oracle's covers
+    multiply by: a byte 1 at each supported angle's byte row, so a
+    partner support times it places one copy of that support at each row.
     """
     pack = _ClassPack(classes)
     pack.even, pack.odd, pack.sig_e, pack.sig_o = (np.array(side) for side in zip(*classes))
     pack.two_sided = (pack.even != 0) & (pack.odd != 0)
     pack.pa = pack.sig_e * pack.sig_o
+    r = np.arange(8, dtype=np.uint64)
+    held = pack.supp[:, None].astype(np.uint64) >> r & np.uint64(1)
+    pack.factor = np.bitwise_or.reduce(held << 8 * r, axis=1)
     return pack
 
 

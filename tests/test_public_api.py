@@ -1,8 +1,8 @@
 """The public surface: exported names resolve, README's quick start runs,
 no source module imports a name it neither uses nor re-exports, no private
-definition goes unread, and no handler that raises a usage error wraps the
-program's own calls; nor does ``tests/helpers.py`` hold an unused import or
-a function no test reads."""
+definition goes unread, no handler that raises a usage error wraps the
+program's own calls, and no cache is unbounded; nor does ``tests/helpers.py``
+hold an unused import or a function no test reads."""
 
 from __future__ import annotations
 
@@ -157,6 +157,48 @@ def test_usage_error_handlers_wrap_only_library_calls():
                 if isinstance(call, ast.Call) and _called_name(call.func) not in allowed
             ]
     assert not wrapped, f"usage-error handlers around the program's own calls: {wrapped}"
+
+
+def _unbounded_caches(tree: ast.Module) -> list[str]:
+    """``lru_cache(maxsize=None)``, ``lru_cache(None)`` and ``functools.cache``
+    uses in a module, by line: each keeps every entry for the life of the
+    process."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) \
+                and ast.unparse(node.func) in ("lru_cache", "functools.lru_cache"):
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
+                found.append(f"{node.lineno} {ast.unparse(node)}")
+        elif isinstance(node, ast.Attribute) and node.attr == "cache" \
+                and isinstance(node.value, ast.Name) and node.value.id == "functools":
+            found.append(f"{node.lineno} functools.cache")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"{node.lineno} from functools import cache"
+                      for alias in node.names if alias.name == "cache"]
+    return found
+
+
+def test_every_cache_in_src_is_bounded():
+    unbounded = {
+        path.name: found
+        for path in sorted(SRC.glob("*.py"))
+        if (found := _unbounded_caches(ast.parse(path.read_text())))
+    }
+    assert not unbounded, f"caches that never evict: {unbounded}"
+
+
+def test_the_cache_lint_sees_every_unbounded_form():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\ndef a(): pass\n"
+        "@lru_cache(None)\ndef b(): pass\n"
+        "@functools.cache\ndef c(): pass\n"
+        "@lru_cache(maxsize=4)\ndef d(): pass\n"
+        "@lru_cache\ndef e(): pass\n"
+    )
+    lines = sorted(int(entry.split()[0]) for entry in _unbounded_caches(ast.parse(source)))
+    assert lines == [2, 3, 5, 7]
 
 
 TESTS = Path(__file__).resolve().parent

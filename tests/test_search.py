@@ -36,6 +36,7 @@ from bellswap.search import (
 from bellswap.search import (
     _assemble_single_source,
     _block_keys,
+    _class_side,
     _ClassPack,
     _column_classes,
     _demand_bits,
@@ -245,12 +246,14 @@ class TestTwistedClasses:
     def test_pack_matches_the_bitwise_oracles(self, domain):
         classes = _column_classes(8, domain)
         pack = _ClassPack(classes)
+        oracle = fate_pack(classes)
         assert pack.column.dtype == np.int8 and pack.column.shape == (len(classes), 8)
+        assert not any(a.flags.writeable for a in (pack.column, pack.supp, pack.kind))
         for c, (even_mask, odd_mask, sig_e, sig_o) in enumerate(classes):
             spread = _spread_mask(even_mask, odd_mask)
             assert np.array_equal(pack.column[c], _class_column(classes[c], 8))
             assert pack.supp[c] == spread
-            assert pack.factor[c] == sum(1 << 8 * r for r in range(8) if spread >> r & 1)
+            assert oracle.factor[c] == sum(1 << 8 * r for r in range(8) if spread >> r & 1)
             assert pack.kind[c] == (sig_e * sig_o if even_mask and odd_mask else 0)
 
     def test_one_sign_per_column_decides_every_family_fate(self):
@@ -459,12 +462,20 @@ def stream_digest(stream):
     value.
     """
     h = hashlib.sha256()
+    for _ in hashed_runs(stream, h):
+        pass
+    return h.hexdigest()
+
+
+def hashed_runs(stream, h):
+    """Feed each run of ``stream`` to ``h`` as ``stream_digest`` hashes it,
+    yielding after each run; the stream's end value is hashed last."""
     while True:
         try:
             blocks, examined, tally, hits_of, build = next(stream)
         except StopIteration as end:
             h.update(repr(end.value).encode())
-            return h.hexdigest()
+            return
         h.update(repr((len(blocks), int(examined))).encode())
         h.update(np.asarray(blocks, np.int64).tobytes())
         h.update(np.asarray(tally, np.int64).tobytes())
@@ -476,6 +487,7 @@ def stream_digest(stream):
                 first = (i, hits[0])
         if first is not None:
             h.update(dumps(build(*first)).encode())
+        yield
 
 
 class TestBlockKeys:
@@ -552,6 +564,51 @@ class TestBlockKeys:
         """Every block, count, tally and hit, and one model per sector map."""
         space, digest = STREAM_DIGESTS[name]
         assert stream_digest(_pair_double_blocks(space)) == digest
+
+    def test_shared_class_tables_carry_nothing_between_streams(self):
+        """Streams over other spaces, cursors and domains, drawn in turn.
+
+        All five streams are open at once and advance one run each in
+        turn, on class tables built fresh for the first of them; each
+        still hashes to its pinned digest.
+        """
+        _class_side.cache_clear()
+        names = ["2x2 signs", "2x2 from map 10", "1x2", "2x1", "2x2 signs"]
+        hashes = [hashlib.sha256() for _ in names]
+        open_runs = [hashed_runs(_pair_double_blocks(STREAM_DIGESTS[name][0]), h)
+                     for name, h in zip(names, hashes)]
+        while open_runs:
+            # a stream leaves the turn once it has ended
+            open_runs = [runs for runs in open_runs if next(runs, "ended") != "ended"]
+        for name, h in zip(names, hashes):
+            assert h.hexdigest() == STREAM_DIGESTS[name][1], name
+
+    def test_class_table_cache_is_bounded_and_read_only(self):
+        search_two_source(two_source_space(size4=2))  # numpy's lazy imports, once
+        _class_side.cache_clear()
+        tracemalloc.start()
+        try:
+            for space in (
+                two_source_space(size4=2),
+                two_source_space(size1=2),
+                two_source_space(size1=2, size4=2),
+                two_source_space(size1=2, size4=2, value_domain="signs"),
+            ):
+                search_two_source(space)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _class_side.cache_info().currsize <= 4
+        for value_domain, size in itertools.product(("ternary", "signs"), (1, 2)):
+            side = _class_side(value_domain, size)
+            arrays = (side.pack.column, side.pack.supp, side.pack.kind,
+                      side.tuples, *side.supp, side.keys)
+            assert not any(array.flags.writeable for array in arrays)
+        # the 2-tuple ternary entry holds 8 bytes per tuple: two int16
+        # classes, two uint8 supports and the uint16 key, 1.76 MiB over
+        # 480**2 tuples; the other entries, the sign tables of the kept
+        # survivors' analyzers and Python's free lists fit in 256 KiB
+        assert held <= 8 * 480**2 + 2**18
 
 
 def blocks_of(stream):
