@@ -9,9 +9,11 @@ detection pattern carried separately by the zeros of the tables.
 satisfy, the rows of one einsum table over angle letters a-d and hidden
 letters p, q (first source) and r, s (last source); the 8-index rows are
 counted by cached chains of int64 matmuls and built out only when a count is
-nonzero. ``build_components`` turns every nonzero cell into a parity
-constraint, a row of one int table built by array kernels, and splits the
-support into blocks that share no nonzero cell.
+nonzero. ``factorize`` counts them only when the construction fails, since a
+construction that reproduces every response makes every relation +1 or 0.
+``build_components`` turns every nonzero cell into a parity constraint, a
+row of one int table built by array kernels, and splits the support into
+blocks that share no nonzero cell.
 ``seed_component`` anchors one sign per block and propagates the rest
 through the table's rows, recording every forced assignment.
 ``merge_components`` aligns the blocks' leftover global signs against the
@@ -157,15 +159,18 @@ _RELATIONS = (
 )
 _KEYS = dict(zip("abcdpqrs", ("alpha", "beta", "gamma", "delta",
                               "lam1", "lam1_alt", "lam4", "lam4_alt")))
-# per row: name, einsum subscripts, the operands to count first (8-index rows
-# only), each operand's position in the tables (a, d, fdiag, f), witness keys
+# per row: name, einsum subscripts, operands, each operand's position in the
+# tables (a, d, fdiag, f), witness keys
 _SCAN = tuple(
-    (name, f"{operands}->{output}", operands if len(output) == 8 else None,
+    (name, f"{operands}->{output}", operands,
      tuple(int(t[1] in "rs") if len(t) == 2 else len(t) - 1
            for t in operands.split(",")),
      tuple(map(_KEYS.get, output)))
     for name, operands, output in _RELATIONS
 )
+# the four 4-index rows, located directly, then the three 8-index rows,
+# counted first
+_LOCATED, _COUNTED = _SCAN[:4], _SCAN[4:]
 
 
 # one plan per 8-index relation and table shape, a few small tuples each:
@@ -236,6 +241,35 @@ def _count(operands: str, full: np.ndarray, diag: np.ndarray) -> int:
     return int(tables[0])
 
 
+def _scan_tables(model: LhvModel) -> tuple:
+    """The tables the scan rows read: a, d, the analyzer's diagonal, f."""
+    f = selected_analyzer(model)
+    return model.a, model.d, np.einsum("iikl->ikl", f), f
+
+
+def _witness(row: tuple, tables: tuple) -> ConsistencyWitness | None:
+    """A scan row's first -1 instance in row-major order, by one einsum."""
+    name, subscripts, _, picks, keys = row
+    where = _first_index(np.einsum(subscripts, *[tables[i] for i in picks]) == -1)
+    return None if where is None else ConsistencyWitness(name, dict(zip(keys, where)), -1)
+
+
+def _located_witness(tables: tuple) -> ConsistencyWitness | None:
+    """The first -1 among the rectangles and the analyzer symmetry."""
+    return next(filter(None, (_witness(row, tables) for row in _LOCATED)), None)
+
+
+def _counted_witness(tables: tuple) -> ConsistencyWitness | None:
+    """The first -1 among the analyzer triple, pair-shift and diagonal."""
+    _, _, fdiag, f = tables
+    signed = (f.astype(np.int64), fdiag.astype(np.int64))
+    unsigned = (np.abs(signed[0]), np.abs(signed[1]))
+    for row in _COUNTED:
+        if _count(row[2], *unsigned) != _count(row[2], *signed):
+            return _witness(row, tables)
+    return None
+
+
 def check_consistency(model: LhvModel) -> ConsistencyWitness | None:
     """Exhaustively scan the product relations; None means all hold.
 
@@ -248,27 +282,21 @@ def check_consistency(model: LhvModel) -> ConsistencyWitness | None:
     hidden values lam1, lam1_alt, lam4, lam4_alt, which name the witness
     keys; an operand of four letters reads the analyzer, of three its
     equal-angle diagonal, of two the first station (p, q) or the last (r,
-    s). The four 4-index rows are located directly. The three 8-index rows
-    are counted first: since every factor is -1, 0 or +1, a row's number of
-    -1 instances is (sum |t1 t2 t3 t4| - sum t1 t2 t3 t4)/2. Both sums run
-    one plan, built once per relation and table shape: a chain of pairwise
-    steps, each a transpose, a reshape and one int64 matmul, that never
-    builds the 8-index tensor. Only a row with a nonzero count is
-    materialized, by einsum, to find its first -1.
+    s).
+
+    The scan runs in two halves. The located rows, the three rectangles and
+    the analyzer symmetry, are searched directly. The counted rows, the
+    three 8-index relations, are counted first: since every factor is -1,
+    0 or +1, a row's number of -1 instances is (sum |t1 t2 t3 t4| - sum t1
+    t2 t3 t4)/2. Both sums run one plan, built once per relation and table
+    shape: a chain of pairwise steps, each a transpose, a reshape and one
+    int64 matmul, that never builds the 8-index tensor. Only a row with a
+    nonzero count is materialized, by einsum, to find its first -1.
+    ``factorize`` runs the counted rows only when its construction fails.
     """
     _reject_single_source(model)
-    f = selected_analyzer(model)
-    fdiag = np.einsum("iikl->ikl", f)
-    tables = (model.a, model.d, fdiag, f)
-    signed = (f.astype(np.int64), fdiag.astype(np.int64))
-    unsigned = (np.abs(signed[0]), np.abs(signed[1]))
-    for name, subscripts, counted, picks, keys in _SCAN:
-        if counted and _count(counted, *unsigned) == _count(counted, *signed):
-            continue
-        where = _first_index(np.einsum(subscripts, *[tables[i] for i in picks]) == -1)
-        if where is not None:
-            return ConsistencyWitness(name, dict(zip(keys, where)), -1)
-    return None
+    tables = _scan_tables(model)
+    return _located_witness(tables) or _counted_witness(tables)
 
 
 def find_dangling_support(model: LhvModel) -> dict | None:
@@ -824,6 +852,21 @@ def factorize(model: LhvModel) -> FactorizeResult:
     consumes. Inconsistent tables are reported with their witness; the
     construction itself raising CounterexampleAlarm means an input escaped
     both gates yet cannot factor, which the theorem forbids.
+
+    The order: the gate and ``find_dangling_support``, then the located
+    rows of the consistency scan, then the construction (components, seed,
+    merge), and the counted rows only if the construction raises
+    CounterexampleAlarm. A construction that passes ``_verify_products``
+    is its own certificate: every nonzero response is the product of its
+    signs, so every relation is +1 or 0 and the counted rows would find
+    nothing. The located rows still run first because they are cheap and
+    refute most robust inconsistent models on their own, which then never
+    pay for a construction: 341,060 of the 409,648 robust 2x2 census
+    survivors; the other 68,588 first fail the analyzer triple, so they
+    meet an alarm in the construction before the counted rows name it. A
+    counted witness is reported as ``consistency_violated``; with none,
+    the alarm stands. The result is the one the whole scan followed by
+    the construction gives.
     """
     _reject_single_source(model)
     report = is_robust(model, minus_row=False)
@@ -835,10 +878,16 @@ def factorize(model: LhvModel) -> FactorizeResult:
             "a station response has no completing partner anywhere, which"
             f" counts and relevance are supposed to exclude: {dangling}"
         )
-    witness = check_consistency(model)
-    if witness is not None:
-        return FactorizeResult(status="consistency_violated", witness=witness)
-    components = build_components(model)
-    assignments = tuple(seed_component(model, c) for c in components)
-    factorization = merge_components(model, assignments)
-    return FactorizeResult(status="ok", factorization=factorization)
+    tables = _scan_tables(model)
+    witness = _located_witness(tables)
+    if witness is None:
+        try:
+            components = build_components(model)
+            assignments = tuple(seed_component(model, c) for c in components)
+            return FactorizeResult(status="ok",
+                                   factorization=merge_components(model, assignments))
+        except CounterexampleAlarm:
+            witness = _counted_witness(tables)
+            if witness is None:
+                raise
+    return FactorizeResult(status="consistency_violated", witness=witness)

@@ -131,6 +131,20 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# bounded: documents repeat a handful of weight texts, an entry each
+@lru_cache(maxsize=256)
+def _parse_weight(text: str) -> Fraction | None:
+    """A weight's text as a Fraction, None when it names no rational number.
+
+    Parsing text runs a regex, a few microseconds a weight, so it is cached;
+    text is always hashable, so the lookup itself cannot fail.
+    """
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
 def _weights(values, path: str) -> tuple[Fraction, ...]:
     _require(isinstance(values, (list, tuple)), path, "must be a list")
     _require(len(values) >= 1, path, "at least one hidden-variable value required")
@@ -140,10 +154,14 @@ def _weights(values, path: str) -> tuple[Fraction, ...]:
         # a float as its binary expansion (0.1 as 3602879701896397/2**55)
         _require(not isinstance(v, (*_BOOL_TYPES, float, np.floating)), f"{path}[{i}]",
                  f"not a rational number: {v!r}")
-        try:
-            w = Fraction(v)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ModelFormatError(f"{path}[{i}]: not a rational number: {v!r}") from exc
+        if isinstance(v, str):
+            w = _parse_weight(v)
+        else:
+            try:
+                w = Fraction(v)
+            except (TypeError, ValueError, ZeroDivisionError):
+                w = None
+        _require(w is not None, f"{path}[{i}]", f"not a rational number: {v!r}")
         _require(w >= 0, f"{path}[{i}]", "weights must be nonnegative")
         out.append(w)
     _require(sum(out, Fraction(0)) == 1, path, "weights must sum to exactly 1")
@@ -289,9 +307,13 @@ class LhvModel:
         An event is live where all three devices fire, weighted where its
         assignment carries weight, and in the sector that kappa announces.
         """
-        # trailing-axis broadcasting aligns the per-assignment mask
+        # rows of (2n)**2 * L entries, the per-assignment mask tiled along
+        # them, so numpy loops over long rows rather than the hidden axes
+        m = self.steps
+        rows = self.firing.reshape(m * m, -1)
         return {
-            s: _read_only(self.firing & (self.weight_mask & (self.kappa == s)))
+            s: _read_only((rows & np.tile((self.weight_mask & (self.kappa == s)).ravel(),
+                                          m * m)).reshape(self.firing.shape))
             for s in (1, -1)
         }
 

@@ -14,11 +14,13 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
+from bellswap import factorizer
 from bellswap.angles import required_sign, sign_table
 from bellswap.factorizer import (
     ComponentAssignment,
     ConsistencyWitness,
     CounterexampleAlarm,
+    FactorizeResult,
     TraceStep,
     _eliminate,
     _var_layout,
@@ -391,6 +393,34 @@ def materialized_consistency(model: LhvModel):
         if where is not None:
             return ConsistencyWitness(name, dict(zip(eight_keys, where)), -1)
     return None
+
+
+def scan_then_construct(model: LhvModel) -> FactorizeResult:
+    """Oracle for ``factorize``'s order: the whole scan, then the construction.
+
+    The order ``factorize`` ran before a verified construction stood in for
+    the counted rows: every relation is scanned, by
+    ``materialized_consistency``, before anything is built. The gate and the
+    dangling check are read off the ``factorizer`` module, so a test that
+    waives the gate there waives it here too.
+    """
+    report = factorizer.is_robust(model, minus_row=False)
+    if not report.is_robust:
+        return FactorizeResult(status="not_robust", robustness=report)
+    dangling = factorizer.find_dangling_support(model)
+    if dangling is not None:
+        raise CounterexampleAlarm(
+            "a station response has no completing partner anywhere, which"
+            f" counts and relevance are supposed to exclude: {dangling}"
+        )
+    witness = materialized_consistency(model)
+    if witness is not None:
+        return FactorizeResult(status="consistency_violated", witness=witness)
+    components = factorizer.build_components(model)
+    assignments = tuple(factorizer.seed_component(model, c) for c in components)
+    return FactorizeResult(
+        status="ok", factorization=factorizer.merge_components(model, assignments)
+    )
 
 
 def loop_constraints(model: LhvModel):

@@ -465,7 +465,7 @@ class TestUsage:
         (("check", "--model", "zoo:synthetic_factorizable:seed=1"),
          robustness, "check_perfect_correlations", ValueError),
         (("factorize", "--model", "zoo:synthetic_factorizable:seed=1"),
-         factorizer, "check_consistency", ValueError),
+         factorizer, "build_components", ValueError),
         (("verdict", "--model", "zoo:synthetic_factorizable:seed=1"),
          verdict, "derive_product_rule", ValueError),
         (("search", "--n", "2"), search, "_demand_masks", ValueError),

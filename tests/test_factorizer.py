@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from bellswap import factorizer
+from bellswap import factorizer, zoo
 from bellswap.factorizer import (
     ConsistencyWitness,
     CounterexampleAlarm,
@@ -23,6 +23,7 @@ from bellswap.factorizer import (
 )
 from bellswap.model import LhvModel, selected_analyzer
 from bellswap.robustness import RobustnessReport, check_relevance
+from bellswap.search import SearchSpace, search_two_source
 
 from helpers import (
     assert_components_match,
@@ -32,6 +33,7 @@ from helpers import (
     looped_dangling,
     materialized_consistency,
     rebuild,
+    scan_then_construct,
     tables_model,
     ternary_models,
 )
@@ -703,3 +705,134 @@ class TestFactorize:
             if f[2, beta, 1, l4] and model.d[beta, l4]
         }
         assert products == {int(fact.a[2] * fact.u[1])}
+
+
+def waived_gate(model, minus_row):
+    """``is_robust`` waived: every model reaches the scan and construction."""
+    return RobustnessReport(None, None, None)
+
+
+def outcome(pipeline, model):
+    """A factorize pipeline's answer: the alarm's text, or status, witness,
+    robustness report and signs with their blocks and trace."""
+    try:
+        result = pipeline(model)
+    except CounterexampleAlarm as alarm:
+        return "alarm", str(alarm)
+    fact = result.factorization
+    signs = fact and (fact.a.tolist(), fact.u.tolist(), fact.v.tolist(),
+                      fact.components, fact.merged, fact.trace)
+    return result.status, result.witness, result.robustness, signs
+
+
+def assert_same_as_scan_first(model):
+    """``factorize`` answers as the whole scan before the construction did;
+    returns its answer. An ok model passes the public scan."""
+    got = outcome(factorize, model)
+    assert got == outcome(scan_then_construct, model)
+    if got[0] == "ok":
+        assert check_consistency(model) is None
+    return got
+
+
+def diagonal_flipped():
+    """A factorizable model with one diagonal analyzer cell flipped: only
+    the counted rows see it, since the symmetry row squares that cell."""
+    model = random_compose(3, density=1.0)
+    f = model.f_plus.copy()
+    f[1, 1, 0, 2] *= -1
+    return rebuild(model, f_plus=f, f_minus=f)
+
+
+def census_survivors():
+    """Robust 2x2 census survivors whose inconsistency only a counted row
+    shows: the 99th and 100th kept from cursor 1,000,000."""
+    space = SearchSpace(family="two_source", denominator=4, size1=2, size4=2,
+                        cursor=1_000_000)
+    return search_two_source(space, stop_after=100, keep_limit=100).robust_found[98:]
+
+
+class TestFactorizeOrder:
+    """The located rows, the construction, then the counted rows only if the
+    construction raises: the same answers as the whole scan first."""
+
+    @pytest.mark.parametrize("kappa", ["plus", "minus", "mixed"])
+    @pytest.mark.parametrize("density", [0.4, 0.7, 1.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_synthetic_models(self, monkeypatch, seed, density, kappa):
+        model = zoo.synthetic_factorizable(seed, density=density, kappa=kappa)
+        assert assert_same_as_scan_first(model)[0] == "ok"
+        # one live analyzer cell and its mirror flipped, past a waived gate
+        f = model.f_plus.copy()
+        k2, k3, l4 = np.argwhere(f[:, :, 1] != 0)[seed]
+        f[[k2, k3], [k3, k2], 1, l4] *= -1
+        monkeypatch.setattr(factorizer, "is_robust", waived_gate)
+        assert assert_same_as_scan_first(rebuild(model, f_plus=f, f_minus=f))[0] != "ok"
+
+    @pytest.mark.parametrize("signs, status", [
+        ([1, 1, -1, -1], "ok"),
+        ([1, 1, 1, -1], "alarm"),  # the merge alarm stands: every relation holds
+    ])
+    def test_block_diagonal(self, monkeypatch, signs, status):
+        monkeypatch.setattr(factorizer, "is_robust", waived_gate)
+        model = block_diagonal(signs, u=(1, -1), v=(-1, 1))
+        assert assert_same_as_scan_first(model)[0] == status
+
+    @pytest.mark.parametrize("build", [
+        lambda: cells_model({}, {}, {(0, 1, 0, 0): -1, (0, 1, 1, 0): 1,
+                                     (0, 2, 0, 1): -1, (0, 2, 1, 1): -1}),
+        diagonal_flipped,
+    ], ids=["analyzer_pair_shift", "diagonal_flipped"])
+    def test_only_a_counted_row_fails(self, monkeypatch, build):
+        monkeypatch.setattr(factorizer, "is_robust", waived_gate)
+        model = build()
+        assert factorizer._located_witness(factorizer._scan_tables(model)) is None
+        status, witness, _, _ = assert_same_as_scan_first(model)
+        assert status == "consistency_violated"
+        assert witness == check_consistency(model)
+        assert witness.relation in {row[0] for row in factorizer._COUNTED}
+
+    def test_census_survivors_refuted_only_by_a_counted_row(self, monkeypatch):
+        # robust as they stand: the construction raises, then the triple
+        # relation names the witness
+        built = []
+        build = factorizer.build_components
+        monkeypatch.setattr(factorizer, "build_components",
+                            lambda model: built.append(model) or build(model))
+        survivors = census_survivors()
+        assert len(survivors) == 2
+        for model in survivors:
+            status, witness, _, _ = assert_same_as_scan_first(model)
+            assert (status, witness.relation) == ("consistency_violated", "analyzer_triple")
+        assert len(built) == 4  # once per model by each pipeline
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=ternary_models())
+    def test_matches_scan_first_past_a_waived_gate(self, model):
+        with mock.patch.object(factorizer, "is_robust", waived_gate):
+            assert_same_as_scan_first(model)
+
+    @pytest.mark.parametrize("model", [
+        zoo.synthetic_factorizable(seed, n=n, density=density, kappa=kappa)
+        for seed, n, density, kappa in ((1, 4, 1.0, "plus"), (2, 4, 0.5, "mixed"),
+                                        (3, 6, 0.7, "minus"))
+    ] + [block_diagonal([1, 1, -1, -1], u=(1, -1), v=(-1, 1))],
+        ids=["n4", "n4_mixed", "n6", "block_diagonal"])
+    def test_a_factorizable_model_never_counts(self, monkeypatch, model):
+        monkeypatch.setattr(factorizer, "is_robust", waived_gate)
+
+        def unreachable(*args):
+            raise AssertionError("a counted row was scanned")
+
+        monkeypatch.setattr(factorizer, "_count", unreachable)
+        assert factorize(model).status == "ok"
+
+    @pytest.mark.parametrize("build", [zoo.parity_split_robust, zoo.both_sector_robust])
+    def test_a_located_witness_builds_nothing(self, monkeypatch, build):
+        def unreachable(model):
+            raise AssertionError("the construction ran")
+
+        monkeypatch.setattr(factorizer, "build_components", unreachable)
+        result = factorize(build(4))
+        assert result.status == "consistency_violated"
+        assert result.witness.relation in {row[0] for row in factorizer._LOCATED}

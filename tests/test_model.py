@@ -302,6 +302,43 @@ class TestDerivedViews:
             assert realized_sectors(m) == tuple(s for s in (1, -1) if s in seen)
 
 
+class TestSectorEvents:
+    # the broadcast definition: firing & the per-assignment mask, aligned on
+    # the trailing hidden axes; both sectors weighted wherever there are two
+    # or more assignments, and a zero weight on a source of three or more
+    @pytest.mark.parametrize("hidden", [(1, 1), (1, 3), (2, 2), (3, 2), (2, 4), (4, 4),
+                                        (1,), (2,), (5,)], ids=str)
+    def test_matches_the_broadcast_definition(self, hidden):
+        rng = np.random.default_rng(sum(hidden) * 10 + len(hidden))
+        n = 3 if len(hidden) == 1 else 2
+        m = 2 * n
+        kappa = rng.choice(np.array([-1, 1], dtype=np.int8), size=hidden)
+        kappa.flat[-2:] = (1, -1)[-kappa.size:]
+
+        def ternary(shape):
+            return rng.integers(-1, 2, size=shape).astype(np.int8)
+
+        def weights(size):
+            if size < 3:
+                return [Fraction(1, size)] * size
+            return [Fraction(0)] + [Fraction(1, size - 1)] * (size - 1)
+
+        model = LhvModel(
+            family="two_source" if len(hidden) == 2 else "single_source", n=n,
+            a=ternary((m, hidden[0])), d=ternary((m, hidden[-1])), kappa=kappa,
+            f_plus=ternary((m, m) + hidden), f_minus=ternary((m, m) + hidden),
+            rho1=weights(hidden[0]), rho4=weights(hidden[1]) if len(hidden) == 2 else None,
+        )
+        for sector in (1, -1):
+            want = model.firing & (model.weight_mask & (model.kappa == sector))
+            got = model.sector_events[sector]
+            assert got.dtype == bool and got.shape == want.shape
+            assert not got.flags.writeable
+            assert np.array_equal(got, want)
+        if np.prod(hidden) > 1:
+            assert model.sector_events[1].any() and model.sector_events[-1].any()
+
+
 class TestDerivedDetectionFlags:
     # the detection indicator of every table is its absolute value and the
     # algebra |X| in {0,1}, X*|X| = X, X^2 = |X| holds entrywise
@@ -602,6 +639,21 @@ class TestFileFormat:
             with pytest.raises(ModelFormatError,
                                match=f"^{field}\\[0\\]: not a rational number"):
                 loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [[1], {"p": 1}, (1, [2]), "x", "1/0", ""],
+                             ids=repr)
+    def test_weight_that_names_no_rational(self, value):
+        # unhashable values included: no lookup may fail before the check
+        with pytest.raises(ModelFormatError, match=r"^rho1\[1\]: not a rational number"):
+            dataclasses.replace(constant_two_source(), rho1=["1/2", value])
+
+    def test_repeated_weight_texts_parse_alike(self):
+        doc = json.loads(dumps(constant_two_source(l1=4)))
+        doc["rho1"] = ["1/4", "1/4", " 1/4", "2/8"]
+        assert loads(json.dumps(doc)).rho1 == (Fraction(1, 4),) * 4
+        doc["rho1"] = ["1/4", "1/4", "1/4", "1/5"]
+        with pytest.raises(ModelFormatError, match="^rho1: weights must sum to exactly 1"):
+            loads(json.dumps(doc))
 
     def test_integer_and_fraction_weights_are_accepted(self):
         doc = json.loads(dumps(constant_two_source()))
