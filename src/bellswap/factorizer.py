@@ -7,9 +7,10 @@ detection pattern carried separately by the zeros of the tables.
 
 ``check_consistency`` scans the product relations any factorizable model must
 satisfy, the rows of one einsum table over angle letters a-d and hidden
-letters p, q (first source) and r, s (last source); the 8-index rows are
-counted by cached chains of int64 matmuls and built out only when a count is
-nonzero. ``factorize`` counts them only when the construction fails, since a
+letters p, q (first source) and r, s (last source); each 8-index row is
+summed by ``np.einsum`` over the signed int64 tables and over their absolute
+values, and built out, after a size check, only when the two sums differ.
+``factorize`` counts them only when the construction fails, since a
 construction that reproduces every response makes every relation +1 or 0.
 ``build_components`` turns every nonzero cell into a parity constraint, a
 row of one int table built by array kernels, and splits the support into
@@ -23,7 +24,6 @@ always yields the same factorization and the same trace.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -34,6 +34,7 @@ from .angles import sign_table
 from .model import (
     SINGLE_SOURCE,
     LhvModel,
+    _refuse_oversize,
     realized_sectors,
     selected_analyzer,
 )
@@ -173,74 +174,6 @@ _SCAN = tuple(
 _LOCATED, _COUNTED = _SCAN[:4], _SCAN[4:]
 
 
-# one plan per 8-index relation and table shape, a few small tuples each:
-# a batch over 2x2 to 4x4 models at n = 4 and 6 fills 12 entries (three
-# relations at four shapes), so 64 evicts nothing there yet stays bounded
-@functools.lru_cache(maxsize=64)
-def _count_plan(operands: str, shape: tuple[int, ...]) -> tuple:
-    """One relation's full contraction as pairwise matmul steps.
-
-    The pair order is einsum's optimal path, chosen once per relation and
-    table shape. A step takes operands ``i`` and ``j`` off the list and
-    appends their product. Each of the two first sums out the indices no
-    other operand has, then is transposed and reshaped to three axes, the
-    left one to (batch, own, contracted) and the right one to (batch,
-    contracted, own), so that one batched matmul contracts them. Batch
-    indices are the shared ones a later operand still needs.
-    """
-    terms = operands.split(",")
-    size = {}
-    for term in terms:
-        size.update(zip(term, shape if len(term) == 4 else shape[1:]))
-
-    def extent(indices):
-        return int(np.prod([size[c] for c in indices], dtype=np.int64))
-
-    dummies = [np.empty(shape if len(t) == 4 else shape[1:]) for t in terms]
-    path = np.einsum_path(f"{operands}->", *dummies, optimize="optimal")[0][1:]
-    steps = []
-    for i, j in path:
-        x, y = terms[i], terms[j]
-        terms = [t for k, t in enumerate(terms) if k not in (i, j)]
-        kept = set("".join(terms))
-        x_sum = tuple(k for k, c in enumerate(x) if c not in y and c not in kept)
-        y_sum = tuple(k for k, c in enumerate(y) if c not in x and c not in kept)
-        x = "".join(c for c in x if c in y or c in kept)
-        y = "".join(c for c in y if c in x or c in kept)
-        batch = [c for c in x if c in y and c in kept]
-        inner = [c for c in x if c in y and c not in kept]
-        left = [c for c in x if c not in y]
-        right = [c for c in y if c not in x]
-        out = "".join(batch + left + right)
-        steps.append((
-            i, j,
-            x_sum, tuple(map(x.index, batch + left + inner)),
-            (extent(batch), extent(left), extent(inner)),
-            y_sum, tuple(map(y.index, batch + inner + right)),
-            (extent(batch), extent(inner), extent(right)),
-            tuple(size[c] for c in out),
-        ))
-        terms.append(out)
-    return tuple(steps)
-
-
-def _count(operands: str, full: np.ndarray, diag: np.ndarray) -> int:
-    """One relation's full int64 sum, by the relation's matmul plan."""
-    tables = [full if len(op) == 4 else diag for op in operands.split(",")]
-    for (i, j, x_sum, x_axes, x_shape, y_sum, y_axes, y_shape,
-         out_shape) in _count_plan(operands, full.shape):
-        x, y = tables[i], tables[j]
-        if x_sum:
-            x = x.sum(axis=x_sum)
-        if y_sum:
-            y = y.sum(axis=y_sum)
-        product = (x.transpose(x_axes).reshape(x_shape)
-                   @ y.transpose(y_axes).reshape(y_shape))
-        tables = [t for k, t in enumerate(tables) if k not in (i, j)]
-        tables.append(product.reshape(out_shape))
-    return int(tables[0])
-
-
 def _scan_tables(model: LhvModel) -> tuple:
     """The tables the scan rows read: a, d, the analyzer's diagonal, f."""
     f = selected_analyzer(model)
@@ -261,11 +194,17 @@ def _located_witness(tables: tuple) -> ConsistencyWitness | None:
 
 def _counted_witness(tables: tuple) -> ConsistencyWitness | None:
     """The first -1 among the analyzer triple, pair-shift and diagonal."""
-    _, _, fdiag, f = tables
-    signed = (f.astype(np.int64), fdiag.astype(np.int64))
-    unsigned = (np.abs(signed[0]), np.abs(signed[1]))
+    signed = [t.astype(np.int64) for t in tables]
+    unsigned = [np.abs(t) for t in signed]
     for row in _COUNTED:
-        if _count(row[2], *unsigned) != _count(row[2], *signed):
+        name, _, operands, picks, _ = row
+        sums = [np.einsum(f"{operands}->", *[t[i] for i in picks], optimize=True)
+                for t in (signed, unsigned)]
+        if sums[0] != sums[1]:
+            f = tables[3]
+            # two bytes per instance: the int8 row and its -1 mask
+            _refuse_oversize(f"the {name} row of a {'x'.join(map(str, f.shape))}"
+                             " analyzer table", 2 * f.size ** 2)
             return _witness(row, tables)
     return None
 
@@ -288,10 +227,13 @@ def check_consistency(model: LhvModel) -> ConsistencyWitness | None:
     the analyzer symmetry, are searched directly. The counted rows, the
     three 8-index relations, are counted first: since every factor is -1,
     0 or +1, a row's number of -1 instances is (sum |t1 t2 t3 t4| - sum t1
-    t2 t3 t4)/2. Both sums run one plan, built once per relation and table
-    shape: a chain of pairwise steps, each a transpose, a reshape and one
-    int64 matmul, that never builds the 8-index tensor. Only a row with a
-    nonzero count is materialized, by einsum, to find its first -1.
+    t2 t3 t4)/2. Both sums are one ``np.einsum`` each over int64 tables,
+    with ``optimize=True``, whose default memory limit keeps every
+    intermediate within the size of the largest operand, so no 8-index
+    tensor is built for them. Only a row whose two sums differ is
+    materialized, by einsum, to find its first -1; one that would take more
+    than MAX_TABLE_BYTES (two bytes per instance, (2n)^4 L1^2 L4^2
+    instances) raises SizeLimitError before anything is allocated.
     ``factorize`` runs the counted rows only when its construction fails.
     """
     _reject_single_source(model)

@@ -473,6 +473,8 @@ def by_uri(uri: str) -> LhvModel:
         key, sep, value = piece.partition("=")
         if not sep or not key:
             raise ZooError(f"malformed argument {piece!r}; expected key=value")
+        if key in kwargs:
+            raise ZooError(f"repeated argument {key!r} for {name}")
         kwargs[key] = _coerce(value)
     try:
         bound = inspect.signature(builder).bind(**kwargs)

@@ -908,17 +908,6 @@ def queue_seed_component(model: LhvModel, component) -> ComponentAssignment:
     )
 
 
-def einsum_count(operands: str, full: np.ndarray, diag: np.ndarray) -> int:
-    """Oracle for the consistency counts: one einsum over its optimal path.
-
-    How ``check_consistency`` summed a relation before its matmul plans:
-    ``np.einsum`` with the contraction order ``np.einsum_path`` chooses.
-    """
-    tables = [full if len(op) == 4 else diag for op in operands.split(",")]
-    path = np.einsum_path(f"{operands}->", *tables, optimize="optimal")[0]
-    return int(np.einsum(f"{operands}->", *tables, optimize=path))
-
-
 def _lookup(model: LhvModel, phis, l1: int, l4: int | None):
     """Raw factors (first response, analyzer response, last response, sector)."""
     p1, p2, p3, p4 = phis

@@ -21,9 +21,9 @@ from bellswap.factorizer import (
     merge_components,
     seed_component,
 )
-from bellswap.model import LhvModel, selected_analyzer
+from bellswap.model import LhvModel, SizeLimitError, selected_analyzer
 from bellswap.robustness import RobustnessReport, check_relevance
-from bellswap.search import SearchSpace, search_two_source
+from bellswap.search import SearchSpace, _pair_double_blocks, search_two_source
 
 from helpers import (
     assert_components_match,
@@ -177,21 +177,29 @@ class TestCheckConsistency:
         witness = ConsistencyWitness(relation, dict(zip(keys, indices)), -1)
         assert check_consistency(model) == witness
 
-    def test_only_a_relation_with_a_minus_one_is_materialized(self, monkeypatch):
-        # a count is a full sum (""); an einsum is named by its output: the
-        # diagonal, each 4-index row, then only an 8-index row with a -1
-        calls = []
-        count, einsum = factorizer._count, np.einsum
+    def test_an_oversized_counted_row_is_refused_before_allocating(self, monkeypatch):
+        # at n=4 with 4x4 hidden values the row and its mask take 2 MiB
+        monkeypatch.setattr("bellswap.model.MAX_TABLE_BYTES", 2**20)
+        cells = {(0, 1, 0, 0): -1, (0, 1, 1, 0): 1, (0, 2, 0, 1): -1, (0, 2, 1, 1): -1}
+        model = cells_model({}, {}, cells, size1=4, size4=4, n=4)
+        with pytest.raises(SizeLimitError,
+                           match="analyzer_pair_shift row of a 8x8x4x4 analyzer"
+                                 " table would take an estimated 2 MiB"):
+            check_consistency(model)
+        consistent = {index: 1 for index in cells}
+        assert check_consistency(cells_model({}, {}, consistent, size1=4, size4=4, n=4)) \
+            is None
 
-        def count_spy(operands, *tables):
-            calls.append("")
-            return count(operands, *tables)
+    def test_only_a_relation_with_a_minus_one_is_materialized(self, monkeypatch):
+        # an einsum is named by its output, so a count is a full sum (""):
+        # the diagonal, each 4-index row, then only an 8-index row with a -1
+        calls = []
+        einsum = np.einsum
 
         def einsum_spy(subscripts, *operands, **kwargs):
             calls.append(subscripts.split("->")[1])
             return einsum(subscripts, *operands, **kwargs)
 
-        monkeypatch.setattr(factorizer, "_count", count_spy)
         monkeypatch.setattr(np, "einsum", einsum_spy)
         located = ["ikl", "abpr", "abpq", "abrs", "abpr"]
         assert check_consistency(random_compose(3)) is None
@@ -215,6 +223,28 @@ class TestCheckConsistency:
     @given(model=ternary_models())
     def test_witness_matches_materialized_scan(self, model):
         assert check_consistency(model) == materialized_consistency(model)
+
+    def test_census_survivor_sample_matches_materialized_scan(self):
+        # every 4,096th robust 2x2 census survivor, and the first of each
+        # sector map; the ones that pass the located rows need a count
+        sample, found = [], 0
+        for _, _, tally, hits_of, build in _pair_double_blocks(
+                SearchSpace(family="two_source", denominator=4, size1=2, size4=2)):
+            total = int(tally[-1])
+            picks = set(range(-found % 4096, total, 4096))
+            if total:
+                picks.add(0)
+            for k in sorted(picks):
+                i = int(np.searchsorted(tally, k, side="right"))
+                sample.append(build(i, hits_of(i)[k - (tally[i - 1] if i else 0)]))
+            found += total
+        assert found == 409_648 and len(sample) == 107
+        relations = []
+        for model in sample:
+            witness = check_consistency(model)
+            assert witness is not None and witness == materialized_consistency(model)
+            relations.append(witness.relation)
+        assert relations.count("analyzer_triple") == 11
 
 
 class TestDanglingSupport:
@@ -824,7 +854,7 @@ class TestFactorizeOrder:
         def unreachable(*args):
             raise AssertionError("a counted row was scanned")
 
-        monkeypatch.setattr(factorizer, "_count", unreachable)
+        monkeypatch.setattr(factorizer, "_counted_witness", unreachable)
         assert factorize(model).status == "ok"
 
     @pytest.mark.parametrize("build", [zoo.parity_split_robust, zoo.both_sector_robust])

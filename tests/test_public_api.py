@@ -1,8 +1,8 @@
 """The public surface: exported names resolve, README's quick start runs,
 no source module imports a name it neither uses nor re-exports, no private
 definition goes unread, no handler that raises a usage error wraps the
-program's own calls, and no cache is unbounded; nor does ``tests/helpers.py``
-hold an unused import or a function no test reads."""
+program's own calls, and no cache is unbounded; nor does a test module hold
+an unused import, or ``tests/helpers.py`` a function no test reads."""
 
 from __future__ import annotations
 
@@ -206,8 +206,15 @@ HELPERS = TESTS / "helpers.py"
 
 
 def test_no_unused_imports_in_test_helpers():
-    unused = _unused_imports(ast.parse(HELPERS.read_text()))
-    assert not unused, f"tests/helpers.py imports but never uses: {unused}"
+    """The helpers and every test module import only names they use."""
+    paths = sorted(TESTS.glob("*.py"))
+    assert HELPERS in paths
+    unused = {
+        path.name: names
+        for path in paths
+        if (names := _unused_imports(ast.parse(path.read_text())))
+    }
+    assert not unused, f"test modules import but never use: {unused}"
 
 
 def test_every_test_helper_is_read():

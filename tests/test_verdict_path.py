@@ -3,11 +3,11 @@
 Each rewrite of the path has an oracle in ``helpers``: the eagerly built
 product-rule events, unit propagation that rescans every cell, the
 per-cell constraint loops with their union-find block split, the high-bit
-elimination, the einsum relation counts, the multi-axis reductions of the
-robustness gate, and the per-assignment loops that counted events and
-averaged outcomes. Property tests compare the two on random models; the
-rest pins the trace checks ``replay`` makes and the size guards that refuse
-oversized inputs before allocating.
+elimination, the multi-axis reductions of the robustness gate, and the
+per-assignment loops that counted events and averaged outcomes. Property
+tests compare the two on random models; the rest pins the trace checks
+``replay`` makes and the size guards that refuse oversized inputs before
+allocating.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from bellswap.model import (
     classical_expectation,
     dumps,
     event_count,
-    selected_analyzer,
 )
 from bellswap.quantum import expectation_singlet
 from bellswap.robustness import (
@@ -55,7 +54,6 @@ from helpers import (
     block_diagonal,
     broadcast_products,
     eager_product_rule,
-    einsum_count,
     high_bit_eliminate,
     loop_constraints,
     looped_expectation,
@@ -204,39 +202,7 @@ def test_seed_component_alarm_texts_match_on_conflicting_tables():
 
 # ---------------------------------------------------------------------------
 # the factorizer on arrays: constraint rows in one int table, propagation
-# that queues only forcing rows, relation counts by matmul plans
-
-
-def _assert_counts_match(model):
-    f = selected_analyzer(model).astype(np.int64)
-    signed = (f, np.einsum("iikl->ikl", f))
-    for tables in (signed, (np.abs(signed[0]), np.abs(signed[1]))):
-        for name, operands, output in factorizer._RELATIONS:
-            if len(output) < 8:
-                continue
-            got = factorizer._count(operands, *tables)
-            assert got == einsum_count(operands, *tables), name
-
-
-@PROPERTY
-@given(model=ternary_models())
-def test_relation_counts_match_einsum_on_sparse_tables(model):
-    _assert_counts_match(model)
-
-
-@PROPERTY
-@given(model=synthetic_models())
-def test_relation_counts_match_einsum_on_factorizable_models(model):
-    _assert_counts_match(model)
-
-
-def test_count_plans_are_built_once_per_relation_and_shape():
-    model = synthetic_factorizable(3, n=4, size1=2, size4=3)
-    assert check_consistency(model) is None
-    misses = factorizer._count_plan.cache_info().misses
-    other = synthetic_factorizable(4, n=4, size1=2, size4=3, density=0.4)
-    assert check_consistency(other) is None
-    assert factorizer._count_plan.cache_info().misses == misses
+# that queues only forcing rows
 
 
 @PROPERTY
@@ -738,6 +704,20 @@ def test_verdict_refuses_a_small_hidden_count_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_consistency_counts_build_no_eight_index_row():
+    # the 8-index row of this model would take (32 * 32 * 4 * 4) ** 2 bytes,
+    # 256 MiB; its counts keep within the size of the largest operand
+    model = synthetic_factorizable(0, n=16, size1=4, size4=4, density=0.6)
+    model.analyzer  # the model's own cached table, outside the measurement
+    tracemalloc.start()
+    try:
+        assert check_consistency(model) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_every_catalog_and_golden_model_is_under_the_limit():

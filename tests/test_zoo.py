@@ -377,6 +377,7 @@ class TestCatalogAndUris:
         "zoo:not_a_model",
         "zoo:all_delta_one:n",
         "zoo:all_delta_one:bogus=1",
+        "zoo:all_delta_one:n=4,n=5",
     ])
     def test_bad_references_raise(self, uri):
         with pytest.raises(ZooError):
