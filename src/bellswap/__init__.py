@@ -44,7 +44,6 @@ from .robustness import RobustnessReport, is_robust
 from .search import (
     SearchResult,
     SearchSpace,
-    oracle_count,
     search_single_source,
     search_two_source,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "is_robust",
     "load",
     "loads",
-    "oracle_count",
     "predict_E_class",
     "prob_closed",
     "replay",

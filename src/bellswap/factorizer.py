@@ -10,8 +10,12 @@ satisfy, the rows of one einsum table over angle letters a-d and hidden
 letters p, q (first source) and r, s (last source); each 8-index row is
 summed by ``np.einsum`` over the signed int64 tables and over their absolute
 values, and built out, after a size check, only when the two sums differ.
-``factorize`` counts them only when the construction fails, since a
-construction that reproduces every response makes every relation +1 or 0.
+``factorize`` runs the located rows (the rectangles and the analyzer
+symmetry), then one traversal of the nonzero station cells from a(0) = +1:
+signs it reaches everywhere that reproduce every response certify the model,
+since then every relation is +1 or 0. The construction below runs only when
+they do not, counting the 8-index rows if it fails too, or on the first read
+of a certified result's blocks or trace.
 ``build_components`` turns every nonzero cell into a parity constraint, a
 row of one int table built by array kernels, and splits the support into
 blocks that share no nonzero cell.
@@ -115,9 +119,18 @@ class ComponentAssignment:
     eliminated: int
 
 
+_DERIVED = ("components", "merged", "trace")
+
+
 @dataclass(frozen=True)
 class Factorization:
-    """Total sign tables reproducing every nonzero response exactly."""
+    """Total sign tables reproducing every nonzero response exactly.
+
+    A factorization ``factorize`` certified from the station cells holds
+    its model instead of ``components``, ``merged`` and ``trace``: the first
+    read of any of them runs the construction and sets all three. Fields
+    passed to the constructor are kept as given.
+    """
 
     a: np.ndarray
     u: np.ndarray
@@ -125,6 +138,21 @@ class Factorization:
     components: tuple[Component, ...]
     merged: tuple[bool, ...]
     trace: tuple[TraceStep, ...]
+
+    def __getattr__(self, name):
+        # reached only while a certified factorization's fields are unset
+        model = self.__dict__.get("_model")
+        if name not in _DERIVED or model is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        built = _construct(model)
+        if not all(np.array_equal(getattr(built, s), getattr(self, s)) for s in "auv"):
+            raise RuntimeError("the construction's signs differ from the certified ones")
+        for key in _DERIVED:
+            object.__setattr__(self, key, getattr(built, key))
+        del self.__dict__["_model"]
+        return getattr(self, name)
 
 
 @dataclass(frozen=True)
@@ -786,6 +814,42 @@ def _verify_products(model: LhvModel, fact: Factorization) -> None:
             )
 
 
+def _construct(model: LhvModel) -> Factorization:
+    """The construction: components, then seed, then merge."""
+    components = build_components(model)
+    return merge_components(model, tuple(seed_component(model, c) for c in components))
+
+
+def _station_signs(model: LhvModel) -> Factorization | None:
+    """The signs the station cells force from a(0) = +1, or None.
+
+    One traversal: a(k)*u(lam1) = a[k, lam1] and a(k)*v(lam4) = d[k, lam4]
+    at every nonzero cell, each sign taken from the sum of its reached
+    candidates. None when some sign is never reached, or its candidates
+    cancel, or the signs fail ``_verify_products``. The result holds the
+    model, not its blocks and trace.
+    """
+    table_a, table_d = model.a.astype(np.int64), model.d.astype(np.int64)
+    a = np.zeros(model.steps, dtype=np.int64)
+    a[0] = 1
+    while True:
+        u, v = np.sign(a @ table_a), np.sign(a @ table_d)
+        grown = np.where(a != 0, a, np.sign(table_a @ u + table_d @ v))
+        if np.array_equal(grown, a):
+            break
+        a = grown
+    if not (a.all() and u.all() and v.all()):
+        return None
+    fact = object.__new__(Factorization)
+    fact.__dict__.update(a=a.astype(np.int8), u=u.astype(np.int8),
+                         v=v.astype(np.int8), _model=model)
+    try:
+        _verify_products(model, fact)
+    except CounterexampleAlarm:
+        return None
+    return fact
+
+
 def factorize(model: LhvModel) -> FactorizeResult:
     """Full pipeline: robustness gate, consistency scan, seed, merge.
 
@@ -796,19 +860,25 @@ def factorize(model: LhvModel) -> FactorizeResult:
     both gates yet cannot factor, which the theorem forbids.
 
     The order: the gate and ``find_dangling_support``, then the located
-    rows of the consistency scan, then the construction (components, seed,
-    merge), and the counted rows only if the construction raises
-    CounterexampleAlarm. A construction that passes ``_verify_products``
-    is its own certificate: every nonzero response is the product of its
-    signs, so every relation is +1 or 0 and the counted rows would find
-    nothing. The located rows still run first because they are cheap and
-    refute most robust inconsistent models on their own, which then never
-    pay for a construction: 341,060 of the 409,648 robust 2x2 census
-    survivors; the other 68,588 first fail the analyzer triple, so they
-    meet an alarm in the construction before the counted rows name it. A
-    counted witness is reported as ``consistency_violated``; with none,
-    the alarm stands. The result is the one the whole scan followed by
-    the construction gives.
+    rows of the consistency scan, then the station traversal
+    (``_station_signs``), then, only if it does not certify the model, the
+    construction (components, seed, merge), and the counted rows only if
+    the construction raises CounterexampleAlarm. Signs that pass
+    ``_verify_products`` are their own certificate: every nonzero response
+    is the product of its signs, so every relation is +1 or 0 and the
+    counted rows would find nothing. Signs the traversal reaches
+    everywhere from a(0) = +1 link every sign to var 0 through station
+    cells, so the construction would see one block anchored there with
+    these signs as its only solution: a certified result runs it on the
+    first read of ``components``, ``merged`` or ``trace`` and gets the
+    same answer. The located rows still run first because they are cheap
+    and refute most robust inconsistent models on their own, which then
+    never pay for a traversal or construction: 341,060 of the 409,648
+    robust 2x2 census survivors; the other 68,588 first fail the analyzer
+    triple, so they meet an alarm in the construction before the counted
+    rows name it. A counted witness is reported as
+    ``consistency_violated``; with none, the alarm stands. The result is
+    the one the whole scan followed by the construction gives.
     """
     _reject_single_source(model)
     report = is_robust(model, minus_row=False)
@@ -824,10 +894,8 @@ def factorize(model: LhvModel) -> FactorizeResult:
     witness = _located_witness(tables)
     if witness is None:
         try:
-            components = build_components(model)
-            assignments = tuple(seed_component(model, c) for c in components)
-            return FactorizeResult(status="ok",
-                                   factorization=merge_components(model, assignments))
+            fact = _station_signs(model) or _construct(model)
+            return FactorizeResult(status="ok", factorization=fact)
         except CounterexampleAlarm:
             witness = _counted_witness(tables)
             if witness is None:

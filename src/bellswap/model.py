@@ -131,6 +131,24 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _any_hidden(mask: np.ndarray, axes: int) -> np.ndarray:
+    """``mask.any`` over the last ``axes`` axes, the hidden ones.
+
+    ``axes`` counts the trailing hidden axes: 2 for two sources, 1 for one.
+    Each angle tuple's hidden flags are one contiguous run of bytes, read
+    here as the widest machine words that divide it: ORs over those words
+    replace numpy's reductions over short axes, which are several times
+    slower.
+    """
+    width = math.prod(mask.shape[-axes:])
+    word = next(w for w in (8, 4, 2, 1) if width % w == 0)
+    words = np.ascontiguousarray(mask).reshape(-1, width).view(f"u{word}")
+    hit = words[:, 0].copy()
+    for k in range(1, words.shape[1]):
+        hit |= words[:, k]
+    return (hit != 0).reshape(mask.shape[:-axes])
+
+
 # bounded: documents repeat a handful of weight texts, an entry each
 @lru_cache(maxsize=256)
 def _parse_weight(text: str) -> Fraction | None:
@@ -316,6 +334,23 @@ class LhvModel:
                                           m * m)).reshape(self.firing.shape))
             for s in (1, -1)
         }
+
+    @cached_property
+    def event_signs(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per realized sector, over the angle tuples: where a weighted event
+        has product +1, where one has -1, and both as one int8 table, the
+        classical expectation, 0 where no event defines it."""
+        signs = {}
+        for s in self.sectors:
+            events = self.sector_events[s]
+            positive = (self.products == 1) & events
+            has_pos = _any_hidden(positive, self.kappa.ndim)
+            has_neg = _any_hidden(positive ^ events, self.kappa.ndim)  # +1 or -1
+            table = np.zeros(has_pos.shape, dtype=np.int8)
+            table[has_pos] = 1
+            table[has_neg] = -1
+            signs[s] = tuple(map(_read_only, (has_pos, has_neg, table)))
+        return signs
 
     def assignments(self) -> Iterator[tuple[int, int | None, Fraction]]:
         """All hidden-variable assignments with their weights."""

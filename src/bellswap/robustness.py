@@ -10,13 +10,12 @@ variables) so failures are reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angles import sign_table
-from .model import LhvModel, product_tensor, realized_sectors
+from .model import LhvModel, _any_hidden, product_tensor, realized_sectors
 
 __all__ = [
     "CorrelationWitness",
@@ -96,29 +95,6 @@ def required_tensor(model: LhvModel) -> np.ndarray:
     return np.stack(columns, axis=-1).reshape(tables[1].shape + model.kappa.shape)
 
 
-def _hidden_words(mask: np.ndarray, axes: int) -> np.ndarray:
-    """A mask over (..., hidden) as one row of words per tuple.
-
-    ``axes`` counts the trailing hidden axes: 2 for two sources, 1 for one.
-    Each angle tuple's hidden flags are one contiguous run of bytes, read
-    here as the widest machine words that divide it: ORs over those words
-    replace numpy's reductions over short axes, which are several times
-    slower.
-    """
-    width = math.prod(mask.shape[-axes:])
-    word = next(w for w in (8, 4, 2, 1) if width % w == 0)
-    return np.ascontiguousarray(mask).reshape(-1, width).view(f"u{word}")
-
-
-def _any_hidden(mask: np.ndarray, axes: int) -> np.ndarray:
-    """``mask.any`` over the last ``axes`` axes, the hidden ones."""
-    words = _hidden_words(mask, axes)
-    hit = words[:, 0].copy()
-    for k in range(1, words.shape[1]):
-        hit |= words[:, k]
-    return (hit != 0).reshape(mask.shape[:-axes])
-
-
 def _first_index(mask: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first True entry in row-major order, as Python ints."""
     if not mask.any():
@@ -174,12 +150,13 @@ def check_counts_nonempty(
 
 def check_relevance(model: LhvModel) -> RelevanceWitness | None:
     """First hidden variable participating in no event, or None."""
-    # an OR over the angle tuples leaves the (L1, L4) firing pattern; a
-    # single source's reads as (L, 1), so side 4 can only be idle where
-    # side 1 already is
-    words = _hidden_words(model.firing, model.kappa.ndim)
-    pairs = np.bitwise_or.reduce(words, axis=0)
-    pairs = (pairs.view(np.uint8) != 0).reshape(model.size1, -1)
+    # products = a*f*d, so an assignment fires at some angle tuple exactly
+    # when each factor has a nonzero there: that is the (L1, L4) firing
+    # pattern; a single source's reads as (L, 1), so side 4 can only be
+    # idle where side 1 already is
+    first = (model.a != 0).any(axis=0).reshape((-1,) + (1,) * (model.kappa.ndim - 1))
+    pairs = first & (model.analyzer != 0).any(axis=(0, 1)) & (model.d != 0).any(axis=0)
+    pairs = pairs.reshape(model.size1, -1)
     idle = _first_index(~pairs.any(axis=1))
     if idle is not None:
         return RelevanceWitness(side=1, index=idle[0])

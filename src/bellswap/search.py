@@ -1,4 +1,4 @@
-"""Brute-force oracles and exhaustive searches over finite model spaces.
+"""Exhaustive searches over finite model spaces.
 
 Two families are searched. For two-source spaces the searcher enumerates
 station tables and sector maps, derives the unique maximal analyzer table
@@ -89,7 +89,6 @@ __all__ = [
     "SearchSpace",
     "SearchResult",
     "forced_analyzer",
-    "oracle_count",
     "search_two_source",
     "search_single_source",
 ]
@@ -182,43 +181,6 @@ class SearchResult:
     cursor: int = 0
     elapsed_seconds: float = field(default=0.0, compare=False)
     notes: str = ""
-
-
-def oracle_count(model: LhvModel, phis, sector: int) -> Fraction:
-    """Sector event count by direct table lookups over every assignment.
-
-    Independent re-implementation used to cross-check the model module's
-    event counting; exact rational arithmetic, no shared code paths.
-    """
-    if sector not in (1, -1):
-        raise ValueError(f"sector must be +1 or -1, got {sector}")
-    k1, k2, k3, k4 = (int(p) % model.steps for p in phis)
-    analyzer = model.f_plus if sector == 1 else model.f_minus
-    total = Fraction(0)
-    if model.family == SINGLE_SOURCE:
-        for lam, weight in enumerate(model.rho1):
-            if int(model.kappa[lam]) != sector:
-                continue
-            product = (
-                int(model.a[k1, lam])
-                * int(analyzer[k2, k3, lam])
-                * int(model.d[k4, lam])
-            )
-            if product != 0:
-                total += weight
-    else:
-        for l1, w1 in enumerate(model.rho1):
-            for l4, w4 in enumerate(model.rho4):
-                if int(model.kappa[l1, l4]) != sector:
-                    continue
-                product = (
-                    int(model.a[k1, l1])
-                    * int(analyzer[k2, k3, l1, l4])
-                    * int(model.d[k4, l4])
-                )
-                if product != 0:
-                    total += w1 * w4
-    return Fraction(model.n0, 2) * total
 
 
 @lru_cache(maxsize=4)

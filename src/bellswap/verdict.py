@@ -38,7 +38,7 @@ from .model import (
     realized_sectors,
 )
 from .quantum import expectation_singlet
-from .robustness import RobustnessReport, _any_hidden, _first_index
+from .robustness import RobustnessReport, _first_index
 
 __all__ = [
     "ProductRule",
@@ -64,19 +64,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # event bookkeeping shared by the derivation stages
-
-
-def _event_signs(model: LhvModel, sector: int):
-    """Tuples with a weighted +1 event, with a weighted -1 event, and both as
-    one table: the classical expectation, 0 where no event defines it."""
-    events = model.sector_events[sector]
-    positive = (product_tensor(model) == 1) & events
-    has_pos = _any_hidden(positive, 2)
-    has_neg = _any_hidden(positive ^ events, 2)  # every event fires: +1 or -1
-    table = np.zeros(has_pos.shape, dtype=np.int8)
-    table[has_pos] = 1
-    table[has_neg] = -1
-    return has_pos, has_neg, table
 
 
 def _unravel(code, steps: int) -> tuple[int, int, int, int]:
@@ -426,7 +413,7 @@ def predict_E_class(fact: Factorization, model: LhvModel) -> EClassReport:
     all_plus = True
     max_gap = 0.0
     for sector in sectors:
-        has_pos, has_neg, table = _event_signs(model, sector)
+        has_pos, has_neg, table = model.event_signs[sector]
         if (has_pos & has_neg).any():
             raise CounterexampleAlarm(
                 "a tuple mixes event products +1 and -1, impossible for a"
@@ -591,7 +578,7 @@ def replay(trace: DerivationTrace, model: LhvModel) -> bool:
             f" the model realizes {sectors}"
         )
     for sector in sectors:
-        _, _, want = _event_signs(model, sector)
+        _, _, want = model.event_signs[sector]
         if not np.array_equal(want, trace.expectation.e_class.get(sector)):
             raise ReplayError("an expectation table does not replay")
     return True

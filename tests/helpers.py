@@ -908,6 +908,43 @@ def queue_seed_component(model: LhvModel, component) -> ComponentAssignment:
     )
 
 
+def oracle_count(model: LhvModel, phis, sector: int) -> Fraction:
+    """Oracle for ``event_count``: direct table lookups over every assignment.
+
+    An independent re-implementation in exact rational arithmetic that
+    shares no code path with the model module's event counting.
+    """
+    if sector not in (1, -1):
+        raise ValueError(f"sector must be +1 or -1, got {sector}")
+    k1, k2, k3, k4 = (int(p) % model.steps for p in phis)
+    analyzer = model.f_plus if sector == 1 else model.f_minus
+    total = Fraction(0)
+    if model.family == SINGLE_SOURCE:
+        for lam, weight in enumerate(model.rho1):
+            if int(model.kappa[lam]) != sector:
+                continue
+            product = (
+                int(model.a[k1, lam])
+                * int(analyzer[k2, k3, lam])
+                * int(model.d[k4, lam])
+            )
+            if product != 0:
+                total += weight
+    else:
+        for l1, w1 in enumerate(model.rho1):
+            for l4, w4 in enumerate(model.rho4):
+                if int(model.kappa[l1, l4]) != sector:
+                    continue
+                product = (
+                    int(model.a[k1, l1])
+                    * int(analyzer[k2, k3, l1, l4])
+                    * int(model.d[k4, l4])
+                )
+                if product != 0:
+                    total += w1 * w4
+    return Fraction(model.n0, 2) * total
+
+
 def _lookup(model: LhvModel, phis, l1: int, l4: int | None):
     """Raw factors (first response, analyzer response, last response, sector)."""
     p1, p2, p3, p4 = phis
@@ -982,11 +1019,11 @@ def _hidden_axes(model: LhvModel):
 
 
 def multi_axis_event_signs(model: LhvModel, sector: int):
-    """Oracle for the verdict's expectation table: multi-axis ``.any``."""
+    """Oracle for ``LhvModel.event_signs``: multi-axis ``.any``."""
     products = product_tensor(model)
     events = model.sector_events[sector]
-    has_pos = ((products == 1) & events).any(axis=(-2, -1))
-    has_neg = ((products == -1) & events).any(axis=(-2, -1))
+    has_pos = ((products == 1) & events).any(axis=_hidden_axes(model))
+    has_neg = ((products == -1) & events).any(axis=_hidden_axes(model))
     table = np.zeros(has_pos.shape, dtype=np.int8)
     table[has_pos] = 1
     table[has_neg] = -1

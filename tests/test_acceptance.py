@@ -36,7 +36,6 @@ from bellswap.quantum import (
 from bellswap.robustness import is_robust
 from bellswap.search import (
     SearchSpace,
-    oracle_count,
     search_single_source,
     search_two_source,
 )
@@ -49,6 +48,7 @@ from bellswap.zoo import (
     synthetic_factorizable,
     two_source_shell,
 )
+from helpers import oracle_count
 
 GRID_STEPS = 8  # default grid: angles in multiples of pi/4
 DENSITIES = [0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]

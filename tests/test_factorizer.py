@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from unittest import mock
 
@@ -24,6 +25,7 @@ from bellswap.factorizer import (
 from bellswap.model import LhvModel, SizeLimitError, selected_analyzer
 from bellswap.robustness import RobustnessReport, check_relevance
 from bellswap.search import SearchSpace, _pair_double_blocks, search_two_source
+from bellswap.verdict import run as run_verdict
 
 from helpers import (
     assert_components_match,
@@ -765,6 +767,18 @@ def assert_same_as_scan_first(model):
     return got
 
 
+def answered_by(model):
+    """Which path of ``factorize`` answered: ``certified`` by the station
+    traversal, or ``construction`` when ``build_components`` ran."""
+    with mock.patch.object(factorizer, "build_components",
+                           wraps=factorizer.build_components) as spy:
+        try:
+            factorize(model)
+        except CounterexampleAlarm:
+            pass
+    return "construction" if spy.called else "certified"
+
+
 def diagonal_flipped():
     """A factorizable model with one diagonal analyzer cell flipped: only
     the counted rows see it, since the symmetry row squares that cell."""
@@ -792,6 +806,7 @@ class TestFactorizeOrder:
     def test_synthetic_models(self, monkeypatch, seed, density, kappa):
         model = zoo.synthetic_factorizable(seed, density=density, kappa=kappa)
         assert assert_same_as_scan_first(model)[0] == "ok"
+        assert answered_by(model) == "certified"
         # one live analyzer cell and its mirror flipped, past a waived gate
         f = model.f_plus.copy()
         k2, k3, l4 = np.argwhere(f[:, :, 1] != 0)[seed]
@@ -802,11 +817,14 @@ class TestFactorizeOrder:
     @pytest.mark.parametrize("signs, status", [
         ([1, 1, -1, -1], "ok"),
         ([1, 1, 1, -1], "alarm"),  # the merge alarm stands: every relation holds
+        ([1, 1, 1, 1], "ok"),
     ])
     def test_block_diagonal(self, monkeypatch, signs, status):
+        # two blocks split the station cells: the traversal falls back
         monkeypatch.setattr(factorizer, "is_robust", waived_gate)
         model = block_diagonal(signs, u=(1, -1), v=(-1, 1))
         assert assert_same_as_scan_first(model)[0] == status
+        assert answered_by(model) == "construction"
 
     @pytest.mark.parametrize("build", [
         lambda: cells_model({}, {}, {(0, 1, 0, 0): -1, (0, 1, 1, 0): 1,
@@ -866,3 +884,53 @@ class TestFactorizeOrder:
         result = factorize(build(4))
         assert result.status == "consistency_violated"
         assert result.witness.relation in {row[0] for row in factorizer._LOCATED}
+
+
+class TestCertifiedPath:
+    """A model the station traversal certifies runs the construction only
+    when its blocks or trace are read."""
+
+    MODEL = zoo.synthetic_factorizable(2, density=0.7, kappa="mixed")
+
+    @staticmethod
+    def spy(monkeypatch) -> list[str]:
+        calls: list[str] = []
+        for name in ("build_components", "seed_component"):
+            original = getattr(factorizer, name)
+            monkeypatch.setattr(factorizer, name, lambda *args, _name=name, _call=original:
+                                calls.append(_name) or _call(*args))
+        return calls
+
+    def test_a_verdict_builds_nothing(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        assert run_verdict(self.MODEL).kind == "inconsistent"
+        assert calls == []
+
+    @pytest.mark.parametrize("first", ["trace", "components", "merged"])
+    def test_the_first_read_builds_once(self, monkeypatch, first):
+        want = scan_then_construct(self.MODEL).factorization
+        fact = factorize(self.MODEL).factorization
+        calls = self.spy(monkeypatch)
+        getattr(fact, first)
+        assert calls == ["build_components", "seed_component"]
+        assert (fact.components, fact.merged, fact.trace) == (
+            want.components, want.merged, want.trace)
+        assert repr(fact) == repr(want)
+        assert calls == ["build_components", "seed_component"]
+
+    def test_replace_keeps_the_given_fields(self):
+        fact = factorize(self.MODEL).factorization
+        flipped = dataclasses.replace(fact, a=-fact.a)
+        assert np.array_equal(flipped.a, -fact.a)
+        assert flipped.components is fact.components
+        assert flipped.merged is fact.merged
+        assert flipped.trace is fact.trace
+
+    def test_a_disagreeing_construction_is_an_internal_error(self, monkeypatch):
+        fact = factorize(self.MODEL).factorization
+        construct = factorizer._construct
+        monkeypatch.setattr(factorizer, "_construct", lambda model: dataclasses.replace(
+            construct(model), a=-fact.a))
+        with pytest.raises(RuntimeError, match="differ from the certified") as caught:
+            fact.trace
+        assert not isinstance(caught.value, CounterexampleAlarm)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import random
 import re
@@ -272,6 +273,16 @@ class TestValidation:
         assert np.array_equal(product_tensor(model), product_tensor(source))
 
 
+def _arrays(value):
+    """Every array in a cached view: the view itself, or those inside its
+    dict values and tuple items."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (dict, tuple)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _arrays(item)
+
+
 class TestDerivedViews:
     @pytest.mark.parametrize("build", [constant_two_source, constant_single_source])
     def test_cached_and_read_only(self, build):
@@ -279,6 +290,13 @@ class TestDerivedViews:
         for view in (selected_analyzer, product_tensor, positive_weight_mask):
             assert view(model) is view(model)
             assert not view(model).flags.writeable
+        names = [name for name, attr in vars(LhvModel).items()
+                 if isinstance(attr, functools.cached_property)]
+        assert {"analyzer", "products", "sector_events", "event_signs"} <= set(names)
+        for name in names:
+            value = getattr(model, name)
+            assert getattr(model, name) is value, name
+            assert all(not array.flags.writeable for array in _arrays(value)), name
         for sector, events in model.sector_events.items():
             assert not events.flags.writeable
             assert np.array_equal(

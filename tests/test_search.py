@@ -29,7 +29,6 @@ from bellswap.robustness import RobustnessReport, is_robust
 from bellswap.search import (
     SearchSpace,
     forced_analyzer,
-    oracle_count,
     search_single_source,
     search_two_source,
 )
@@ -57,6 +56,7 @@ from helpers import (
     demand_filled_analyzer,
     fate_pack,
     looped_single_source,
+    oracle_count,
     parity_split_model,
     per_block_drive,
     rebuild,

@@ -61,6 +61,7 @@ from helpers import (
     multi_axis_counts,
     multi_axis_event_signs,
     multi_axis_relevance,
+    oracle_count,
     queue_seed_component,
     rebuild,
     tables_model,
@@ -412,7 +413,7 @@ def _gate_matches(model):
     m = model.steps
     for phis in ((0, 0, 0, 0), (1, 2, 3, 0), (m - 1, 0, m - 1, 1)):
         for sector in (1, -1):
-            assert event_count(model, phis, sector) == search.oracle_count(
+            assert event_count(model, phis, sector) == oracle_count(
                 model, phis, sector)
             for sign in (-1, 1, None):
                 assert (classical_expectation(model, phis, sector, sign)
@@ -423,11 +424,18 @@ def _gate_matches(model):
     for minus_row in (False, True):
         assert (check_perfect_correlations(model, minus_row)
                 == multi_axis_correlations(model, minus_row))
-    if model.family == "two_source":
-        for sector in (1, -1):
-            got = verdict._event_signs(model, sector)
-            want = multi_axis_event_signs(model, sector)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert tuple(model.event_signs) == model.sectors
+    for sector, got in model.event_signs.items():
+        want = multi_axis_event_signs(model, sector)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("uri", sorted(
+    {f"zoo:{name}" for name in catalog() if name != "synthetic_factorizable"}
+    | set(MODELS)))
+def test_relevance_matches_multi_axis_on_every_zoo_model(uri):
+    model = by_uri(uri)
+    assert check_relevance(model) == multi_axis_relevance(model)
 
 
 @PROPERTY
