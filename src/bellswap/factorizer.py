@@ -10,12 +10,11 @@ satisfy, the rows of one einsum table over angle letters a-d and hidden
 letters p, q (first source) and r, s (last source); each 8-index row is
 summed by ``np.einsum`` over the signed int64 tables and over their absolute
 values, and built out, after a size check, only when the two sums differ.
-``factorize`` runs the located rows (the rectangles and the analyzer
-symmetry), then one traversal of the nonzero station cells from a(0) = +1:
-signs it reaches everywhere that reproduce every response certify the model,
-since then every relation is +1 or 0. The construction below runs only when
-they do not, counting the 8-index rows if it fails too, or on the first read
-of a certified result's blocks or trace.
+``factorize`` solves the signs by one traversal of the nonzero station cells
+from a(0) = +1; signs that reproduce every response certify the model, since
+then every relation is +1 or 0. Any other model is scanned, then, with no
+witness, built by the construction below, which a certified result runs on
+the first read of its blocks or trace.
 ``build_components`` turns every nonzero cell into a parity constraint, a
 row of one int table built by array kernels, and splits the support into
 blocks that share no nonzero cell.
@@ -197,15 +196,8 @@ _SCAN = tuple(
      tuple(map(_KEYS.get, output)))
     for name, operands, output in _RELATIONS
 )
-# the four 4-index rows, located directly, then the three 8-index rows,
-# counted first
+# the 4-index rows are located directly, the 8-index rows counted first
 _LOCATED, _COUNTED = _SCAN[:4], _SCAN[4:]
-
-
-def _scan_tables(model: LhvModel) -> tuple:
-    """The tables the scan rows read: a, d, the analyzer's diagonal, f."""
-    f = selected_analyzer(model)
-    return model.a, model.d, np.einsum("iikl->ikl", f), f
 
 
 def _witness(row: tuple, tables: tuple) -> ConsistencyWitness | None:
@@ -213,28 +205,6 @@ def _witness(row: tuple, tables: tuple) -> ConsistencyWitness | None:
     name, subscripts, _, picks, keys = row
     where = _first_index(np.einsum(subscripts, *[tables[i] for i in picks]) == -1)
     return None if where is None else ConsistencyWitness(name, dict(zip(keys, where)), -1)
-
-
-def _located_witness(tables: tuple) -> ConsistencyWitness | None:
-    """The first -1 among the rectangles and the analyzer symmetry."""
-    return next(filter(None, (_witness(row, tables) for row in _LOCATED)), None)
-
-
-def _counted_witness(tables: tuple) -> ConsistencyWitness | None:
-    """The first -1 among the analyzer triple, pair-shift and diagonal."""
-    signed = [t.astype(np.int64) for t in tables]
-    unsigned = [np.abs(t) for t in signed]
-    for row in _COUNTED:
-        name, _, operands, picks, _ = row
-        sums = [np.einsum(f"{operands}->", *[t[i] for i in picks], optimize=True)
-                for t in (signed, unsigned)]
-        if sums[0] != sums[1]:
-            f = tables[3]
-            # two bytes per instance: the int8 row and its -1 mask
-            _refuse_oversize(f"the {name} row of a {'x'.join(map(str, f.shape))}"
-                             " analyzer table", 2 * f.size ** 2)
-            return _witness(row, tables)
-    return None
 
 
 def check_consistency(model: LhvModel) -> ConsistencyWitness | None:
@@ -262,18 +232,35 @@ def check_consistency(model: LhvModel) -> ConsistencyWitness | None:
     materialized, by einsum, to find its first -1; one that would take more
     than MAX_TABLE_BYTES (two bytes per instance, (2n)^4 L1^2 L4^2
     instances) raises SizeLimitError before anything is allocated.
-    ``factorize`` runs the counted rows only when its construction fails.
+    ``factorize`` scans only models its station signs do not certify.
     """
     _reject_single_source(model)
-    tables = _scan_tables(model)
-    return _located_witness(tables) or _counted_witness(tables)
+    f = selected_analyzer(model)
+    tables = model.a, model.d, np.einsum("iikl->ikl", f), f
+    for row in _LOCATED:
+        if (witness := _witness(row, tables)) is not None:
+            return witness
+    signed = [t.astype(np.int64) for t in tables]
+    unsigned = [np.abs(t) for t in signed]
+    for row in _COUNTED:
+        name, _, operands, picks, _ = row
+        sums = [np.einsum(f"{operands}->", *[t[i] for i in picks], optimize=True)
+                for t in (signed, unsigned)]
+        if sums[0] != sums[1]:
+            # two bytes per instance: the int8 row and its -1 mask
+            _refuse_oversize(f"the {name} row of a {'x'.join(map(str, f.shape))}"
+                             " analyzer table", 2 * f.size ** 2)
+            return _witness(row, tables)
+    return None
 
 
 def find_dangling_support(model: LhvModel) -> dict | None:
     """First station response that no analyzer/partner pair can complete.
 
     Returns None when every nonzero first-station (or last-station) entry has
-    at least one completing event partner; robust models never fail this.
+    at least one completing event partner. Relevance implies one for every
+    nonzero station cell, so robust models never fail this: it is an
+    internal alarm in ``factorize``, reached only past a waived gate.
     """
     _reject_single_source(model)
     f_any = (selected_analyzer(model) != 0).any(axis=(0, 1))  # (L1, L4)
@@ -851,7 +838,7 @@ def _station_signs(model: LhvModel) -> Factorization | None:
 
 
 def factorize(model: LhvModel) -> FactorizeResult:
-    """Full pipeline: robustness gate, consistency scan, seed, merge.
+    """Full pipeline: robustness gate, station signs, else scan and construct.
 
     The robustness gate enforces the correlated half of the sign law plus
     counts and relevance; those are exactly the properties the construction
@@ -859,26 +846,13 @@ def factorize(model: LhvModel) -> FactorizeResult:
     construction itself raising CounterexampleAlarm means an input escaped
     both gates yet cannot factor, which the theorem forbids.
 
-    The order: the gate and ``find_dangling_support``, then the located
-    rows of the consistency scan, then the station traversal
-    (``_station_signs``), then, only if it does not certify the model, the
-    construction (components, seed, merge), and the counted rows only if
-    the construction raises CounterexampleAlarm. Signs that pass
-    ``_verify_products`` are their own certificate: every nonzero response
-    is the product of its signs, so every relation is +1 or 0 and the
-    counted rows would find nothing. Signs the traversal reaches
-    everywhere from a(0) = +1 link every sign to var 0 through station
-    cells, so the construction would see one block anchored there with
-    these signs as its only solution: a certified result runs it on the
-    first read of ``components``, ``merged`` or ``trace`` and gets the
-    same answer. The located rows still run first because they are cheap
-    and refute most robust inconsistent models on their own, which then
-    never pay for a traversal or construction: 341,060 of the 409,648
-    robust 2x2 census survivors; the other 68,588 first fail the analyzer
-    triple, so they meet an alarm in the construction before the counted
-    rows name it. A counted witness is reported as
-    ``consistency_violated``; with none, the alarm stands. The result is
-    the one the whole scan followed by the construction gives.
+    Past the gate and ``find_dangling_support``, the station traversal
+    (``_station_signs``) decides first. Signs that pass ``_verify_products``
+    reproduce every nonzero response, so every relation is +1 or 0: they
+    certify the model. They link every sign to a(0) through station cells,
+    so the construction, run on the first read of ``components``, ``merged``
+    or ``trace``, finds one block with these signs as its only solution.
+    Any other model is scanned by ``check_consistency``, then constructed.
     """
     _reject_single_source(model)
     report = is_robust(model, minus_row=False)
@@ -890,14 +864,10 @@ def factorize(model: LhvModel) -> FactorizeResult:
             "a station response has no completing partner anywhere, which"
             f" counts and relevance are supposed to exclude: {dangling}"
         )
-    tables = _scan_tables(model)
-    witness = _located_witness(tables)
-    if witness is None:
-        try:
-            fact = _station_signs(model) or _construct(model)
-            return FactorizeResult(status="ok", factorization=fact)
-        except CounterexampleAlarm:
-            witness = _counted_witness(tables)
-            if witness is None:
-                raise
-    return FactorizeResult(status="consistency_violated", witness=witness)
+    fact = _station_signs(model)
+    if fact is None:
+        witness = check_consistency(model)
+        if witness is not None:
+            return FactorizeResult(status="consistency_violated", witness=witness)
+        fact = _construct(model)
+    return FactorizeResult(status="ok", factorization=fact)

@@ -220,6 +220,26 @@ def tables_model(a, d, f, n=2, kappa=None):
     )
 
 
+def random_signs(rng, shape):
+    return rng.choice(np.array([-1, 1], dtype=np.int8), size=shape)
+
+
+def random_mask(rng, shape, density):
+    return (rng.random(shape) < density).astype(np.int8)
+
+
+def factorized_tables(rng, m, size1, size4, density):
+    """Station and analyzer tables in the factorized sign form, from random
+    generator signs, each cell kept with probability ``density``."""
+    gen_a, u, v = random_signs(rng, m), random_signs(rng, size1), random_signs(rng, size4)
+    a = gen_a[:, None] * u[None, :] * random_mask(rng, (m, size1), density)
+    d = gen_a[:, None] * v[None, :] * random_mask(rng, (m, size4), density)
+    f = (gen_a[:, None, None, None] * gen_a[None, :, None, None]
+         * u[None, None, :, None] * v[None, None, None, :]
+         * random_mask(rng, (m, m, size1, size4), density))
+    return a, d, f
+
+
 @st.composite
 def ternary_models(draw):
     """Sparse ternary tables at n=2 or 4 with 1-3 hidden values per source.
@@ -244,24 +264,11 @@ def ternary_models(draw):
     muted = draw(st.sampled_from([0, 0, 2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = 2 * n
-
-    def mask(shape):
-        return (rng.random(shape) < density).astype(np.int8)
-
-    def signs(shape):
-        return rng.choice(np.array([-1, 1], dtype=np.int8), size=shape)
-
     if factorized:
-        gen_a, u, v = signs(m), signs(size1), signs(size4)
-        a = gen_a[:, None] * u[None, :] * mask((m, size1))
-        d = gen_a[:, None] * v[None, :] * mask((m, size4))
-        f = (gen_a[:, None, None, None] * gen_a[None, :, None, None]
-             * u[None, None, :, None] * v[None, None, None, :]
-             * mask((m, m, size1, size4)))
+        a, d, f = factorized_tables(rng, m, size1, size4, density)
     else:
-        a = signs((m, size1)) * mask((m, size1))
-        d = signs((m, size4)) * mask((m, size4))
-        f = signs((m, m, size1, size4)) * mask((m, m, size1, size4))
+        a, d, f = (random_signs(rng, shape) * random_mask(rng, shape, density)
+                   for shape in ((m, size1), (m, size4), (m, m, size1, size4)))
     f = f.astype(np.int8)
     quiet = np.zeros(m, dtype=bool)
     quiet[rng.permutation(m)[:muted]] = True
@@ -283,6 +290,25 @@ def ternary_models(draw):
     if silent_d:
         d = np.zeros_like(d)
     return tables_model(a.astype(np.int8), d.astype(np.int8), f, n=n)
+
+
+def dense_factorized_model(seed: int) -> LhvModel:
+    """Dense factorized tables with up to two sign flips, drawn from a seed.
+
+    n = 2 or 4, 1-3 hidden values per source and density 0.5-1.0; the 0-2
+    flips land on live cells anywhere in the three tables. Dense stations
+    let the station traversal reach every sign, so most unflipped draws are
+    certified, where ``ternary_models`` rarely reaches that branch.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([2, 4]))
+    size1, size4 = rng.integers(1, 4, size=2)
+    tables = factorized_tables(rng, 2 * n, size1, size4, rng.uniform(0.5, 1.0))
+    live = [(table, tuple(cell)) for table in tables for cell in np.argwhere(table != 0)]
+    for pick in rng.permutation(len(live))[:rng.integers(0, 3)]:
+        table, cell = live[pick]
+        table[cell] *= -1
+    return tables_model(*tables, n=n)
 
 
 def block_diagonal(a_signs, u=(1, 1), v=(1, 1), n=2):
@@ -396,13 +422,13 @@ def materialized_consistency(model: LhvModel):
 
 
 def scan_then_construct(model: LhvModel) -> FactorizeResult:
-    """Oracle for ``factorize``'s order: the whole scan, then the construction.
+    """Oracle for ``factorize``: the whole scan, then the construction.
 
-    The order ``factorize`` ran before a verified construction stood in for
-    the counted rows: every relation is scanned, by
-    ``materialized_consistency``, before anything is built. The gate and the
-    dangling check are read off the ``factorizer`` module, so a test that
-    waives the gate there waives it here too.
+    Every relation is scanned, by ``materialized_consistency``, before
+    anything is built, with no station certificate: ``factorize`` must
+    answer the same, since certified signs hold every relation. The gate
+    and the dangling check are read off the ``factorizer`` module, so a test
+    that waives the gate there waives it here too.
     """
     report = factorizer.is_robust(model, minus_row=False)
     if not report.is_robust:

@@ -8,12 +8,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from bellswap import factorizer, zoo
 from bellswap.factorizer import (
     ConsistencyWitness,
     CounterexampleAlarm,
+    FactorizeResult,
     FamilyError,
     build_components,
     check_consistency,
@@ -31,22 +32,17 @@ from helpers import (
     assert_components_match,
     block_diagonal,
     compose_two_source,
+    dense_factorized_model,
     loop_constraints,
     looped_dangling,
     materialized_consistency,
+    random_mask,
+    random_signs,
     rebuild,
     scan_then_construct,
     tables_model,
     ternary_models,
 )
-
-
-def random_signs(rng, size):
-    return rng.choice(np.array([-1, 1], dtype=np.int8), size=size)
-
-
-def random_mask(rng, shape, density):
-    return (rng.random(shape) < density).astype(np.int8)
 
 
 def random_compose(seed, n=2, size1=2, size4=3, density=1.0):
@@ -226,9 +222,10 @@ class TestCheckConsistency:
     def test_witness_matches_materialized_scan(self, model):
         assert check_consistency(model) == materialized_consistency(model)
 
-    def test_census_survivor_sample_matches_materialized_scan(self):
+    def test_census_survivor_sample_matches_materialized_scan(self, monkeypatch):
         # every 4,096th robust 2x2 census survivor, and the first of each
-        # sector map; the ones that pass the located rows need a count
+        # sector map; the ones that pass the located rows need a count.
+        # ``factorize`` names the same witness and builds nothing
         sample, found = [], 0
         for _, _, tally, hits_of, build in _pair_double_blocks(
                 SearchSpace(family="two_source", denominator=4, size1=2, size4=2)):
@@ -241,12 +238,19 @@ class TestCheckConsistency:
                 sample.append(build(i, hits_of(i)[k - (tally[i - 1] if i else 0)]))
             found += total
         assert found == 409_648 and len(sample) == 107
+        built = []
+        build = factorizer.build_components
+        monkeypatch.setattr(factorizer, "build_components",
+                            lambda model: built.append(model) or build(model))
         relations = []
         for model in sample:
             witness = check_consistency(model)
             assert witness is not None and witness == materialized_consistency(model)
+            assert factorize(model) == FactorizeResult(
+                status="consistency_violated", witness=witness)
             relations.append(witness.relation)
         assert relations.count("analyzer_triple") == 11
+        assert built == []
 
 
 class TestDanglingSupport:
@@ -797,8 +801,8 @@ def census_survivors():
 
 
 class TestFactorizeOrder:
-    """The located rows, the construction, then the counted rows only if the
-    construction raises: the same answers as the whole scan first."""
+    """The station certificate, else the whole scan, else the construction:
+    the same answers as the whole scan first."""
 
     @pytest.mark.parametrize("kappa", ["plus", "minus", "mixed"])
     @pytest.mark.parametrize("density", [0.4, 0.7, 1.0])
@@ -834,15 +838,15 @@ class TestFactorizeOrder:
     def test_only_a_counted_row_fails(self, monkeypatch, build):
         monkeypatch.setattr(factorizer, "is_robust", waived_gate)
         model = build()
-        assert factorizer._located_witness(factorizer._scan_tables(model)) is None
         status, witness, _, _ = assert_same_as_scan_first(model)
         assert status == "consistency_violated"
         assert witness == check_consistency(model)
         assert witness.relation in {row[0] for row in factorizer._COUNTED}
 
     def test_census_survivors_refuted_only_by_a_counted_row(self, monkeypatch):
-        # robust as they stand: the construction raises, then the triple
-        # relation names the witness
+        # robust as they stand, and uncertified: the scan names the triple
+        # relation before anything is built, here and in the search's own
+        # ``consistent_found`` calls
         built = []
         build = factorizer.build_components
         monkeypatch.setattr(factorizer, "build_components",
@@ -852,7 +856,7 @@ class TestFactorizeOrder:
         for model in survivors:
             status, witness, _, _ = assert_same_as_scan_first(model)
             assert (status, witness.relation) == ("consistency_violated", "analyzer_triple")
-        assert len(built) == 4  # once per model by each pipeline
+        assert built == []
 
     @settings(max_examples=150, deadline=None)
     @given(model=ternary_models())
@@ -860,19 +864,38 @@ class TestFactorizeOrder:
         with mock.patch.object(factorizer, "is_robust", waived_gate):
             assert_same_as_scan_first(model)
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_dense_draws_match_scan_first(self, seed):
+        # dense stations reach the certificate, which must hold every relation
+        model = dense_factorized_model(seed)
+        with mock.patch.object(factorizer, "is_robust", waived_gate):
+            assert_same_as_scan_first(model)
+        if factorizer._station_signs(model) is not None:
+            assert materialized_consistency(model) is None
+
+    def test_dense_draws_reach_every_branch(self, monkeypatch):
+        # the draws above keep certified, uncertified and refuted models
+        monkeypatch.setattr(factorizer, "is_robust", waived_gate)
+        seen = set()
+        for seed in range(100):
+            model = dense_factorized_model(seed)
+            status = assert_same_as_scan_first(model)[0]
+            seen.add((status, factorizer._station_signs(model) is not None))
+        assert {("ok", True), ("ok", False), ("consistency_violated", False)} <= seen
+
     @pytest.mark.parametrize("model", [
         zoo.synthetic_factorizable(seed, n=n, density=density, kappa=kappa)
         for seed, n, density, kappa in ((1, 4, 1.0, "plus"), (2, 4, 0.5, "mixed"),
                                         (3, 6, 0.7, "minus"))
-    ] + [block_diagonal([1, 1, -1, -1], u=(1, -1), v=(-1, 1))],
-        ids=["n4", "n4_mixed", "n6", "block_diagonal"])
-    def test_a_factorizable_model_never_counts(self, monkeypatch, model):
+    ], ids=["n4", "n4_mixed", "n6"])
+    def test_a_certified_model_is_never_scanned(self, monkeypatch, model):
         monkeypatch.setattr(factorizer, "is_robust", waived_gate)
 
         def unreachable(*args):
-            raise AssertionError("a counted row was scanned")
+            raise AssertionError("the consistency scan ran")
 
-        monkeypatch.setattr(factorizer, "_counted_witness", unreachable)
+        monkeypatch.setattr(factorizer, "check_consistency", unreachable)
         assert factorize(model).status == "ok"
 
     @pytest.mark.parametrize("build", [zoo.parity_split_robust, zoo.both_sector_robust])
