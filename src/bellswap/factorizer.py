@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +38,7 @@ from .angles import sign_table
 from .model import (
     SINGLE_SOURCE,
     LhvModel,
+    _read_only,
     _refuse_oversize,
     realized_sectors,
     selected_analyzer,
@@ -152,6 +154,12 @@ class Factorization:
             object.__setattr__(self, key, getattr(built, key))
         del self.__dict__["_model"]
         return getattr(self, name)
+
+    @cached_property
+    def angle_products(self) -> np.ndarray:
+        """a(k1)*a(k2)*a(k3)*a(k4) at every angle tuple, int8, built once."""
+        pairs = np.multiply.outer(self.a, self.a)
+        return _read_only(np.multiply.outer(pairs, pairs))
 
 
 @dataclass(frozen=True)

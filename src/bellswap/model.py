@@ -131,24 +131,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _any_hidden(mask: np.ndarray, axes: int) -> np.ndarray:
-    """``mask.any`` over the last ``axes`` axes, the hidden ones.
-
-    ``axes`` counts the trailing hidden axes: 2 for two sources, 1 for one.
-    Each angle tuple's hidden flags are one contiguous run of bytes, read
-    here as the widest machine words that divide it: ORs over those words
-    replace numpy's reductions over short axes, which are several times
-    slower.
-    """
-    width = math.prod(mask.shape[-axes:])
-    word = next(w for w in (8, 4, 2, 1) if width % w == 0)
-    words = np.ascontiguousarray(mask).reshape(-1, width).view(f"u{word}")
-    hit = words[:, 0].copy()
-    for k in range(1, words.shape[1]):
-        hit |= words[:, k]
-    return (hit != 0).reshape(mask.shape[:-axes])
-
-
 # bounded: documents repeat a handful of weight texts, an entry each
 @lru_cache(maxsize=256)
 def _parse_weight(text: str) -> Fraction | None:
@@ -308,9 +290,13 @@ class LhvModel:
 
     @cached_property
     def weight_mask(self) -> np.ndarray:
-        """Boolean mask over hidden-variable assignments carrying positive weight."""
-        mask = np.array([w > 0 for _, _, w in self.assignments()])
-        return _read_only(mask.reshape(self.kappa.shape))
+        """Boolean mask over hidden-variable assignments carrying positive
+        weight: the outer product of the sources' own masks, weights being
+        nonnegative."""
+        mask = np.array([w > 0 for w in self.rho1])
+        if self.rho4 is not None:
+            mask = np.logical_and.outer(mask, [w > 0 for w in self.rho4])
+        return _read_only(mask)
 
     @cached_property
     def sectors(self) -> tuple[int, ...]:
@@ -339,16 +325,37 @@ class LhvModel:
     def event_signs(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per realized sector, over the angle tuples: where a weighted event
         has product +1, where one has -1, and both as one int8 table, the
-        classical expectation, 0 where no event defines it."""
+        classical expectation, 0 where no event defines it.
+
+        With rows x of a(k1)*d(k4) over the sector's weighted assignments and
+        rows y of the analyzer at (k2, k3), x @ y.T sums each tuple's event
+        products and |x| @ |y|.T counts its events, exact in float32: a +1
+        event exists where the count exceeds minus the sum, a -1 where it
+        exceeds the sum. No product tensor is read, and the float32 sums are
+        taken a block of k1 values at a time, about 1 MiB a block.
+        """
+        m = self.steps
+        if self.rho4 is None:  # one hidden value feeds both stations
+            pair = self.a[:, None] * self.d[None]
+        else:
+            pair = np.multiply.outer(self.a, self.d).transpose(0, 2, 1, 3)
+        pair = pair.reshape(m * m, -1).astype(np.float32)
+        y = self.analyzer.reshape(m * m, -1).astype(np.float32)
+        y_abs = np.abs(y)
+        block = max(1, 2**17 // m**3)
         signs = {}
         for s in self.sectors:
-            events = self.sector_events[s]
-            positive = (self.products == 1) & events
-            has_pos = _any_hidden(positive, self.kappa.ndim)
-            has_neg = _any_hidden(positive ^ events, self.kappa.ndim)  # +1 or -1
-            table = np.zeros(has_pos.shape, dtype=np.int8)
-            table[has_pos] = 1
-            table[has_neg] = -1
+            x = pair * (self.weight_mask & (self.kappa == s)).ravel()
+            has_pos, has_neg = np.empty((2,) + (m,) * 4, dtype=bool)
+            for k1 in range(0, m, block):
+                rows = x[k1 * m:(k1 + block) * m]
+                total, count = rows @ y.T, np.abs(rows) @ y_abs.T
+                # rows (k1, k4) and columns (k2, k3), stored as (k1, k2, k3, k4)
+                has_neg[k1:k1 + block] = (count > total).reshape(-1, m, m, m).transpose(0, 2, 3, 1)
+                count += total
+                has_pos[k1:k1 + block] = (count > 0).reshape(-1, m, m, m).transpose(0, 2, 3, 1)
+            # -1 wherever a -1 event exists, else 1 where a +1 event does
+            table = has_pos.view(np.int8) | -has_neg.view(np.int8)
             signs[s] = tuple(map(_read_only, (has_pos, has_neg, table)))
         return signs
 

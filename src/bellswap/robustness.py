@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import sign_table
-from .model import LhvModel, _any_hidden, product_tensor, realized_sectors
+from .model import LhvModel, product_tensor, realized_sectors
 
 __all__ = [
     "CorrelationWitness",
@@ -141,8 +141,8 @@ def check_counts_nonempty(
     """
     sectors = (1, -1) if require_both_sectors else realized_sectors(model)
     for sector in sectors:
-        covered = _any_hidden(model.sector_events[sector], model.kappa.ndim)
-        where = _first_index(~covered)
+        signs = model.event_signs.get(sector)  # None: no weighted assignment announces it
+        where = (0, 0, 0, 0) if signs is None else _first_index(~(signs[0] | signs[1]))
         if where is not None:
             return CountsWitness(phis=tuple(where), sector=sector)
     return None

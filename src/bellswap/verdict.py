@@ -32,6 +32,7 @@ from .factorizer import (
 )
 from .model import (
     LhvModel,
+    _read_only,
     _refuse_oversize,
     positive_weight_mask,
     product_tensor,
@@ -66,23 +67,19 @@ __all__ = [
 # event bookkeeping shared by the derivation stages
 
 
-def _unravel(code, steps: int) -> tuple[int, int, int, int]:
-    """The four angle steps of a flat angle-tuple index, as Python ints."""
-    return tuple(int(i) for i in np.unravel_index(code, (steps,) * 4))
-
-
-def _midpoint_tuple(alpha: int, beta: int, gamma: int, sector: int):
-    # correlation angle alpha + gamma - 2*beta = 0 in either sector
-    if sector == 1:
-        return (alpha, beta, gamma, beta)
-    return (alpha, beta, beta, gamma)
-
-
-def _ratio_tuple(k: int, m: int, sector: int):
-    # correlation angle (k+1) - k - 1 = 0 in either sector
-    if sector == 1:
-        return ((k + 1) % m, k, 0, 1)
-    return ((k + 1) % m, k, 1, 0)
+def _first_events(model: LhvModel, sector: int, tuples, required: int) -> list:
+    """(lam1, lam4) of the first weighted event in ``sector``, row-major,
+    at each angle tuple of an (N, 4) array, or None where there is none or
+    the sector's sign table does not hold ``required`` there."""
+    at = tuple(np.asarray(tuples).T)
+    rows = product_tensor(model)[at].reshape(len(at[0]), -1) != 0
+    rows &= (model.weight_mask & (model.kappa == sector)).ravel()
+    rows &= (sign_table(model.n, sector)[at] == required)[:, None]
+    first = rows.argmax(axis=1)
+    hit = rows[np.arange(len(first)), first]
+    l1, l4 = np.divmod(first, model.size4)
+    return [(x, y) if ok else None
+            for x, y, ok in zip(l1.tolist(), l4.tolist(), hit.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -95,20 +92,16 @@ class ProductRule:
 
     ``events`` maps (sector, *angle steps) to the first weighted event
     proving the tuple is actually constrained by the model's counts;
-    ``verified`` counts the tuples checked per sector. The derivation keeps
-    those events as per-sector arrays and looks the tuples it cites up in
-    them; the ``events`` dict is built from the arrays on first read, so a
-    verdict that nobody inspects never builds it.
+    ``verified`` counts the tuples checked per sector. The rule keeps its
+    model and finds first events only at the tuples the derivation cites;
+    ``events`` is built on first read, so a verdict that nobody inspects
+    never builds it.
     """
 
     sectors: tuple[int, ...]
     verified: dict
     events: dict = field(init=False)
-    # per sector: the correlated tuples as flat angle indices (ascending,
-    # so row-major order) and the flat hidden index of each first event
-    found: dict = field(compare=False, repr=False)
-    steps: int = field(compare=False, repr=False)
-    size4: int = field(compare=False, repr=False)
+    model: LhvModel = field(compare=False, repr=False)
 
     def __getattr__(self, name):
         # reached only while ``events`` is unset: build it once, then it is
@@ -118,69 +111,46 @@ class ProductRule:
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
         events: dict = {}
-        for sector, (codes, first) in self.found.items():
-            phis = np.unravel_index(codes, (self.steps,) * 4)
-            l1, l4 = np.divmod(first, self.size4)
-            keys = np.column_stack([np.full(len(codes), sector), *phis])
-            events.update(zip(map(tuple, keys.tolist()),
-                              zip(l1.tolist(), l4.tolist())))
+        for sector in self.sectors:
+            tuples = np.argwhere(sign_table(self.model.n, sector) == 1)
+            for phis, event in zip(tuples.tolist(), self._lookup(sector, tuples)):
+                if event is not None:
+                    events[(sector, *phis)] = event
         object.__setattr__(self, "events", events)
         return events
 
-    def _lookup(self, sector: int, tuples: list) -> list:
-        """``events[(sector,) + phis]`` for each phis in ``tuples``, without
-        building ``events``; None where the rule records no event."""
-        codes, first = self.found[sector]
-        want = np.ravel_multi_index(np.array(tuples).T, (self.steps,) * 4)
-        at = np.searchsorted(codes, want).clip(max=len(codes) - 1)
-        hit = codes[at] == want
-        l1, l4 = np.divmod(first[at], self.size4)
-        return [(x, y) if ok else None
-                for x, y, ok in zip(l1.tolist(), l4.tolist(), hit.tolist())]
-
-
-def _angle_products(a: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """a[k1]*a[k2]*a[k3]*a[k4] at each flat angle-tuple index: the first
-    and the last two angles are each one index into the pair products."""
-    m = len(a)
-    pairs = (a[:, None] * a[None, :]).reshape(-1)
-    head, tail = np.divmod(codes, m * m)
-    return np.take(pairs, head) * np.take(pairs, tail)
+    def _lookup(self, sector: int, tuples) -> list:
+        """``events[(sector,) + phis]`` for each phis in ``tuples``, a list
+        or an (N, 4) array, without building ``events``; None where the
+        rule records no event."""
+        return _first_events(self.model, sector, tuples, 1)
 
 
 def derive_product_rule(fact: Factorization, model: LhvModel) -> ProductRule:
+    """Check the product rule at every correlated tuple of each realized sector.
+
+    The alarms name the first tuple, row-major, with no weighted event in the
+    model's event signs, then the first whose angle-product entry is -1."""
     _reject_single_source(model)
     sectors = realized_sectors(model)
     verified: dict = {}
-    found: dict = {}
-    a = fact.a
     for sector in sectors:
-        events = model.sector_events[sector]
-        codes = np.flatnonzero(sign_table(model.n, sector) == 1)
-        # each correlated tuple's hidden flags; the first weighted event is
-        # the first True, row-major over (lam1, lam4)
-        hidden = np.take(events.reshape(-1, model.size1 * model.size4), codes, 0)
-        first = hidden.argmax(axis=1)
-        silent = ~hidden[np.arange(len(codes)), first]
-        if silent.any():
-            phis = _unravel(codes[np.argmax(silent)], model.steps)
+        correlated = sign_table(model.n, sector) == 1
+        has_pos, has_neg, _ = model.event_signs[sector]
+        phis = _first_index(correlated & ~(has_pos | has_neg))
+        if phis is not None:
             raise CounterexampleAlarm(
                 f"correlated tuple {phis} in sector {sector:+d} has no"
                 " weighted event although the counts check passed"
             )
-        bad = np.flatnonzero(_angle_products(a, codes) != 1)
-        if len(bad):
-            phis = _unravel(codes[bad[0]], model.steps)
+        phis = _first_index(correlated & (fact.angle_products != 1))
+        if phis is not None:
             raise CounterexampleAlarm(
                 f"angle signs at correlated tuple {phis} in sector"
                 f" {sector:+d} multiply to -1"
             )
-        found[sector] = (codes, first)
-        verified[sector] = len(codes)
-    return ProductRule(
-        sectors=sectors, verified=verified,
-        found=found, steps=model.steps, size4=model.size4,
-    )
+        verified[sector] = int(np.count_nonzero(correlated))
+    return ProductRule(sectors=sectors, verified=verified, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +207,22 @@ class ConstantSignReport:
     doubled_notes: tuple[DoubledGridNote, ...]
 
 
+@lru_cache(maxsize=4)
+def _cited_tuples(m: int, sector: int):
+    """The midpoint triples (alpha, beta, gamma) on a grid of ``m`` angles
+    and the tuples ``derive_constant_a`` cites, midpoints then ratios, as a
+    tuple and as an (N, 4) array; cached for two grids with both sectors."""
+    triples = tuple((alpha, (alpha + gamma) // 2, gamma)
+                    for alpha in range(m) for gamma in range(alpha + 2, m, 2))
+    # correlation angles alpha + gamma - 2*beta and (k+1) - k - 1 vanish;
+    # sector -1 takes the last two angles the other way round
+    cited = [(alpha, beta, gamma, beta) for alpha, beta, gamma in triples]
+    cited += [((k + 1) % m, k, 0, 1) for k in range(m)]
+    if sector == -1:
+        cited = [(p1, p2, p4, p3) for p1, p2, p3, p4 in cited]
+    return triples, tuple(cited), _read_only(np.array(cited))
+
+
 def derive_constant_a(
     fact: Factorization,
     model: LhvModel,
@@ -257,42 +243,33 @@ def derive_constant_a(
     sector = rule.sectors[0]
     m = model.steps
     a = fact.a.tolist()
-    triples = [(alpha, (alpha + gamma) // 2, gamma)
-               for alpha in range(m) for gamma in range(alpha + 2, m, 2)]
-    midpoints = [_midpoint_tuple(*triple, sector) for triple in triples]
-    ratios = [_ratio_tuple(k, m, sector) for k in range(m)]
-    events = iter(rule._lookup(sector, midpoints + ratios))
-
-    def cited(phis):
-        event = next(events)
-        if event is None:
-            raise KeyError((sector,) + phis)
-        return event
+    triples, cited, cited_array = _cited_tuples(m, sector)
+    events = rule._lookup(sector, cited_array)
 
     midpoint_steps = []
-    for (alpha, beta, gamma), phis in zip(triples, midpoints):
+    for (alpha, beta, gamma), phis, event in zip(triples, cited, events):
         if a[alpha] * a[gamma] != 1:
             raise CounterexampleAlarm(
                 f"equal-parity angles {alpha} and {gamma} carry opposite"
                 " signs despite the verified product rule"
             )
-        midpoint_steps.append(MidpointStep(
-            alpha=alpha, beta=beta, gamma=gamma, sector=sector,
-            phis=phis, event=cited(phis),
-        ))
+        if event is None:
+            raise KeyError((sector,) + phis)
+        # positional arguments build a step a third faster than keywords
+        midpoint_steps.append(MidpointStep(alpha, beta, gamma, sector, phis, event))
 
     ratio = a[1] * a[0]
     ratio_steps = []
-    for k, phis in enumerate(ratios):
+    for k, phis, event in zip(range(m), cited[len(triples):], events[len(triples):]):
         value = a[(k + 1) % m] * a[k]
         if value != ratio:
             raise CounterexampleAlarm(
                 f"consecutive-angle sign ratio at {k} differs from the"
                 " shared ratio despite the verified product rule"
             )
-        ratio_steps.append(RatioStep(
-            k=k, sector=sector, phis=phis, event=cited(phis), value=value,
-        ))
+        if event is None:
+            raise KeyError((sector,) + phis)
+        ratio_steps.append(RatioStep(k, sector, phis, event, value))
 
     doubled_notes = (DoubledGridNote(
         alpha=0, gamma=1, doubled_steps=1,
@@ -330,30 +307,29 @@ class MinusClash:
 
 
 def check_minus_clash(fact: Factorization, model: LhvModel) -> MinusClash:
-    """First anticorrelated tuple the derived sign structure fails.
-
-    Raises GridError when the grid cannot force a clash: either it hosts no
-    anticorrelated tuple at all (odd resolution), or every such tuple is
-    satisfied by the alternating sign assignment (resolution 2 mod 4).
+    """First anticorrelated tuple, row-major, whose entry in the
+    factorization's angle-product table is not -1. Raises GridError when
+    the grid cannot force a clash: either it hosts no anticorrelated tuple
+    at all (odd resolution), or every such tuple is satisfied by the
+    alternating sign assignment (resolution 2 mod 4).
     """
     _reject_single_source(model)
     sector = realized_sectors(model)[0]
-    codes = np.flatnonzero(sign_table(model.n, sector) == -1)
-    if len(codes) == 0:
+    anticorrelated = sign_table(model.n, sector) == -1
+    if not anticorrelated.any():
         raise GridError(
             f"grid resolution {model.n} hosts no anticorrelated tuple;"
             " the contradiction needs one"
         )
-    products = _angle_products(fact.a, codes)
-    bad = np.flatnonzero(products != -1)
-    if len(bad) == 0:
+    products = fact.angle_products
+    phis = _first_index(anticorrelated & (products != -1))
+    if phis is None:
         raise GridError(
             f"grid resolution {model.n} is too coarse to force the"
             " contradiction: every anticorrelated tuple is satisfied by the"
             " alternating sign assignment"
         )
-    phis = _unravel(codes[bad[0]], model.steps)
-    event = _first_index(model.sector_events[sector][phis])
+    event, = _first_events(model, sector, [phis], -1)
     if event is None:
         raise CounterexampleAlarm(
             f"anticorrelated tuple {phis} in sector {sector:+d} has no"
@@ -363,7 +339,7 @@ def check_minus_clash(fact: Factorization, model: LhvModel) -> MinusClash:
         phis=phis,
         sector=sector,
         required=-1,
-        derived=int(products[bad[0]]),
+        derived=int(products[phis]),
         event=event,
     )
 
@@ -392,9 +368,7 @@ def _singlet_table(n: int, sector: int) -> np.ndarray:
     cached for two grids with both sectors.
     """
     by_index = [expectation_singlet(RationalAngle(c, n)) for c in range(2 * n)]
-    table = _grid_table(by_index, sector, np.float64)
-    table.flags.writeable = False
-    return table
+    return _read_only(_grid_table(by_index, sector, np.float64))
 
 
 def predict_E_class(fact: Factorization, model: LhvModel) -> EClassReport:
@@ -419,16 +393,15 @@ def predict_E_class(fact: Factorization, model: LhvModel) -> EClassReport:
                 "a tuple mixes event products +1 and -1, impossible for a"
                 " factorized model"
             )
-        mask = has_pos | has_neg
-        defined[sector] = mask
+        defined[sector] = has_pos | has_neg
         e_class[sector] = table
         quantum = e_quantum[sector] = _singlet_table(model.n, sector)
-        if has_neg.any():
-            all_plus = False
-        if mask.any():
-            gap = table - quantum
-            np.abs(gap, out=gap)  # in place: one float table, not two
-            max_gap = max(max_gap, float(np.max(gap, where=mask, initial=0.0)))
+        all_plus = all_plus and not has_neg.any()
+        # as |q| <= 1, |table - q| is 1 - q at a +1 and 1 + q at a -1, both
+        # monotone in q after rounding: the extremes of q give the gap
+        max_gap = max(max_gap,
+                      1 - float(np.min(quantum, where=has_pos, initial=1.0)),
+                      1 + float(np.max(quantum, where=has_neg, initial=-1.0)))
     return EClassReport(
         sectors=sectors,
         defined=defined,
@@ -480,10 +453,11 @@ def _verdict_bytes(model: LhvModel) -> int:
 
     ``model.tensor_bytes`` covers the product tensor and its masks. Each
     realized sector adds 20 bytes per (2n)**4 entry (its cached float64
-    singlet table, the float64 gap to it, the expectation, its mask and
-    event scratch) and 64 per (2n)**3 (the product rule's tuple codes);
-    128 KiB covers the rest. ``tracemalloc`` reads 27.0-27.9 of the 28
-    bytes per entry this gives a 1x1 model at n = 12 to 20.
+    singlet table, the expectation, its masks and scratch) and 64 per
+    (2n)**3; 128 KiB covers the rest. These still count a float64 gap table
+    and tuple codes no longer built, so no refusal moved: ``tracemalloc``
+    reads about 18 of the 28 bytes per entry this gives a 1x1 model at
+    n = 12 to 20.
     """
     m = model.steps
     return (model.tensor_bytes + len(model.sectors) * (20 * m**4 + 64 * m**3)
@@ -530,11 +504,12 @@ class ReplayError(ValueError):
 def replay(trace: DerivationTrace, model: LhvModel) -> bool:
     """Re-execute every recorded step against the raw tables alone.
 
-    Checks that the stages agree on one sector, that each cited event
-    carries weight, announces the step's sector, and yields the claimed
-    outcome product, and that the expectation tables recompute for every
-    sector the model realizes; no factorization is consulted. Raises
-    ReplayError (a ValueError) on the first mismatch.
+    Checks that the stages agree on one sector, that each cited tuple and
+    event lies inside the tables, that each cited event carries weight,
+    announces the step's sector, and yields the claimed outcome product,
+    and that the expectation tables recompute for every sector the model
+    realizes; no factorization is consulted. Raises ReplayError (a
+    ValueError) on the first mismatch.
     """
     _reject_single_source(model)
     if not trace.sector == trace.constant.sector == trace.clash.sector:
@@ -545,9 +520,21 @@ def replay(trace: DerivationTrace, model: LhvModel) -> bool:
         )
     products = product_tensor(model)
     weight_ok = positive_weight_mask(model)
+    angles, (size1, size4) = frozenset(range(model.steps)), model.kappa.shape
 
-    def event_product(phis, sector, event):
+    def event_product(phis, sector, event, required):
+        # bounds first: numpy would wrap a negative index onto a valid cell
         l1, l4 = event
+        if not angles.issuperset(phis):
+            raise ReplayError(f"{phis} has an angle step outside [0, {model.steps})")
+        if not (0 <= l1 < size1 and 0 <= l4 < size4):
+            raise ReplayError(
+                f"cited event {event} at {phis} is outside the hidden"
+                f" values {model.kappa.shape}"
+            )
+        if sign_table(model.n, sector)[phis] != required:
+            kind = "a correlated" if required == 1 else "an anticorrelated"
+            raise ReplayError(f"{phis} is not {kind} tuple")
         if model.kappa[l1, l4] != sector:
             raise ReplayError(f"cited event {event} is not in sector {sector:+d}")
         if not weight_ok[l1, l4]:
@@ -558,15 +545,11 @@ def replay(trace: DerivationTrace, model: LhvModel) -> bool:
         return value
 
     for step in trace.constant.midpoint_steps + trace.constant.ratio_steps:
-        if sign_table(model.n, step.sector)[step.phis] != 1:
-            raise ReplayError(f"{step.phis} is not a correlated tuple")
-        if event_product(step.phis, step.sector, step.event) != 1:
+        if event_product(step.phis, step.sector, step.event, 1) != 1:
             raise ReplayError(f"event product at {step.phis} is not +1")
 
     clash = trace.clash
-    if sign_table(model.n, clash.sector)[clash.phis] != -1:
-        raise ReplayError(f"{clash.phis} is not an anticorrelated tuple")
-    if event_product(clash.phis, clash.sector, clash.event) != clash.derived:
+    if event_product(clash.phis, clash.sector, clash.event, -1) != clash.derived:
         raise ReplayError("the clash event's product differs from the trace")
     if clash.derived == clash.required:
         raise ReplayError("the recorded clash does not actually clash")

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from bellswap import factorizer
+from bellswap import factorizer, verdict
 from bellswap.angles import required_sign, sign_table
 from bellswap.factorizer import (
     ComponentAssignment,
@@ -848,6 +848,23 @@ def eager_product_rule(fact, model: LhvModel):
         events_map.update(zip(map(tuple, keys), zip(l1.tolist(), l4.tolist())))
         verified[sector] = len(plus)
     return sectors, verified, events_map
+
+
+def float_gap(model: LhvModel) -> float:
+    """Oracle for ``EClassReport.max_discrepancy``: the largest |E - q|.
+
+    The expectation stage as it stood before it read the extremes of the
+    quantum table q: a float64 gap table per realized sector, its largest
+    entry over the tuples some weighted event defines.
+    """
+    max_gap = 0.0
+    for sector in model.sectors:
+        has_pos, has_neg, table = model.event_signs[sector]
+        mask = has_pos | has_neg
+        if mask.any():
+            gap = np.abs(table - verdict._singlet_table(model.n, sector))
+            max_gap = max(max_gap, float(np.max(gap, where=mask, initial=0.0)))
+    return max_gap
 
 
 def queue_seed_component(model: LhvModel, component) -> ComponentAssignment:

@@ -306,6 +306,28 @@ class TestDerivedViews:
                 & (model.kappa == sector),
             )
 
+    @pytest.mark.parametrize("zero1, zero4", [
+        ((0,), ()), ((), (2,)), ((1,), (0,)), ((0, 2), (1,)), ((), ()),
+    ])
+    def test_weight_mask_matches_the_assignment_weights(self, zero1, zero4):
+        rho1 = [Fraction(0) if i in zero1 else Fraction(1) for i in range(3)]
+        rho4 = [Fraction(0) if i in zero4 else Fraction(1) for i in range(3)]
+        model = dataclasses.replace(
+            random_two_source(0, l1=3, l4=3),
+            rho1=[w / sum(rho1) for w in rho1], rho4=[w / sum(rho4) for w in rho4],
+        )
+        want = [w > 0 for _, _, w in model.assignments()]
+        assert model.weight_mask.shape == (3, 3)
+        assert model.weight_mask.ravel().tolist() == want
+
+    def test_single_source_weight_mask_is_its_one_vector(self):
+        model = dataclasses.replace(
+            constant_single_source(size=3),
+            rho1=[Fraction(1, 2), Fraction(0), Fraction(1, 2)],
+        )
+        assert model.weight_mask.tolist() == [True, False, True]
+        assert model.weight_mask.tolist() == [w > 0 for _, _, w in model.assignments()]
+
     @pytest.mark.parametrize("seed", range(6))
     def test_sectors_match_the_weighted_assignments(self, seed):
         model = random_two_source(seed, l1=3, l4=2)

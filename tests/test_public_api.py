@@ -1,8 +1,9 @@
 """The public surface: exported names resolve, README's quick start runs,
 no source module imports a name it neither uses nor re-exports, no private
 definition goes unread, no handler that raises a usage error wraps the
-program's own calls, and no cache is unbounded; nor does a test module hold
-an unused import, or ``tests/helpers.py`` a function no test reads."""
+program's own calls, and no cache is unbounded or escapes the memory test;
+nor does a test module hold an unused import, or ``tests/helpers.py`` a
+function no test reads."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import bellswap
+from test_verdict_path import GRID_CACHES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = Path(bellswap.__file__).resolve().parent
@@ -199,6 +201,57 @@ def test_the_cache_lint_sees_every_unbounded_form():
     )
     lines = sorted(int(entry.split()[0]) for entry in _unbounded_caches(ast.parse(source)))
     assert lines == [2, 3, 5, 7]
+
+
+# the caches ``test_grid_caches_keep_the_last_two_grids`` does not measure,
+# each with what bounds the memory it keeps
+UNMEASURED_CACHES = {
+    "model._parse_weight": "keyed by weight text: 256 Fractions of a few digits",
+    "model._table_layout": "keyed by table shape: 32 layouts, a byte per leaf",
+    "search._class_side": "keyed by value domain and size: the 4 pi/4 class tables",
+    "cli._parser": "one argument parser per process",
+    "zoo.single_source_efficient_50": "keyed by n, 2 entries: each keeps one"
+                                      " model and the product tensor it verified",
+}
+
+
+def _lru_cached(tree: ast.Module) -> list[str]:
+    """Functions a module decorates with ``lru_cache`` or ``cache``, by name."""
+    forms = ("lru_cache", "functools.lru_cache", "cache", "functools.cache")
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(ast.unparse(d.func if isinstance(d, ast.Call) else d) in forms
+                for d in node.decorator_list)
+    ]
+
+
+def test_every_lru_cache_in_src_is_measured_or_listed():
+    """A per-grid cache outside ``GRID_CACHES`` would escape the memory test."""
+    measured = {f"{f.__module__.rpartition('.')[2]}.{f.__name__}" for f in GRID_CACHES}
+    assert measured.isdisjoint(UNMEASURED_CACHES)
+    cached = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _lru_cached(ast.parse(path.read_text()))
+    }
+    unaccounted = sorted(cached - measured - UNMEASURED_CACHES.keys())
+    assert not unaccounted, f"caches neither in GRID_CACHES nor listed: {unaccounted}"
+    assert cached >= measured | UNMEASURED_CACHES.keys(), "a listed cache is gone"
+
+
+def test_the_cache_account_sees_every_decorator_form():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@functools.lru_cache(maxsize=2)\ndef a(): pass\n"
+        "@lru_cache(4)\ndef b(): pass\n"
+        "@functools.cache\ndef c(): pass\n"
+        "@lru_cache\ndef d(): pass\n"
+        "@cache\ndef e(): pass\n"
+        "@staticmethod\ndef f(): pass\n"
+    )
+    assert _lru_cached(ast.parse(source)) == ["a", "b", "c", "d", "e"]
 
 
 TESTS = Path(__file__).resolve().parent

@@ -53,7 +53,9 @@ from helpers import (
     assert_components_match,
     block_diagonal,
     broadcast_products,
+    compose_two_source,
     eager_product_rule,
+    float_gap,
     high_bit_eliminate,
     loop_constraints,
     looped_expectation,
@@ -68,6 +70,7 @@ from helpers import (
     ternary_models,
 )
 from test_golden import MODELS
+from test_verdict import ALTERNATING_8
 
 PROPERTY = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -371,12 +374,26 @@ def test_constant_stage_raises_key_error_for_a_missing_event():
     fact = _factorization(model)
     rule = verdict.derive_product_rule(fact, model)
     first_midpoint = (0, 1, 2, 1)  # alpha 0, gamma 2 in sector +1
-    codes, first = rule.found[1]
-    keep = codes != np.ravel_multi_index(first_midpoint, (model.steps,) * 4)
-    forged = dataclasses.replace(rule, found={1: (codes[keep], first[keep])})
+    f = model.f_plus.copy()
+    f[1, 2] = 0  # no event at any tuple whose analyzer angles are (1, 2)
+    forged = dataclasses.replace(rule, model=rebuild(model, f_plus=f, f_minus=f))
     with pytest.raises(KeyError) as caught:
         verdict.derive_constant_a(fact, model, forged)
     assert caught.value.args == ((1,) + first_midpoint,)
+
+
+@PROPERTY
+@given(model=synthetic_models())
+def test_max_discrepancy_equals_the_float_gap_table(model):
+    report = verdict.predict_E_class(_factorization(model), model)
+    assert report.max_discrepancy == float_gap(model)
+
+
+def test_max_discrepancy_matches_the_gap_table_on_minus_one_expectations():
+    model = compose_two_source(a=ALTERNATING_8)
+    report = verdict.predict_E_class(_factorization(model), model)
+    assert not report.all_plus_one
+    assert report.max_discrepancy == float_gap(model) == 2.0
 
 
 def test_run_and_replay_never_build_the_events_dict():
@@ -528,6 +545,50 @@ def test_replay_rejects_disagreeing_stage_sectors(mixed_run, stage):
         verdict.replay(forged, model)
 
 
+def _forged_first_midpoint(trace, **changes):
+    constant = trace.constant
+    step = dataclasses.replace(constant.midpoint_steps[0], **changes)
+    return dataclasses.replace(trace, constant=dataclasses.replace(
+        constant, midpoint_steps=(step,) + constant.midpoint_steps[1:]))
+
+
+def _wrapped_midpoint_event(model, trace):
+    l1, l4 = trace.constant.midpoint_steps[0].event
+    return _forged_first_midpoint(trace, event=(l1 - model.size1, l4 - model.size4))
+
+
+def _wrapped_midpoint_phis(model, trace):
+    p1, *rest = trace.constant.midpoint_steps[0].phis
+    return _forged_first_midpoint(trace, phis=(p1 - model.steps, *rest))
+
+
+def _wrapped_clash_event(model, trace):
+    l1, l4 = trace.clash.event
+    return dataclasses.replace(
+        trace, clash=dataclasses.replace(trace.clash, event=(l1 - model.size1, l4)))
+
+
+def _overflowing_midpoint_event(model, trace):
+    l1, l4 = trace.constant.midpoint_steps[0].event
+    return _forged_first_midpoint(trace, event=(l1 + model.size1, l4))
+
+
+# a negative index would wrap onto a valid cell and replay True; one past the
+# end would surface as numpy's IndexError rather than a ReplayError
+@pytest.mark.parametrize("forge, match", [
+    (_wrapped_midpoint_event, r"cited event \(-\d+, -\d+\) at .* outside the hidden"),
+    (_wrapped_midpoint_phis, r"\(-\d+, .*\) has an angle step outside \[0, 8\)"),
+    (_wrapped_clash_event, r"cited event \(-\d+, \d+\) at .* outside the hidden"),
+    (_overflowing_midpoint_event, r"cited event \(\d+, \d+\) at .* outside the hidden"),
+])
+def test_replay_rejects_indices_outside_the_tables(forge, match):
+    model = synthetic_factorizable(1, density=0.7)
+    result = verdict.run(model)
+    assert verdict.replay(result.trace, model)
+    with pytest.raises(verdict.ReplayError, match=match):
+        verdict.replay(forge(model, result.trace), model)
+
+
 # ---------------------------------------------------------------------------
 # size guards: estimate first, refuse before allocating
 
@@ -670,7 +731,8 @@ def test_singlet_table_matches_pointwise(n, sector):
         assert table[k] == expectation_singlet(zeta)
 
 
-GRID_CACHES = (sign_table, search._demand_bits, verdict._singlet_table)
+GRID_CACHES = (sign_table, search._demand_bits, verdict._singlet_table,
+               verdict._cited_tuples)
 
 
 def test_grid_caches_keep_the_last_two_grids():
@@ -695,6 +757,20 @@ def test_grid_caches_keep_the_last_two_grids():
     # Unbounded caches would hold all four grids, 3.3 MiB more.
     last_two = sum(2 * (9 * m**4 + 3 * m**3 * -(-m // 8)) for m in (24, 28))
     assert held <= last_two + 2**18
+
+
+def test_robustness_gate_keeps_within_the_tensor_estimate():
+    # one hidden value per source: the float32 event-sign sums, taken whole,
+    # would need 14 bytes an entry against the estimate's 8
+    model = synthetic_factorizable(0, n=16, size1=1, size4=1, kappa="mixed")
+    sign_table(16, 1), sign_table(16, -1)
+    tracemalloc.start()
+    try:
+        assert is_robust(model, minus_row=False).is_robust
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= model.tensor_bytes
 
 
 def test_verdict_refuses_a_small_hidden_count_before_allocating():
