@@ -57,9 +57,9 @@ SINGLE_SOURCE = "single_source"
 # scan's signature tables) may take; larger inputs are refused up front
 MAX_TABLE_BYTES = 512 * 2**20
 
-# bytes per product-tensor entry: the int8 tensor itself plus the same-size
-# masks built over it (firing, two sector-event masks, required signs and
-# the robustness gate's scratch)
+# bytes per product-tensor entry: the int8 tensor itself, the robustness
+# gate's same-size table of required signs and its scratch (their product
+# and the comparison of it with -1), with room to spare
 _BYTES_PER_PRODUCT = 8
 
 
@@ -237,7 +237,7 @@ class LhvModel:
 
     @property
     def tensor_bytes(self) -> int:
-        """Estimated bytes of the product tensor and the masks built over it."""
+        """Estimated bytes of the product tensor and the gate's tables of its size."""
         return self.steps ** 4 * self.kappa.size * _BYTES_PER_PRODUCT
 
     @property
@@ -284,11 +284,6 @@ class LhvModel:
         return _read_only(out.reshape((m,) * 4 + lam))
 
     @cached_property
-    def firing(self) -> np.ndarray:
-        """Where all three devices fire (``products != 0``), same shape, bool."""
-        return _read_only(self.products != 0)
-
-    @cached_property
     def weight_mask(self) -> np.ndarray:
         """Boolean mask over hidden-variable assignments carrying positive
         weight: the outer product of the sources' own masks, weights being
@@ -303,23 +298,6 @@ class LhvModel:
         """Sectors that carry positive hidden-variable weight, in (+1, -1) order."""
         announced = self.kappa[self.weight_mask]
         return tuple(s for s in (1, -1) if (announced == s).any())
-
-    @cached_property
-    def sector_events(self) -> dict[int, np.ndarray]:
-        """Weighted live events per sector, as booleans over (angles..., hidden).
-
-        An event is live where all three devices fire, weighted where its
-        assignment carries weight, and in the sector that kappa announces.
-        """
-        # rows of (2n)**2 * L entries, the per-assignment mask tiled along
-        # them, so numpy loops over long rows rather than the hidden axes
-        m = self.steps
-        rows = self.firing.reshape(m * m, -1)
-        return {
-            s: _read_only((rows & np.tile((self.weight_mask & (self.kappa == s)).ravel(),
-                                          m * m)).reshape(self.firing.shape))
-            for s in (1, -1)
-        }
 
     @cached_property
     def event_signs(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -345,7 +323,7 @@ class LhvModel:
         block = max(1, 2**17 // m**3)
         signs = {}
         for s in self.sectors:
-            x = pair * (self.weight_mask & (self.kappa == s)).ravel()
+            x = pair * _sector_assignments(self, s)
             has_pos, has_neg = np.empty((2,) + (m,) * 4, dtype=bool)
             for k1 in range(0, m, block):
                 rows = x[k1 * m:(k1 + block) * m]
@@ -384,30 +362,47 @@ def _uniform_model(n: int, a, d, kappa, analyzer) -> LhvModel:
     )
 
 
+def _sector_assignments(model: LhvModel, sector: int) -> np.ndarray:
+    """Flat mask of the weighted assignments that kappa puts in ``sector``."""
+    return (model.weight_mask & (model.kappa == sector)).ravel()
+
+
+def _events_at(model: LhvModel, sector: int, tuples) -> tuple[np.ndarray, np.ndarray]:
+    """Products at each angle tuple of an (N, 4) array, flat over the hidden
+    assignments, and where each is a weighted live event in ``sector``: all
+    three devices fire on an assignment that carries weight and that kappa
+    puts in the sector. Reads the cached product tensor and its size refusal."""
+    at = tuple(np.asarray(tuples).T)
+    products = model.products[at].reshape(len(at[0]), -1)
+    return products, (products != 0) & _sector_assignments(model, sector)
+
+
 def _live_events(
     model: LhvModel, phis: Sequence[int], sector: int, analyzer_sign: int | None
 ) -> list[tuple[Fraction, int]]:
-    """Weight and outcome product of each weighted live event at one tuple.
-
-    Read from the cached sector events and product tensor, so an oversized
-    model meets the product tensor's SizeLimitError.
-    """
+    """Weight and outcome product of each weighted live event at one tuple,
+    those whose analyzer reports ``analyzer_sign`` unless it is None; the
+    arguments are checked before any table is read."""
     if sector not in (1, -1):
         raise ValueError(f"sector must be +1 or -1, got {sector}")
+    if analyzer_sign not in (1, -1, None):
+        raise ValueError(f"analyzer_sign must be +1, -1 or None, got {analyzer_sign!r}")
     p1, p2, p3, p4 = phis
-    live = model.sector_events[sector][p1, p2, p3, p4]
+    if not all(0 <= p < model.steps for p in (p1, p2, p3, p4)):
+        raise ValueError(f"angle steps {tuple(phis)} lie outside [0, {model.steps})")
+    (products,), (live,) = _events_at(model, sector, [(p1, p2, p3, p4)])
     if analyzer_sign is not None:
-        live = live & (model.analyzer[p2, p3] == analyzer_sign)
+        live &= (model.analyzer[p2, p3] == analyzer_sign).ravel()
     weights = [w for _, _, w in model.assignments()]
-    products = model.products[p1, p2, p3, p4].ravel().tolist()
-    return list(compress(zip(weights, products), live.ravel().tolist()))
+    return list(compress(zip(weights, products.tolist()), live.tolist()))
 
 
 def event_count(model: LhvModel, phis: Sequence[int], sector: int) -> Fraction:
     """Expected number of recorded fourfold events in one sector.
 
     Half the nominal emission count times the weight of assignments whose
-    announcement matches the sector and whose three devices all fire.
+    announcement matches the sector and whose three devices all fire. A
+    sector other than +1 or -1, or a step outside [0, 2n), raises ValueError.
     """
     events = _live_events(model, phis, sector, None)
     return Fraction(model.n0, 2) * sum((w for w, _ in events), Fraction(0))
@@ -424,7 +419,8 @@ def classical_expectation(
     Conditions on the announcement sector and, unless ``analyzer_sign`` is
     None, on the analyzer's reported sign within it (the default -1 picks the
     singlet-type announcement). Returns None when no conditioned event has
-    weight, which is distinct from an average of zero.
+    weight, which is distinct from an average of zero. Refuses the arguments
+    :func:`event_count` refuses, and any other ``analyzer_sign``, with ValueError.
     """
     events = _live_events(model, phis, sector, analyzer_sign)
     if not events:

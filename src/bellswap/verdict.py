@@ -32,6 +32,7 @@ from .factorizer import (
 )
 from .model import (
     LhvModel,
+    _events_at,
     _read_only,
     _refuse_oversize,
     positive_weight_mask,
@@ -71,9 +72,8 @@ def _first_events(model: LhvModel, sector: int, tuples, required: int) -> list:
     """(lam1, lam4) of the first weighted event in ``sector``, row-major,
     at each angle tuple of an (N, 4) array, or None where there is none or
     the sector's sign table does not hold ``required`` there."""
+    _, rows = _events_at(model, sector, tuples)
     at = tuple(np.asarray(tuples).T)
-    rows = product_tensor(model)[at].reshape(len(at[0]), -1) != 0
-    rows &= (model.weight_mask & (model.kappa == sector)).ravel()
     rows &= (sign_table(model.n, sector)[at] == required)[:, None]
     first = rows.argmax(axis=1)
     hit = rows[np.arange(len(first)), first]

@@ -825,7 +825,7 @@ def eager_product_rule(fact, model: LhvModel):
     events_map: dict = {}
     a = fact.a
     for sector in sectors:
-        events = model.sector_events[sector]
+        events = broadcast_events(model, sector)
         plus = np.argwhere(sign_table(model.n, sector) == 1)
         at_plus = tuple(plus.T)
         silent = ~events.any(axis=(-2, -1))[at_plus]
@@ -1057,14 +1057,22 @@ def broadcast_products(model: LhvModel) -> np.ndarray:
             * model.d[None, None, None, :, None, :])
 
 
+def broadcast_events(model: LhvModel, sector: int) -> np.ndarray:
+    """Oracle for the weighted live events of a sector, as booleans over
+    (angles..., hidden): all three devices fire in ``broadcast_products``,
+    the assignment carries weight and kappa announces the sector."""
+    return ((broadcast_products(model) != 0) & model.weight_mask
+            & (model.kappa == sector))
+
+
 def _hidden_axes(model: LhvModel):
     return (-1,) if model.family == "single_source" else (-2, -1)
 
 
 def multi_axis_event_signs(model: LhvModel, sector: int):
     """Oracle for ``LhvModel.event_signs``: multi-axis ``.any``."""
-    products = product_tensor(model)
-    events = model.sector_events[sector]
+    products = broadcast_products(model)
+    events = broadcast_events(model, sector)
     has_pos = ((products == 1) & events).any(axis=_hidden_axes(model))
     has_neg = ((products == -1) & events).any(axis=_hidden_axes(model))
     table = np.zeros(has_pos.shape, dtype=np.int8)
@@ -1097,7 +1105,7 @@ def multi_axis_counts(model: LhvModel, require_both_sectors: bool = False):
     """Oracle for ``check_counts_nonempty``: multi-axis ``.any``."""
     sectors = (1, -1) if require_both_sectors else model.sectors
     for sector in sectors:
-        covered = model.sector_events[sector].any(axis=_hidden_axes(model))
+        covered = broadcast_events(model, sector).any(axis=_hidden_axes(model))
         where = _first_index(~covered)
         if where is not None:
             return CountsWitness(phis=tuple(where), sector=sector)

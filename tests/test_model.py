@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bellswap.model import (
     LhvModel,
     ModelFormatError,
+    _events_at,
     _uniform_model,
     classical_expectation,
     dumps,
@@ -28,9 +29,9 @@ from bellswap.model import (
     save,
     selected_analyzer,
 )
-from bellswap.zoo import by_uri, catalog
+from bellswap.zoo import by_uri, catalog, synthetic_factorizable
 
-from helpers import indent_dumps
+from helpers import broadcast_events, broadcast_products, indent_dumps
 from test_golden import MODELS
 
 
@@ -292,19 +293,11 @@ class TestDerivedViews:
             assert not view(model).flags.writeable
         names = [name for name, attr in vars(LhvModel).items()
                  if isinstance(attr, functools.cached_property)]
-        assert {"analyzer", "products", "sector_events", "event_signs"} <= set(names)
+        assert {"analyzer", "products", "event_signs"} <= set(names)
         for name in names:
             value = getattr(model, name)
             assert getattr(model, name) is value, name
             assert all(not array.flags.writeable for array in _arrays(value)), name
-        for sector, events in model.sector_events.items():
-            assert not events.flags.writeable
-            assert np.array_equal(
-                events,
-                (product_tensor(model) != 0)
-                & positive_weight_mask(model)
-                & (model.kappa == sector),
-            )
 
     @pytest.mark.parametrize("zero1, zero4", [
         ((0,), ()), ((), (2,)), ((1,), (0,)), ((0, 2), (1,)), ((), ()),
@@ -343,9 +336,10 @@ class TestDerivedViews:
 
 
 class TestSectorEvents:
-    # the broadcast definition: firing & the per-assignment mask, aligned on
-    # the trailing hidden axes; both sectors weighted wherever there are two
-    # or more assignments, and a zero weight on a source of three or more
+    # the gather at every tuple of the grid against the broadcast definition:
+    # firing & the per-assignment mask, aligned on the trailing hidden axes;
+    # both sectors weighted wherever there are two or more assignments, and a
+    # zero weight on a source of three or more
     @pytest.mark.parametrize("hidden", [(1, 1), (1, 3), (2, 2), (3, 2), (2, 4), (4, 4),
                                         (1,), (2,), (5,)], ids=str)
     def test_matches_the_broadcast_definition(self, hidden):
@@ -369,14 +363,15 @@ class TestSectorEvents:
             f_plus=ternary((m, m) + hidden), f_minus=ternary((m, m) + hidden),
             rho1=weights(hidden[0]), rho4=weights(hidden[1]) if len(hidden) == 2 else None,
         )
+        tuples = np.indices((m,) * 4).reshape(4, -1).T  # row-major
+        shape = (m**4, int(np.prod(hidden)))
         for sector in (1, -1):
-            want = model.firing & (model.weight_mask & (model.kappa == sector))
-            got = model.sector_events[sector]
-            assert got.dtype == bool and got.shape == want.shape
-            assert not got.flags.writeable
-            assert np.array_equal(got, want)
-        if np.prod(hidden) > 1:
-            assert model.sector_events[1].any() and model.sector_events[-1].any()
+            products, got = _events_at(model, sector, tuples)
+            assert got.dtype == bool and got.shape == shape
+            assert np.array_equal(got, broadcast_events(model, sector).reshape(shape))
+            assert np.array_equal(products, broadcast_products(model).reshape(shape))
+            if np.prod(hidden) > 1:
+                assert got.any()
 
 
 class TestDerivedDetectionFlags:
@@ -419,12 +414,12 @@ class TestEvaluation:
     def test_event_sector_flags(self):
         m = constant_two_source(kappa=-1)
         assert m.products[0, 0, 0, 0, 0, 0] == 1
-        assert m.sector_events[-1][0, 0, 0, 0, 0, 0]
-        assert not m.sector_events[1][0, 0, 0, 0, 0, 0]
+        assert event_count(m, (0, 0, 0, 0), -1) == Fraction(m.n0, 2)
+        assert event_count(m, (0, 0, 0, 0), 1) == 0
         silent = constant_two_source(a=0)
         assert silent.products[0, 0, 0, 0, 0, 0] == 0
-        assert not silent.sector_events[1].any()
-        assert not silent.sector_events[-1].any()
+        for phis in np.indices((silent.steps,) * 4).reshape(4, -1).T.tolist():
+            assert event_count(silent, phis, 1) == event_count(silent, phis, -1) == 0
 
 
 class TestCounts:
@@ -485,6 +480,21 @@ class TestCounts:
                     relabeled, phis, sector
                 )
 
+    @pytest.mark.parametrize("high", [False, True], ids=["-1", "2n"])
+    def test_angle_step_outside_the_grid_is_refused(self, high):
+        model = synthetic_factorizable(1, density=0.7)
+        phis = (model.steps if high else -1, 0, 0, 0)
+        for call in (event_count, classical_expectation):
+            with pytest.raises(ValueError, match=re.escape(str(phis))):
+                call(model, phis, 1)
+        assert "products" not in vars(model)  # refused before any table is read
+
+    def test_a_tuple_of_three_steps_is_refused(self):
+        model = constant_two_source()
+        for call in (event_count, classical_expectation):
+            with pytest.raises(ValueError, match="unpack"):
+                call(model, (0, 0, 0), 1)
+
 
 class TestClassicalExpectation:
     def test_unit_product_gives_plus_one(self):
@@ -517,6 +527,13 @@ class TestClassicalExpectation:
     def test_empty_support_is_undefined(self):
         m = constant_two_source(a=0)
         assert classical_expectation(m, (0, 0, 0, 0), analyzer_sign=None) is None
+
+    @pytest.mark.parametrize("sign", [0, 2, "x"])
+    def test_analyzer_sign_outside_the_signs_is_refused(self, sign):
+        model = synthetic_factorizable(1, density=0.7)
+        message = f"analyzer_sign must be +1, -1 or None, got {sign!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            classical_expectation(model, (0, 0, 0, 0), analyzer_sign=sign)
 
 
 class TestRealizedSectors:

@@ -1,9 +1,9 @@
 """The public surface: exported names resolve, README's quick start runs,
 no source module imports a name it neither uses nor re-exports, no private
 definition goes unread, no handler that raises a usage error wraps the
-program's own calls, and no cache is unbounded or escapes the memory test;
-nor does a test module hold an unused import, or ``tests/helpers.py`` a
-function no test reads."""
+program's own calls, no cached property goes unread, and no cache is
+unbounded or escapes the memory test; nor does a test module hold an
+unused import, or ``tests/helpers.py`` a function no test reads."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import builtins
 import importlib
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,49 @@ def test_no_unreferenced_private_definitions_in_src():
         if (names := [d for d in _private_definitions(tree) if d not in read])
     }
     assert not unread, f"private definitions nothing in src/ reads: {unread}"
+
+
+def _loads(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a loaded name or an
+    attribute."""
+    return Counter(
+        n.attr if isinstance(n, ast.Attribute) else n.id
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Attribute, ast.Name)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def _unread_cached_properties(trees) -> list[str]:
+    """Cached properties that nothing in ``trees`` reads by name outside
+    their own definition."""
+    forms = ("cached_property", "functools.cached_property")
+    read = sum(map(_loads, trees), Counter())
+    return [
+        node.name
+        for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(ast.unparse(d) in forms for d in node.decorator_list)
+        and read[node.name] == _loads(node)[node.name]
+    ]
+
+
+def test_every_cached_property_in_src_is_read():
+    """A cached property that src/ never reads is a table built for no one."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    unread = _unread_cached_properties(trees)
+    assert not unread, f"cached properties nothing in src/ reads: {unread}"
+
+
+def test_the_cached_property_lint_sees_an_unread_one():
+    source = (
+        "import functools\nfrom functools import cached_property\n"
+        "class A:\n"
+        "    @cached_property\n    def read(self): return 1\n"
+        "    @functools.cached_property\n    def unread(self): return 2\n"
+        "    @cached_property\n    def only_itself(self): return self.only_itself\n"
+        "    @property\n    def plain(self): return self.read\n"
+    )
+    assert _unread_cached_properties([ast.parse(source)]) == ["unread", "only_itself"]
 
 
 def _usage_error_classes(trees) -> set[str]:

@@ -483,13 +483,6 @@ def test_gate_witnesses_match_on_zoo_models(uri):
     _gate_matches(by_uri(uri))
 
 
-def test_firing_mask_is_cached_and_read_only():
-    model = synthetic_factorizable(0)
-    assert model.firing is model.firing
-    assert not model.firing.flags.writeable
-    assert np.array_equal(model.firing, model.products != 0)
-
-
 # ---------------------------------------------------------------------------
 # replay checks the trace's sectors
 
@@ -650,6 +643,22 @@ def test_oversized_single_source_model_is_refused_before_allocating():
         )
 
     _assert_refused_before_allocating(build, "n=40 model with 2 hidden values")
+
+
+def test_first_count_and_expectation_gather_only_their_tuple():
+    """With the product tensor built, neither call builds a whole-grid mask:
+    each gathers its one tuple, a few KiB in all, where one whole-grid mask
+    of this model takes 4 MiB."""
+    model = synthetic_factorizable(0, n=16, size1=2, size4=2)
+    model.products
+    for call in (event_count, classical_expectation):
+        tracemalloc.start()
+        try:
+            call(model, (1, 2, 3, 4), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10, call.__name__
 
 
 def test_oversized_model_file_is_a_usage_error(tmp_path, capsys):
