@@ -57,9 +57,11 @@ SINGLE_SOURCE = "single_source"
 # scan's signature tables) may take; larger inputs are refused up front
 MAX_TABLE_BYTES = 512 * 2**20
 
-# bytes per product-tensor entry: the int8 tensor itself, the robustness
-# gate's same-size table of required signs and its scratch (their product
-# and the comparison of it with -1), with room to spare
+# bytes per product-tensor entry: a conservative estimate of what the
+# derived tables take, sized when the robustness gate built the int8 tensor,
+# a same-size table of required signs and their scratch. The gate now reads
+# per-sector masks instead, well under it; the value is kept so that no
+# size refusal moves
 _BYTES_PER_PRODUCT = 8
 
 
@@ -85,6 +87,12 @@ def _refuse_oversize(what: str, estimate: int) -> None:
             f"{what} would take an estimated {estimate / 2**20:,.0f} MiB,"
             f" over the {MAX_TABLE_BYTES // 2**20} MiB limit"
         )
+
+
+def _refuse_product_tensor(model: LhvModel) -> None:
+    """SizeLimitError, naming :attr:`LhvModel.tensor_bytes`, for a model
+    over the limit: the one refusal of the tables derived from a model."""
+    _refuse_oversize(f"the product tensor of {model._size_label}", model.tensor_bytes)
 
 
 def _require(condition: bool, path: str, message: str) -> None:
@@ -237,7 +245,9 @@ class LhvModel:
 
     @property
     def tensor_bytes(self) -> int:
-        """Estimated bytes of the product tensor and the gate's tables of its size."""
+        """Conservative estimate, in bytes, of the product tensor and of the
+        tables the gate once built at its size; every size refusal of the
+        derived tables reads it, so none has moved."""
         return self.steps ** 4 * self.kappa.size * _BYTES_PER_PRODUCT
 
     @property
@@ -260,25 +270,20 @@ class LhvModel:
         """All outcome products at once, int8.
 
         Shape (2n, 2n, 2n, 2n, L1, L4) indexed by the four angle steps then
-        the hidden variables; single_source drops the last axis. Small grids
-        keep this comfortably in memory and every scan over it is exact;
-        a model whose :attr:`tensor_bytes` exceed MAX_TABLE_BYTES raises
-        SizeLimitError before anything is allocated.
+        the hidden variables; single_source drops the last axis. Nothing in
+        the pipeline builds it: counts, expectations, the robustness gate and
+        the derivation read the tables at their tuples or through
+        :attr:`event_signs`. A model whose :attr:`tensor_bytes` exceed
+        MAX_TABLE_BYTES raises SizeLimitError before anything is allocated.
         """
-        _refuse_oversize(f"the product tensor of {self._size_label}",
-                         self.tensor_bytes)
-        f = self.analyzer
+        _refuse_product_tensor(self)
         m, lam = self.steps, self.kappa.shape
-        # each station on its own hidden axis: the first and the last
-        # (one and the same axis for a single source)
-        ones = (1,) * (len(lam) - 1)
-        a = self.a.reshape((m, lam[0]) + ones)
-        d = self.d.reshape((m,) + ones + (lam[-1],))
+        a, d = _station_axes(self)
         # a * f over the first three angles, repeated along the fourth and
         # multiplied by d there: both factors then run contiguously over
         # (last angle, hidden), so numpy loops over long rows rather than
         # the short hidden axes
-        head = (a[:, None, None] * f[None]).reshape(m**3, 1, -1)
+        head = (a[:, None, None] * self.analyzer[None]).reshape(m**3, 1, -1)
         out = np.repeat(head, m, axis=1)
         out *= np.broadcast_to(d, (m,) + lam).reshape(1, m, -1)
         return _read_only(out.reshape((m,) * 4 + lam))
@@ -303,50 +308,32 @@ class LhvModel:
     def event_signs(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per realized sector, over the angle tuples: where a weighted event
         has product +1, where one has -1, and both as one int8 table, the
-        classical expectation, 0 where no event defines it.
-
-        With rows x of a(k1)*d(k4) over the sector's weighted assignments and
-        rows y of the analyzer at (k2, k3), x @ y.T sums each tuple's event
-        products and |x| @ |y|.T counts its events, exact in float32: a +1
-        event exists where the count exceeds minus the sum, a -1 where it
-        exceeds the sum. No product tensor is read, and the float32 sums are
-        taken a block of k1 values at a time, about 1 MiB a block.
+        classical expectation, 0 where no event defines it. No product
+        tensor is read: see :func:`_event_kernel`.
         """
-        m = self.steps
-        if self.rho4 is None:  # one hidden value feeds both stations
-            pair = self.a[:, None] * self.d[None]
-        else:
-            pair = np.multiply.outer(self.a, self.d).transpose(0, 2, 1, 3)
-        pair = pair.reshape(m * m, -1).astype(np.float32)
-        y = self.analyzer.reshape(m * m, -1).astype(np.float32)
-        y_abs = np.abs(y)
-        block = max(1, 2**17 // m**3)
         signs = {}
-        for s in self.sectors:
-            x = pair * _sector_assignments(self, s)
-            has_pos, has_neg = np.empty((2,) + (m,) * 4, dtype=bool)
-            for k1 in range(0, m, block):
-                rows = x[k1 * m:(k1 + block) * m]
-                total, count = rows @ y.T, np.abs(rows) @ y_abs.T
-                # rows (k1, k4) and columns (k2, k3), stored as (k1, k2, k3, k4)
-                has_neg[k1:k1 + block] = (count > total).reshape(-1, m, m, m).transpose(0, 2, 3, 1)
-                count += total
-                has_pos[k1:k1 + block] = (count > 0).reshape(-1, m, m, m).transpose(0, 2, 3, 1)
+        masks = {s: _sector_assignments(self, s) for s in self.sectors}
+        for s, (has_pos, has_neg) in _event_kernel(self, masks).items():
             # -1 wherever a -1 event exists, else 1 where a +1 event does
             table = has_pos.view(np.int8) | -has_neg.view(np.int8)
             signs[s] = tuple(map(_read_only, (has_pos, has_neg, table)))
         return signs
 
+    @cached_property
+    def assignment_weights(self) -> tuple[Fraction, ...]:
+        """Each hidden-variable assignment's weight, flat in row-major order."""
+        if self.rho4 is None:
+            return self.rho1
+        return tuple(w1 * w4 for w1 in self.rho1 for w4 in self.rho4)
+
     def assignments(self) -> Iterator[tuple[int, int | None, Fraction]]:
         """All hidden-variable assignments with their weights."""
-        if self.family == SINGLE_SOURCE:
-            for l, w in enumerate(self.rho1):
+        if self.rho4 is None:
+            for l, w in enumerate(self.assignment_weights):
                 yield l, None, w
         else:
-            assert self.rho4 is not None
-            for l1, w1 in enumerate(self.rho1):
-                for l4, w4 in enumerate(self.rho4):
-                    yield l1, l4, w1 * w4
+            for i, w in enumerate(self.assignment_weights):
+                yield (*divmod(i, self.size4), w)
 
 
 def _uniform_model(n: int, a, d, kappa, analyzer) -> LhvModel:
@@ -367,13 +354,69 @@ def _sector_assignments(model: LhvModel, sector: int) -> np.ndarray:
     return (model.weight_mask & (model.kappa == sector)).ravel()
 
 
+def _station_axes(model: LhvModel) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``d`` each on its own hidden axis, the first and the last
+    (one and the same axis for a single source), to broadcast against the
+    analyzer's hidden axes."""
+    m, lam = model.steps, model.kappa.shape
+    ones = (1,) * (len(lam) - 1)
+    return model.a.reshape((m, lam[0]) + ones), model.d.reshape((m,) + ones + (lam[-1],))
+
+
+def _event_kernel(
+    model: LhvModel, masks: dict[int, np.ndarray]
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per sector, over the angle tuples (k1, k2, k3, k4): where an
+    assignment of the sector's flat mask has product +1 and where one has -1.
+
+    With rows x of a(k1)*d(k4) over the masked assignments and rows y of the
+    analyzer at (k2, k3), x @ y.T sums each tuple's products and |x| @ |y|.T
+    counts its nonzero ones, exact in float32: a +1 exists where the count
+    exceeds minus the sum, a -1 where it exceeds the sum. No product tensor
+    is built, and the float32 sums are taken a block of k1 values at a time,
+    about 1 MiB a block. The product tensor's size refusal comes first.
+    """
+    _refuse_product_tensor(model)
+    m = model.steps
+    if model.rho4 is None:  # one hidden value feeds both stations
+        pair = model.a[:, None] * model.d[None]
+    else:
+        pair = np.multiply.outer(model.a, model.d).transpose(0, 2, 1, 3)
+    pair = pair.reshape(m * m, -1).astype(np.float32)
+    y = model.analyzer.reshape(m * m, -1).astype(np.float32)
+    y_abs = np.abs(y)
+    block = max(1, 2**17 // m**3)
+    out = {}
+    for s, mask in masks.items():
+        x = pair * mask
+        has_pos, has_neg = np.empty((2,) + (m,) * 4, dtype=bool)
+        for k1 in range(0, m, block):
+            rows = x[k1 * m:(k1 + block) * m]
+            total, count = rows @ y.T, np.abs(rows) @ y_abs.T
+            # rows (k1, k4) and columns (k2, k3), stored as (k1, k2, k3, k4)
+            has_neg[k1:k1 + block] = (count > total).reshape(-1, m, m, m).transpose(0, 2, 3, 1)
+            count += total
+            has_pos[k1:k1 + block] = (count > 0).reshape(-1, m, m, m).transpose(0, 2, 3, 1)
+        out[s] = has_pos, has_neg
+    return out
+
+
+def _products_at(model: LhvModel, tuples) -> np.ndarray:
+    """The outcome products at each angle tuple of an (N, 4) array, flat over
+    the hidden assignments, gathered from the tables: the product tensor's
+    rows there, without the tensor."""
+    k1, k2, k3, k4 = np.asarray(tuples).reshape(-1, 4).T
+    a, d = _station_axes(model)
+    return (a[k1] * model.analyzer[k2, k3] * d[k4]).reshape(len(k1), -1)
+
+
 def _events_at(model: LhvModel, sector: int, tuples) -> tuple[np.ndarray, np.ndarray]:
     """Products at each angle tuple of an (N, 4) array, flat over the hidden
     assignments, and where each is a weighted live event in ``sector``: all
     three devices fire on an assignment that carries weight and that kappa
-    puts in the sector. Reads the cached product tensor and its size refusal."""
-    at = tuple(np.asarray(tuples).T)
-    products = model.products[at].reshape(len(at[0]), -1)
+    puts in the sector. The product tensor's size refusal comes first."""
+    _refuse_product_tensor(model)
+    products = _products_at(model, tuples)
     return products, (products != 0) & _sector_assignments(model, sector)
 
 
@@ -393,8 +436,7 @@ def _live_events(
     (products,), (live,) = _events_at(model, sector, [(p1, p2, p3, p4)])
     if analyzer_sign is not None:
         live &= (model.analyzer[p2, p3] == analyzer_sign).ravel()
-    weights = [w for _, _, w in model.assignments()]
-    return list(compress(zip(weights, products.tolist()), live.tolist()))
+    return list(compress(zip(model.assignment_weights, products.tolist()), live.tolist()))
 
 
 def event_count(model: LhvModel, phis: Sequence[int], sector: int) -> Fraction:

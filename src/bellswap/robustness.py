@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import sign_table
-from .model import LhvModel, product_tensor, realized_sectors
+from .model import LhvModel, _event_kernel, _products_at, realized_sectors
 
 __all__ = [
     "CorrelationWitness",
@@ -111,23 +111,39 @@ def check_perfect_correlations(
     With ``minus_row=False`` only the anticorrelation-free half of the law is
     enforced: tuples whose correlation angle demands product -1 are skipped.
     That restricted check is the precondition the factorization stage needs.
+
+    Every assignment is judged against its own sector's correlation angle,
+    weighted or not, so the sector masks are kappa's own; where every
+    assignment carries weight they are the weighted ones, and the model's
+    cached :attr:`LhvModel.event_signs` answer. No product tensor is built:
+    the witness's products are gathered at its one angle tuple.
     """
-    products = product_tensor(model)
-    required = required_tensor(model)
-    # both nonzero and of opposite signs: the entries multiply to -1
-    bad = products * required == -1
-    if not minus_row:
-        bad &= required == 1
-    where = _first_index(bad)
-    if where is None:
+    if model.weight_mask.all():
+        signs = {s: table[:2] for s, table in model.event_signs.items()}
+    else:
+        kappa = model.kappa.ravel()
+        signs = _event_kernel(model, {s: kappa == s for s in (1, -1) if (kappa == s).any()})
+    bad = np.zeros((model.steps,) * 4, dtype=bool)
+    for sector, (has_pos, has_neg) in signs.items():
+        table = sign_table(model.n, sector)
+        bad |= (table == 1) & has_neg
+        if minus_row:
+            bad |= (table == -1) & has_pos
+    phis = _first_index(bad)
+    if phis is None:
         return None
-    hidden = where[4:]
+    # the first bad assignment at that tuple, row-major over the hidden axes
+    (products,) = _products_at(model, [phis])
+    required = np.where(model.kappa.ravel() == 1, sign_table(model.n, 1)[phis],
+                        sign_table(model.n, -1)[phis])
+    found = products * required == -1
+    if not minus_row:
+        found &= required == 1
+    first = int(np.argmax(found))
+    l1, l4 = divmod(first, model.size4) if model.rho4 is not None else (first, None)
     return CorrelationWitness(
-        phis=tuple(where[:4]),
-        l1=hidden[0],
-        l4=hidden[1] if len(hidden) == 2 else None,
-        expected=int(required[where]),
-        found=int(products[where]),
+        phis=phis, l1=l1, l4=l4,
+        expected=int(required[first]), found=int(products[first]),
     )
 
 

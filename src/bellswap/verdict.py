@@ -35,8 +35,8 @@ from .model import (
     _events_at,
     _read_only,
     _refuse_oversize,
+    _refuse_product_tensor,
     positive_weight_mask,
-    product_tensor,
     realized_sectors,
 )
 from .quantum import expectation_singlet
@@ -451,13 +451,13 @@ class Verdict:
 def _verdict_bytes(model: LhvModel) -> int:
     """Estimated peak bytes of ``run`` and then ``replay`` on one model.
 
-    ``model.tensor_bytes`` covers the product tensor and its masks. Each
-    realized sector adds 20 bytes per (2n)**4 entry (its cached float64
-    singlet table, the expectation, its masks and scratch) and 64 per
-    (2n)**3; 128 KiB covers the rest. These still count a float64 gap table
-    and tuple codes no longer built, so no refusal moved: ``tracemalloc``
-    reads about 18 of the 28 bytes per entry this gives a 1x1 model at
-    n = 12 to 20.
+    ``model.tensor_bytes`` covers the gate's and the kernel's masks,
+    conservatively: no product tensor is built. Each realized sector adds
+    20 bytes per (2n)**4 entry (its cached float64 singlet table, the
+    expectation, its masks and scratch) and 64 per (2n)**3; 128 KiB covers
+    the rest. These still count a float64 gap table and tuple codes no
+    longer built, so no refusal moved: ``tracemalloc`` reads about 16 of
+    the 28 bytes per entry this gives a 1x1 model at n = 16 and 20.
     """
     m = model.steps
     return (model.tensor_bytes + len(model.sectors) * (20 * m**4 + 64 * m**3)
@@ -518,7 +518,7 @@ def replay(trace: DerivationTrace, model: LhvModel) -> bool:
             f" constant {trace.constant.sector:+d}, clash"
             f" {trace.clash.sector:+d}"
         )
-    products = product_tensor(model)
+    _refuse_product_tensor(model)  # an oversized model, before its trace is read
     weight_ok = positive_weight_mask(model)
     angles, (size1, size4) = frozenset(range(model.steps)), model.kappa.shape
 
@@ -539,7 +539,9 @@ def replay(trace: DerivationTrace, model: LhvModel) -> bool:
             raise ReplayError(f"cited event {event} is not in sector {sector:+d}")
         if not weight_ok[l1, l4]:
             raise ReplayError(f"cited event {event} carries no weight")
-        value = int(products[phis + (l1, l4)])
+        k1, k2, k3, k4 = phis
+        value = (int(model.a[k1, l1]) * int(model.analyzer[k2, k3, l1, l4])
+                 * int(model.d[k4, l4]))
         if value == 0:
             raise ReplayError(f"cited event {event} at {phis} is silent")
         return value

@@ -25,7 +25,7 @@ from bellswap.model import (
     dumps,
     event_count,
 )
-from bellswap.robustness import RobustnessReport, is_robust
+from bellswap.robustness import RobustnessReport, check_perfect_correlations, is_robust
 from bellswap.search import (
     SearchSpace,
     forced_analyzer,
@@ -56,6 +56,7 @@ from helpers import (
     demand_filled_analyzer,
     fate_pack,
     looped_single_source,
+    multi_axis_correlations,
     oracle_count,
     parity_split_model,
     per_block_drive,
@@ -1133,6 +1134,20 @@ def test_pinned_search_results(name):
         for found in result.consistent_found
     ]
     assert tuple(positions) == pin.consistent
+
+
+def test_full_two_by_two_census_totals():
+    """README's census: the whole 2x2 space, certifying, with the 16 kept
+    survivors robust and the gate's witnesses matching the oracle's."""
+    result = search_two_source(two_source_space(size1=2, size4=2))
+    assert (result.robust_count, result.models_examined) == (409648, 2628812784)
+    assert result.completed and result.certifying
+    assert len(result.robust_found) == 16
+    for model in result.robust_found:
+        assert is_robust(model).is_robust
+        for minus_row in (False, True):
+            assert (check_perfect_correlations(model, minus_row)
+                    == multi_axis_correlations(model, minus_row))
 
 
 class TestSingleSourceSearch:

@@ -36,6 +36,7 @@ from bellswap.model import (
     MAX_TABLE_BYTES,
     LhvModel,
     SizeLimitError,
+    _products_at,
     classical_expectation,
     dumps,
     event_count,
@@ -483,6 +484,18 @@ def test_gate_witnesses_match_on_zoo_models(uri):
     _gate_matches(by_uri(uri))
 
 
+@pytest.mark.parametrize("uri", [
+    "zoo:single_source_shift",
+    "zoo:padded_irrelevant",
+    "zoo:synthetic_factorizable:seed=4,n=3,size1=2,size4=3,kappa=mixed",
+])
+def test_products_gathered_at_tuples_are_the_product_tensor_rows(uri):
+    model = by_uri(uri)
+    tuples = np.argwhere(np.ones((model.steps,) * 4, dtype=bool))
+    want = broadcast_products(model).reshape(len(tuples), -1)
+    assert np.array_equal(_products_at(model, tuples), want)
+
+
 # ---------------------------------------------------------------------------
 # replay checks the trace's sectors
 
@@ -643,6 +656,51 @@ def test_oversized_single_source_model_is_refused_before_allocating():
         )
 
     _assert_refused_before_allocating(build, "n=40 model with 2 hidden values")
+
+
+def test_counts_check_is_refused_before_allocating():
+    _assert_refused_before_allocating(
+        _huge_model, "n=40 model with 8x8 hidden values", check_counts_nonempty,
+        lambda m: check_perfect_correlations(m, minus_row=False))
+
+
+def test_robustness_gate_peaks_below_one_product_tensor():
+    """The gate reads per-sector masks and gathers its witness's products at
+    one tuple: one int8 product tensor of this model would take 256 KiB."""
+    is_robust(synthetic_factorizable(0, n=2, size1=1, size4=1))
+    model = synthetic_factorizable(0, n=4, size1=8, size4=8)
+    tracemalloc.start()
+    try:
+        is_robust(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < model.steps**4 * model.kappa.size
+
+
+def test_no_stage_builds_the_product_tensor(monkeypatch):
+    prop = vars(LhvModel)["products"]
+    builds = []
+    build = prop.func
+    monkeypatch.setattr(prop, "func", lambda model: builds.append(model) or build(model))
+    models = [by_uri(uri) for uri in (
+        "zoo:synthetic_factorizable:seed=5,density=0.7,kappa=mixed",
+        "zoo:evasive_nonrobust", "zoo:single_source_shift")]
+    # a zero weight: the correlation law then reads kappa's own masks
+    models.append(rebuild(models[0], rho1=[Fraction(1), Fraction(0)]))
+    kinds = set()
+    for model in models:
+        for minus_row in (False, True):
+            is_robust(model, minus_row=minus_row)
+        event_count(model, (0, 1, 2, 3), 1)
+        classical_expectation(model, (0, 1, 2, 3), 1, None)
+        if model.family == "two_source":
+            result = verdict.run(model)
+            kinds.add(result.kind)
+            if result.kind == "inconsistent":
+                assert verdict.replay(result.trace, model)
+    assert kinds >= {"inconsistent", "not_robust"}
+    assert builds == []
 
 
 def test_first_count_and_expectation_gather_only_their_tuple():
