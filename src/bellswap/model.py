@@ -23,8 +23,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, compress
+from operator import iadd
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -107,6 +108,9 @@ def _is_int(value) -> bool:
 
 _BOOL_TYPES = (bool, np.bool_)
 
+# numpy refuses an array of more dimensions than this
+_MAX_DIMS = 64
+
 
 def _has_bool(values, depth: int) -> bool:
     """Whether a nested sequence holds a bool, which numpy would read as 0/1."""
@@ -116,7 +120,9 @@ def _has_bool(values, depth: int) -> bool:
     return bool(set(map(type, flat)).intersection(_BOOL_TYPES))
 
 
-def _sign_array(values, path: str, allow_zero: bool) -> np.ndarray:
+def _converted_table(values, path: str, allow_zero: bool) -> np.ndarray:
+    """Any table input through numpy, each refusal in numpy's terms: the
+    route of arrays, and of lists :func:`_walked_table` does not take."""
     # a copy at the input's own dtype: the model owns its tables, so no
     # caller alias can change them, and nothing is cast before it is checked
     try:
@@ -134,41 +140,80 @@ def _sign_array(values, path: str, allow_zero: bool) -> np.ndarray:
     return arr.astype(np.int8, copy=False)
 
 
+def _walked_table(values, allowed: set[int]) -> np.ndarray | None:
+    """A nested list of integers in ``allowed`` as its int8 table, or None.
+
+    One walk, a level at a time, finds the shape, the leaf types and the
+    values together: every level above the leaves holds only lists of one
+    length, at most numpy's 64 of them deep, and the leaves are ints. It
+    takes only what numpy would read to the same table, so None leaves
+    every refusal to :func:`_converted_table`.
+    """
+    level, shape = [values], []
+    while len(shape) <= _MAX_DIMS:
+        kinds = set(map(type, level))
+        if kinds != {list}:
+            if kinds <= {int} and set(level) <= allowed:
+                return np.array(level, dtype=np.int8).reshape(shape)
+            return None
+        lengths = set(map(len, level))
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        level = reduce(iadd, level, [])
+    return None
+
+
+def _sign_array(values, path: str, allow_zero: bool) -> np.ndarray:
+    if not isinstance(values, np.ndarray):
+        table = _walked_table(values, {-1, 0, 1} if allow_zero else {-1, 1})
+        if table is not None:
+            return table
+    return _converted_table(values, path, allow_zero)
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
 
-# bounded: documents repeat a handful of weight texts, an entry each
-@lru_cache(maxsize=256)
-def _parse_weight(text: str) -> Fraction | None:
-    """A weight's text as a Fraction, None when it names no rational number.
-
-    Parsing text runs a regex, a few microseconds a weight, so it is cached;
-    text is always hashable, so the lookup itself cannot fail.
-    """
+def _fraction(value) -> Fraction | None:
+    """A weight as a Fraction, None when it names no rational number."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
         return None
+
+
+# bounded: documents repeat a handful of weight vectors, an entry each
+@lru_cache(maxsize=256)
+def _parsed_weights(texts: tuple[str, ...]) -> tuple[Fraction, ...] | None:
+    """A vector of weight texts as Fractions when each names a nonnegative
+    rational and they sum to exactly 1, else None.
+
+    Parsing text runs a regex, a few microseconds a weight, so whole vectors
+    are cached; a tuple of strings is always hashable.
+    """
+    weights = tuple(map(_fraction, texts))
+    if None in weights or min(weights) < 0 or sum(weights) != 1:
+        return None
+    return weights
 
 
 def _weights(values, path: str) -> tuple[Fraction, ...]:
     _require(isinstance(values, (list, tuple)), path, "must be a list")
     _require(len(values) >= 1, path, "at least one hidden-variable value required")
+    if set(map(type, values)) == {str}:
+        parsed = _parsed_weights(tuple(values))
+        if parsed is not None:
+            return parsed
     out = []
     for i, v in enumerate(values):
         # JSON true/false would otherwise pass as the weights 1 and 0, and
         # a float as its binary expansion (0.1 as 3602879701896397/2**55)
         _require(not isinstance(v, (*_BOOL_TYPES, float, np.floating)), f"{path}[{i}]",
                  f"not a rational number: {v!r}")
-        if isinstance(v, str):
-            w = _parse_weight(v)
-        else:
-            try:
-                w = Fraction(v)
-            except (TypeError, ValueError, ZeroDivisionError):
-                w = None
+        w = _fraction(v)
         _require(w is not None, f"{path}[{i}]", f"not a rational number: {v!r}")
         _require(w >= 0, f"{path}[{i}]", "weights must be nonnegative")
         out.append(w)
@@ -318,6 +363,20 @@ class LhvModel:
             table = has_pos.view(np.int8) | -has_neg.view(np.int8)
             signs[s] = tuple(map(_read_only, (has_pos, has_neg, table)))
         return signs
+
+    @cached_property
+    def law_signs(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Per sector kappa announces, weighted assignment or not, over the
+        angle tuples: where an assignment has product +1 and where one has
+        -1, what the correlation law judges. Where every assignment carries
+        weight these are :attr:`event_signs`' own tables.
+        """
+        if self.weight_mask.all():
+            return {s: table[:2] for s, table in self.event_signs.items()}
+        kappa = self.kappa.ravel()
+        masks = {s: kappa == s for s in (1, -1) if (kappa == s).any()}
+        kernel = _event_kernel(self, masks)
+        return {s: tuple(map(_read_only, pair)) for s, pair in kernel.items()}
 
     @cached_property
     def assignment_weights(self) -> tuple[Fraction, ...]:
@@ -565,6 +624,8 @@ def loads(text: str) -> LhvModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"document: not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise ModelFormatError(f"document: nested too deeply: {exc}") from exc
     _require(isinstance(doc, dict), "document", "top level must be an object")
     same_name = ("family", "n", "rho1", "rho4", "n0")  # fields named as in LhvModel
     missing = {"lambda1", "lambda4", *same_name, *_TABLE_FIELDS.values()} - doc.keys()

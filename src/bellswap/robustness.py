@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import sign_table
-from .model import LhvModel, _event_kernel, _products_at, realized_sectors
+from .model import LhvModel, _products_at, realized_sectors
 
 __all__ = [
     "CorrelationWitness",
@@ -113,16 +113,11 @@ def check_perfect_correlations(
     That restricted check is the precondition the factorization stage needs.
 
     Every assignment is judged against its own sector's correlation angle,
-    weighted or not, so the sector masks are kappa's own; where every
-    assignment carries weight they are the weighted ones, and the model's
-    cached :attr:`LhvModel.event_signs` answer. No product tensor is built:
-    the witness's products are gathered at its one angle tuple.
+    weighted or not: the model's cached :attr:`LhvModel.law_signs` answer.
+    No product tensor is built: the witness's products are gathered at its
+    one angle tuple.
     """
-    if model.weight_mask.all():
-        signs = {s: table[:2] for s, table in model.event_signs.items()}
-    else:
-        kappa = model.kappa.ravel()
-        signs = _event_kernel(model, {s: kappa == s for s in (1, -1) if (kappa == s).any()})
+    signs = model.law_signs  # refuses an oversized model before anything is allocated
     bad = np.zeros((model.steps,) * 4, dtype=bool)
     for sector, (has_pos, has_neg) in signs.items():
         table = sign_table(model.n, sector)

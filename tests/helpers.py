@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
 
-from bellswap import factorizer, verdict
+from bellswap import factorizer, model as model_module, verdict
 from bellswap.angles import required_sign, sign_table
 from bellswap.factorizer import (
     ComponentAssignment,
@@ -32,6 +34,7 @@ from bellswap.model import (
     SINGLE_SOURCE,
     TWO_SOURCE,
     LhvModel,
+    ModelFormatError,
     product_tensor,
     selected_analyzer,
 )
@@ -1367,3 +1370,63 @@ def indent_dumps(model: LhvModel) -> str:
         "n0": model.n0,
     }
     return json.dumps(doc, indent=1)
+
+
+def _holds_bool(values, depth: int) -> bool:
+    """Whether a nested sequence, ``depth`` levels deep, holds a bool."""
+    if depth == 0:
+        return type(values) in (bool, np.bool_)
+    return any(_holds_bool(value, depth - 1) for value in values)
+
+
+def numpy_table(values, path: str, allow_zero: bool) -> np.ndarray:
+    """Oracle for the model's table intake: ``np.array`` on the input, then
+    a walk for bools (numpy reads them as 0/1), then the dtype and range
+    checks, each refusal in the model's words."""
+    try:
+        arr = np.array(values)
+    except ValueError as exc:  # a ragged nested list
+        raise ModelFormatError(f"{path}: malformed table data: {exc}") from exc
+    if arr.size:
+        allowed = [-1, 0, 1] if allow_zero else [-1, 1]
+        if arr.dtype.kind not in "iu" or (
+            not isinstance(values, np.ndarray) and _holds_bool(values, arr.ndim)
+        ):
+            raise ModelFormatError(f"{path}: values must be integers in {allowed}")
+        if arr.min() < -1 or arr.max() > 1 or not (allow_zero or arr.all()):
+            raise ModelFormatError(f"{path}: values must lie in {allowed}")
+    return arr.astype(np.int8, copy=False)
+
+
+def weight_by_weight(values, path: str) -> tuple[Fraction, ...]:
+    """Oracle for the model's weight intake: each weight parsed, checked and
+    summed on its own."""
+    def refuse(condition, where, message):
+        if not condition:
+            raise ModelFormatError(f"{where}: {message}")
+
+    refuse(isinstance(values, (list, tuple)), path, "must be a list")
+    refuse(len(values) >= 1, path, "at least one hidden-variable value required")
+    out = []
+    for i, v in enumerate(values):
+        refuse(not isinstance(v, (bool, np.bool_, float, np.floating)), f"{path}[{i}]",
+               f"not a rational number: {v!r}")
+        try:
+            w = Fraction(v)
+        except (TypeError, ValueError, ZeroDivisionError):
+            w = None
+        refuse(w is not None, f"{path}[{i}]", f"not a rational number: {v!r}")
+        refuse(w >= 0, f"{path}[{i}]", "weights must be nonnegative")
+        out.append(w)
+    refuse(sum(out, Fraction(0)) == 1, path, "weights must sum to exactly 1")
+    return tuple(out)
+
+
+@contextmanager
+def oracle_intake():
+    """``LhvModel`` and ``loads`` reading tables through :func:`numpy_table`
+    and weights through :func:`weight_by_weight`; every other rule is the
+    model's own, in its own order."""
+    with mock.patch.object(model_module, "_sign_array", numpy_table), \
+            mock.patch.object(model_module, "_weights", weight_by_weight):
+        yield

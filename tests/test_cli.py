@@ -153,6 +153,14 @@ class TestCheck:
         assert not out
         assert "document: not text" in err
 
+    def test_deeply_nested_model_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[" * 100_000)
+        code, out, err = invoke(capsys, "check", "--model", str(path))
+        assert code == 2
+        assert not out
+        assert len(err.splitlines()) == 1 and "document: nested too deeply" in err
+
     def test_negative_seed_is_a_usage_error(self, capsys):
         uri = "zoo:synthetic_factorizable:seed=-1"
         code, out, err = invoke(capsys, "check", "--model", uri)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import json
@@ -11,12 +12,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from bellswap import model as model_module
 from bellswap.model import (
     LhvModel,
     ModelFormatError,
     _events_at,
+    _parsed_weights,
     _uniform_model,
     classical_expectation,
     dumps,
@@ -31,7 +34,7 @@ from bellswap.model import (
 )
 from bellswap.zoo import by_uri, catalog, synthetic_factorizable
 
-from helpers import broadcast_events, broadcast_products, indent_dumps
+from helpers import broadcast_events, broadcast_products, indent_dumps, oracle_intake
 from test_golden import MODELS
 
 
@@ -740,6 +743,128 @@ class TestFileFormat:
             for name in ("a", "d", "kappa", "f_plus", "f_minus"):
                 assert np.array_equal(getattr(back, name), getattr(model, name))
             assert (back.rho1, back.rho4, back.n0) == (model.rho1, model.rho4, model.n0)
+
+
+_TABLES = ("A", "D", "kappa", "F_plus_sector", "F_minus_sector")
+_FIELDS = {"family": "family", "n": "n", "n0": "n0", "rho1": "rho1", "rho4": "rho4",
+           "a": "A", "d": "D", "kappa": "kappa", "f_plus": "F_plus_sector",
+           "f_minus": "F_minus_sector"}
+_BASE_DOCUMENTS = tuple(dumps(model) for model in (
+    constant_two_source(n=1, l1=1, l4=2), random_two_source(0, n=1, l1=2, l4=1),
+    constant_single_source(n=1, size=2),
+))
+_BAD_LEAVES = (True, False, 0.5, 1.0, -1.0, "1", None, 300, -2, 2, 10**30, -(10**30), 2**63,
+               np.int64(1), np.int8(-1), np.bool_(True), np.float64(1.0), 1, 0, -1)
+_NOT_ROWS = ([], {}, {"a": 1}, {1: 0, -1: 0}, "ab", "", 1, (1, -1))
+
+
+def _nested(value, depth: int):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@st.composite
+def _mangled_document(draw):
+    """A valid small document with table entries, rows or depths changed at
+    random places, and perhaps a bad family, ``n``, ``n0`` or weight too."""
+    doc = json.loads(draw(st.sampled_from(_BASE_DOCUMENTS)))
+    for _ in range(draw(st.integers(0, 2))):
+        holder, key = doc, draw(st.sampled_from(_TABLES))
+        while isinstance(holder[key], list) and holder[key] and draw(st.booleans()):
+            holder, key = holder[key], draw(st.integers(0, len(holder[key]) - 1))
+        node = holder[key]
+        change = draw(st.sampled_from(["leaf", "not_row", "deeper", "longer", "shorter"]))
+        if change == "leaf":
+            holder[key] = draw(st.sampled_from(_BAD_LEAVES))
+        elif change == "not_row":
+            holder[key] = copy.deepcopy(draw(st.sampled_from(_NOT_ROWS)))
+        elif change == "deeper":
+            holder[key] = _nested(node, draw(st.sampled_from([1, 2, 63, 64, 65, 70])))
+        elif isinstance(node, list) and change == "longer":
+            node.append(copy.deepcopy(node[-1]) if node else 1)
+        elif isinstance(node, list) and node:
+            node.pop()
+    for field, bad in (("family", ["three_source", 1]), ("n", [0, True, "4", 2.0]),
+                       ("n0", [-1, None]),
+                       ("rho1", [["1/2", "x"], [True, 0], [0.5, 0.5], ["1/3", "1/3"],
+                                 ["-1/2", "3/2"], [], "1", [1, 0], ["1/2", "1/2"]]),
+                       ("rho4", [None, ["1"], ["2", "-1"], ["1/2", "1/2"]])):
+        if draw(st.integers(0, 2)) == 0:
+            doc[field] = draw(st.sampled_from(bad))
+    return doc
+
+
+def _outcome(build):
+    """What a constructor call gives: its error's type and text, or every
+    table's dtype, shape and bytes with the other fields."""
+    try:
+        model = build()
+    except Exception as exc:  # any refusal, to compare with the oracle's
+        return type(exc).__name__, str(exc)
+    tables = [(t.dtype.str, t.shape, t.tobytes()) for t in
+              (model.a, model.d, model.kappa, model.f_plus, model.f_minus)]
+    return tables, model.family, model.n, model.n0, model.rho1, model.rho4
+
+
+class TestIntake:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_mangled_document())
+    @example({**json.loads(_BASE_DOCUMENTS[1]), "rho1": ["-1/2", "3/2"]})
+    @example({**json.loads(_BASE_DOCUMENTS[2]), "rho1": ["1/2", "1/3"]})
+    @example({**json.loads(_BASE_DOCUMENTS[0]), "rho4": ["1/2", "1/0"]})
+    def test_intake_matches_the_numpy_oracle(self, doc):
+        def construct():
+            return LhvModel(**{name: copy.deepcopy(doc[path]) for name, path in _FIELDS.items()})
+
+        with oracle_intake():
+            want = _outcome(construct)
+        assert _outcome(construct) == want
+        try:
+            text = json.dumps(doc)
+        except TypeError:  # a numpy leaf: no document carries one
+            return
+        with oracle_intake():
+            want = _outcome(lambda: loads(text))
+        assert _outcome(lambda: loads(text)) == want
+
+    @pytest.mark.parametrize("uri", sorted(
+        {f"zoo:{name}" for name in catalog() if name != "synthetic_factorizable"}
+        | set(MODELS)
+        | {f"zoo:synthetic_factorizable:seed={seed},density={density},kappa={kappa}"
+           for seed, density, kappa in [(1, 0.5, "plus"), (2, 1.0, "minus"),
+                                         (3, 0.7, "mixed")]}
+        | {"zoo:evasive_nonrobust:n=6"}
+    ))
+    def test_valid_documents_take_the_walk(self, uri, monkeypatch):
+        # the numpy route is the route of arrays and refusals: a valid
+        # document that reaches it has lost the one-walk intake
+        def numpy_route(values, path, allow_zero):
+            raise AssertionError(f"{path} went through numpy")
+
+        text = dumps(by_uri(uri))
+        doc = json.loads(text)
+        monkeypatch.setattr(model_module, "_converted_table", numpy_route)
+        assert dumps(loads(text)) == text
+        for field in ("rho1", "rho4"):
+            if doc[field] is not None:
+                assert _parsed_weights(tuple(doc[field])) is not None, field
+
+    def test_deeply_nested_document_is_refused(self):
+        for text in ('{"A": ' + "[" * 5000 + "]" * 5000 + "}", "[" * 100_000):
+            with pytest.raises(ModelFormatError, match="^document: nested too deeply"):
+                loads(text)
+
+    @pytest.mark.parametrize("depth", [65, 5000])
+    def test_table_past_numpy_dimensions_is_malformed(self, depth):
+        deep = _nested(1, depth)
+        with pytest.raises(ModelFormatError, match="^A: malformed table data: "):
+            dataclasses.replace(constant_two_source(), a=deep)
+        doc = json.loads(dumps(constant_two_source()))
+        doc["A"] = _nested(1, 65)
+        with pytest.raises(ModelFormatError, match="^A: malformed table data: "):
+            loads(json.dumps(doc))
 
 
 class TestEncoder:

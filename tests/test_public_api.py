@@ -250,7 +250,8 @@ def test_the_cache_lint_sees_every_unbounded_form():
 # the caches ``test_grid_caches_keep_the_last_two_grids`` does not measure,
 # each with what bounds the memory it keeps
 UNMEASURED_CACHES = {
-    "model._parse_weight": "keyed by weight text: 256 Fractions of a few digits",
+    "model._parsed_weights": "keyed by weight vector: 256 vectors of Fractions,"
+                             " a few digits a weight",
     "model._table_layout": "keyed by table shape: 32 layouts, a byte per leaf",
     "search._class_side": "keyed by value domain and size: the 4 pi/4 class tables",
     "cli._parser": "one argument parser per process",

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from bellswap import factorizer, search, verdict
+from bellswap import factorizer, model as model_module, search, verdict
 from bellswap.angles import RationalAngle, correlation_index, sign_table
 from bellswap.cli import run as cli_run
 from bellswap.factorizer import (
@@ -701,6 +701,29 @@ def test_no_stage_builds_the_product_tensor(monkeypatch):
                 assert verdict.replay(result.trace, model)
     assert kinds >= {"inconsistent", "not_robust"}
     assert builds == []
+
+
+def test_correlation_kernel_runs_once_per_zero_weight_model(monkeypatch):
+    """The law's kappa masks are read once per model, cached beside the
+    weighted ones: the gate then the verdict's second gate add no call."""
+    calls = []
+    kernel = model_module._event_kernel
+
+    def counted(model, masks):
+        calls.append(len(masks))
+        return kernel(model, masks)
+
+    monkeypatch.setattr(model_module, "_event_kernel", counted)
+    base = by_uri("zoo:synthetic_factorizable:seed=5,density=0.7,kappa=mixed")
+    model = rebuild(base, rho1=[Fraction(1), Fraction(0)])
+    assert not model.weight_mask.all()
+    for minus_row in (False, True):
+        witness = check_perfect_correlations(model, minus_row=minus_row)
+        assert witness == multi_axis_correlations(model, minus_row=minus_row)
+    is_robust(model)
+    verdict.run(model)
+    assert calls == [2, 2]
+    assert model.law_signs is model.law_signs
 
 
 def test_first_count_and_expectation_gather_only_their_tuple():
