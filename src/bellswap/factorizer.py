@@ -256,8 +256,8 @@ def check_consistency(model: LhvModel) -> ConsistencyWitness | None:
                 for t in (signed, unsigned)]
         if sums[0] != sums[1]:
             # two bytes per instance: the int8 row and its -1 mask
-            _refuse_oversize(f"the {name} row of a {'x'.join(map(str, f.shape))}"
-                             " analyzer table", 2 * f.size ** 2)
+            _refuse_oversize(lambda: f"the {name} row of a {'x'.join(map(str, f.shape))}"
+                                     " analyzer table", 2 * f.size ** 2)
             return _witness(row, tables)
     return None
 

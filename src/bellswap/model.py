@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import chain, compress
 from operator import iadd
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,11 +81,12 @@ class SizeLimitError(UsageError):
     """An input whose tables would exceed MAX_TABLE_BYTES; nothing was built."""
 
 
-def _refuse_oversize(what: str, estimate: int) -> None:
-    """Raise SizeLimitError, naming the estimate, when it exceeds the limit."""
+def _refuse_oversize(what: Callable[[], str], estimate: int) -> None:
+    """Raise SizeLimitError, naming the estimate, when it exceeds the limit;
+    ``what()`` names the input, and is called only then."""
     if estimate > MAX_TABLE_BYTES:
         raise SizeLimitError(
-            f"{what} would take an estimated {estimate / 2**20:,.0f} MiB,"
+            f"{what()} would take an estimated {estimate / 2**20:,.0f} MiB,"
             f" over the {MAX_TABLE_BYTES // 2**20} MiB limit"
         )
 
@@ -93,7 +94,8 @@ def _refuse_oversize(what: str, estimate: int) -> None:
 def _refuse_product_tensor(model: LhvModel) -> None:
     """SizeLimitError, naming :attr:`LhvModel.tensor_bytes`, for a model
     over the limit: the one refusal of the tables derived from a model."""
-    _refuse_oversize(f"the product tensor of {model._size_label}", model.tensor_bytes)
+    _refuse_oversize(lambda: f"the product tensor of {model._size_label}",
+                     model.tensor_bytes)
 
 
 def _require(condition: bool, path: str, message: str) -> None:
@@ -164,11 +166,30 @@ def _walked_table(values, allowed: set[int]) -> np.ndarray | None:
     return None
 
 
+def _copied_table(values: np.ndarray, allow_zero: bool) -> np.ndarray | None:
+    """A copy of a nonempty int8 array, exactly an ndarray, whose values
+    are allowed, or None.
+
+    One range test: -1, 0 and 1 are the bytes 255, 0 and 1, which adding 1
+    wraps to 0, 1 and 2, and every other value lands above 2. The copy is
+    the one :func:`_converted_table` makes, so None leaves every refusal to
+    it.
+    """
+    if type(values) is not np.ndarray or values.dtype != np.int8 or not values.size:
+        return None
+    table = np.array(values)
+    if (table.view(np.uint8) + 1).max() > 2 or not (allow_zero or table.all()):
+        return None
+    return table
+
+
 def _sign_array(values, path: str, allow_zero: bool) -> np.ndarray:
-    if not isinstance(values, np.ndarray):
+    if isinstance(values, np.ndarray):
+        table = _copied_table(values, allow_zero)
+    else:
         table = _walked_table(values, {-1, 0, 1} if allow_zero else {-1, 1})
-        if table is not None:
-            return table
+    if table is not None:
+        return table
     return _converted_table(values, path, allow_zero)
 
 
@@ -187,14 +208,16 @@ def _fraction(value) -> Fraction | None:
 
 # bounded: documents repeat a handful of weight vectors, an entry each
 @lru_cache(maxsize=256)
-def _parsed_weights(texts: tuple[str, ...]) -> tuple[Fraction, ...] | None:
-    """A vector of weight texts as Fractions when each names a nonnegative
-    rational and they sum to exactly 1, else None.
+def _parsed_weights(values: tuple[str | Fraction, ...]) -> tuple[Fraction, ...] | None:
+    """A vector of weight texts, or of Fractions, as Fractions when each
+    names a nonnegative rational and they sum to exactly 1, else None.
 
-    Parsing text runs a regex, a few microseconds a weight, so whole vectors
-    are cached; a tuple of strings is always hashable.
+    Parsing text runs a regex, a few microseconds a weight, and checking
+    and summing Fractions costs about as much, so whole vectors are cached;
+    a tuple of strings or of Fractions is always hashable, and no key of one
+    kind equals a key of the other.
     """
-    weights = tuple(map(_fraction, texts))
+    weights = tuple(map(_fraction, values))
     if None in weights or min(weights) < 0 or sum(weights) != 1:
         return None
     return weights
@@ -203,7 +226,8 @@ def _parsed_weights(texts: tuple[str, ...]) -> tuple[Fraction, ...] | None:
 def _weights(values, path: str) -> tuple[Fraction, ...]:
     _require(isinstance(values, (list, tuple)), path, "must be a list")
     _require(len(values) >= 1, path, "at least one hidden-variable value required")
-    if set(map(type, values)) == {str}:
+    kinds = set(map(type, values))
+    if kinds == {str} or kinds == {Fraction}:
         parsed = _parsed_weights(tuple(values))
         if parsed is not None:
             return parsed
@@ -243,8 +267,8 @@ class LhvModel:
     n0: int = 1
 
     def __post_init__(self) -> None:
-        _require(self.family in (TWO_SOURCE, SINGLE_SOURCE), "family",
-                 f"unknown family {self.family!r}")
+        if self.family not in (TWO_SOURCE, SINGLE_SOURCE):
+            raise ModelFormatError(f"family: unknown family {self.family!r}")
         _require(_is_int(self.n) and self.n >= 1, "n",
                  "grid resolution must be a positive integer")
         _require(_is_int(self.n0) and self.n0 >= 0, "n0",
@@ -270,8 +294,10 @@ class LhvModel:
                   "f_plus": (m, m) + hidden, "f_minus": (m, m) + hidden}
         for name, shape in shapes.items():
             table = getattr(self, name)
-            _require(table.shape == shape, _TABLE_FIELDS[name],
-                     f"expected shape {shape}, got {table.shape}")
+            if table.shape != shape:
+                raise ModelFormatError(
+                    f"{_TABLE_FIELDS[name]}: expected shape {shape}, got {table.shape}"
+                )
             _read_only(table)
 
     @property
@@ -629,21 +655,27 @@ def loads(text: str) -> LhvModel:
     _require(isinstance(doc, dict), "document", "top level must be an object")
     same_name = ("family", "n", "rho1", "rho4", "n0")  # fields named as in LhvModel
     missing = {"lambda1", "lambda4", *same_name, *_TABLE_FIELDS.values()} - doc.keys()
-    _require(not missing, "document", f"missing fields: {sorted(missing)}")
+    if missing:
+        raise ModelFormatError(f"document: missing fields: {sorted(missing)}")
     model = LhvModel(**{name: doc[name] for name in same_name},
                      **{name: doc[path] for name, path in _TABLE_FIELDS.items()})
     # the declared sizes restate the vectors' lengths, null for no vector
     for field, size_field in (("rho1", "lambda1"), ("rho4", "lambda4")):
         weights, declared = getattr(model, field), doc[size_field]
         if weights is None:
-            _require(declared is None, size_field,
-                     f"declared size {declared!r} for a null {field}")
-            continue
-        _require(_is_int(declared), size_field,
-                 f"declared size must be an integer, got {declared!r}")
-        _require(declared == len(weights), size_field,
-                 f"declared size {declared!r} does not match {field} length"
-                 f" {len(weights)}")
+            if declared is not None:
+                raise ModelFormatError(
+                    f"{size_field}: declared size {declared!r} for a null {field}"
+                )
+        elif not _is_int(declared):
+            raise ModelFormatError(
+                f"{size_field}: declared size must be an integer, got {declared!r}"
+            )
+        elif declared != len(weights):
+            raise ModelFormatError(
+                f"{size_field}: declared size {declared!r} does not match {field}"
+                f" length {len(weights)}"
+            )
     return model
 
 

@@ -690,7 +690,7 @@ def search_two_source(
         raise UsageError("search_two_source requires a two_source space")
     if space.size1 == 1 and space.size4 == 1:
         _refuse_oversize(
-            f"the 1x1 two-source scan on the pi/{space.denominator} grid",
+            lambda: f"the 1x1 two-source scan on the pi/{space.denominator} grid",
             _single_scan_bytes(space.denominator),
         )
         blocks = _pair_single_blocks(space)
@@ -862,7 +862,8 @@ def search_single_source(
     # the first draw lists all 2**m support masks by size, about 42 bytes each
     m = 2 * space.denominator
     _refuse_oversize(
-        f"the single-source search on the pi/{space.denominator} grid", 42 * 2**m
+        lambda: f"the single-source search on the pi/{space.denominator} grid",
+        42 * 2**m,
     )
     blocks = _single_source_blocks(space, efficiency_floor)
     return _drive(space, blocks, budget_seconds, stop_after, keep_limit)

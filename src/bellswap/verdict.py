@@ -467,8 +467,8 @@ def _verdict_bytes(model: LhvModel) -> int:
 def run(model: LhvModel) -> Verdict:
     """Factorize, derive, and clash; the full pipeline on one model."""
     _refuse_oversize(
-        f"the verdict on {model._size_label} (product tensor and masks:"
-        f" {model.tensor_bytes / 2**20:,.0f} MiB)",
+        lambda: f"the verdict on {model._size_label} (product tensor and masks:"
+                f" {model.tensor_bytes / 2**20:,.0f} MiB)",
         _verdict_bytes(model),
     )
     try:
@@ -644,7 +644,7 @@ def single_source_contradiction(n: int) -> SingleSourceCertificate:
     is built.
     """
     _refuse_oversize(
-        f"the single-source refutation on the pi/{n} grid",
+        lambda: f"the single-source refutation on the pi/{n} grid",
         _contradiction_bytes(n),
     )
     m = 2 * n

@@ -25,6 +25,7 @@ from .model import (
     SINGLE_SOURCE,
     TWO_SOURCE,
     LhvModel,
+    _is_int,
     _refuse_oversize,
     _uniform_model,
     load,
@@ -59,15 +60,15 @@ def _signs(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _check_grid(n) -> int:
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ZooError("grid resolution n must be a positive integer")
     # every catalog model holds at least one m x m int8 analyzer slice
-    _refuse_oversize(f"the analyzer table of an n={n} catalog model", (2 * n) ** 2)
+    _refuse_oversize(lambda: f"the analyzer table of an n={n} catalog model", (2 * n) ** 2)
     return 2 * n
 
 
 def _check_counts(size1, size4) -> None:
-    if not (isinstance(size1, int) and isinstance(size4, int)):
+    if not (_is_int(size1) and _is_int(size4)):
         raise ZooError(
             f"hidden-variable counts must be integers, got {size1!r} and {size4!r}"
         )
@@ -125,29 +126,38 @@ def _missing_slots(
     """Where the angle tuples no hidden pair in ``pairs`` covers lie.
 
     Returns the first-station angles, the analyzer cells and the
-    last-station angles those tuples touch. The (2n)**4 masks live only in
-    this call, so a sector's masks are freed before the next sector builds
-    its own.
+    last-station angles those tuples touch. With rows x of
+    ``da[k1, l1] & dd[k4, l4]`` and rows y of ``df[k2, k3, l1, l4]`` over
+    the pairs, as in ``model._event_kernel``, x @ y.T counts the pairs that
+    cover each tuple, and a tuple is missing where its count is 0. The
+    counts and their zero mask, 5 bytes a tuple, are taken a block of k1
+    values at a time, within half of :func:`_repair_bytes`; they live only
+    in this call, so a sector's are freed before the next sector's.
     """
     m = da.shape[0]
-    covered = np.zeros((m, m, m, m), dtype=bool)
-    for l1, l4 in pairs:
-        covered |= (
-            da[:, l1][:, None, None, None]
-            & df[:, :, l1, l4][None, :, :, None]
-            & dd[:, l4][None, None, None, :]
-        )
-    missing = np.logical_not(covered, out=covered)
-    return (
-        missing.any(axis=(1, 2, 3)), missing.any(axis=(0, 3)), missing.any(axis=(0, 1, 2))
-    )
+    l1, l4 = pairs.T
+    x = (da[:, None, l1] & dd[None, :, l4]).reshape(m * m, -1).astype(np.float32)
+    y = df[:, :, l1, l4].reshape(m * m, -1).astype(np.float32)
+    on_a = np.empty(m, dtype=bool)
+    on_f = np.zeros(m * m, dtype=bool)
+    on_d = np.zeros(m, dtype=bool)
+    block = max(1, _repair_bytes(m) // (10 * m**3))
+    for k1 in range(0, m, block):
+        # rows (k1, k4) and columns (k2, k3)
+        missing = (x[k1 * m:(k1 + block) * m] @ y.T == 0).reshape(-1, m, m * m)
+        on_a[k1:k1 + block] = missing.any(axis=(1, 2))
+        on_d |= missing.any(axis=(0, 2))
+        on_f |= missing.any(axis=(0, 1))
+    return on_a, on_f.reshape(m, m), on_d
 
 
 def _repair_bytes(m: int) -> int:
     """Estimated peak bytes of ``_repair_support`` on an m-angle grid."""
-    # whatever the announcement: the running cover and the same-size
-    # temporary it ORs in, an m**3 temporary beside them, and numpy's fixed
-    # reduction buffers (about 19 KB measured with tracemalloc)
+    # whatever the announcement: two bytes per angle tuple, an m**3 term and
+    # numpy's fixed reduction buffers (about 19 KB measured with
+    # tracemalloc). The cover's counts and zero mask take at most half of
+    # it; their factor rows, at most 8 bytes per analyzer entry, fall within
+    # the 10 per entry of the hidden-value draw's estimate, refused first
     return 2 * m**4 + m**3 + 2**15
 
 
@@ -172,19 +182,24 @@ def _repair_support(
         dd[:, l4] |= on_d
         df[:, :, l1, l4] |= on_f
 
+    # which hidden values, and which analyzer pairs, fire at any angle;
+    # each slot switched on below is switched on here too, so every test
+    # sees the repairs before it, as the masks do
+    fires_a = da.any(axis=0).tolist()
+    fires_d = dd.any(axis=0).tolist()
+    fires_f = df.any(axis=(0, 1)).tolist()
+
     def completes(l1: int, l4: int) -> bool:
-        return bool(da[:, l1].any() and df[:, :, l1, l4].any() and dd[:, l4].any())
+        return fires_a[l1] and fires_f[l1][l4] and fires_d[l4]
 
     for l1 in range(size1):
         if not any(completes(l1, l4) for l4 in range(size4)):
-            da[0, l1] = True
-            df[0, 0, l1, 0] = True
-            dd[0, 0] = True
+            da[0, l1] = df[0, 0, l1, 0] = dd[0, 0] = True
+            fires_a[l1] = fires_f[l1][0] = fires_d[0] = True
     for l4 in range(size4):
         if not any(completes(l1, l4) for l1 in range(size1)):
-            dd[0, l4] = True
-            df[0, 0, 0, l4] = True
-            da[0, 0] = True
+            dd[0, l4] = df[0, 0, 0, l4] = da[0, 0] = True
+            fires_d[l4] = fires_f[0][l4] = fires_a[0] = True
 
 
 def synthetic_factorizable(
@@ -209,7 +224,7 @@ def synthetic_factorizable(
     MAX_TABLE_BYTES raise SizeLimitError before anything is drawn.
     """
     m = _check_grid(n)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ZooError(f"seed must be a nonnegative integer, got {seed!r}")
     _check_counts(size1, size4)
     if not isinstance(density, (int, float)) or not 0.0 <= density <= 1.0:
@@ -217,31 +232,26 @@ def synthetic_factorizable(
     # the draws and tables take about 9.5 bytes per analyzer entry, measured
     # with tracemalloc: the float64 draw and its bool mask peak together
     _refuse_oversize(
-        f"the hidden-value draw of an n={n} synthetic model with {size1}x{size4}"
-        " hidden values",
+        lambda: f"the hidden-value draw of an n={n} synthetic model with"
+                f" {size1}x{size4} hidden values",
         10 * m * m * size1 * size4,
     )
     kappa_table = _kappa_pattern(kappa, size1, size4)
     _refuse_oversize(
-        f"the support repair of an n={n} synthetic model", _repair_bytes(m)
+        lambda: f"the support repair of an n={n} synthetic model", _repair_bytes(m)
     )
     rng = np.random.default_rng(seed)
-    station = np.full(m, int(_signs(rng, 1)[0]), np.int8)
+    station = _signs(rng, 1)
     u = _signs(rng, size1)
     v = _signs(rng, size4)
     da = rng.random((m, size1)) < density
     dd = rng.random((m, size4)) < density
     df = rng.random((m, m, size1, size4)) < density
     _repair_support(da, dd, df, kappa_table)
-    table_a = station[:, None] * u[None, :] * da
-    table_d = station[:, None] * v[None, :] * dd
-    table_f = (
-        station[:, None, None, None]
-        * station[None, :, None, None]
-        * u[None, None, :, None]
-        * v[None, None, None, :]
-        * df
-    )
+    table_a = station * u * da
+    table_d = station * v * dd
+    # the analyzer's two station signs are one sign squared, +1
+    table_f = np.multiply.outer(u, v) * df
     return _uniform_model(n, table_a, table_d, kappa_table, table_f)
 
 

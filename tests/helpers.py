@@ -1430,3 +1430,47 @@ def oracle_intake():
     with mock.patch.object(model_module, "_sign_array", numpy_table), \
             mock.patch.object(model_module, "_weights", weight_by_weight):
         yield
+
+
+def broadcast_missing_slots(da, dd, df, pairs):
+    """Oracle for the zoo's support cover: one (2n)**4 broadcast ORed in per
+    hidden pair, then the first-station angles, analyzer cells and
+    last-station angles the uncovered tuples touch."""
+    m = da.shape[0]
+    covered = np.zeros((m, m, m, m), dtype=bool)
+    for l1, l4 in pairs:
+        covered |= (
+            da[:, l1][:, None, None, None]
+            & df[:, :, l1, l4][None, :, :, None]
+            & dd[:, l4][None, None, None, :]
+        )
+    missing = ~covered
+    return (
+        missing.any(axis=(1, 2, 3)), missing.any(axis=(0, 3)), missing.any(axis=(0, 1, 2))
+    )
+
+
+def looped_repair_support(da, dd, df, kappa) -> None:
+    """Oracle for the zoo's support repair, in place: each announced
+    sector's cover from :func:`broadcast_missing_slots`, then each hidden
+    value's event test read from the masks themselves."""
+    size1, size4 = kappa.shape
+    for sector in (1, -1):
+        pairs = np.argwhere(kappa == sector)
+        if not len(pairs):
+            continue
+        on_a, on_f, on_d = broadcast_missing_slots(da, dd, df, pairs)
+        l1, l4 = pairs[0]
+        da[:, l1] |= on_a
+        dd[:, l4] |= on_d
+        df[:, :, l1, l4] |= on_f
+
+    def completes(l1, l4):
+        return bool(da[:, l1].any() and df[:, :, l1, l4].any() and dd[:, l4].any())
+
+    for l1 in range(size1):
+        if not any(completes(l1, l4) for l4 in range(size4)):
+            da[0, l1] = df[0, 0, l1, 0] = dd[0, 0] = True
+    for l4 in range(size4):
+        if not any(completes(l1, l4) for l1 in range(size1)):
+            dd[0, l4] = df[0, 0, 0, l4] = da[0, 0] = True

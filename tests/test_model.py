@@ -867,6 +867,117 @@ class TestIntake:
             loads(json.dumps(doc))
 
 
+def _typed_base():
+    """A valid n = 1 2x2 model whose tables are int8 arrays."""
+    return synthetic_factorizable(0, n=1, density=0.6, kappa="mixed")
+
+
+def _with_entry(table, index, value):
+    out = np.array(table)
+    out[index] = value
+    return out
+
+
+def _read_only_copy(table):
+    out = np.array(table)
+    out.flags.writeable = False
+    return out
+
+
+def _typed_inputs():
+    """Field replacements that reach the typed route: int8 arrays out of
+    range, empty, or in unusual layouts, arrays of other dtypes, and weight
+    vectors of Fractions, refused or mixed with other kinds."""
+    base = _typed_base()
+    cases = {}
+    for name in ("a", "d", "f_plus", "f_minus", "kappa"):
+        table = getattr(base, name)
+        for value in (2, -2, 127, -128):
+            cases[f"{name}-holds-{value}"] = {name: _with_entry(table, 0, value)}
+        cases[f"{name}-empty"] = {name: np.zeros((0,) + table.shape[1:], np.int8)}
+        cases[f"{name}-fortran"] = {name: np.asfortranarray(table)}
+        cases[f"{name}-strided"] = {name: np.repeat(table, 2, axis=0)[::2]}
+        cases[f"{name}-read-only"] = {name: _read_only_copy(table)}
+        cases[f"{name}-bool"] = {name: table != 0}
+        cases[f"{name}-int64"] = {name: table.astype(np.int64)}
+    cases["kappa-holds-0"] = {"kappa": _with_entry(base.kappa, (1, 0), 0)}
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for field in ("rho1", "rho4"):
+        for label, weights in (
+            ("negative", (Fraction(-1, 2), Fraction(3, 2))),
+            ("short-sum", (third, third)),
+            ("long-sum", (half, half, half)),
+            ("with-bool", (half, True)),
+            ("with-false", (Fraction(1), False)),
+            ("with-float", (half, 0.5)),
+            ("with-int", (Fraction(1), 0)),
+            ("with-text", (half, "1/2")),
+            ("list", [half, half]),
+        ):
+            cases[f"{field}-{label}"] = {field: weights}
+    return cases
+
+
+def _layout(build):
+    """:func:`_outcome`, with each table's memory layout and writability."""
+    try:
+        model = build()
+    except Exception as exc:  # any refusal, to compare with the oracle's
+        return type(exc).__name__, str(exc)
+    flags = [(t.flags.c_contiguous, t.flags.f_contiguous, t.flags.writeable) for t in
+             (model.a, model.d, model.kappa, model.f_plus, model.f_minus)]
+    return _outcome(lambda: model), flags
+
+
+class TestTypedIntake:
+    @pytest.mark.parametrize("case", sorted(_typed_inputs()))
+    def test_typed_input_is_refused_or_taken_as_by_the_old_route(self, case):
+        changes = _typed_inputs()[case]
+
+        def construct():
+            return dataclasses.replace(_typed_base(), **changes)
+
+        with oracle_intake():
+            want = _layout(construct)
+        assert _layout(construct) == want
+
+    def test_typed_tables_take_one_range_test(self, monkeypatch):
+        # an in-range int8 array and a vector of Fractions are read without
+        # the old route, whose refusal words only what the typed tests refuse
+        def old_route(*args):
+            raise AssertionError("an in-range typed input took the old route")
+
+        base = _typed_base()
+        monkeypatch.setattr(model_module, "_converted_table", old_route)
+        monkeypatch.setattr(model_module, "_walked_table", old_route)
+        copy_ = dataclasses.replace(base, rho1=list(base.rho1), rho4=tuple(base.rho4))
+        assert dumps(copy_) == dumps(base)
+
+    def test_the_model_never_aliases_the_callers_array(self):
+        base = _typed_base()
+        tables = {name: np.array(getattr(base, name)) for name in
+                  ("a", "d", "kappa", "f_plus", "f_minus")}
+        model = dataclasses.replace(base, **tables)
+        for name, table in tables.items():
+            assert not np.shares_memory(getattr(model, name), table), name
+            assert table.flags.writeable, name
+            before = getattr(model, name).copy()
+            table *= -1
+            assert np.array_equal(getattr(model, name), before), name
+
+    def test_a_fraction_vector_and_a_bool_vector_share_no_entry(self):
+        # True == Fraction(1) and both hash to 1: a vector of bools must not
+        # reach the cache a vector of Fractions filled
+        base = constant_single_source(n=1, size=1)
+        assert dataclasses.replace(base, rho1=(Fraction(1),)).rho1 == (Fraction(1),)
+        for weights in ((True,), [True], (np.bool_(True),), (1.0,)):
+            with oracle_intake():
+                want = _outcome(lambda: dataclasses.replace(base, rho1=weights))
+            got = _outcome(lambda: dataclasses.replace(base, rho1=weights))
+            assert got == want
+            assert got[0] == "ModelFormatError", weights
+
+
 class TestEncoder:
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

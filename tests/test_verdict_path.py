@@ -880,6 +880,21 @@ def test_verdict_refuses_a_small_hidden_count_before_allocating():
     assert peak < 2**20
 
 
+def test_passing_size_checks_format_no_refusal_text(monkeypatch):
+    # a refusal's text names the model by its size label; a model under the
+    # limit goes through the gate, the verdict and replay without it
+    def label(model):
+        raise AssertionError("a size refusal text was formatted")
+
+    model = synthetic_factorizable(2, density=0.7, kappa="mixed")
+    monkeypatch.setattr(LhvModel, "_size_label", property(label))
+    assert is_robust(model, minus_row=False).is_robust
+    result = verdict.run(model)
+    assert result.kind == "inconsistent"
+    assert verdict.replay(result.trace, model)
+    event_count(model, (0, 1, 2, 3), 1)
+
+
 def test_consistency_counts_build_no_eight_index_row():
     # the 8-index row of this model would take (32 * 32 * 4 * 4) ** 2 bytes,
     # 256 MiB; its counts keep within the size of the largest operand

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bellswap.cli import run as cli_run
 from bellswap.factorizer import check_consistency, factorize
@@ -33,6 +37,7 @@ from bellswap.robustness import (
 from bellswap.zoo import (
     ZooError,
     _kappa_pattern,
+    _missing_slots,
     _repair_bytes,
     _repair_support,
     all_delta_one,
@@ -48,6 +53,8 @@ from bellswap.zoo import (
     synthetic_factorizable,
     two_source_shell,
 )
+
+from helpers import broadcast_missing_slots, looped_repair_support
 
 CATALOG_NAMES = (
     "all_delta_one",
@@ -88,6 +95,11 @@ class TestAllDeltaOne:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ZooError):
             all_delta_one(size1=0)
+
+    @pytest.mark.parametrize("kwargs", [dict(n=True), dict(size1=True), dict(size4=False)])
+    def test_rejects_bools(self, kwargs):
+        with pytest.raises(ZooError):
+            all_delta_one(**kwargs)
 
 
 class TestSyntheticFactorizable:
@@ -161,6 +173,20 @@ class TestSyntheticFactorizable:
         with pytest.raises(ZooError):
             synthetic_factorizable(0, **kwargs)
 
+    @pytest.mark.parametrize("seed, kwargs, message", [
+        (0, dict(n=True), "grid resolution n must be a positive integer"),
+        (0, dict(n=False), "grid resolution n must be a positive integer"),
+        (0, dict(size1=True), "hidden-variable counts must be integers, got True and 2"),
+        (0, dict(size4=np.bool_(True)),
+         "hidden-variable counts must be integers, got 2 and np.True_"),
+        (True, {}, "seed must be a nonnegative integer, got True"),
+        (False, {}, "seed must be a nonnegative integer, got False"),
+    ])
+    def test_rejects_bools(self, seed, kwargs, message):
+        # a bool is no count, grid or seed: refused before anything is drawn
+        with pytest.raises(ZooError, match=f"^{message}$"):
+            synthetic_factorizable(seed, **kwargs)
+
     @pytest.mark.parametrize("n, kappa, mib", [
         # two (2n)**4 bool masks whatever the announcement: n = 64 is the
         # first grid refused for every pattern
@@ -224,6 +250,52 @@ class TestSyntheticFactorizable:
         assert cli_run(["check", "--model", uri]) == 2
         err = capsys.readouterr().err
         assert "8000x8000 hidden values" in err and "2,441 MiB" in err
+
+
+_COVER_DENSITIES = (0.0, 0.05, 0.3, 0.7, 1.0)
+
+
+class TestSupportCover:
+    @settings(max_examples=250, deadline=None)
+    @given(
+        n=st.sampled_from((1, 2, 3, 4, 6)),
+        size1=st.integers(1, 4),
+        size4=st.integers(1, 4),
+        kappa=st.sampled_from(("plus", "minus", "mixed")),
+        density=st.sampled_from(_COVER_DENSITIES),
+        seed=st.integers(0, 2**32 - 1),
+        silent=st.integers(-1, 3),
+    )
+    @example(n=6, size1=4, size4=4, kappa="mixed", density=0.0, seed=0, silent=-1)
+    @example(n=1, size1=1, size4=1, kappa="minus", density=1.0, seed=0, silent=-1)
+    # the only uncovered tuples lie in the first block of first-station angles
+    @example(n=6, size1=1, size4=1, kappa="plus", density=1.0, seed=0, silent=0)
+    # a hidden value's repair completes a later value's event
+    @example(n=1, size1=4, size4=2, kappa="plus", density=0.7, seed=4, silent=-1)
+    def test_cover_and_repair_match_the_broadcast_oracle(
+        self, n, size1, size4, kappa, density, seed, silent
+    ):
+        m = 2 * n
+        rng = np.random.default_rng(seed)
+        da = rng.random((m, size1)) < density
+        if 0 <= silent < m:  # a first-station angle that never fires
+            da[silent] = False
+        dd = rng.random((m, size4)) < density
+        df = rng.random((m, m, size1, size4)) < density
+        kappa_table = _kappa_pattern(kappa, size1, size4)
+        for sector in (1, -1):
+            pairs = np.argwhere(kappa_table == sector)
+            if len(pairs):
+                got = _missing_slots(da, dd, df, pairs)
+                want = broadcast_missing_slots(da, dd, df, pairs)
+                for name, g, w in zip(("a", "f", "d"), got, want):
+                    assert g.dtype == bool and np.array_equal(g, w), name
+        masks = da, dd, df
+        oracle = tuple(mask.copy() for mask in masks)
+        _repair_support(*masks, kappa_table)
+        looped_repair_support(*oracle, kappa_table)
+        for name, got, want in zip(("da", "dd", "df"), masks, oracle):
+            assert np.array_equal(got, want), name
 
 
 class TestEvasiveNonrobust:
@@ -394,3 +466,40 @@ class TestCatalogAndUris:
     def test_every_entry_survives_the_file_round_trip(self, uri):
         model = by_uri(uri)
         assert dumps(loads(dumps(model))) == dumps(model)
+
+
+# ---------------------------------------------------------------------------
+# pinned synthetic models
+#
+# ``zoo_digests.json`` holds the sha256 of ``dumps`` for a sweep of
+# ``synthetic_factorizable`` arguments, so any change to the draw, the
+# support repair or the intake that moves one byte of a model shows here.
+# Regenerate it (only when a model change is intended) with::
+#
+#     PYTHONPATH=src python tests/test_zoo.py > tests/zoo_digests.json
+
+DIGESTS = Path(__file__).with_name("zoo_digests.json")
+
+SWEEP_SHAPES = ((1, 1, 1), (1, 3, 2), (2, 2, 2), (3, 1, 4), (4, 2, 2), (4, 4, 3), (6, 2, 2))
+
+
+def synthetic_digests() -> dict[str, str]:
+    out = {}
+    for n, size1, size4 in SWEEP_SHAPES:
+        for kappa in ("plus", "minus", "mixed"):
+            for density in (0.0, 0.25, 0.7, 1.0):
+                for seed in (0, 3, 11):
+                    model = synthetic_factorizable(
+                        seed, n=n, size1=size1, size4=size4, density=density, kappa=kappa
+                    )
+                    key = f"n={n},{size1}x{size4},{kappa},density={density},seed={seed}"
+                    out[key] = hashlib.sha256(dumps(model).encode()).hexdigest()
+    return out
+
+
+def test_synthetic_models_match_their_pinned_digests():
+    assert synthetic_digests() == json.loads(DIGESTS.read_text())
+
+
+if __name__ == "__main__":
+    print(json.dumps(synthetic_digests(), indent=1))
