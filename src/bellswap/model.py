@@ -98,9 +98,11 @@ def _refuse_product_tensor(model: LhvModel) -> None:
                      model.tensor_bytes)
 
 
-def _require(condition: bool, path: str, message: str) -> None:
+def _require(condition: bool, path: str, message: str | Callable[[], str]) -> None:
+    """ModelFormatError "path: message" unless ``condition``; a callable
+    ``message`` is called only then."""
     if not condition:
-        raise ModelFormatError(f"{path}: {message}")
+        raise ModelFormatError(f"{path}: {message() if callable(message) else message}")
 
 
 def _is_int(value) -> bool:
@@ -137,7 +139,13 @@ def _converted_table(values, path: str, allow_zero: bool) -> np.ndarray:
             not isinstance(values, np.ndarray) and _has_bool(values, arr.ndim)
         ):
             raise ModelFormatError(f"{path}: values must be integers in {allowed}")
-        if arr.min() < -1 or arr.max() > 1 or not (allow_zero or arr.all()):
+        if arr.dtype == np.int8:
+            # -1, 0 and 1 are the bytes 255, 0 and 1, which adding 1 wraps
+            # to 0, 1 and 2; every other value lands above 2
+            out_of_range = (arr.view(np.uint8) + 1).max() > 2
+        else:
+            out_of_range = arr.min() < -1 or arr.max() > 1
+        if out_of_range or not (allow_zero or arr.all()):
             raise ModelFormatError(f"{path}: values must lie in {allowed}")
     return arr.astype(np.int8, copy=False)
 
@@ -166,30 +174,11 @@ def _walked_table(values, allowed: set[int]) -> np.ndarray | None:
     return None
 
 
-def _copied_table(values: np.ndarray, allow_zero: bool) -> np.ndarray | None:
-    """A copy of a nonempty int8 array, exactly an ndarray, whose values
-    are allowed, or None.
-
-    One range test: -1, 0 and 1 are the bytes 255, 0 and 1, which adding 1
-    wraps to 0, 1 and 2, and every other value lands above 2. The copy is
-    the one :func:`_converted_table` makes, so None leaves every refusal to
-    it.
-    """
-    if type(values) is not np.ndarray or values.dtype != np.int8 or not values.size:
-        return None
-    table = np.array(values)
-    if (table.view(np.uint8) + 1).max() > 2 or not (allow_zero or table.all()):
-        return None
-    return table
-
-
 def _sign_array(values, path: str, allow_zero: bool) -> np.ndarray:
-    if isinstance(values, np.ndarray):
-        table = _copied_table(values, allow_zero)
-    else:
+    if not isinstance(values, np.ndarray):
         table = _walked_table(values, {-1, 0, 1} if allow_zero else {-1, 1})
-    if table is not None:
-        return table
+        if table is not None:
+            return table
     return _converted_table(values, path, allow_zero)
 
 
@@ -267,8 +256,8 @@ class LhvModel:
     n0: int = 1
 
     def __post_init__(self) -> None:
-        if self.family not in (TWO_SOURCE, SINGLE_SOURCE):
-            raise ModelFormatError(f"family: unknown family {self.family!r}")
+        _require(self.family in (TWO_SOURCE, SINGLE_SOURCE), "family",
+                 lambda: f"unknown family {self.family!r}")
         _require(_is_int(self.n) and self.n >= 1, "n",
                  "grid resolution must be a positive integer")
         _require(_is_int(self.n0) and self.n0 >= 0, "n0",
@@ -294,10 +283,8 @@ class LhvModel:
                   "f_plus": (m, m) + hidden, "f_minus": (m, m) + hidden}
         for name, shape in shapes.items():
             table = getattr(self, name)
-            if table.shape != shape:
-                raise ModelFormatError(
-                    f"{_TABLE_FIELDS[name]}: expected shape {shape}, got {table.shape}"
-                )
+            _require(table.shape == shape, _TABLE_FIELDS[name],
+                     lambda: f"expected shape {shape}, got {table.shape}")
             _read_only(table)
 
     @property
@@ -655,27 +642,21 @@ def loads(text: str) -> LhvModel:
     _require(isinstance(doc, dict), "document", "top level must be an object")
     same_name = ("family", "n", "rho1", "rho4", "n0")  # fields named as in LhvModel
     missing = {"lambda1", "lambda4", *same_name, *_TABLE_FIELDS.values()} - doc.keys()
-    if missing:
-        raise ModelFormatError(f"document: missing fields: {sorted(missing)}")
+    _require(not missing, "document", lambda: f"missing fields: {sorted(missing)}")
     model = LhvModel(**{name: doc[name] for name in same_name},
                      **{name: doc[path] for name, path in _TABLE_FIELDS.items()})
     # the declared sizes restate the vectors' lengths, null for no vector
     for field, size_field in (("rho1", "lambda1"), ("rho4", "lambda4")):
         weights, declared = getattr(model, field), doc[size_field]
         if weights is None:
-            if declared is not None:
-                raise ModelFormatError(
-                    f"{size_field}: declared size {declared!r} for a null {field}"
-                )
-        elif not _is_int(declared):
-            raise ModelFormatError(
-                f"{size_field}: declared size must be an integer, got {declared!r}"
-            )
-        elif declared != len(weights):
-            raise ModelFormatError(
-                f"{size_field}: declared size {declared!r} does not match {field}"
-                f" length {len(weights)}"
-            )
+            _require(declared is None, size_field,
+                     lambda: f"declared size {declared!r} for a null {field}")
+            continue
+        _require(_is_int(declared), size_field,
+                 lambda: f"declared size must be an integer, got {declared!r}")
+        _require(declared == len(weights), size_field,
+                 lambda: f"declared size {declared!r} does not match {field} length"
+                         f" {len(weights)}")
     return model
 
 

@@ -120,6 +120,10 @@ def _kappa_pattern(pattern: str, size1: int, size4: int) -> np.ndarray:
     )
 
 
+# bytes a chunk of hidden pairs' factor rows may take in the support cover
+_ROW_BYTES = 2**20
+
+
 def _missing_slots(
     da: np.ndarray, dd: np.ndarray, df: np.ndarray, pairs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,21 +134,39 @@ def _missing_slots(
     ``da[k1, l1] & dd[k4, l4]`` and rows y of ``df[k2, k3, l1, l4]`` over
     the pairs, as in ``model._event_kernel``, x @ y.T counts the pairs that
     cover each tuple, and a tuple is missing where its count is 0. The
-    counts and their zero mask, 5 bytes a tuple, are taken a block of k1
-    values at a time, within half of :func:`_repair_bytes`; they live only
+    pairs are taken in chunks whose float32 rows, with their bool sources
+    at most 10 bytes per pair and cell, fit in :data:`_ROW_BYTES`, and each
+    chunk's zero mask is ANDed into the first's. The counts and masks, 5
+    bytes a tuple or 6 with a second chunk, are taken a block of k1 values
+    at a time, within half of :func:`_repair_bytes`. All of it lives only
     in this call, so a sector's are freed before the next sector's.
     """
     m = da.shape[0]
-    l1, l4 = pairs.T
-    x = (da[:, None, l1] & dd[None, :, l4]).reshape(m * m, -1).astype(np.float32)
-    y = df[:, :, l1, l4].reshape(m * m, -1).astype(np.float32)
+    step = max(1, _ROW_BYTES // (10 * m * m))
+    chunks = [pairs[i:i + step].T for i in range(0, len(pairs), step)]
+
+    def rows(l1, l4):
+        # x rows (k1, k4) and y rows (k2, k3)
+        x = (da[:, None, l1] & dd[None, :, l4]).reshape(m * m, -1)
+        return x.astype(np.float32), df[:, :, l1, l4].reshape(m * m, -1).astype(np.float32)
+
+    def uncovered(xy, cut):
+        x, y = xy
+        return x[cut] @ y.T == 0
+
+    # one chunk's rows serve every block; more are rebuilt in each block,
+    # one chunk's at a time
+    first = rows(*chunks[0]) if len(chunks) == 1 else None
     on_a = np.empty(m, dtype=bool)
     on_f = np.zeros(m * m, dtype=bool)
     on_d = np.zeros(m, dtype=bool)
-    block = max(1, _repair_bytes(m) // (10 * m**3))
+    block = max(1, _repair_bytes(m) // ((10 if first else 12) * m**3))
     for k1 in range(0, m, block):
-        # rows (k1, k4) and columns (k2, k3)
-        missing = (x[k1 * m:(k1 + block) * m] @ y.T == 0).reshape(-1, m, m * m)
+        cut = slice(k1 * m, (k1 + block) * m)
+        missing = uncovered(first or rows(*chunks[0]), cut)
+        for chunk in chunks[1:]:
+            missing &= uncovered(rows(*chunk), cut)
+        missing = missing.reshape(-1, m, m * m)
         on_a[k1:k1 + block] = missing.any(axis=(1, 2))
         on_d |= missing.any(axis=(0, 2))
         on_f |= missing.any(axis=(0, 1))
@@ -155,9 +177,11 @@ def _repair_bytes(m: int) -> int:
     """Estimated peak bytes of ``_repair_support`` on an m-angle grid."""
     # whatever the announcement: two bytes per angle tuple, an m**3 term and
     # numpy's fixed reduction buffers (about 19 KB measured with
-    # tracemalloc). The cover's counts and zero mask take at most half of
-    # it; their factor rows, at most 8 bytes per analyzer entry, fall within
-    # the 10 per entry of the hidden-value draw's estimate, refused first
+    # tracemalloc). The cover's counts and masks take at most half of it;
+    # its factor rows, at most _ROW_BYTES, and the sector's hidden pairs
+    # scale with the hidden counts, and fall within the 10 bytes per
+    # analyzer entry of the hidden-value draw's estimate, refused first
+    # (test_repair_peak_keeps_within_the_draw_estimate measures both)
     return 2 * m**4 + m**3 + 2**15
 
 

@@ -941,16 +941,14 @@ class TestTypedIntake:
             want = _layout(construct)
         assert _layout(construct) == want
 
-    def test_typed_tables_take_one_range_test(self, monkeypatch):
-        # an in-range int8 array and a vector of Fractions are read without
-        # the old route, whose refusal words only what the typed tests refuse
-        def old_route(*args):
-            raise AssertionError("an in-range typed input took the old route")
-
+    def test_fraction_vectors_are_read_through_the_weight_cache(self):
+        # the base's own weight vectors are tuples of Fractions; a list of
+        # the same Fractions is a key the first replace already filled
         base = _typed_base()
-        monkeypatch.setattr(model_module, "_converted_table", old_route)
-        monkeypatch.setattr(model_module, "_walked_table", old_route)
-        copy_ = dataclasses.replace(base, rho1=list(base.rho1), rho4=tuple(base.rho4))
+        dataclasses.replace(base)
+        hits = model_module._parsed_weights.cache_info().hits
+        copy_ = dataclasses.replace(base, rho1=list(base.rho1))
+        assert model_module._parsed_weights.cache_info().hits == hits + 2
         assert dumps(copy_) == dumps(base)
 
     def test_the_model_never_aliases_the_callers_array(self):

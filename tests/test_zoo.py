@@ -9,6 +9,7 @@ import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from bellswap.model import (
     save,
     selected_analyzer,
 )
+from bellswap import zoo as zoo_module
 from bellswap.robustness import (
     RelevanceWitness,
     check_perfect_correlations,
@@ -232,6 +234,35 @@ class TestSyntheticFactorizable:
             tracemalloc.stop()
         assert peak - start <= _repair_bytes(m)
 
+    @pytest.mark.parametrize("kappa", ["plus", "mixed"])
+    def test_repair_peak_keeps_within_the_draw_estimate(self, kappa):
+        # the draw's refusal counts 10 bytes per analyzer entry; the
+        # repair's hidden pairs and factor rows, chunked here into several
+        # pieces a sector, must fit in it beside the masks they grow
+        size = 300
+        entries = 4 * size * size
+        # even a mixed sector's pairs take more than one chunk
+        assert size * size // 2 > zoo_module._ROW_BYTES // (10 * 4)
+        rng = np.random.default_rng(size)
+        da, dd = rng.random((2, 2, size)) < 0.3
+        df = rng.random((2, 2, size, size)) < 0.3
+        kappa_table = _kappa_pattern(kappa, size, size)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            _repair_support(da, dd, df, kappa_table)
+            _, repair_peak = tracemalloc.get_traced_memory()
+            del da, dd, df, kappa_table
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            synthetic_factorizable(0, n=1, size1=size, size4=size, density=0.3,
+                                   kappa=kappa)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert repair_peak - before + entries <= 10 * entries
+        assert peak - start <= 10 * entries
+
     def test_oversized_hidden_counts_are_refused_before_drawing(self):
         tracemalloc.start()
         try:
@@ -265,16 +296,26 @@ class TestSupportCover:
         density=st.sampled_from(_COVER_DENSITIES),
         seed=st.integers(0, 2**32 - 1),
         silent=st.integers(-1, 3),
+        row_bytes=st.sampled_from((zoo_module._ROW_BYTES, 1, 3000)),
     )
-    @example(n=6, size1=4, size4=4, kappa="mixed", density=0.0, seed=0, silent=-1)
-    @example(n=1, size1=1, size4=1, kappa="minus", density=1.0, seed=0, silent=-1)
+    @example(n=6, size1=4, size4=4, kappa="mixed", density=0.0, seed=0, silent=-1,
+             row_bytes=zoo_module._ROW_BYTES)
+    # a pair a chunk over several blocks of first-station angles
+    @example(n=6, size1=4, size4=4, kappa="mixed", density=0.3, seed=0, silent=-1,
+             row_bytes=1)
+    @example(n=1, size1=1, size4=1, kappa="minus", density=1.0, seed=0, silent=-1,
+             row_bytes=zoo_module._ROW_BYTES)
     # the only uncovered tuples lie in the first block of first-station angles
-    @example(n=6, size1=1, size4=1, kappa="plus", density=1.0, seed=0, silent=0)
+    @example(n=6, size1=1, size4=1, kappa="plus", density=1.0, seed=0, silent=0,
+             row_bytes=zoo_module._ROW_BYTES)
     # a hidden value's repair completes a later value's event
-    @example(n=1, size1=4, size4=2, kappa="plus", density=0.7, seed=4, silent=-1)
+    @example(n=1, size1=4, size4=2, kappa="plus", density=0.7, seed=4, silent=-1,
+             row_bytes=zoo_module._ROW_BYTES)
     def test_cover_and_repair_match_the_broadcast_oracle(
-        self, n, size1, size4, kappa, density, seed, silent
+        self, n, size1, size4, kappa, density, seed, silent, row_bytes
     ):
+        # a small row budget splits a sector's pairs into chunks: one pair
+        # each at 1 byte, a few at 3000
         m = 2 * n
         rng = np.random.default_rng(seed)
         da = rng.random((m, size1)) < density
@@ -283,16 +324,17 @@ class TestSupportCover:
         dd = rng.random((m, size4)) < density
         df = rng.random((m, m, size1, size4)) < density
         kappa_table = _kappa_pattern(kappa, size1, size4)
-        for sector in (1, -1):
-            pairs = np.argwhere(kappa_table == sector)
-            if len(pairs):
-                got = _missing_slots(da, dd, df, pairs)
-                want = broadcast_missing_slots(da, dd, df, pairs)
-                for name, g, w in zip(("a", "f", "d"), got, want):
-                    assert g.dtype == bool and np.array_equal(g, w), name
         masks = da, dd, df
         oracle = tuple(mask.copy() for mask in masks)
-        _repair_support(*masks, kappa_table)
+        with mock.patch.object(zoo_module, "_ROW_BYTES", row_bytes):
+            for sector in (1, -1):
+                pairs = np.argwhere(kappa_table == sector)
+                if len(pairs):
+                    got = _missing_slots(da, dd, df, pairs)
+                    want = broadcast_missing_slots(da, dd, df, pairs)
+                    for name, g, w in zip(("a", "f", "d"), got, want):
+                        assert g.dtype == bool and np.array_equal(g, w), name
+            _repair_support(*masks, kappa_table)
         looped_repair_support(*oracle, kappa_table)
         for name, got, want in zip(("da", "dd", "df"), masks, oracle):
             assert np.array_equal(got, want), name
