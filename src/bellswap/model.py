@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from operator import iadd
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -631,8 +631,65 @@ def dumps(model: LhvModel) -> str:
     return "{\n" + ",\n".join(f' "{key}": {text}' for key, text in fields.items()) + "\n}"
 
 
+# what _canonical_model keeps of the tables' text: digits and "-", the
+# digits 0 and 1 as the bytes of their values
+_NOT_LEAF = bytes(sorted(set(range(256)).difference(b"-0123456789")))
+_LEAF_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _canonical_model(text) -> LhvModel | None:
+    """The model whose :func:`dumps` is ``text``, with or without one
+    trailing newline, its tables read without JSON; None for any other text.
+
+    The span from "A" to "rho1" holds no digit but the tables' leaves, so
+    one ``bytes.translate`` keeps exactly the leaves' text, one replace
+    makes each "-1" the byte of -1, and the five int8 tables are views of
+    the result. Only the rest of the document, a few hundred bytes, goes
+    through json.loads, and the leaf count must match the declared sizes
+    before any table is built. The model is kept only when dumps gives the
+    text back byte for byte: json.loads(text) is then the document dumps
+    encodes, so the general route would build the same model.
+    """
+    if not isinstance(text, str):
+        return None
+    start = text.find(',\n "A": ')
+    stop = text.rfind(',\n "rho1": ')
+    if not 0 <= start < stop:
+        return None
+    try:
+        head = json.loads(text[:start] + text[stop:])
+        n, size1, size4 = head["n"], head["lambda1"], head["lambda4"]
+        hidden = (size1,) if size4 is None else (size1, size4)
+        # integers only: the sizes below would repeat a string or a list
+        if not all(map(_is_int, (n, *hidden))):
+            return None
+        m = 2 * n
+        shapes = ((m, size1), (m, hidden[-1]), hidden, (m, m) + hidden, (m, m) + hidden)
+        sizes = [math.prod(shape) for shape in shapes]
+        leaves = (text[start:stop].encode("ascii").translate(_LEAF_BYTES, _NOT_LEAF)
+                  .replace(b"-\x01", b"\xff"))
+        if len(leaves) != sum(sizes):
+            return None
+        tables = (np.frombuffer(leaves, np.int8, size, offset).reshape(shape)
+                  for size, offset, shape in zip(sizes, accumulate(sizes, initial=0), shapes))
+        model = LhvModel(head["family"], n, *tables, rho1=head["rho1"], rho4=head["rho4"],
+                         n0=head["n0"])
+    except (ValueError, TypeError, KeyError, RecursionError):
+        return None  # the general route words every refusal
+    out = dumps(model)
+    return model if text == out or text == out + "\n" else None
+
+
 def loads(text: str) -> LhvModel:
-    """A model from its document; ``LhvModel`` checks all but the file's own rules."""
+    """A model from its document; ``LhvModel`` checks all but the file's own rules.
+
+    A document as :func:`dumps` or :func:`save` writes it is read by
+    :func:`_canonical_model`; any other layout, and every refusal, takes
+    the general route: json.loads, then a walk of each nested table.
+    """
+    model = _canonical_model(text)
+    if model is not None:
+        return model
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -125,9 +125,9 @@ _ROW_BYTES = 2**20
 
 
 def _missing_slots(
-    da: np.ndarray, dd: np.ndarray, df: np.ndarray, pairs: np.ndarray
+    da: np.ndarray, dd: np.ndarray, df: np.ndarray, l1s: np.ndarray, l4s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where the angle tuples no hidden pair in ``pairs`` covers lie.
+    """Where the angle tuples no hidden pair (l1s[i], l4s[i]) covers lie.
 
     Returns the first-station angles, the analyzer cells and the
     last-station angles those tuples touch. With rows x of
@@ -143,7 +143,7 @@ def _missing_slots(
     """
     m = da.shape[0]
     step = max(1, _ROW_BYTES // (10 * m * m))
-    chunks = [pairs[i:i + step].T for i in range(0, len(pairs), step)]
+    chunks = [(l1s[i:i + step], l4s[i:i + step]) for i in range(0, len(l1s), step)]
 
     def rows(l1, l4):
         # x rows (k1, k4) and y rows (k2, k3)
@@ -197,11 +197,13 @@ def _repair_support(
     """
     size1, size4 = kappa.shape
     for sector in (1, -1):
-        pairs = np.argwhere(kappa == sector)
-        if not len(pairs):
+        # two index vectors, 16 bytes a pair, that argwhere would stack
+        # into a third
+        l1s, l4s = np.nonzero(kappa == sector)
+        if not len(l1s):
             continue
-        on_a, on_f, on_d = _missing_slots(da, dd, df, pairs)
-        l1, l4 = (int(x) for x in pairs[0])
+        on_a, on_f, on_d = _missing_slots(da, dd, df, l1s, l4s)
+        l1, l4 = int(l1s[0]), int(l4s[0])
         da[:, l1] |= on_a
         dd[:, l4] |= on_d
         df[:, :, l1, l4] |= on_f

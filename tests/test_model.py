@@ -8,7 +8,9 @@ import functools
 import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from bellswap import model as model_module
 from bellswap.model import (
     LhvModel,
     ModelFormatError,
+    _canonical_model,
     _events_at,
     _parsed_weights,
     _uniform_model,
@@ -32,7 +35,7 @@ from bellswap.model import (
     save,
     selected_analyzer,
 )
-from bellswap.zoo import by_uri, catalog, synthetic_factorizable
+from bellswap.zoo import by_uri, catalog, single_source_shift, synthetic_factorizable
 
 from helpers import broadcast_events, broadcast_products, indent_dumps, oracle_intake
 from test_golden import MODELS
@@ -807,6 +810,15 @@ def _outcome(build):
     return tables, model.family, model.n, model.n0, model.rho1, model.rho4
 
 
+_ROUTE_URIS = sorted(
+    {f"zoo:{name}" for name in catalog() if name != "synthetic_factorizable"}
+    | set(MODELS)
+    | {f"zoo:synthetic_factorizable:seed={seed},density={density},kappa={kappa}"
+       for seed, density, kappa in [(1, 0.5, "plus"), (2, 1.0, "minus"), (3, 0.7, "mixed")]}
+    | {"zoo:evasive_nonrobust:n=6"}
+)
+
+
 class TestIntake:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -829,24 +841,33 @@ class TestIntake:
             want = _outcome(lambda: loads(text))
         assert _outcome(lambda: loads(text)) == want
 
-    @pytest.mark.parametrize("uri", sorted(
-        {f"zoo:{name}" for name in catalog() if name != "synthetic_factorizable"}
-        | set(MODELS)
-        | {f"zoo:synthetic_factorizable:seed={seed},density={density},kappa={kappa}"
-           for seed, density, kappa in [(1, 0.5, "plus"), (2, 1.0, "minus"),
-                                         (3, 0.7, "mixed")]}
-        | {"zoo:evasive_nonrobust:n=6"}
-    ))
+    @pytest.mark.parametrize("uri", _ROUTE_URIS)
+    def test_canonical_documents_skip_the_walk(self, uri, monkeypatch):
+        # a document as dumps or save writes it is read from its text: one
+        # that reaches the nested-list walk has lost the canonical reader
+        def walk(values, allowed):
+            raise AssertionError("a table went through the walk")
+
+        text = dumps(by_uri(uri))
+        monkeypatch.setattr(model_module, "_walked_table", walk)
+        for document in (text, text + "\n"):
+            assert _canonical_model(document) is not None
+            assert dumps(loads(document)) == text
+
+    @pytest.mark.parametrize("uri", _ROUTE_URIS)
     def test_valid_documents_take_the_walk(self, uri, monkeypatch):
-        # the numpy route is the route of arrays and refusals: a valid
-        # document that reaches it has lost the one-walk intake
+        # any other layout goes through json.loads and the walk; the numpy
+        # route is the route of arrays and refusals, so a valid document
+        # that reaches it has lost the one-walk intake
         def numpy_route(values, path, allow_zero):
             raise AssertionError(f"{path} went through numpy")
 
         text = dumps(by_uri(uri))
         doc = json.loads(text)
+        compact = json.dumps(doc)
+        assert _canonical_model(compact) is None
         monkeypatch.setattr(model_module, "_converted_table", numpy_route)
-        assert dumps(loads(text)) == text
+        assert dumps(loads(compact)) == text
         for field in ("rho1", "rho4"):
             if doc[field] is not None:
                 assert _parsed_weights(tuple(doc[field])) is not None, field
@@ -865,6 +886,145 @@ class TestIntake:
         doc["A"] = _nested(1, 65)
         with pytest.raises(ModelFormatError, match="^A: malformed table data: "):
             loads(json.dumps(doc))
+
+
+def _read(document):
+    """What ``loads`` gives for a document: its error's type and text, or
+    the model as :func:`_outcome` sees it with the model's dumps."""
+    try:
+        model = loads(document)
+    except Exception as exc:  # any refusal, to compare with the general route's
+        return type(exc).__name__, str(exc)
+    return _outcome(lambda: model), dumps(model)
+
+
+def _read_generally(document):
+    """:func:`_read` with the canonical reader switched off."""
+    with mock.patch.object(model_module, "_canonical_model", lambda text: None):
+        return _read(document)
+
+
+# both families, every leaf value among them
+_READER_BASES = (dumps(random_two_source(0, n=1, l1=2, l4=1)), dumps(single_source_shift(1)))
+_LEAF_TOKENS = ("01", "-0", "+1", "2", "- 1")
+_NOISE = ("-", "0", "1", "2", "9", " ", "\n", "\r", ",", "[", "]", '"', ":", "e", "\xe9",
+          "\u2212", "\ufeff")
+
+
+def _large_grid(text: str, lambda1: str) -> str:
+    """The document declaring n = 500 and ``lambda1`` over its small tables:
+    a list or string there, multiplied out, would take megabytes."""
+    return re.sub(r'"lambda1": \d+', lambda _: lambda1, text.replace('"n": 1,', '"n": 500,'))
+
+
+def _named_mutations(text: str) -> dict[str, str]:
+    """A canonical document changed in each way the reader must hand on."""
+    i, j = re.compile(r"-?\d").search(text, text.index('"A"')).span()
+    minus, comma = text.index("-", i), text.index(",", j)
+    out = {
+        "leaf byte flipped": text[:j - 1] + chr(ord(text[j - 1]) ^ 1) + text[j:],
+        "comma flipped to minus": text[:comma] + "-" + text[comma + 1:],
+        "minus inserted": text[:i] + "-" + text[i:],
+        "minus dropped": text[:minus] + text[minus + 1:],
+        "CRLF line endings": text.replace("\n", "\r\n"),
+        "two trailing newlines": text + "\n\n",
+        "trailing space": text + " ",
+        "BOM": "\ufeff" + text,
+        "non-ASCII in a table": text[:i - 1] + "\xe9" + text[i:],
+        "non-ASCII minus": text[:minus] + "\u2212" + text[minus + 1:],
+        "truncated": text[:len(text) // 2],
+        "closing brace dropped": text[:-1],
+        "lambda1 disagrees": text.replace('"lambda1": 2', '"lambda1": 3'),
+        "n is true": text.replace('"n": 1,', '"n": true,'),
+        "n is 10**12": text.replace('"n": 1,', f'"n": {10**12},'),
+        "lambda1 is a list": _large_grid(text, '"lambda1": [1, 2]'),
+        "n is a string": text.replace('"n": 1,', '"n": "1111",'),
+    }
+    for token in _LEAF_TOKENS:
+        out[f"leaf {token!r}"] = text[:i] + token + text[j:]
+    return out
+
+
+_NAMED_MUTATIONS = [
+    pytest.param(mutated, id=f"{json.loads(text)['family']}-{name}")
+    for text in _READER_BASES for name, mutated in _named_mutations(text).items()
+]
+
+
+@st.composite
+def _mutated_text(draw):
+    """A canonical document with one to three characters, or a leaf,
+    replaced, inserted or dropped at random, perhaps truncated, perhaps
+    with save's trailing newline."""
+    text = draw(st.sampled_from(_READER_BASES))
+    for _ in range(draw(st.integers(1, 3))):
+        if not text:
+            break
+        i = draw(st.integers(0, len(text) - 1))
+        change = draw(st.sampled_from(["replace", "insert", "drop", "leaf", "truncate"]))
+        if change == "replace":
+            text = text[:i] + draw(st.sampled_from(_NOISE)) + text[i + 1:]
+        elif change == "insert":
+            text = text[:i] + draw(st.sampled_from(_NOISE)) + text[i:]
+        elif change == "drop":
+            text = text[:i] + text[i + 1:]
+        elif change == "leaf" and re.search(r"\d", text):
+            leaves = list(re.finditer(r"-?\d", text))
+            leaf = leaves[i % len(leaves)]
+            token = draw(st.sampled_from(_LEAF_TOKENS + ("-1", "0", "1")))
+            text = text[:leaf.start()] + token + text[leaf.end():]
+        elif change == "truncate":
+            text = text[:i]
+    return text + draw(st.sampled_from(["", "\n"]))
+
+
+class TestCanonicalReader:
+    """The canonical reader against the general route forced on: the same
+    model, or the same refusal, for any text."""
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(document, id=f"{json.loads(text)['family']}{suffix!r}")
+        for text in _READER_BASES for suffix, document in (("", text), ("\n", text + "\n"))
+    ])
+    def test_canonical_documents_are_read_as_before(self, text):
+        assert _canonical_model(text) is not None
+        assert _read(text) == _read_generally(text)
+
+    @pytest.mark.parametrize("text", _NAMED_MUTATIONS)
+    def test_named_mutations_read_as_before(self, text):
+        assert _read(text) == _read_generally(text)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_mutated_text())
+    def test_mutated_documents_read_as_before(self, text):
+        assert _read(text) == _read_generally(text)
+
+    def test_a_huge_declared_grid_allocates_nothing(self):
+        # the leaf count is checked against the declared sizes first, and
+        # sizes that are not integers are not multiplied out at all
+        for huge in (mutated for text in _READER_BASES for mutated in (
+            text.replace('"n": 1,', f'"n": {10**12},'),
+            _large_grid(text, '"lambda1": [1, 2]'), _large_grid(text, '"lambda1": "12"'),
+        )):
+            tracemalloc.start()
+            try:
+                assert _canonical_model(huge) is None
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+            assert _read(huge)[0] == "ModelFormatError"
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray])
+    def test_bytes_take_the_general_route(self, kind):
+        for text in _READER_BASES:
+            for document in (text, text + "\n", json.dumps(json.loads(text)), text[:-1]):
+                data = kind(document.encode())
+                assert _canonical_model(data) is None
+                assert _read(data) == _read_generally(data)
+                if document != text[:-1]:
+                    assert _read(data) == _read(document)
 
 
 def _typed_base():

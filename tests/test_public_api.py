@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import builtins
 import importlib
+import json
 import pkgutil
 import re
 from collections import Counter
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import bellswap
+from bellswap import zoo
 from test_verdict_path import GRID_CACHES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -46,6 +48,29 @@ def test_readme_library_quick_start_runs(capsys):
     # the quick start's last line prints the 1x1 census: empty
     assert capsys.readouterr().out == "0\n"
 
+
+def test_the_library_writes_nothing(capsys):
+    # the benchmark reads each run's result from the last line of stdout:
+    # the calls its workloads make must print nothing, on either stream
+    kinds = set()
+    for model in (zoo.synthetic_factorizable(1, density=0.6, kappa="mixed"),
+                  zoo.parity_split_robust(4), zoo.evasive_nonrobust(4)):
+        text = bellswap.dumps(model)
+        for document in (text, text + "\n", json.dumps(json.loads(text))):
+            model = bellswap.loads(document)
+        if not bellswap.is_robust(model, minus_row=False).is_robust:
+            kinds.add("not_robust")
+            continue
+        verdict = bellswap.run_verdict(model)
+        kinds.add(verdict.kind)
+        if verdict.kind == "inconsistent":
+            assert bellswap.replay(verdict.trace, model)
+    # the first sector map of the benchmark's census slice
+    space = bellswap.SearchSpace(family="two_source", denominator=4, size1=2, size4=2,
+                                 cursor=2_304_000)
+    assert bellswap.search_two_source(space, stop_after=1).models_examined
+    assert kinds == {"not_robust", "alarm", "inconsistent"}
+    assert capsys.readouterr() == ("", "")
 
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports but neither reads nor lists in ``__all__``."""

@@ -330,7 +330,7 @@ class TestSupportCover:
             for sector in (1, -1):
                 pairs = np.argwhere(kappa_table == sector)
                 if len(pairs):
-                    got = _missing_slots(da, dd, df, pairs)
+                    got = _missing_slots(da, dd, df, *np.nonzero(kappa_table == sector))
                     want = broadcast_missing_slots(da, dd, df, pairs)
                     for name, g, w in zip(("a", "f", "d"), got, want):
                         assert g.dtype == bool and np.array_equal(g, w), name
