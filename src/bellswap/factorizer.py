@@ -40,8 +40,6 @@ from .model import (
     LhvModel,
     _read_only,
     _refuse_oversize,
-    realized_sectors,
-    selected_analyzer,
 )
 from .robustness import RobustnessReport, _first_index, is_robust
 
@@ -243,7 +241,7 @@ def check_consistency(model: LhvModel) -> ConsistencyWitness | None:
     ``factorize`` scans only models its station signs do not certify.
     """
     _reject_single_source(model)
-    f = selected_analyzer(model)
+    f = model.analyzer
     tables = model.a, model.d, np.einsum("iikl->ikl", f), f
     for row in _LOCATED:
         if (witness := _witness(row, tables)) is not None:
@@ -271,7 +269,7 @@ def find_dangling_support(model: LhvModel) -> dict | None:
     internal alarm in ``factorize``, reached only past a waived gate.
     """
     _reject_single_source(model)
-    f_any = (selected_analyzer(model) != 0).any(axis=(0, 1))  # (L1, L4)
+    f_any = (model.analyzer != 0).any(axis=(0, 1))  # (L1, L4)
     # each station in turn, with the analyzer's support indexed by
     # (own hidden value, other hidden value): a value is completed by a
     # partner with analyzer support and support at the other station
@@ -393,7 +391,7 @@ def _first_partner(partner: np.ndarray, silent: np.ndarray):
 def _build_constraints(model: LhvModel) -> _ConstraintTable:
     u_base, v_base, _ = _var_layout(model)
     a, d = model.a, model.d
-    f = selected_analyzer(model)
+    f = model.analyzer
     m, size1, size4 = model.steps, model.size1, model.size4
 
     parts = []
@@ -736,7 +734,7 @@ def merge_components(
     # each sector's correlated tuples with the block of every angle, (T, 4)
     block_tables = []
     if len(assignments) > 1:  # a lone block is the reference frame itself
-        for sector in realized_sectors(model):
+        for sector in model.sectors:
             tuples = np.argwhere(sign_table(model.n, sector) == 1)
             block_tables.append((tuples, comp_of_angle[tuples]))
 
@@ -799,7 +797,7 @@ def _verify_products(model: LhvModel, fact: Factorization) -> None:
     for name, table, want in (
         ("first station", model.a, want_a),
         ("last station", model.d, want_d),
-        ("analyzer", selected_analyzer(model), want_f),
+        ("analyzer", model.analyzer, want_f),
     ):
         where = _first_index((table != 0) & (table != want))
         if where is not None:

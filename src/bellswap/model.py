@@ -23,9 +23,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress
-from operator import iadd
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -112,9 +111,6 @@ def _is_int(value) -> bool:
 
 _BOOL_TYPES = (bool, np.bool_)
 
-# numpy refuses an array of more dimensions than this
-_MAX_DIMS = 64
-
 
 def _has_bool(values, depth: int) -> bool:
     """Whether a nested sequence holds a bool, which numpy would read as 0/1."""
@@ -124,9 +120,9 @@ def _has_bool(values, depth: int) -> bool:
     return bool(set(map(type, flat)).intersection(_BOOL_TYPES))
 
 
-def _converted_table(values, path: str, allow_zero: bool) -> np.ndarray:
-    """Any table input through numpy, each refusal in numpy's terms: the
-    route of arrays, and of lists :func:`_walked_table` does not take."""
+def _sign_array(values, path: str, allow_zero: bool) -> np.ndarray:
+    """Any table input, array or nested list, as its int8 table through
+    numpy, each refusal in numpy's terms."""
     # a copy at the input's own dtype: the model owns its tables, so no
     # caller alias can change them, and nothing is cast before it is checked
     try:
@@ -148,38 +144,6 @@ def _converted_table(values, path: str, allow_zero: bool) -> np.ndarray:
         if out_of_range or not (allow_zero or arr.all()):
             raise ModelFormatError(f"{path}: values must lie in {allowed}")
     return arr.astype(np.int8, copy=False)
-
-
-def _walked_table(values, allowed: set[int]) -> np.ndarray | None:
-    """A nested list of integers in ``allowed`` as its int8 table, or None.
-
-    One walk, a level at a time, finds the shape, the leaf types and the
-    values together: every level above the leaves holds only lists of one
-    length, at most numpy's 64 of them deep, and the leaves are ints. It
-    takes only what numpy would read to the same table, so None leaves
-    every refusal to :func:`_converted_table`.
-    """
-    level, shape = [values], []
-    while len(shape) <= _MAX_DIMS:
-        kinds = set(map(type, level))
-        if kinds != {list}:
-            if kinds <= {int} and set(level) <= allowed:
-                return np.array(level, dtype=np.int8).reshape(shape)
-            return None
-        lengths = set(map(len, level))
-        if len(lengths) != 1:
-            return None
-        shape.append(lengths.pop())
-        level = reduce(iadd, level, [])
-    return None
-
-
-def _sign_array(values, path: str, allow_zero: bool) -> np.ndarray:
-    if not isinstance(values, np.ndarray):
-        table = _walked_table(values, {-1, 0, 1} if allow_zero else {-1, 1})
-        if table is not None:
-            return table
-    return _converted_table(values, path, allow_zero)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -543,6 +507,8 @@ def classical_expectation(
     return num / sum((w for w, _ in events), Fraction(0))
 
 
+# the cached views by their public names, for callers and for perfbench's
+# traced layers; the package itself reads the attributes
 def realized_sectors(model: LhvModel) -> tuple[int, ...]:
     """The model's cached :attr:`LhvModel.sectors`."""
     return model.sectors
@@ -554,7 +520,8 @@ def selected_analyzer(model: LhvModel) -> np.ndarray:
 
 
 def product_tensor(model: LhvModel) -> np.ndarray:
-    """The model's cached, read-only :attr:`LhvModel.products`."""
+    """The model's cached, read-only :attr:`LhvModel.products`: the tests'
+    reference oracle for the tables the pipeline reads without it."""
     return model.products
 
 
@@ -685,7 +652,7 @@ def loads(text: str) -> LhvModel:
 
     A document as :func:`dumps` or :func:`save` writes it is read by
     :func:`_canonical_model`; any other layout, and every refusal, takes
-    the general route: json.loads, then a walk of each nested table.
+    the general route: json.loads, then each nested table through numpy.
     """
     model = _canonical_model(text)
     if model is not None:

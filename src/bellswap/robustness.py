@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import sign_table
-from .model import LhvModel, _products_at, realized_sectors
+from .model import LhvModel, _products_at
 
 __all__ = [
     "CorrelationWitness",
@@ -86,7 +86,9 @@ def required_tensor(model: LhvModel) -> np.ndarray:
     """Required outcome product per angle tuple and assignment, int8.
 
     Every assignment is judged against the correlation angle of its own
-    announcement sector. Zero entries mean the law is silent there.
+    announcement sector. Zero entries mean the law is silent there. The
+    gate reads the law per sector instead; this whole table is the tests'
+    reference oracle.
     """
     # one column per assignment, its own sector's table: stacking them is a
     # plain copy into C order, several times faster than np.where over int8
@@ -150,7 +152,7 @@ def check_counts_nonempty(
     By default only sectors the weight-carrying kappa map actually realizes
     are checked; ``require_both_sectors=True`` demands events in both.
     """
-    sectors = (1, -1) if require_both_sectors else realized_sectors(model)
+    sectors = (1, -1) if require_both_sectors else model.sectors
     for sector in sectors:
         signs = model.event_signs.get(sector)  # None: no weighted assignment announces it
         where = (0, 0, 0, 0) if signs is None else _first_index(~(signs[0] | signs[1]))

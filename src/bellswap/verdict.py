@@ -36,8 +36,6 @@ from .model import (
     _read_only,
     _refuse_oversize,
     _refuse_product_tensor,
-    positive_weight_mask,
-    realized_sectors,
 )
 from .quantum import expectation_singlet
 from .robustness import RobustnessReport, _first_index
@@ -132,7 +130,7 @@ def derive_product_rule(fact: Factorization, model: LhvModel) -> ProductRule:
     The alarms name the first tuple, row-major, with no weighted event in the
     model's event signs, then the first whose angle-product entry is -1."""
     _reject_single_source(model)
-    sectors = realized_sectors(model)
+    sectors = model.sectors
     verified: dict = {}
     for sector in sectors:
         correlated = sign_table(model.n, sector) == 1
@@ -314,7 +312,7 @@ def check_minus_clash(fact: Factorization, model: LhvModel) -> MinusClash:
     alternating sign assignment (resolution 2 mod 4).
     """
     _reject_single_source(model)
-    sector = realized_sectors(model)[0]
+    sector = model.sectors[0]
     anticorrelated = sign_table(model.n, sector) == -1
     if not anticorrelated.any():
         raise GridError(
@@ -380,7 +378,7 @@ def predict_E_class(fact: Factorization, model: LhvModel) -> EClassReport:
     carries both tables per realized sector and their largest gap.
     """
     _reject_single_source(model)
-    sectors = realized_sectors(model)
+    sectors = model.sectors
     defined: dict = {}
     e_class: dict = {}
     e_quantum: dict = {}
@@ -519,7 +517,7 @@ def replay(trace: DerivationTrace, model: LhvModel) -> bool:
             f" {trace.clash.sector:+d}"
         )
     _refuse_product_tensor(model)  # an oversized model, before its trace is read
-    weight_ok = positive_weight_mask(model)
+    weight_ok = model.weight_mask
     angles, (size1, size4) = frozenset(range(model.steps)), model.kappa.shape
 
     def event_product(phis, sector, event, required):
@@ -556,7 +554,7 @@ def replay(trace: DerivationTrace, model: LhvModel) -> bool:
     if clash.derived == clash.required:
         raise ReplayError("the recorded clash does not actually clash")
 
-    sectors = realized_sectors(model)
+    sectors = model.sectors
     if tuple(trace.expectation.sectors) != sectors:
         raise ReplayError(
             f"the expectation covers sectors {tuple(trace.expectation.sectors)},"

@@ -29,7 +29,6 @@ from .model import (
     _refuse_oversize,
     _uniform_model,
     load,
-    selected_analyzer,
 )
 from .robustness import is_robust
 from .search import SearchSpace, _assemble_two_source, search_single_source
@@ -402,7 +401,7 @@ def single_source_shift(n: int = 4) -> LhvModel:
     return _uniform_model(n, station, station, np.ones(m, np.int8), analyzer)
 
 
-# bounded like the grid caches: each model keeps its product tensor alive
+# bounded like the grid caches: each model keeps its cached event tables alive
 @lru_cache(maxsize=2)
 def single_source_efficient_50(n: int = 4) -> LhvModel:
     """Shared-source model with 50% station detectors and a perfect analyzer.
@@ -431,7 +430,7 @@ def single_source_efficient_50(n: int = 4) -> LhvModel:
         )
         if rate < 0.5:
             raise ZooError(f"{name}-station firing rate {rate} fell below one half")
-    if np.count_nonzero(selected_analyzer(model) == 0):
+    if np.count_nonzero(model.analyzer == 0):
         raise ZooError("analyzer must fire for every hidden value")
     return model
 

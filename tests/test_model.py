@@ -842,35 +842,55 @@ class TestIntake:
         assert _outcome(lambda: loads(text)) == want
 
     @pytest.mark.parametrize("uri", _ROUTE_URIS)
-    def test_canonical_documents_skip_the_walk(self, uri, monkeypatch):
-        # a document as dumps or save writes it is read from its text: one
-        # that reaches the nested-list walk has lost the canonical reader
-        def walk(values, allowed):
-            raise AssertionError("a table went through the walk")
+    def test_canonical_documents_are_read_from_their_text(self, uri, monkeypatch):
+        # a document as dumps or save writes it is read from its text: its
+        # tables reach the intake as the canonical reader's int8 arrays, and
+        # one that reaches it as a nested list has lost the canonical reader
+        sign_array = model_module._sign_array
+
+        def arrays_only(values, path, allow_zero):
+            assert isinstance(values, np.ndarray), f"{path} went through json.loads"
+            return sign_array(values, path, allow_zero)
 
         text = dumps(by_uri(uri))
-        monkeypatch.setattr(model_module, "_walked_table", walk)
+        monkeypatch.setattr(model_module, "_sign_array", arrays_only)
         for document in (text, text + "\n"):
             assert _canonical_model(document) is not None
             assert dumps(loads(document)) == text
 
     @pytest.mark.parametrize("uri", _ROUTE_URIS)
-    def test_valid_documents_take_the_walk(self, uri, monkeypatch):
-        # any other layout goes through json.loads and the walk; the numpy
-        # route is the route of arrays and refusals, so a valid document
-        # that reaches it has lost the one-walk intake
-        def numpy_route(values, path, allow_zero):
-            raise AssertionError(f"{path} went through numpy")
-
+    def test_other_layouts_take_the_general_route(self, uri, monkeypatch):
+        # any other layout is declined by the canonical reader and read
+        # through json.loads: each table reaches the intake as a nested list
+        # and each weight vector goes through the weight cache, and the
+        # model is the one its canonical text gives
         text = dumps(by_uri(uri))
         doc = json.loads(text)
-        compact = json.dumps(doc)
-        assert _canonical_model(compact) is None
-        monkeypatch.setattr(model_module, "_converted_table", numpy_route)
-        assert dumps(loads(compact)) == text
-        for field in ("rho1", "rho4"):
-            if doc[field] is not None:
-                assert _parsed_weights(tuple(doc[field])) is not None, field
+        want = _read(text)
+        sign_array = model_module._sign_array
+        tables, vectors = [], []
+
+        def record_table(values, path, allow_zero):
+            tables.append((path, type(values)))
+            return sign_array(values, path, allow_zero)
+
+        def record_weights(values):
+            vectors.append(values)
+            return _parsed_weights(values)
+
+        monkeypatch.setattr(model_module, "_sign_array", record_table)
+        monkeypatch.setattr(model_module, "_parsed_weights", record_weights)
+        for form in (json.dumps(doc), json.dumps(doc, indent=4),
+                     json.dumps(dict(reversed(doc.items())), indent=1)):
+            assert _canonical_model(form) is None
+            tables.clear()
+            vectors.clear()
+            assert _read(form) == want
+            assert tables == [(path, list) for path in
+                              ("A", "D", "kappa", "F_plus_sector", "F_minus_sector")]
+            assert vectors == [tuple(doc[field]) for field in ("rho1", "rho4")
+                               if doc[field] is not None]
+            assert None not in map(_parsed_weights, vectors)
 
     def test_deeply_nested_document_is_refused(self):
         for text in ('{"A": ' + "[" * 5000 + "]" * 5000 + "}", "[" * 100_000):

@@ -1,9 +1,10 @@
-"""The public surface: exported names resolve, README's quick start runs,
-no source module imports a name it neither uses nor re-exports, no private
-definition goes unread, no handler that raises a usage error wraps the
-program's own calls, no cached property goes unread, and no cache is
-unbounded or escapes the memory test; nor does a test module hold an
-unused import, or ``tests/helpers.py`` a function no test reads."""
+"""The public surface: exported names resolve, each per-layer metric of the
+benchmark names a traced function, README's quick start runs, no source
+module imports a name it neither uses nor re-exports, no private definition
+goes unread, no handler that raises a usage error wraps the program's own
+calls, no cached property goes unread, and no cache is unbounded or escapes
+the memory test; nor does a test module hold an unused import, or
+``tests/helpers.py`` a function no test reads."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from bellswap import zoo
 from test_verdict_path import GRID_CACHES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+BENCHMARK = README.with_name("BENCHMARK.json")
 SRC = Path(bellswap.__file__).resolve().parent
 
 MODULES = ["bellswap"] + [
@@ -39,6 +41,40 @@ def test_every_exported_name_resolves(name):
     assert len(exported) == len(set(exported)), "duplicate names in __all__"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def _traced_functions(module) -> set[str]:
+    """The names perfbench traces in a layer module: public callables,
+    classes excluded, defined in the module itself (its
+    ``tracing.public_functions`` rule)."""
+    return {
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_")
+        and callable(value)
+        and not isinstance(value, type)
+        and getattr(value, "__module__", None) == module.__name__
+    }
+
+
+def test_every_per_layer_metric_names_a_traced_function():
+    # a listed function that is deleted, renamed or made private drops its
+    # metrics from the traced run's result line, which then lists them as
+    # absent: the benchmark's names must move in the same change
+    names = [m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]]
+    functions = dict.fromkeys(name.removeprefix("setup.").rsplit(".", 1)[0]
+                              for name in names if name.endswith((".calls", ".self_s")))
+    assert functions
+    unresolved = []
+    for function in functions:
+        layer, _, fname = function.partition(".")
+        try:
+            traced = _traced_functions(importlib.import_module(f"bellswap.{layer}"))
+        except ImportError:
+            traced = set()
+        if fname not in traced:
+            unresolved.append(function)
+    assert not unresolved, f"per-layer metrics name no traced function: {unresolved}"
 
 
 def test_readme_library_quick_start_runs(capsys):
