@@ -48,10 +48,18 @@ Soundness rests on three facts proved here and property-tested in the suite:
   on their kinds and on the set of these per-angle patterns therefore
   keep the same second-station rows, and each sector map decides one
   block per such key. A key is one uint16, below 144 for two hidden
-  values (9 kind pairs x 16 pattern sets). The class tables and the key
-  of every tuple are built once per value domain and tuple size, and
-  each class's station column is a row of ``_ClassPack.column``, beside
-  its support byte and kind.
+  values (9 kind pairs x 16 pattern sets). The same holds for the second
+  station: bit r' of a partner byte is set when some alive partner
+  column supports second-station angle r', and a cover is full when
+  every r' is reached, so the check reads a second-station tuple only
+  through its kinds and the set of its per-angle patterns, its key built
+  the same way; the bulk prune reads each station's tuple through that
+  set alone. A sector map is thus decided by one table of first keys
+  against second keys, each second key checked on one representative
+  tuple. The class tables, the key of every tuple and one representative
+  per key are built once per value domain and tuple size, and each
+  class's station column is a row of ``_ClassPack.column``, beside its
+  support byte and kind.
 
 Every scan streams runs of consecutive blocks to one driver, which books
 tallies, ``stop_after`` and the keep list per run and checks the wall-clock
@@ -481,16 +489,18 @@ _KEY_CHUNK = 1 << 14
 
 
 def _block_keys(pack, tuples: np.ndarray) -> np.ndarray:
-    """Decision key of each first-station tuple, one tuple per row.
+    """Decision key of each of a station's tuples, one tuple per row.
 
-    The exact check reads a first-station column only through its kind
+    The exact check reads a station's column only through its kind
     (0 single-sided, or the side-constant product +1 or -1) and,
     at each angle, through which columns support that angle. A key packs
     the kinds, as base-3 digits with the first column most significant
     (0, 1, 2 for kind 0, +1, -1), above the set of those per-angle
     patterns, bit p for the pattern whose bit i says column i holds the
-    angle: ``kinds << 2**size | present``. Two tuples with equal keys keep
-    the same second-station rows under any sector map. Keys are uint16,
+    angle: ``kinds << 2**size | present``. Under any sector map, two
+    first-station tuples with equal keys keep the same second-station
+    rows, and two second-station tuples with equal keys are kept by the
+    same first-station tuples. Keys are uint16,
     below 3**size << 2**size (144 at size 2), built in chunks of
     ``_KEY_CHUNK`` tuples.
     """
@@ -513,6 +523,21 @@ def _block_keys(pack, tuples: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _first_of_each(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the index where each first occurs.
+
+    Read in chunks of ``_KEY_CHUNK`` keys, like the key build, so no
+    temporary grows with the number of tuples.
+    """
+    first = {}
+    for start in range(0, len(keys), _KEY_CHUNK):
+        found, at = np.unique(keys[start:start + _KEY_CHUNK], return_index=True)
+        for key, i in zip(found.tolist(), at.tolist()):
+            first.setdefault(key, start + i)
+    key_set = sorted(first)
+    return np.array(key_set, dtype=np.uint16), np.array([first[key] for key in key_set])
+
+
 class _ClassSide(NamedTuple):
     """One station's fixed class tables for a value domain and tuple size."""
 
@@ -523,6 +548,10 @@ class _ClassSide(NamedTuple):
     supp: tuple[np.ndarray, ...]
     # uint16: the ``_block_keys`` key of each tuple
     keys: np.ndarray
+    # uint16, ascending: the distinct keys present among the tuples
+    key_set: np.ndarray
+    # int16 [len(key_set), size]: the first tuple, in enumeration order, of each key
+    reps: np.ndarray
 
 
 @lru_cache(maxsize=4)
@@ -533,12 +562,55 @@ def _class_side(value_domain: str, size: int) -> _ClassSide:
     their sizes agree; every array is read-only. The cache holds all four
     entries the scan can ask for; the 2-tuple ternary one is the largest,
     about 1.8 MB (the int16 tuples, two uint8 supports and the uint16 key
-    per tuple), and the other three hold under 10 KB together.
+    per tuple, beside at most 144 keys and their representatives), and
+    the other three hold under 10 KB together.
     """
     pack = _ClassPack(_column_classes(8, value_domain))
     tuples = _read_only(_side_tuples(len(pack.kind), size))
     supp = tuple(_read_only(pack.supp[col]) for col in tuples.T)
-    return _ClassSide(pack, tuples, supp, _read_only(_block_keys(pack, tuples)))
+    keys = _read_only(_block_keys(pack, tuples))
+    key_set, first = _first_of_each(keys)
+    return _ClassSide(pack, tuples, supp, keys, _read_only(key_set), _read_only(tuples[first]))
+
+
+# kinds 0, +1, -1 in the order of their base-3 key digits, and the couplings
+_DIGIT_KIND = np.array([0, 1, -1], dtype=np.int8)
+_COUPLING = np.array([1, -1], dtype=np.int8)
+
+
+def _accept_table(pack, kappa, realized, reps) -> np.ndarray:
+    """Whether each first-station key keeps each second-station representative.
+
+    Returns bool [3**size1 << 2**size1, len(reps)], indexed by the first
+    key's value. U[i, k, s, c] of a representative is the OR of the
+    supports of its columns j with kappa[i, j] == s whose family stays
+    alive beside a first column of kind k at coupling c, k * c * kind_j !=
+    -1. A pattern's cover ORs the U bytes of its members, and a key keeps
+    a representative when the cover of every pattern it holds is full at
+    every (s, c).
+    """
+    size1 = kappa.shape[0]
+    supp = pack.supp[reps.T]
+    kind = pack.kind[reps.T]
+    # alive[t, j, r]: column j's support where its family survives t = k * c
+    t = _DIGIT_KIND[:, None, None]
+    alive = np.where(t * kind != -1, supp, np.uint8(0))
+    by_kc = alive[(_DIGIT_KIND[:, None] * _COUPLING) % 3]  # [k, c, j, r]
+    owns = kappa[:, None, :] == np.array(realized)[:, None]  # [i, s, j]
+    u = np.bitwise_or.reduce(
+        np.where(owns[:, None, :, None, :, None], by_kc[None, :, None], np.uint8(0)),
+        axis=4,
+    )  # [i, k, s, c, r]
+    # the kind digit of member i under each kinds value, first column most significant
+    digits = np.arange(3 ** size1)[:, None] // 3 ** np.arange(size1 - 1, -1, -1) % 3
+    members = u[np.arange(size1), digits]  # [kinds, i, s, c, r]
+    holds = (np.arange(1 << size1)[:, None] >> np.arange(size1) & 1).astype(bool)
+    cover = np.bitwise_or.reduce(
+        np.where(holds[:, :, None, None, None], members[:, None], np.uint8(0)), axis=2
+    )  # [kinds, pattern, s, c, r]
+    short = (cover != 0xFF).any(axis=(2, 3))  # [kinds, pattern, r]
+    present = (np.arange(1 << (1 << size1))[:, None] >> np.arange(1 << size1) & 1).astype(bool)
+    return ~(present @ short).reshape(-1, len(reps))
 
 
 def _pair_double_blocks(space):
@@ -555,22 +627,15 @@ def _pair_double_blocks(space):
     coupling c = +1 or -1 (one parity family each), the support rectangles
     of the pairs whose family stays alive, k_a * k_d != -c, must cover
     every angle pair. Relevance needs no test, since each pair keeps one
-    of its two families. Every byte of a cover is a copy of some partner's
-    support byte, so byte r of sector s's cover at coupling c is the OR,
-    over the first-station columns whose support holds r, of their
-    partner bytes: U[i, k, s, c] is the OR of the supports of the
-    second-station columns that share sector s with first-station position
-    i and stay alive beside kind k. A row is kept exactly when, for every
-    per-angle member set of the block key, the members' U bytes OR to 0xFF
-    at every (s, c).
-
-    Per sector map, each second-station column's supports are masked once
-    per coupling, the U bytes are built on demand (at most 2 x 3 x 2 x 2)
-    and the full-byte flags memoized per (members, s, c). The verdict
-    depends on the first-station tuple only through its block key, so
-    each key is decided once, and every block with that key reuses the
-    same read-only rows. A sector map's blocks are yielded as one run. The
-    class tables and keys come from ``_class_side``.
+    of its two families. The verdict reads each station's tuple only
+    through its block key, so a sector map is decided by one table,
+    ``_accept_table``, of first keys against the kept second-station keys,
+    each checked on its representative tuple. Each first key's count of
+    survivors is its row of that table dotted with the number of kept rows
+    per second key, and a block's hits, the kept rows whose key its key
+    accepts, are listed only when the driver asks for them, once per key.
+    A sector map's blocks are yielded as one run. The class tables, keys
+    and representatives come from ``_class_side``.
     """
     n = space.denominator
     size1, size4 = space.size1, space.size4
@@ -580,10 +645,6 @@ def _pair_double_blocks(space):
     patterns = 1 << (size1 * size4)
     total = patterns * len(a_idx)
     first, a_start = divmod(min(space.cursor, total), len(a_idx))
-    width = 1 << size1
-    # the kind of position i in a key's base-3 kinds, first column most significant
-    kind_of = [[(0, 1, -1)[kinds // 3 ** (size1 - 1 - i) % 3] for i in range(size1)]
-               for kinds in range(3 ** size1)]
 
     for code in range(first, patterns):
         bits = code >> np.arange(size1 * size4) & 1
@@ -599,68 +660,37 @@ def _pair_double_blocks(space):
             a_keep &= _reach(a_side.supp, owned.any(axis=1))
             d_keep &= _reach(d_side.supp, owned.any(axis=0))
         a_start = 0
-        positions = np.flatnonzero(a_keep)
-        if not len(positions):
+        blocks = np.flatnonzero(a_keep)
+        if not len(blocks):
             continue
+        keys = a_side.keys[blocks]
+        offset = code * len(a_idx)
+        blocks += offset
         rows = np.flatnonzero(d_keep)
-        # alive[j][t]: column j's support bytes on the rows where its family
-        # stays alive beside a first column of kind k at coupling c, t = k * c
-        alive = []
-        for j in range(size4):
-            supp = d_side.supp[j][rows]
-            kind = pack.kind[d_idx[rows, j]]
-            alive.append({0: supp, **{t: np.where(kind != -t, supp, 0) for t in (1, -1)}})
-        partner_bytes = {}
-        full = {}
-
-        def partner(i, k, s, c):
-            """U[i, k, s, c], built on first use."""
-            if (i, k, s, c) not in partner_bytes:
-                u = np.zeros(len(rows), dtype=np.uint8)
-                for j in range(size4):
-                    if kappa[i, j] == s:
-                        u |= alive[j][k * c]
-                partner_bytes[i, k, s, c] = u
-            return partner_bytes[i, k, s, c]
-
-        def covered(members, s, c):
-            """Rows whose members' partner bytes OR to 0xFF, memoized."""
-            if (members, s, c) not in full:
-                u = np.zeros(len(rows), dtype=np.uint8)
-                for i, k in members:
-                    u = u | partner(i, k, s, c)
-                full[members, s, c] = u == 0xFF
-            return full[members, s, c]
-
-        def decide(key):
-            kinds, present = divmod(key, 1 << width)
-            kind = kind_of[kinds]
-            keep = np.ones(len(rows), dtype=bool)
-            for pattern in range(width):
-                if present >> pattern & 1:
-                    members = tuple((i, kind[i]) for i in range(size1) if pattern >> i & 1)
-                    for s in realized:
-                        for c in (1, -1):
-                            keep &= covered(members, s, c)
-            return _read_only(np.flatnonzero(keep))
-
-        keys = a_side.keys[positions]
-        decided = [None] * (3 ** size1 << width)
-        counts = np.zeros(len(decided), dtype=np.int64)
-        for key in np.unique(keys).tolist():
-            decided[key] = decide(key)
-            counts[key] = len(decided[key])
-        tally = np.cumsum(counts[keys])
+        row_keys = d_side.keys[rows]
+        # the kept rows per second-station key; a key's rows are all kept or none
+        hist = np.bincount(row_keys)
+        kept = np.flatnonzero(hist)
+        reps = d_side.reps[np.searchsorted(d_side.key_set, kept)]
+        accept = _accept_table(pack, kappa, realized, reps)
+        tally = (accept @ hist[kept])[keys]
+        np.cumsum(tally, out=tally)
+        hits = {}
 
         def hits_of(i):
-            return decided[keys[i]]
+            key = keys[i]
+            if key not in hits:
+                accepted = np.zeros(len(hist), dtype=bool)
+                accepted[kept[accept[key]]] = True
+                hits[key] = _read_only(np.flatnonzero(accepted[row_keys]))
+            return hits[key]
 
         def build(i, hit):
-            a = pack.column[a_idx[positions[i]]].T
+            a = pack.column[a_idx[blocks[i] - offset]].T
             d = pack.column[d_idx[rows[hit]]].T
             return _assemble_two_source(a, d, kappa, n)
 
-        yield code * len(a_idx) + positions, len(rows), tally, hits_of, build
+        yield blocks, len(rows), tally, hits_of, build
     return total
 
 

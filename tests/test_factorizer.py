@@ -253,6 +253,45 @@ class TestCheckConsistency:
         assert built == []
 
 
+@st.composite
+def support_models(draw):
+    """Two-source models with supports drawn apart from any sign structure.
+
+    Each hidden value's station column and each hidden pair's analyzer
+    block in each sector get their own density, 0 included, and kappa is
+    random, so relevance can fail on either side for several reasons.
+    Half the draws then plant one firing (station, analyzer, station)
+    triple through every hidden value, which makes the model relevant
+    while the rest of its support stays random.
+    """
+    n = draw(st.sampled_from([1, 2]))
+    size1, size4 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = 2 * n
+    levels = np.array([0.0, 0.15, 0.5, 1.0])
+
+    def table(shape, density):
+        return random_signs(rng, shape) * (rng.random(shape) < density)
+
+    a = table((m, size1), rng.choice(levels, size1))
+    d = table((m, size4), rng.choice(levels, size4))
+    f_plus, f_minus = (table((m, m, size1, size4), rng.choice(levels, (size1, size4)))
+                       for _ in range(2))
+    kappa = random_signs(rng, (size1, size4))
+    if draw(st.booleans()):
+        pairs = [(l1, rng.integers(size4)) for l1 in range(size1)]
+        pairs += [(rng.integers(size1), l4) for l4 in range(size4)]
+        for l1, l4 in pairs:
+            k1, k2, k3, k4 = rng.integers(m, size=4)
+            f = f_plus if kappa[l1, l4] == 1 else f_minus
+            for cell, target in (((k1, l1), a), ((k4, l4), d), ((k2, k3, l1, l4), f)):
+                target[cell] = target[cell] or 1
+    return LhvModel(
+        family="two_source", n=n, a=a, d=d, kappa=kappa, f_plus=f_plus, f_minus=f_minus,
+        rho1=[Fraction(1, size1)] * size1, rho4=[Fraction(1, size4)] * size4,
+    )
+
+
 class TestDanglingSupport:
     def test_full_detection_has_none(self):
         assert find_dangling_support(random_compose(0)) is None
@@ -279,12 +318,14 @@ class TestDanglingSupport:
         with pytest.raises(FamilyError):
             find_dangling_support(single_source_fixture())
 
-    @settings(max_examples=150, deadline=None)
-    @given(model=ternary_models())
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.one_of(ternary_models(), support_models()))
     def test_relevant_models_have_no_dangling_support(self, model):
-        # a relevant lam1 fires with some lam4 at all three devices, so that
-        # lam4 has analyzer and last-station support (and symmetrically)
-        # (about a fifth of these draws are relevant)
+        # a nonzero a[k, l1] makes l1 fire, and relevance then gives an l4
+        # with analyzer support at (l1, l4) and last-station support at l4:
+        # the partner the dangling check looks for (and symmetrically)
+        # (about a fifth of the ternary draws are relevant, and half of
+        # the support draws)
         if check_relevance(model) is None:
             assert find_dangling_support(model) is None
 

@@ -41,6 +41,7 @@ from bellswap.search import (
     _demand_bits,
     _pair_double_blocks,
     _pair_single_blocks,
+    _reach,
     _side_tuples,
     _single_scan_bytes,
     _solve_signs,
@@ -521,6 +522,48 @@ class TestBlockKeys:
             robust_groups += sum(seen == {True} for seen in verdicts.values())
         assert robust_groups > 0
 
+    def test_equal_second_station_keys_get_equal_verdicts(self):
+        """The second-station half of the key fact, and of the bulk prune.
+
+        Under a fixed first-station tuple and sector map, second-station
+        tuples with one key share one exact verdict and one ``_reach``
+        prune result, so a sector map can be decided on one
+        representative per second key.
+        """
+        classes = _column_classes(8, "ternary")
+        pack = _ClassPack(classes)
+        rng = np.random.default_rng(5)
+        robust_groups = 0
+        pruned = set()
+        for trial in range(16):
+            if trial % 2:
+                kappa = np.full((2, 2), rng.choice([1, -1]), dtype=np.int8)
+            else:
+                kappa = (1 - 2 * rng.integers(0, 2, size=(2, 2))).astype(np.int8)
+            a_cls = [classes[i] for i in rng.integers(0, 18, size=2)]
+            # the same pool as the first-station test, on the other side
+            pool = np.concatenate(
+                [np.arange(18), rng.choice(np.arange(18, len(classes)), 6, replace=False)]
+            )
+            tuples = np.stack(np.meshgrid(pool, pool, indexing="ij"), axis=-1)
+            tuples = tuples.reshape(-1, 2)
+            supp = [pack.supp[col] for col in tuples.T]
+            keep = np.ones(len(tuples), dtype=bool)
+            for s in {int(v) for v in kappa.ravel()}:
+                keep &= _reach(supp, (kappa == s).any(axis=0))
+            verdicts = {}
+            prunes = {}
+            keys = _block_keys(pack, tuples).tolist()
+            for key, row, kept in zip(keys, tuples.tolist(), keep.tolist()):
+                verdict = class_predicate(a_cls, [classes[c] for c in row], kappa)
+                verdicts.setdefault(key, set()).add(verdict)
+                prunes.setdefault(key, set()).add(kept)
+            assert all(len(seen) == 1 for seen in verdicts.values())
+            assert all(len(seen) == 1 for seen in prunes.values())
+            robust_groups += sum(seen == {True} for seen in verdicts.values())
+            pruned |= {kept for seen in prunes.values() for kept in seen}
+        assert robust_groups > 0 and pruned == {True, False}
+
     @pytest.mark.parametrize(
         "space",
         [
@@ -603,13 +646,36 @@ class TestBlockKeys:
         for value_domain, size in itertools.product(("ternary", "signs"), (1, 2)):
             side = _class_side(value_domain, size)
             arrays = (side.pack.column, side.pack.supp, side.pack.kind,
-                      side.tuples, *side.supp, side.keys)
+                      side.tuples, *side.supp, side.keys, side.key_set, side.reps)
             assert not any(array.flags.writeable for array in arrays)
+            # each key present once, ascending, with the first tuple that has it
+            key_set, first = np.unique(side.keys, return_index=True)
+            assert np.array_equal(side.key_set, key_set)
+            assert np.array_equal(side.reps, side.tuples[first])
         # the 2-tuple ternary entry holds 8 bytes per tuple: two int16
         # classes, two uint8 supports and the uint16 key, 1.76 MiB over
-        # 480**2 tuples; the other entries, the sign tables of the kept
-        # survivors' analyzers and Python's free lists fit in 256 KiB
+        # 480**2 tuples, and 6 bytes per key for its key set and
+        # representatives, under 1 KiB; the other entries, the sign tables
+        # of the kept survivors' analyzers and Python's free lists fit in
+        # 256 KiB
         assert held <= 8 * 480**2 + 2**18
+
+    def test_census_peak_is_bounded(self):
+        """The whole 2x2 census on warm class tables stays under 3.5 MiB.
+
+        The key x key table and the lazy hits keep each map's arrays to
+        its blocks and kept rows, for a peak of about 2.6 MiB; deciding
+        each first key row by row over the kept rows peaked at 4.27 MiB.
+        """
+        search_two_source(CENSUS)  # class tables and numpy's lazy imports
+        tracemalloc.start()
+        try:
+            result = search_two_source(CENSUS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.robust_count == 409648 and result.certifying
+        assert peak <= 3.5 * 2**20
 
 
 def blocks_of(stream):
